@@ -20,6 +20,8 @@ from .errors import (
 from .linalg import as_matrix
 
 MAX_VERTICES = 2 ** 24
+# Vertices built per array while enumerate_vertices yields them one by one.
+_ENUMERATE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -176,21 +178,37 @@ def decompose(sys):
     return UncertaintyFactors(a0, delta_a, m_a, r_a, b0, delta_b, m_b, r_b)
 
 
+def scaling_width(factors):
+    """Length of one scaling row [f_a | f_b]: n^2 + n*l."""
+    return factors.m_a.shape[1] + factors.m_b.shape[1]
+
+
 def realize(factors, u):
-    """Plant matrices (A, B) for one realization of the unit-box scalings."""
-    fa = np.asarray(u.f_a, dtype=float)
-    fb = np.asarray(u.f_b, dtype=float)
-    if fa.shape != (factors.m_a.shape[1],):
-        raise ValueError(
-            f"f_a has length {fa.size}, expected {factors.m_a.shape[1]}"
-        )
-    if fb.shape != (factors.m_b.shape[1],):
-        raise ValueError(
-            f"f_b has length {fb.size}, expected {factors.m_b.shape[1]}"
-        )
-    a = factors.a0 + factors.m_a @ (fa[:, None] * factors.r_a)
-    b = factors.b0 + factors.m_b @ (fb[:, None] * factors.r_b)
-    return a, b
+    """Plant matrices for unit-box scalings.
+
+    ``u`` is an :class:`UncertaintyRealization`, giving one pair (A, B), or
+    an (N, n^2 + n*l) array of scaling rows [f_a | f_b], giving the stacks
+    A (N, n, n) and B (N, n, l).  Entry (i, j) of A moves by
+    ``s * (f * s)`` with ``s = sqrt(delta_a[i, j])``, which is exactly the
+    factorized product ``m_a @ (f[:, None] * r_a)``; B likewise.
+    """
+    na, nb = factors.m_a.shape[1], factors.m_b.shape[1]
+    if isinstance(u, UncertaintyRealization):
+        if u.f_a.shape != (na,):
+            raise ValueError(f"f_a has length {u.f_a.size}, expected {na}")
+        if u.f_b.shape != (nb,):
+            raise ValueError(f"f_b has length {u.f_b.size}, expected {nb}")
+        a, b = realize(factors, np.concatenate([u.f_a, u.f_b])[None])
+        return a[0], b[0]
+    f = np.asarray(u, dtype=float)
+    if f.ndim != 2 or f.shape[1] != na + nb:
+        raise ValueError(f"scalings have shape {f.shape}, expected (N, {na + nb})")
+    if f.size and np.abs(f).max() > 1.0 + 1e-12:
+        raise OutOfUnitBoxError("realization entry outside [-1, 1]")
+    sa, sb = np.sqrt(factors.delta_a), np.sqrt(factors.delta_b)
+    fa = f[:, :na].reshape(-1, *sa.shape)
+    fb = f[:, na:].reshape(-1, *sb.shape)
+    return factors.a0 + sa * (fa * sa), factors.b0 + sb * (fb * sb)
 
 
 def center_realization(factors):
@@ -208,6 +226,21 @@ def count_vertices(factors):
     return 2 ** nnz
 
 
+def vertex_scalings(factors, lo, hi):
+    """Scaling rows [f_a | f_b] of the vertices numbered ``lo`` .. ``hi - 1``.
+
+    Bit ``k`` of a vertex number sets the sign (+1 when the bit is set) of
+    the k-th strictly positive radius, A row-major then B; zero-radius
+    coordinates stay 0.  This is the order of :func:`enumerate_vertices`.
+    """
+    radii = np.concatenate([factors.delta_a.ravel(), factors.delta_b.ravel()])
+    active = np.flatnonzero(radii > 0)
+    bits = (np.arange(lo, hi)[:, None] >> np.arange(active.size)) & 1
+    f = np.zeros((hi - lo, radii.size))
+    f[:, active] = 2.0 * bits - 1.0
+    return f
+
+
 def enumerate_vertices(factors):
     """Yield every +/-1 sign pattern over the strictly positive radii.
 
@@ -215,37 +248,33 @@ def enumerate_vertices(factors):
     family appears exactly once.  Raises :class:`TooManyVerticesError` when
     the count would exceed 2^24.
     """
-    if count_vertices(factors) > MAX_VERTICES:
-        raise TooManyVerticesError(
-            f"{count_vertices(factors)} vertices exceed the 2^24 cap"
-        )
-    fa_flat = factors.delta_a.reshape(-1)
-    fb_flat = factors.delta_b.reshape(-1)
-    active = [("a", k) for k in range(fa_flat.size) if fa_flat[k] > 0]
-    active += [("b", k) for k in range(fb_flat.size) if fb_flat[k] > 0]
-    n_active = len(active)
-    for pattern in range(2 ** n_active):
-        fa = np.zeros(fa_flat.size)
-        fb = np.zeros(fb_flat.size)
-        for bit, (which, k) in enumerate(active):
-            sign = 1.0 if (pattern >> bit) & 1 else -1.0
-            if which == "a":
-                fa[k] = sign
-            else:
-                fb[k] = sign
-        yield UncertaintyRealization(fa, fb)
+    total = count_vertices(factors)
+    if total > MAX_VERTICES:
+        raise TooManyVerticesError(f"{total} vertices exceed the 2^24 cap")
+    na = factors.m_a.shape[1]
+    for lo in range(0, total, _ENUMERATE_BLOCK):
+        for row in vertex_scalings(factors, lo, min(lo + _ENUMERATE_BLOCK, total)):
+            yield UncertaintyRealization(row[:na], row[na:])
+
+
+def sample_scalings(factors, count, seed, chunk):
+    """Yield ``count`` seeded uniform scaling rows [f_a | f_b] in arrays of
+    at most ``chunk`` rows.
+
+    The rows are the draws of :func:`sample_uniform` for the same seed,
+    whatever the chunk size: one ``RandomState(seed)`` stream, f_a then f_b
+    per row.
+    """
+    rng = np.random.RandomState(seed)
+    width = scaling_width(factors)
+    for lo in range(0, count, chunk):
+        yield rng.uniform(-1.0, 1.0, size=(min(chunk, count - lo), width))
 
 
 def sample_uniform(factors, count, seed):
     """``count`` i.i.d. uniform unit-box realizations from a fixed seed."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.RandomState(seed)
     na = factors.m_a.shape[1]
-    nb = factors.m_b.shape[1]
-    out = []
-    for _ in range(count):
-        fa = rng.uniform(-1.0, 1.0, size=na)
-        fb = rng.uniform(-1.0, 1.0, size=nb)
-        out.append(UncertaintyRealization(fa, fb))
-    return out
+    rows = next(sample_scalings(factors, count, seed, count))
+    return [UncertaintyRealization(row[:na], row[na:]) for row in rows]

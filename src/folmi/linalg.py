@@ -1,5 +1,6 @@
-"""Dense matrix kernel: eigenvalues, pseudo-inverse, Kronecker products,
-definiteness tests, and the real embedding of Hermitian matrices.
+"""Dense matrix kernel: eigenvalues (of one matrix or a stack),
+pseudo-inverse, Kronecker products, definiteness tests, and the real
+embedding of Hermitian matrices.
 
 All routines operate on plain float64 ``numpy`` arrays.  Matrices stay small
 (closed-loop dimensions of a dozen or so), so everything is dense and the
@@ -40,22 +41,37 @@ def require_square(m, name="matrix"):
     return a
 
 
+def eigvals_stack(stack):
+    """Eigenvalues (with multiplicity, unsorted) of each matrix of a real
+    (N, d, d) stack, as an (N, d) array.
+
+    One LAPACK call covers the whole stack.  The dimension cap, the
+    finiteness check and the mapping of a LAPACK failure to
+    :class:`ConvergenceFailureError` are those of :func:`eig_general`.
+    """
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NonSquareError(f"expected an (N, d, d) stack, got shape {a.shape}")
+    count, d = a.shape[0], a.shape[1]
+    if d > EIG_DIM_CAP:
+        raise ValueError(f"dimension {d} exceeds eigensolver cap {EIG_DIM_CAP}")
+    if count == 0 or d == 0:
+        return np.zeros((count, d), dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix stack has non-finite entries")
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(str(exc)) from exc
+
+
 def eig_general(m):
     """All eigenvalues (with multiplicity) of a square real matrix.
 
     Returns a complex array sorted by (real, imag) so the ordering is
     deterministic for a fixed input.
     """
-    a = require_square(m)
-    n = a.shape[0]
-    if n > EIG_DIM_CAP:
-        raise ValueError(f"dimension {n} exceeds eigensolver cap {EIG_DIM_CAP}")
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(str(exc)) from exc
+    vals = eigvals_stack(require_square(m)[None])[0]
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRangeError, ShapeMismatchError, SolverFailureError
-from .linalg import eig_general, require_square
+from .linalg import eig_general, eigvals_stack, require_square
 from .lmi import (
     LmiProblem,
     SdpStatus,
@@ -52,23 +52,41 @@ class LmiCertificate:
     solution: object
 
 
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 2.0:
+        raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
+
+
+def _margins(eigs, alpha):
+    """Row-wise min |arg| - alpha*pi/2 of an (N, d) eigenvalue array."""
+    boundary = alpha * np.pi / 2.0
+    if eigs.shape[1] == 0:
+        return np.full(eigs.shape[0], np.pi - boundary)
+    args = np.abs(np.angle(eigs))
+    args[np.abs(eigs) < ZERO_EIG_TOL] = 0.0
+    return args.min(axis=1) - boundary
+
+
+def sector_margins(stack, alpha):
+    """Minimal angular margin min_i |arg(lambda_i)| - alpha*pi/2 of every
+    matrix of an (N, d, d) stack, as an (N,) array.
+
+    All eigenvalues come from one batched call; :func:`sector_margin` is
+    the single-matrix case of the same computation.
+    """
+    _check_alpha(alpha)
+    return _margins(eigvals_stack(stack), alpha)
+
+
 def sector_margin(a, alpha):
     """Minimal angular margin min_i |arg(lambda_i)| - alpha*pi/2.
 
     Positive margin means asymptotically stable.  A (near-)zero eigenvalue
     is treated as having argument 0, hence unstable.
     """
-    if not 0.0 < alpha < 2.0:
-        raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
-    m = require_square(a)
-    eigs = eig_general(m)
-    boundary = alpha * np.pi / 2.0
-    if eigs.size == 0:
-        margin = np.pi - boundary
-    else:
-        args = np.abs(np.angle(eigs))
-        args[np.abs(eigs) < ZERO_EIG_TOL] = 0.0
-        margin = float(args.min() - boundary)
+    _check_alpha(alpha)
+    eigs = eig_general(a)
+    margin = float(_margins(eigs[None], alpha)[0])
     return SectorReport(alpha, eigs, margin, margin > 0.0)
 
 
@@ -148,29 +166,38 @@ def closed_loop(a, b, c, controller):
     """Augmented closed-loop matrix for output feedback.
 
     Returns [[A + B Dc C, B Cc], [Bc C, Ac]], which collapses to
-    A + B Dc C for a static (order zero) controller.
+    A + B Dc C for a static (order zero) controller.  Given stacks A
+    (N, n, n) and B (N, n, l) it returns the (N, n + n_c, n + n_c) stack
+    of closed loops, one per plant.
     """
-    a = require_square(a, "a")
-    b = np.atleast_2d(np.asarray(b, float))
+    stacked = np.ndim(a) == 3
+    if stacked:
+        a = np.asarray(a, float)
+        b = np.asarray(b, float)
+        if a.shape[1] != a.shape[2]:
+            raise ShapeMismatchError(f"A stack {a.shape} is not square")
+    else:
+        a = require_square(a, "a")[None]
+        b = np.atleast_2d(np.asarray(b, float))[None]
     c = np.atleast_2d(np.asarray(c, float))
-    n = a.shape[0]
-    if b.shape[0] != n or c.shape[1] != n:
+    count, n = a.shape[0], a.shape[1]
+    if b.ndim != 3 or b.shape[:2] != (count, n) or c.shape[1] != n:
         raise ShapeMismatchError(
             f"plant shapes inconsistent: A {a.shape}, B {b.shape}, C {c.shape}"
         )
-    l = b.shape[1]
+    l = b.shape[2]
     m = c.shape[0]
     if controller.d_c.shape != (l, m):
         raise ShapeMismatchError(
             f"Dc is {controller.d_c.shape}, expected ({l},{m})"
         )
-    core = a + b @ controller.d_c @ c
     n_c = controller.n_c
-    if n_c == 0:
-        return core
     if controller.a_c.shape != (n_c, n_c) or controller.b_c.shape != (n_c, m) \
             or controller.c_c.shape != (l, n_c):
         raise ShapeMismatchError("controller block shapes inconsistent")
-    top = np.hstack([core, b @ controller.c_c])
-    bottom = np.hstack([controller.b_c @ c, controller.a_c])
-    return np.vstack([top, bottom])
+    out = np.empty((count, n + n_c, n + n_c))
+    out[:, :n, :n] = a + b @ controller.d_c @ c
+    out[:, :n, n:] = b @ controller.c_c
+    out[:, n:, :n] = controller.b_c @ c
+    out[:, n:, n:] = controller.a_c
+    return out if stacked else out[0]

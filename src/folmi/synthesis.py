@@ -17,6 +17,7 @@ sweep plus random samples plus the nominal analysis LMI) and is never
 accepted on LMI feasibility alone.
 """
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,13 +30,14 @@ from .errors import (
     SingularCertificateError,
 )
 from .interval import (
+    MAX_VERTICES,
     UncertaintyRealization,
-    center_realization,
     count_vertices,
     decompose,
-    enumerate_vertices,
     realize,
-    sample_uniform,
+    sample_scalings,
+    scaling_width,
+    vertex_scalings,
 )
 from .linalg import as_matrix, pinv
 from .lmi import (
@@ -47,9 +49,13 @@ from .lmi import (
     solve_feasibility,
     sym_expr,
 )
-from .stability import analysis_feasible, closed_loop, sector_margin
+from .stability import analysis_feasible, closed_loop, sector_margins
 
 COND_CAP = 1e12
+# Scaling rows per closed-loop stack in the certification sweep.
+SWEEP_CHUNK = 8192
+
+log = logging.getLogger("folmi.synthesis")
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,9 @@ def assemble_low_alpha(factors, c, alpha, n_c):
 
     and the uncertainty enters through the Schur-form constraint
     [[Sigma + eta M M^T, R^T], [R, -eta I]] < 0 with M = [[M_A, M_B], [0, 0]]
-    and R = [[R_A Qs, 0], [R_B T4, R_B T3]] (all-zero rows and columns of
-    the factorization are dropped; they contribute nothing).  Positivity of
+    and R = [[R_A Qs, 0], [R_B T4, R_B T3]].  The factorization keeps a row
+    of R and a column of M for every entry, zero radius or not, so the lift
+    has n^2 + n*l rows; those of zero radii are zero.  Positivity of
     the Hermitian certificates is imposed on their real embeddings,
     normalized to >= I, which is equivalent by homogeneity and pins the
     certificate scale.  On the certain path (all radii zero) only
@@ -401,6 +408,21 @@ def _result_from(assembly, solution, controller):
     )
 
 
+def _sweep_scalings(factors, vertex_count, sample_count, seed):
+    """Scaling rows in sweep order, at most ``SWEEP_CHUNK`` per array.
+
+    Vertices ``0 .. vertex_count - 1`` first, then ``sample_count`` seeded
+    samples; when both are empty, the center realization alone, so every
+    verdict rests on at least one eigenvalue check.
+    """
+    for lo in range(0, vertex_count, SWEEP_CHUNK):
+        yield vertex_scalings(factors, lo, min(lo + SWEEP_CHUNK, vertex_count))
+    if sample_count > 0:
+        yield from sample_scalings(factors, sample_count, seed, SWEEP_CHUNK)
+    elif vertex_count == 0:
+        yield np.zeros((1, scaling_width(factors)))
+
+
 def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     """Sweep a controller over the uncertainty family and the nominal LMI.
 
@@ -408,40 +430,44 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     interval family (when at most 2^24 exist; otherwise samples only and
     the report says so) plus ``sample_count`` seeded uniform interior
     realizations, and runs the regime-matching analysis LMI on the center
-    closed loop.  ``passed`` requires every margin positive and the
-    nominal LMI feasible.  Vertex checking does not prove stability of the
+    closed loop.  With neither vertices nor samples the center realization
+    is swept.  ``passed`` requires every margin positive and the nominal
+    LMI feasible.  Vertex checking does not prove stability of the
     continuous family, which is why interior samples are always included.
+
+    Realizations are swept in arrays of ``SWEEP_CHUNK`` scaling rows: one
+    stack of closed loops and one batched eigenvalue call per array.  The
+    worst realization is the first one reaching the minimal margin.
     """
     factors = decompose(sys)
-    exhaustive = count_vertices(factors) <= 2 ** 24
-    realizations = []
-    vertex_count = 0
-    if exhaustive:
-        realizations.extend(enumerate_vertices(factors))
-        vertex_count = len(realizations)
-    if sample_count > 0:
-        realizations.extend(sample_uniform(factors, sample_count, seed))
+    total = count_vertices(factors)
+    exhaustive = total <= MAX_VERTICES
+    vertex_count = total if exhaustive else 0
+    if not exhaustive:
+        log.info("%d vertices exceed the cap of %d; sweeping samples only",
+                 total, MAX_VERTICES)
 
     min_margin = np.inf
-    worst = center_realization(factors)
-    for u in realizations:
-        a, b = realize(factors, u)
-        a_cl = closed_loop(a, b, sys.c, controller)
-        report = sector_margin(a_cl, sys.alpha)
-        if report.margin < min_margin:
-            min_margin = report.margin
-            worst = u
+    worst = None
+    for f in _sweep_scalings(factors, vertex_count, sample_count, seed):
+        a, b = realize(factors, f)
+        margins = sector_margins(closed_loop(a, b, sys.c, controller), sys.alpha)
+        i = int(np.argmin(margins))
+        if margins[i] < min_margin:
+            min_margin = float(margins[i])
+            worst = f[i].copy()
     a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, controller)
     try:
         nominal_ok = analysis_feasible(a_cl0, sys.alpha, solver_cfg).feasible
     except FolmiError:
         nominal_ok = False
     passed = bool(min_margin > 0.0) and nominal_ok
+    na = factors.m_a.shape[1]
     return CertificationReport(
         vertex_count=vertex_count,
         sample_count=max(sample_count, 0),
-        min_sector_margin=float(min_margin),
-        worst_realization=worst,
+        min_sector_margin=min_margin,
+        worst_realization=UncertaintyRealization(worst[:na], worst[na:]),
         nominal_lmi_ok=nominal_ok,
         passed=passed,
         vertices_exhaustive=exhaustive,

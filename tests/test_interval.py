@@ -11,7 +11,9 @@ from folmi.interval import (
     decompose,
     enumerate_vertices,
     realize,
+    sample_scalings,
     sample_uniform,
+    vertex_scalings,
 )
 
 EX1_A_LOWER = [[2.0, -8.0, 1.0], [9.0, 6.0, 1.0], [1.0, 2.0, -1.0]]
@@ -131,6 +133,45 @@ class TestRealize:
             )
 
 
+def partly_uncertain_system():
+    """n=3, l=2 with seven of the 15 radii zero: 256 vertices."""
+    rng = np.random.RandomState(5)
+    a_lo = rng.randn(3, 3)
+    b_lo = rng.randn(3, 2)
+    mask_a = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 0]])
+    mask_b = np.array([[0, 1], [1, 0], [0, 1]])
+    return UncertainFoltiSystem(
+        0.9,
+        IntervalMatrix(a_lo, a_lo + 0.3 * mask_a),
+        IntervalMatrix(b_lo, b_lo + 0.2 * mask_b),
+        np.eye(3)[:1],
+    )
+
+
+class TestStackedRealize:
+    def test_matches_factorized_product_bitwise(self):
+        f = decompose(partly_uncertain_system())
+        rows = np.concatenate([vertex_scalings(f, 0, 16),
+                               next(sample_scalings(f, 16, 3, 16))])
+        a, b = realize(f, rows)
+        assert a.shape == (32, 3, 3) and b.shape == (32, 3, 2)
+        na = f.m_a.shape[1]
+        for k, row in enumerate(rows):
+            fa, fb = row[:na], row[na:]
+            np.testing.assert_array_equal(a[k], f.a0 + f.m_a @ (fa[:, None] * f.r_a))
+            np.testing.assert_array_equal(b[k], f.b0 + f.m_b @ (fb[:, None] * f.r_b))
+            ua, ub = realize(f, UncertaintyRealization(fa, fb))
+            np.testing.assert_array_equal(a[k], ua)
+            np.testing.assert_array_equal(b[k], ub)
+
+    def test_rejects_bad_width_and_out_of_box(self):
+        f = decompose(example1_system())
+        with pytest.raises(ValueError):
+            realize(f, np.zeros((2, 5)))
+        with pytest.raises(OutOfUnitBoxError):
+            realize(f, np.full((1, 12), 1.5))
+
+
 class TestVertices:
     def test_single_uncertain_entry(self):
         sys = UncertainFoltiSystem(
@@ -183,7 +224,44 @@ class TestVertices:
             list(enumerate_vertices(decompose(sys)))
 
 
+    def test_chunked_sign_rows_follow_enumeration_order(self):
+        f = decompose(partly_uncertain_system())
+        total = count_vertices(f)
+        assert total == 256
+        chunks = [vertex_scalings(f, lo, min(lo + 7, total)) for lo in range(0, total, 7)]
+        rows = np.concatenate(chunks)
+        na = f.m_a.shape[1]
+        listed = list(enumerate_vertices(f))
+        assert rows.shape == (total, na + f.m_b.shape[1])
+        for row, u in zip(rows, listed):
+            np.testing.assert_array_equal(row[:na], u.f_a)
+            np.testing.assert_array_equal(row[na:], u.f_b)
+        # bit k of the vertex number is the sign (+1 when set) of the k-th
+        # positive radius, A row-major then B; zero radii stay pinned at 0
+        radii = np.concatenate([f.delta_a.ravel(), f.delta_b.ravel()])
+        active = [k for k in range(radii.size) if radii[k] > 0]
+        for pattern in (0, 1, 2, 5, 100, 255):
+            want = np.zeros(radii.size)
+            for bit, k in enumerate(active):
+                want[k] = 1.0 if (pattern >> bit) & 1 else -1.0
+            np.testing.assert_array_equal(rows[pattern], want)
+        assert not rows[:, radii == 0].any()
+
+
 class TestSampling:
+    def test_chunked_draws_match_per_sample_draws(self):
+        f = decompose(example1_system())
+        listed = sample_uniform(f, 10, seed=4)
+        for chunk in (1, 3, 10, 64):
+            rows = np.concatenate(list(sample_scalings(f, 10, 4, chunk)))
+            np.testing.assert_array_equal(rows[:, :9], [u.f_a for u in listed])
+            np.testing.assert_array_equal(rows[:, 9:], [u.f_b for u in listed])
+        # the seed's stream drawn f_a then f_b per sample, as before
+        rng = np.random.RandomState(4)
+        for u in listed:
+            np.testing.assert_array_equal(u.f_a, rng.uniform(-1.0, 1.0, size=9))
+            np.testing.assert_array_equal(u.f_b, rng.uniform(-1.0, 1.0, size=3))
+
     def test_deterministic(self):
         f = decompose(example1_system())
         s1 = sample_uniform(f, 3, seed=7)

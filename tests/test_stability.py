@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from folmi.errors import AlphaOutOfRangeError, ShapeMismatchError
+from folmi.errors import (
+    AlphaOutOfRangeError,
+    ConvergenceFailureError,
+    ShapeMismatchError,
+)
 from folmi.stability import (
     closed_loop,
     low_alpha_lmi_feasible,
     high_alpha_lmi_feasible,
     sector_margin,
+    sector_margins,
 )
 from folmi.synthesis import DynamicController
 
@@ -153,6 +158,40 @@ class TestHighAlphaLmi:
                 assert high_alpha_lmi_feasible(a, alpha).feasible == rep.stable
 
 
+class TestSectorMargins:
+    def test_matches_single_matrix_margins(self):
+        rng = np.random.RandomState(8)
+        stack = rng.randn(40, 4, 4)
+        stack[3] = 0.0  # zero eigenvalues count as unstable
+        for alpha in (0.4, 1.0, 1.7):
+            got = sector_margins(stack, alpha)
+            assert got.shape == (40,)
+            want = [sector_margin(m, alpha).margin for m in stack]
+            np.testing.assert_array_equal(got, want)
+        assert sector_margins(stack, 0.5)[3] == pytest.approx(-0.25 * np.pi)
+
+    def test_empty_matrices_have_the_full_margin(self):
+        np.testing.assert_allclose(
+            sector_margins(np.zeros((3, 0, 0)), 0.5), [0.75 * np.pi] * 3
+        )
+
+    def test_validation(self):
+        with pytest.raises(AlphaOutOfRangeError):
+            sector_margins(np.zeros((1, 2, 2)), 2.0)
+        with pytest.raises(ValueError):
+            sector_margins(np.zeros((1, 65, 65)), 0.5)
+        with pytest.raises(ValueError):
+            sector_margins(np.full((1, 2, 2), np.nan), 0.5)
+
+    def test_lapack_failure_maps_to_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceFailureError):
+            sector_margins(np.eye(2)[None], 0.5)
+
+
 class TestClosedLoop:
     def test_zero_static_controller_returns_plant(self):
         k = DynamicController.static(np.zeros((1, 1)))
@@ -190,6 +229,23 @@ class TestClosedLoop:
             want[n:, :n] = k.b_c @ c
             want[n:, n:] = k.a_c
             np.testing.assert_allclose(got, want, atol=1e-14)
+
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.RandomState(13)
+        a = rng.randn(6, 3, 3)
+        b = rng.randn(6, 3, 2)
+        c = rng.randn(2, 3)
+        for n_c in (0, 2):
+            k = DynamicController(
+                n_c, rng.randn(n_c, n_c), rng.randn(n_c, 2),
+                rng.randn(2, n_c), rng.randn(2, 2),
+            )
+            got = closed_loop(a, b, c, k)
+            assert got.shape == (6, 3 + n_c, 3 + n_c)
+            for i in range(6):
+                np.testing.assert_array_equal(got[i], closed_loop(a[i], b[i], c, k))
+        with pytest.raises(ShapeMismatchError):
+            closed_loop(a, b[:5], c, k)
 
     def test_shape_mismatch(self):
         k = DynamicController.static([[1.0, 0.0]])  # expects m = 2

@@ -1,8 +1,20 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
+import folmi.synthesis
 from folmi.errors import AlphaOutOfRangeError, InfeasibleError
-from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose
+from folmi.interval import (
+    IntervalMatrix,
+    UncertainFoltiSystem,
+    center_realization,
+    decompose,
+    enumerate_vertices,
+    realize,
+    sample_uniform,
+)
 from folmi.lmi import SdpStatus, SolverConfig, constraint_margin, solve_feasibility
 from folmi.stability import closed_loop, sector_margin
 from folmi.synthesis import (
@@ -312,6 +324,113 @@ class TestCertify:
         )
         assert not report.passed
         assert report.min_sector_margin < 0
+
+
+def reference_sweep(sys, controller, sample_count, seed):
+    """(min margin, worst realization) of the one-at-a-time sweep."""
+    factors = decompose(sys)
+    realizations = list(enumerate_vertices(factors))
+    realizations += sample_uniform(factors, sample_count, seed)
+    min_margin, worst = np.inf, None
+    for u in realizations:
+        a, b = realize(factors, u)
+        margin = sector_margin(closed_loop(a, b, sys.c, controller), sys.alpha).margin
+        if margin < min_margin:
+            min_margin, worst = margin, u
+    return min_margin, worst
+
+
+def seeded_plant_and_controller(alpha, seed):
+    """n=3, l=2, m=2 plant with some zero radii (9 uncertain entries for
+    seeds 21 and 22) and a random order-2 controller."""
+    rng = np.random.RandomState(seed)
+    a_lo, b_lo = rng.randn(3, 3), rng.randn(3, 2)
+    radius_a = 0.2 * (rng.rand(3, 3) < 0.75)
+    radius_b = 0.1 * (rng.rand(3, 2) < 0.5)
+    sys = UncertainFoltiSystem(
+        alpha,
+        IntervalMatrix(a_lo, a_lo + radius_a),
+        IntervalMatrix(b_lo, b_lo + radius_b),
+        rng.randn(2, 3),
+    )
+    k = DynamicController(2, -np.eye(2) + 0.3 * rng.randn(2, 2), rng.randn(2, 2),
+                          rng.randn(2, 2), rng.randn(2, 2))
+    return sys, k
+
+
+@pytest.fixture(scope="module")
+def sweep_cases():
+    """Fixture designs at n_c 0-3 plus one seeded plant per alpha regime."""
+    cases = []
+    for sys in (example1_system(), example2_system()):
+        for n_c in range(4):
+            result, _ = synthesize(sys, n_c, sample_count=20, seed=0)
+            cases.append((f"{sys.alpha}-nc{n_c}", sys, result.controller))
+    for alpha, seed in ((0.6, 21), (1.4, 22)):
+        sys, k = seeded_plant_and_controller(alpha, seed)
+        cases.append((f"seeded-{alpha}", sys, k))
+    return cases
+
+
+def assert_same_report(r1, r2):
+    assert r1.min_sector_margin == r2.min_sector_margin
+    np.testing.assert_array_equal(r1.worst_realization.f_a, r2.worst_realization.f_a)
+    np.testing.assert_array_equal(r1.worst_realization.f_b, r2.worst_realization.f_b)
+    assert (r1.vertex_count, r1.sample_count, r1.nominal_lmi_ok, r1.passed,
+            r1.vertices_exhaustive) == (r2.vertex_count, r2.sample_count,
+                                        r2.nominal_lmi_ok, r2.passed,
+                                        r2.vertices_exhaustive)
+
+
+class TestBatchedSweep:
+    def test_matches_one_at_a_time_sweep(self, sweep_cases):
+        for name, sys, k in sweep_cases:
+            report = certify(sys, k, sample_count=60, seed=5)
+            margin, worst = reference_sweep(sys, k, 60, 5)
+            assert abs(report.min_sector_margin - margin) <= 1e-9, name
+            assert np.array_equal(report.worst_realization.f_a, worst.f_a), name
+            assert np.array_equal(report.worst_realization.f_b, worst.f_b), name
+            assert report.vertex_count == 2 ** int(
+                np.count_nonzero(sys.a.upper > sys.a.lower)
+                + np.count_nonzero(sys.b.upper > sys.b.lower)
+            ), name
+
+    def test_chunk_size_does_not_change_the_report(self, sweep_cases, monkeypatch):
+        chosen = [sweep_cases[0], sweep_cases[5], sweep_cases[-1]]
+        full = [certify(sys, k, sample_count=30, seed=2) for _, sys, k in chosen]
+        monkeypatch.setattr(folmi.synthesis, "SWEEP_CHUNK", 7)
+        for report, (_, sys, k) in zip(full, chosen):
+            assert_same_report(report, certify(sys, k, sample_count=30, seed=2))
+
+    def test_empty_sweep_checks_the_center(self, caplog):
+        # 30 uncertain entries: 2^30 vertices exceed the cap, and no samples
+        n = 5
+        a0 = -np.eye(n) + 0.1 * np.triu(np.ones((n, n)), 1)
+        sys = UncertainFoltiSystem(
+            0.8,
+            IntervalMatrix(a0 - 0.01, a0 + 0.01),
+            IntervalMatrix(np.full((n, 1), -0.01), np.full((n, 1), 0.01)),
+            np.eye(n)[:1],
+        )
+        k = DynamicController.static([[0.0]])
+        with caplog.at_level(logging.INFO, logger="folmi.synthesis"):
+            report = certify(sys, k, sample_count=0)
+        assert not report.vertices_exhaustive
+        assert report.vertex_count == 0 and report.sample_count == 0
+        center = sector_margin(decompose(sys).a0, 0.8).margin
+        assert report.min_sector_margin == center
+        json.dumps(report.min_sector_margin, allow_nan=False)
+        zero = center_realization(decompose(sys))
+        np.testing.assert_array_equal(report.worst_realization.f_a, zero.f_a)
+        np.testing.assert_array_equal(report.worst_realization.f_b, zero.f_b)
+        assert report.passed
+        assert any("samples only" in r.getMessage() and r.levelno == logging.INFO
+                   for r in caplog.records)
+
+        unstable = UncertainFoltiSystem(0.8, IntervalMatrix(-sys.a.upper, -sys.a.lower),
+                                        sys.b, sys.c)
+        report = certify(unstable, k, sample_count=0)
+        assert report.min_sector_margin < 0 and not report.passed
 
 
 class TestSynthesize:
