@@ -266,6 +266,10 @@ def cmd_synth(config, out_path=None, report_path=None):
             "controller": result.controller.to_dict(),
             "eta": result.eta,
             "solver_status": result.solver_status.name,
+            "solver_iterations": result.solver_iterations,
+            "achieved_margin": result.achieved_margin,
+            "attempts": result.attempts,
+            "schur_dim": result.schur_dim,
         },
         "certification": _certification_dict(cert),
         "timings": {"total_s": time.perf_counter() - t_start},

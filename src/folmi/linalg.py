@@ -134,17 +134,3 @@ def hermitian_real_embedding(p):
     x = a.real
     y = a.imag
     return np.block([[x, -y], [y, x]])
-
-
-def sym(m):
-    """Symmetric part ``(m + m.T) / 2``."""
-    a = require_square(m)
-    return 0.5 * (a + a.T)
-
-
-def max_eig_symmetric(m):
-    """Largest eigenvalue of a (numerically) symmetric matrix."""
-    a = sym(m)
-    if a.shape[0] == 0:
-        return -np.inf
-    return float(np.linalg.eigvalsh(a)[-1])

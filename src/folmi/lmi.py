@@ -338,17 +338,6 @@ class SolverConfig:
     feasibility_depth: float = 1e-3
     mu_factor: float = 30.0
 
-    def with_eps(self, eps_margin):
-        return SolverConfig(
-            eps_margin,
-            self.tol,
-            self.max_iter,
-            self.seed,
-            self.r_box,
-            max(self.feasibility_depth, eps_margin),
-            self.mu_factor,
-        )
-
 
 @dataclass(frozen=True)
 class SdpSolution:
@@ -547,33 +536,3 @@ def solve_feasibility(problem, cfg=None):
         # self-audit failed; do not report an invalid certificate
         status = SdpStatus.INDETERMINATE
     return SdpSolution(status, x, achieved, iters, float(t))
-
-
-def dump_problem(problem, path):
-    """Write a problem to a structured text file.
-
-    Schema (whitespace-separated, one record per line)::
-
-        lmi 1 <num_vars> <num_constraints>
-        var <index> <name>
-        constraint <j> <dim> <NEGATIVE_DEFINITE|POSITIVE_DEFINITE>
-        const <j> <row> <col> <value>        # nonzero upper-triangle entries
-        coeff <j> <var> <row> <col> <value>  # nonzero upper-triangle entries
-    """
-    lines = [f"lmi 1 {problem.num_vars} {len(problem.constraints)}"]
-    for k, name in enumerate(problem.var_names):
-        lines.append(f"var {k} {name}")
-    for j, c in enumerate(problem.constraints):
-        lines.append(f"constraint {j} {c.dim} {c.sense.name}")
-        for r in range(c.dim):
-            for s in range(r, c.dim):
-                if c.constant[r, s] != 0.0:
-                    lines.append(f"const {j} {r} {s} {float(c.constant[r, s])!r}")
-        for k in sorted(c.coeffs):
-            m = c.coeffs[k]
-            for r in range(c.dim):
-                for s in range(r, c.dim):
-                    if m[r, s] != 0.0:
-                        lines.append(f"coeff {j} {k} {r} {s} {float(m[r, s])!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -3,10 +3,13 @@
 The synthesis conditions are sufficient LMIs obtained from the analysis
 certificates by a change of variables T1..T4 absorbing the controller
 matrices, with the interval uncertainty handled through its structured
-factorization, a scalar multiplier eta, and a Schur-complement lift.  Two
-regimes are assembled separately (0 < alpha < 1 with a Hermitian
-certificate, 1 <= alpha < 2 with a symmetric one); plants with zero radii
-reduce to the certain-system core inequality.
+factorization, a scalar multiplier eta, and a Schur-complement lift.  The
+lift is compressed to one row per nonzero column sum of the radii (at most
+n + l rows, doubled for 1 <= alpha < 2) instead of one per uncertain entry;
+the eta > 0 block carries the dropped rows, so the barrier solve is that of
+the full lift.  Two regimes are assembled separately (0 < alpha < 1 with a
+Hermitian certificate, 1 <= alpha < 2 with a symmetric one); plants with
+zero radii reduce to the certain-system core inequality.
 
 Controller matrices are recovered from a feasible point by inverting the
 change of variables through the certificate blocks and the pseudo-inverse
@@ -132,7 +135,10 @@ class SynthesisResult:
 
     ``eta`` is None on the certain-system (zero radii) path, where no
     uncertainty multiplier exists.  ``p_s`` is complex Hermitian on the
-    0 < alpha < 1 path and real symmetric otherwise.
+    0 < alpha < 1 path and real symmetric otherwise.  ``schur_dim`` is the
+    dimension of the synthesis inequality (the lifted Schur block, or Sigma
+    on the certain path), and ``attempts`` is 2 when the result comes from
+    the stricter retry of :func:`synthesize`.
     """
 
     controller: DynamicController
@@ -147,6 +153,10 @@ class SynthesisResult:
     alpha: float
     values: np.ndarray
     problem: LmiProblem
+    solver_iterations: int
+    achieved_margin: float
+    schur_dim: int
+    attempts: int = 1
 
 
 @dataclass
@@ -174,6 +184,50 @@ def _check_synthesis_shapes(factors, c, n_c):
     return c
 
 
+def _lift_scales(delta):
+    """Rows of D = diag(sqrt(column sums of delta)) whose sum is nonzero.
+
+    Every row of the radius factor R (see ``interval._radius_factors``) is
+    a scaled unit vector, so R = U D where U has orthonormal columns, one
+    per nonzero column sum.  Hence R X = U (D X) for any X, and the rows of
+    D with a zero sum are zero rows of the lift.
+    """
+    sums = delta.sum(axis=0)
+    return np.diag(np.sqrt(sums))[sums > 0]
+
+
+def _add_robust_lift(p, factors, sigma, cert, t3, t4, n_c, copies):
+    """Add the Schur-lifted robust inequality and eta > 0; return eta.
+
+    ``cert`` is the certificate expression multiplying A0 in Sigma (Q_S or
+    P_S) and ``copies`` the number of diagonal copies of the lift (1 below
+    alpha = 1, 2 above).  The lift is R' = [[D_A cert, 0], [D_B T4, D_B T3]]
+    per copy, and eta > 0 is emitted as eta I with one extra row per row
+    dropped from the full n^2 + n*l row lift; the assembly docstrings say
+    why that leaves the solve unchanged.
+    """
+    n, l = factors.n, factors.l
+    eta = p.declare_scalar("eta")
+    d_a, d_b = _lift_scales(factors.delta_a), _lift_scales(factors.delta_b)
+    r_one = block_expr([
+        [d_a @ cert, np.zeros((d_a.shape[0], n_c))],
+        [d_b @ t4.expr(), d_b @ t3.expr()],
+    ])
+    zeros = np.zeros(r_one.shape)
+    r = block_expr([[r_one if i == j else zeros for j in range(copies)]
+                    for i in range(copies)])
+    mmt = np.zeros((n + n_c, n + n_c))
+    mmt[:n, :n] = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
+    schur = block_expr([
+        [sigma + eta.scale(np.kron(np.eye(copies), mmt)), r.T],
+        [r, -1.0 * eta.scale(np.eye(r.rows))],
+    ])
+    p.add_constraint(schur, Sense.NEGATIVE_DEFINITE)
+    dropped = copies * (n * n + n * l - r_one.rows)
+    p.add_constraint(eta.scale(np.eye(1 + dropped)), Sense.POSITIVE_DEFINITE)
+    return eta
+
+
 def assemble_low_alpha(factors, c, alpha, n_c):
     """Synthesis LMI for 0 < alpha < 1.
 
@@ -187,14 +241,25 @@ def assemble_low_alpha(factors, c, alpha, n_c):
                  [..sym..,                 T1 + T1^T]]
 
     and the uncertainty enters through the Schur-form constraint
-    [[Sigma + eta M M^T, R^T], [R, -eta I]] < 0 with M = [[M_A, M_B], [0, 0]]
-    and R = [[R_A Qs, 0], [R_B T4, R_B T3]].  The factorization keeps a row
-    of R and a column of M for every entry, zero radius or not, so the lift
-    has n^2 + n*l rows; those of zero radii are zero.  Positivity of
-    the Hermitian certificates is imposed on their real embeddings,
-    normalized to >= I, which is equivalent by homogeneity and pins the
-    certificate scale.  On the certain path (all radii zero) only
-    Sigma < 0 and the positivity blocks are emitted.
+    [[Sigma + eta M M^T, R'^T], [R', -eta I]] < 0 with M = [[M_A, M_B],
+    [0, 0]] and the compressed lift R' = [[D_A Qs, 0], [D_B T4, D_B T3]],
+    D = diag(sqrt(column sums of the radii)).  Each row of the factor R_A
+    is a scaled unit vector, so R_A = U_A D_A with orthonormal columns in
+    U_A (likewise R_B = U_B D_B), and the full lift R = [[R_A Qs, 0],
+    [R_B T4, R_B T3]] of n^2 + n*l rows equals U R'.  Rows of D with a zero
+    column sum are zero and dropped, leaving at most n + l rows.  The full
+    Schur block is orthogonally similar to blockdiag(compressed block,
+    -eta I) with one -eta row per dropped row, so both have the same
+    feasible set and logdet(tI - F_full) = logdet(tI - F_comp) + (rows
+    dropped) log(t + eta).  The eta > 0 constraint carries that dropped
+    multiplicity as eta I of size 1 + (rows dropped); barrier value,
+    gradient, Hessian, the sum of constraint dimensions and the smallest
+    margin are then those of the full lift, and the solver takes the
+    same steps up to rounding.  Positivity of the Hermitian certificates
+    is imposed on their real embeddings, normalized to >= I, which is
+    equivalent by homogeneity and pins the certificate scale.  On the
+    certain path (all radii zero) only Sigma < 0 and the positivity blocks
+    are emitted.
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRangeError(f"low-alpha synthesis needs 0 < alpha < 1, got {alpha}")
@@ -225,22 +290,7 @@ def assemble_low_alpha(factors, c, alpha, n_c):
               "t1": t1, "t2": t2, "t3": t3, "t4": t4}
 
     if uncertain:
-        eta = p.declare_scalar("eta")
-        blocks["eta"] = eta
-        mmt = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
-        mmt_aug = np.zeros((n + n_c, n + n_c))
-        mmt_aug[:n, :n] = mmt
-        r = block_expr([
-            [factors.r_a @ qs, np.zeros((n * n, n_c))],
-            [factors.r_b @ t4.expr(), factors.r_b @ t3.expr()],
-        ])
-        q_dim = n * n + n * l
-        schur = block_expr([
-            [sigma + eta.scale(mmt_aug), r.T],
-            [r, -1.0 * eta.scale(np.eye(q_dim))],
-        ])
-        p.add_constraint(schur, Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(eta.expr(), Sense.POSITIVE_DEFINITE)
+        blocks["eta"] = _add_robust_lift(p, factors, sigma, qs, t3, t4, n_c, 1)
     else:
         p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
 
@@ -264,9 +314,12 @@ def assemble_high_alpha(factors, c, alpha, n_c):
         Sigma = [[G_s sin(theta),  G_k cos(theta)],
                  [-G_k cos(theta), G_s sin(theta)]],
 
-    the uncertainty rows are R = I_2 kron [[R_A P_S, 0], [R_B T4, R_B T3]]
+    the uncertainty rows are R' = I_2 kron [[D_A P_S, 0], [D_B T4, D_B T3]]
     and M carries the same rotation structure, so M M^T = I_2 kron
-    (M_A M_A^T + M_B M_B^T).  Certain path: Sigma < 0 only.
+    (M_A M_A^T + M_B M_B^T).  As for 0 < alpha < 1, R' is the compressed
+    lift with zero column sums dropped (at most 2(n + l) rows in place of
+    2(n^2 + n*l)), and eta > 0 is eta I of size 1 + (rows dropped) so the
+    barrier stays that of the full lift.  Certain path: Sigma < 0 only.
     """
     if not 1.0 <= alpha < 2.0:
         raise AlphaOutOfRangeError(f"high-alpha synthesis needs 1 <= alpha < 2, got {alpha}")
@@ -299,26 +352,7 @@ def assemble_high_alpha(factors, c, alpha, n_c):
     blocks = {"ps": ps, "pc": pc, "t1": t1, "t2": t2, "t3": t3, "t4": t4}
 
     if uncertain:
-        eta = p.declare_scalar("eta")
-        blocks["eta"] = eta
-        mmt = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
-        d = n + n_c
-        mmt_aug = np.zeros((2 * d, 2 * d))
-        mmt_aug[:n, :n] = mmt
-        mmt_aug[d : d + n, d : d + n] = mmt
-        r_in = block_expr([
-            [factors.r_a @ pse, np.zeros((n * n, n_c))],
-            [factors.r_b @ t4.expr(), factors.r_b @ t3.expr()],
-        ])
-        q_dim = n * n + n * l
-        zeros = np.zeros((q_dim, d))
-        r = block_expr([[r_in, zeros], [zeros, r_in]])
-        schur = block_expr([
-            [sigma + eta.scale(mmt_aug), r.T],
-            [r, -1.0 * eta.scale(np.eye(2 * q_dim))],
-        ])
-        p.add_constraint(schur, Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(eta.expr(), Sense.POSITIVE_DEFINITE)
+        blocks["eta"] = _add_robust_lift(p, factors, sigma, pse, t3, t4, n_c, 2)
     else:
         p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
 
@@ -405,6 +439,9 @@ def _result_from(assembly, solution, controller):
         alpha=assembly.alpha,
         values=v,
         problem=assembly.problem,
+        solver_iterations=solution.iterations,
+        achieved_margin=solution.achieved_margin,
+        schur_dim=assembly.problem.constraints[0].dim,
     )
 
 
@@ -480,10 +517,11 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     Dispatches on the order regime, solves the synthesis LMI, recovers the
     controller, and certifies it a posteriori.  A controller failing
     certification triggers one retry at 10x the strictness margin and
-    solve depth (a better-centered point) before the failed certification
-    is returned; a failed result is returned with ``passed = False``,
-    never hidden.  Raises :class:`InfeasibleError` when the LMI itself is
-    infeasible or undecidable.
+    solve depth (a better-centered point), marked by ``attempts = 2`` on
+    the result, before the failed certification is returned; a failed
+    result is returned with ``passed = False``, never hidden.  Raises
+    :class:`InfeasibleError` when the LMI itself is infeasible or
+    undecidable.
     """
     cfg = solver_cfg or SolverConfig()
     factors = decompose(sys)
@@ -513,4 +551,5 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
             feasibility_depth=max(cfg.feasibility_depth * 10.0, cfg.eps_margin * 10.0),
         )
         result, report = attempt(deeper)
+        result = replace(result, attempts=2)
     return result, report

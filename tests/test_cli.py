@@ -90,6 +90,21 @@ class TestCommands:
         # closed-loop dimension is plant order 3 plus controller order 2
         assert len(report["config"]["a_lower"]) + k.n_c == 5
 
+    def test_synth_report_explains_the_solve(self):
+        # example2 fails certification, so the stricter retry runs; its
+        # lifted block has 2 * (n + n_c) = 6 rows of Sigma plus 2 * (3 + 1)
+        # lift rows (three A columns and one B column, all uncertain)
+        for fixture, attempts, schur_dim in (("example1", 1, 7), ("example2", 2, 14)):
+            cfg = parse_config(fixture)
+            cfg.certify["sample_count"] = 10
+            report, _ = cmd_synth(cfg)
+            synthesis = report["synthesis"]
+            assert synthesis["attempts"] == attempts, fixture
+            assert synthesis["schur_dim"] == schur_dim, fixture
+            assert synthesis["solver_iterations"] > 0
+            assert synthesis["achieved_margin"] >= 1e-6
+        assert report["status"] == "CERTIFICATION_FAILED"
+
     def test_synth_uncontrollable_is_infeasible(self, tmp_path):
         path = write_config(
             tmp_path,

@@ -9,7 +9,6 @@ from folmi.lmi import (
     SolverConfig,
     block_expr,
     constraint_margin,
-    dump_problem,
     evaluate_constraint,
     solve_feasibility,
     sym_expr,
@@ -215,28 +214,3 @@ class TestSolver:
                 assert not seen_infeasible, "feasibility returned after being lost"
         assert order[0] is SdpStatus.FEASIBLE
         assert order[-1] is not SdpStatus.FEASIBLE
-
-
-class TestDump:
-    def test_dump_schema_roundtrip(self, tmp_path):
-        p = LmiProblem()
-        x = p.declare_scalar("x")
-        s = p.declare_symmetric_block(2, "S")
-        p.add_constraint(s.expr() - np.eye(2), Sense.POSITIVE_DEFINITE)
-        p.add_constraint(x.expr() - np.array([[1.5]]), Sense.NEGATIVE_DEFINITE)
-        path = tmp_path / "problem.txt"
-        dump_problem(p, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"lmi 1 {p.num_vars} 2"
-        var_lines = [l for l in lines if l.startswith("var ")]
-        assert len(var_lines) == p.num_vars
-        # constant entries are recoverable from the coordinate triplets
-        const_entries = {}
-        for l in lines:
-            parts = l.split()
-            if parts[0] == "const":
-                j, r, c = int(parts[1]), int(parts[2]), int(parts[3])
-                const_entries[(j, r, c)] = float(parts[4])
-        assert const_entries[(0, 0, 0)] == -1.0
-        assert const_entries[(0, 1, 1)] == -1.0
-        assert const_entries[(1, 0, 0)] == -1.5

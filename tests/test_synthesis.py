@@ -15,7 +15,14 @@ from folmi.interval import (
     realize,
     sample_uniform,
 )
-from folmi.lmi import SdpStatus, SolverConfig, constraint_margin, solve_feasibility
+from folmi.lmi import (
+    SdpStatus,
+    Sense,
+    SolverConfig,
+    constraint_margin,
+    evaluate_constraint,
+    solve_feasibility,
+)
 from folmi.stability import closed_loop, sector_margin
 from folmi.synthesis import (
     DynamicController,
@@ -359,13 +366,21 @@ def seeded_plant_and_controller(alpha, seed):
 
 
 @pytest.fixture(scope="module")
-def sweep_cases():
-    """Fixture designs at n_c 0-3 plus one seeded plant per alpha regime."""
-    cases = []
-    for sys in (example1_system(), example2_system()):
+def fixture_designs():
+    """(name, system, synthesize result, report) of both fixtures at n_c 0-3,
+    designed with 20 samples from seed 0."""
+    designs = []
+    for tag, sys in (("example1", example1_system()), ("example2", example2_system())):
         for n_c in range(4):
-            result, _ = synthesize(sys, n_c, sample_count=20, seed=0)
-            cases.append((f"{sys.alpha}-nc{n_c}", sys, result.controller))
+            result, report = synthesize(sys, n_c, sample_count=20, seed=0)
+            designs.append((f"{tag}-nc{n_c}", sys, result, report))
+    return designs
+
+
+@pytest.fixture(scope="module")
+def sweep_cases(fixture_designs):
+    """Fixture designs at n_c 0-3 plus one seeded plant per alpha regime."""
+    cases = [(name, sys, result.controller) for name, sys, result, _ in fixture_designs]
     for alpha, seed in ((0.6, 21), (1.4, 22)):
         sys, k = seeded_plant_and_controller(alpha, seed)
         cases.append((f"seeded-{alpha}", sys, k))
@@ -501,3 +516,172 @@ class TestSynthesize:
         assert result.solver_status is SdpStatus.FEASIBLE
         assert not report.passed
         assert report.min_sector_margin < 0
+
+
+def full_lift_schur(factors, asm, v, sigma):
+    """The synthesis block with one lift row per uncertain entry, rebuilt
+    from ``factors.r_a`` / ``factors.r_b`` at the decision vector ``v``."""
+    b = asm.blocks
+    if "xs" in b:
+        cert = 2.0 * np.cos(asm.theta) * b["xs"].value(v) \
+            - 2.0 * np.sin(asm.theta) * b["ys"].value(v)
+        copies = 1
+    else:
+        cert = b["ps"].value(v)
+        copies = 2
+    n, n_c = asm.n, asm.n_c
+    eta = float(b["eta"].value(v)[0, 0])
+    t3, t4 = b["t3"].value(v), b["t4"].value(v)
+    r_one = np.block([
+        [factors.r_a @ cert, np.zeros((n * n, n_c))],
+        [factors.r_b @ t4, factors.r_b @ t3],
+    ])
+    r = np.kron(np.eye(copies), r_one)
+    mmt = np.zeros((n + n_c, n + n_c))
+    mmt[:n, :n] = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
+    top = sigma + eta * np.kron(np.eye(copies), mmt)
+    return np.block([[top, r.T], [r, -eta * np.eye(r.shape[0])]]), eta
+
+
+def oriented(problem, constraint, v):
+    """Constraint matrix at ``v``, negated for POSITIVE_DEFINITE."""
+    m, _ = evaluate_constraint(problem, constraint, v)
+    return m if constraint.sense is Sense.NEGATIVE_DEFINITE else -m
+
+
+def barrier(mats, t):
+    """-sum_j logdet(t I - F_j)."""
+    total = 0.0
+    for f in mats:
+        sign, logdet = np.linalg.slogdet(t * np.eye(f.shape[0]) - f)
+        assert sign > 0
+        total -= logdet
+    return total
+
+
+def lift_plant(alpha, kind):
+    """Uncertain plants for the lift equivalence: the two fixtures, an
+    n=6, l=2 plant with every entry uncertain, and an n=4, l=2 plant whose
+    radii have all-zero columns (A columns 1 and 3, B column 0)."""
+    if kind == "example1":
+        return example1_system()
+    if kind == "example2":
+        return example2_system()
+    rng = np.random.RandomState(31)
+    if kind == "n6":
+        n, l = 6, 2
+        radius_a, radius_b = 0.05 * rng.rand(n, n) + 0.01, 0.05 * rng.rand(n, l) + 0.01
+    else:
+        n, l = 4, 2
+        radius_a = 0.1 * rng.rand(n, n) * (rng.rand(n, n) < 0.7)
+        radius_a[:, [1, 3]] = 0.0
+        radius_b = 0.1 * rng.rand(n, l)
+        radius_b[:, 0] = 0.0
+    a_lo, b_lo = rng.randn(n, n), rng.randn(n, l)
+    return UncertainFoltiSystem(
+        alpha,
+        IntervalMatrix(a_lo, a_lo + radius_a),
+        IntervalMatrix(b_lo, b_lo + radius_b),
+        rng.randn(2, n),
+    )
+
+
+LIFT_CASES = [
+    (0.75, "example1"), (1.2, "example2"), (0.7, "n6"), (1.3, "n6"),
+    (0.6, "zero-columns"), (1.4, "zero-columns"),
+]
+
+
+class TestCompressedLift:
+    """The compressed lift is the full one-row-per-entry lift up to an
+    orthogonal change of basis; the rows it drops reappear as -eta
+    eigenvalues, and the enlarged eta block keeps the barrier equal."""
+
+    @pytest.mark.parametrize("n_c", [0, 2])
+    @pytest.mark.parametrize("alpha,kind", LIFT_CASES)
+    def test_full_lift_spectrum_and_barrier(self, alpha, kind, n_c):
+        sys_ = lift_plant(alpha, kind)
+        factors = decompose(sys_)
+        assemble = assemble_low_alpha if alpha < 1.0 else assemble_high_alpha
+        asm = assemble(factors, sys_.c, alpha, n_c)
+        # the core inequality of the same midpoint plant, no uncertainty:
+        # same variables except eta, which every assembly declares last
+        certain = decompose(UncertainFoltiSystem(
+            alpha, IntervalMatrix.certain(factors.a0),
+            IntervalMatrix.certain(factors.b0), sys_.c))
+        core = assemble(certain, sys_.c, alpha, n_c).problem
+        eta_idx = asm.blocks["eta"].indices[0]
+        assert eta_idx == asm.problem.num_vars - 1 == core.num_vars
+
+        copies = 1 if alpha < 1.0 else 2
+        kept = int(np.count_nonzero(factors.delta_a.sum(axis=0))
+                   + np.count_nonzero(factors.delta_b.sum(axis=0)))
+        q = copies * (sys_.n ** 2 + sys_.n * sys_.l)
+        d = copies * (sys_.n + n_c)
+        schur, eta_block = asm.problem.constraints[:2]
+        assert schur.dim == d + copies * kept
+        assert eta_block.dim == 1 + q - copies * kept
+
+        rng = np.random.RandomState(4)
+        for _ in range(3):
+            v = rng.randn(asm.problem.num_vars)
+            v[eta_idx] = 0.1 + abs(v[eta_idx])
+            sigma, _ = evaluate_constraint(core, core.constraints[0], v[:eta_idx])
+            full, eta = full_lift_schur(factors, asm, v, sigma)
+            assert full.shape == (d + q, d + q)
+            comp = oriented(asm.problem, schur, v)
+            want = np.sort(np.concatenate([
+                np.linalg.eigvalsh(comp), np.full(q - copies * kept, -eta)]))
+            got = np.linalg.eigvalsh(full)
+            scale = np.abs(got).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
+
+            rest = [oriented(asm.problem, c, v) for c in asm.problem.constraints[2:]]
+            compressed = [comp, oriented(asm.problem, eta_block, v)] + rest
+            uncompressed = [full, np.array([[-eta]])] + rest
+            assert sum(f.shape[0] for f in compressed) == \
+                sum(f.shape[0] for f in uncompressed)
+            t = max(np.linalg.eigvalsh(f)[-1] for f in uncompressed) + 0.5
+            b_comp, b_full = barrier(compressed, t), barrier(uncompressed, t)
+            assert abs(b_comp - b_full) <= 1e-10 * abs(b_full)
+
+    def test_schur_dimension_of_the_large_plant(self):
+        # n = 6, l = 2 at alpha >= 1: two copies of n + n_c rows of Sigma
+        # and of the 8 kept lift rows, in place of 2 * 48 lift rows
+        sys_ = lift_plant(1.3, "n6")
+        for n_c in (0, 2):
+            asm = assemble_high_alpha(decompose(sys_), sys_.c, 1.3, n_c)
+            assert asm.problem.constraints[0].dim == 2 * (6 + n_c) + 2 * 8
+            assert asm.problem.constraints[1].dim == 1 + 2 * 40
+
+
+# (min_sector_margin, passed, worst f_a, worst f_b) of synthesize(sys, n_c,
+# sample_count=20, seed=0) with the one-row-per-entry lift.  Signs of the
+# worst vertex are written "+", "-", and "0" for a zero radius.
+GOLDEN = {
+    "example1-nc0": (0.1999717907563221, True, "-++-++-++", "++0"),
+    "example1-nc1": (0.19974327504726164, True, "-++-++-++", "++0"),
+    "example1-nc2": (0.1995941534371728, True, "-++-++-++", "++0"),
+    "example1-nc3": (0.19950333824935473, True, "-++-++-++", "++0"),
+    "example2-nc0": (-1.8849555921538759, False, "+-+------", "---"),
+    "example2-nc1": (-1.8849555921538759, False, "+-+------", "---"),
+    "example2-nc2": (-1.8849555921538759, False, "+-+------", "---"),
+    "example2-nc3": (-1.8849555921538759, False, "+--------", "---"),
+}
+
+
+def signs(text):
+    return np.array([{"+": 1.0, "-": -1.0, "0": 0.0}[ch] for ch in text])
+
+
+class TestGoldenAnswers:
+    def test_fixture_designs_match_the_full_lift_answers(self, fixture_designs):
+        assert [name for name, *_ in fixture_designs] == list(GOLDEN)
+        for name, _, _, report in fixture_designs:
+            margin, passed, f_a, f_b = GOLDEN[name]
+            assert abs(report.min_sector_margin - margin) <= 1e-9, name
+            assert report.passed is passed, name
+            np.testing.assert_array_equal(report.worst_realization.f_a, signs(f_a),
+                                          err_msg=name)
+            np.testing.assert_array_equal(report.worst_realization.f_b, signs(f_b),
+                                          err_msg=name)
