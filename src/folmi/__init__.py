@@ -24,20 +24,17 @@ from .lmi import (
 from .fosim import Trajectory, gl_weights, mittag_leffler, simulate, trajectory_to_csv
 from .stability import (
     SectorReport,
+    analysis_feasible,
     closed_loop,
-    low_alpha_lmi_feasible,
-    high_alpha_lmi_feasible,
     sector_margin,
 )
 from .synthesis import (
     CertificationReport,
     DynamicController,
     SynthesisResult,
-    assemble_low_alpha,
-    assemble_high_alpha,
+    assemble,
     certify,
-    recover_low_alpha,
-    recover_high_alpha,
+    recover,
     synthesize,
 )
 
@@ -66,17 +63,14 @@ __all__ = [
     "simulate",
     "trajectory_to_csv",
     "SectorReport",
+    "analysis_feasible",
     "closed_loop",
-    "low_alpha_lmi_feasible",
-    "high_alpha_lmi_feasible",
     "sector_margin",
     "CertificationReport",
     "DynamicController",
     "SynthesisResult",
-    "assemble_low_alpha",
-    "assemble_high_alpha",
+    "assemble",
     "certify",
-    "recover_low_alpha",
-    "recover_high_alpha",
+    "recover",
     "synthesize",
 ]

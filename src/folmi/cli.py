@@ -73,11 +73,12 @@ class ProblemConfig:
             raise ValidationError(str(exc)) from exc
 
     def solver_config(self):
-        allowed = {"eps_margin", "tol", "max_iter", "seed"}
-        unknown = set(self.solver) - allowed
+        kinds = {"eps_margin": float, "tol": float, "max_iter": int, "seed": int}
+        unknown = set(self.solver) - set(kinds)
         if unknown:
             raise ValidationError(f"unknown solver fields: {sorted(unknown)}")
-        return SolverConfig(**{k: self.solver[k] for k in allowed & set(self.solver)})
+        return SolverConfig(**{k: _scalar(v, kinds[k], f"solver.{k}")
+                               for k, v in self.solver.items()})
 
     def certify_config(self):
         allowed = {"sample_count", "seed"}
@@ -85,9 +86,19 @@ class ProblemConfig:
         if unknown:
             raise ValidationError(f"unknown certify fields: {sorted(unknown)}")
         return {
-            "sample_count": int(self.certify.get("sample_count", 500)),
-            "seed": int(self.certify.get("seed", 0)),
+            "sample_count": _scalar(self.certify.get("sample_count", 500), int,
+                                    "certify.sample_count"),
+            "seed": _scalar(self.certify.get("seed", 0), int, "certify.seed"),
         }
+
+
+def _scalar(value, kind, name):
+    """``kind(value)`` for ``kind`` float or int; ParseError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "a number" if kind is float else "an integer"
+        raise ParseError(f"field '{name}' must be {what}, got {value!r}") from exc
 
 
 def _matrix_field(data, key, path):
@@ -129,7 +140,7 @@ def parse_config(path):
         raise ParseError(f"{path}: top level must be an object")
     if "alpha" not in data:
         raise ParseError(f"{path}: missing field 'alpha'")
-    alpha = float(data["alpha"])
+    alpha = _scalar(data["alpha"], float, "alpha")
     cfg = ProblemConfig(
         alpha=alpha,
         a_lower=_matrix_field(data, "a_lower", path),
@@ -137,7 +148,7 @@ def parse_config(path):
         b_lower=_matrix_field(data, "b_lower", path),
         b_upper=_matrix_field(data, "b_upper", path),
         c=_matrix_field(data, "c", path),
-        n_c=int(data.get("n_c", 0)),
+        n_c=_scalar(data.get("n_c", 0), int, "n_c"),
         solver=dict(data.get("solver", {})),
         certify=dict(data.get("certify", {})),
         simulate=data.get("simulate"),
@@ -154,9 +165,10 @@ def parse_config(path):
         for key in ("x0", "t_end", "h"):
             if key not in sim:
                 raise ValidationError(f"simulate block missing '{key}'")
-        if float(sim["h"]) <= 0:
+        h = _scalar(sim["h"], float, "simulate.h")
+        if h <= 0:
             raise ValidationError("simulate step h must be positive")
-        if float(sim["t_end"]) < float(sim["h"]):
+        if _scalar(sim["t_end"], float, "simulate.t_end") < h:
             raise ValidationError("simulate t_end must cover at least one step")
     cfg.system()  # runs the remaining shape checks
     cfg.solver_config()

@@ -13,14 +13,6 @@ class ConvergenceFailureError(FolmiError, RuntimeError):
     """An iterative kernel hit its iteration cap without converging."""
 
 
-class NotSymmetricError(FolmiError, ValueError):
-    """Matrix was expected to be symmetric."""
-
-
-class NotHermitianError(FolmiError, ValueError):
-    """Complex matrix was expected to be Hermitian."""
-
-
 class ShapeMismatchError(FolmiError, ValueError):
     """Operands have inconsistent shapes."""
 

@@ -1,6 +1,5 @@
-"""Dense matrix kernel: eigenvalues (of one matrix or a stack),
-pseudo-inverse, Kronecker products, definiteness tests, and the real
-embedding of Hermitian matrices.
+"""Dense matrix kernel: input coercion, eigenvalues (of one matrix or a
+stack) and the pseudo-inverse.
 
 All routines operate on plain float64 ``numpy`` arrays.  Matrices stay small
 (closed-loop dimensions of a dozen or so), so everything is dense and the
@@ -9,12 +8,7 @@ eigensolver is capped at dimension 64.
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailureError,
-    NonSquareError,
-    NotHermitianError,
-    NotSymmetricError,
-)
+from .errors import ConvergenceFailureError, NonSquareError
 
 EIG_DIM_CAP = 64
 
@@ -86,51 +80,3 @@ def pinv(m):
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]))
     return np.linalg.pinv(a, rcond=PINV_RCOND)
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def is_positive_definite(m, margin=0.0):
-    """True iff ``m - margin*I`` admits a Cholesky factorization.
-
-    The input must be symmetric up to round-off (tolerance scales with the
-    matrix norm); it is projected onto its symmetric part before the test so
-    that accumulated round-off from LMI assembly does not flip the answer.
-    Negative definiteness is tested as ``is_positive_definite(-m, margin)``.
-    """
-    a = require_square(m)
-    n = a.shape[0]
-    if n == 0:
-        return True
-    scale = 1.0 + np.abs(a).max()
-    if np.abs(a - a.T).max() > 1e-10 * scale:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (a + a.T) - margin * np.eye(n)
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def hermitian_real_embedding(p):
-    """Real symmetric 2n x 2n embedding of a Hermitian matrix.
-
-    For ``p = X + iY`` returns ``[[X, -Y], [Y, X]]``; the embedding is
-    positive definite exactly when ``p`` is, and carries each eigenvalue of
-    ``p`` with doubled multiplicity.
-    """
-    a = np.asarray(p, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquareError("embedding requires a square matrix")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
-    if a.size and np.abs(a - a.conj().T).max() > 1e-10 * scale:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    x = a.real
-    y = a.imag
-    return np.block([[x, -y], [y, x]])

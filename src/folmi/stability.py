@@ -4,9 +4,12 @@ Two equivalent routes are provided for D^alpha x = A x with 0 < alpha < 2:
 
 * the eigenvalue sector test (stable iff every eigenvalue satisfies
   |arg(lambda)| > alpha*pi/2), and
-* LMI feasibility certificates, split by order regime: a Hermitian
-  certificate solved over its real/imaginary parts for 0 < alpha < 1, and
-  a 2x2-block symmetric certificate for 1 <= alpha < 2.
+* an LMI feasibility certificate: the synthesis inequality of
+  :func:`certificate_lmi` without input or controller.  Each order regime
+  (a Hermitian certificate solved over its real/imaginary parts for
+  0 < alpha < 1, a 2x2-block symmetric one for 1 <= alpha < 2) is one
+  private regime object, chosen from alpha in :func:`_regime` and shared
+  with the synthesis assembly and controller recovery.
 
 Keeping both routes independent lets each validate the other.  The module
 also assembles the output-feedback closed-loop matrix.
@@ -90,76 +93,153 @@ def sector_margin(a, alpha):
     return SectorReport(alpha, eigs, margin, margin > 0.0)
 
 
-def low_alpha_lmi_feasible(a, alpha, solver_cfg=None):
-    """LMI stability test for 0 < alpha < 1.
+class _HermitianRegime:
+    """0 < alpha < 1: Hermitian certificate P = X + iY > 0, searched through
+    its symmetric part X and skew part Y, with theta = (1-alpha)*pi/2.
 
-    Searches for a Hermitian X > 0 with Sym(A (rX + conj(r) conj(X))) < 0,
-    r = exp(i theta), theta = (1-alpha)*pi/2.  Splitting X into symmetric
-    and skew parts turns r X + conj(r X) into the real matrix
-    2 cos(theta) X_sym - 2 sin(theta) Y_skew, and positivity of X into
-    positivity of the real embedding [[X_sym, -Y_skew], [Y_skew, X_sym]].
-    Returns the complex certificate when strictly feasible.
+    Q = r P + conj(r P) = 2 cos(theta) X - 2 sin(theta) Y (r = exp(i theta))
+    is real, and positivity of P is that of its real embedding
+    [[X, -Y], [Y, X]].
     """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRangeError(f"low-alpha analysis LMI needs 0 < alpha < 1, got {alpha}")
-    m = require_square(a)
-    n = m.shape[0]
-    theta = (1.0 - alpha) * np.pi / 2.0
-    p = LmiProblem()
-    xs = p.declare_symmetric_block(n, "X_sym")
-    yk = p.declare_skew_block(n, "Y_skew")
-    q = 2.0 * np.cos(theta) * xs.expr() - 2.0 * np.sin(theta) * yk.expr()
-    p.add_constraint(sym_expr(m @ q), Sense.NEGATIVE_DEFINITE)
-    emb = block_expr([[xs.expr(), -1.0 * yk.expr()], [yk.expr(), xs.expr()]])
-    # X >= I is equivalent to X > 0 for this homogeneous system and keeps
-    # the certificate scale pinned.
-    p.add_constraint(emb - np.eye(2 * n), Sense.POSITIVE_DEFINITE)
-    sol = solve_feasibility(p, solver_cfg or SolverConfig())
-    if sol.status is SdpStatus.INDETERMINATE:
-        raise SolverFailureError("analysis LMI solve was indeterminate")
-    if sol.status is not SdpStatus.FEASIBLE:
-        return LmiCertificate(False, None, sol)
-    x = xs.value(sol.values) + 1j * yk.value(sol.values)
-    return LmiCertificate(True, x, sol)
+
+    copies = 1
+
+    def __init__(self, alpha):
+        self.theta = (1.0 - alpha) * np.pi / 2.0
+        self._cs, self._sn = 2.0 * np.cos(self.theta), 2.0 * np.sin(self.theta)
+
+    def declare(self, p, dim, name):
+        return (p.declare_symmetric_block(dim, f"X_{name}"),
+                p.declare_skew_block(dim, f"Y_{name}"))
+
+    def q_expr(self, cert):
+        x, y = cert
+        return self._cs * x.expr() - self._sn * y.expr()
+
+    def q_value(self, cert, values):
+        x, y = cert
+        return self._cs * x.value(values) - self._sn * y.value(values)
+
+    def positivity(self, cert):
+        x, y = cert
+        emb = block_expr([[x.expr(), -1.0 * y.expr()], [y.expr(), x.expr()]])
+        return emb - np.eye(2 * x.rows)
+
+    def value(self, cert, values):
+        x, y = cert
+        return x.value(values) + 1j * y.value(values)
+
+    def sigma(self, g):
+        """Sym(G) for the closed-loop expression G = A_cl Q."""
+        return sym_expr(g)
+
+    def analysis_operand(self, a):
+        return a
 
 
-def high_alpha_lmi_feasible(a, alpha, solver_cfg=None):
-    """LMI stability test for 1 <= alpha < 2.
+class _SymmetricRegime:
+    """1 <= alpha < 2: symmetric certificate P > 0 with theta =
+    pi - alpha*pi/2; Q = P, and Sigma is the rotated 2x2 block of the
+    symmetric and skew parts of G = A_cl P (two lift copies)."""
 
-    Searches for symmetric X > 0 with
-    [[(A^T X + X A) sin(theta), (X A - A^T X) cos(theta)],
-     [(A^T X - X A) cos(theta), (A^T X + X A) sin(theta)]] < 0,
-    theta = pi - alpha*pi/2.
+    copies = 2
+
+    def __init__(self, alpha):
+        self.theta = np.pi - alpha * np.pi / 2.0
+
+    def declare(self, p, dim, name):
+        return (p.declare_symmetric_block(dim, f"P_{name}"),)
+
+    def q_expr(self, cert):
+        return cert[0].expr()
+
+    def q_value(self, cert, values):
+        return cert[0].value(values)
+
+    def positivity(self, cert):
+        return cert[0].expr() - np.eye(cert[0].rows)
+
+    value = q_value
+
+    def sigma(self, g):
+        """[[G_s sin(theta), G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]]
+        with G_s = G + G^T and G_k = G - G^T."""
+        diag, off = np.sin(self.theta) * sym_expr(g), np.cos(self.theta) * (g - g.T)
+        return block_expr([[diag, off], [-off, diag]])
+
+    def analysis_operand(self, a):
+        """A^T: Sigma then reads [[S st, -K ct], [K ct, S st]] with
+        S = A^T P + P A and K = P A - A^T P, the usual form of this test.
+        A itself would decide the same question (A^T has A's spectrum) but
+        takes different barrier steps."""
+        return a.T
+
+
+def _regime(alpha):
+    """The certificate regime of the order alpha."""
+    _check_alpha(alpha)
+    return _HermitianRegime(alpha) if alpha < 1.0 else _SymmetricRegime(alpha)
+
+
+def certificate_lmi(regime, a0, b0, n_c, lift=None):
+    """Variables and constraints of the LMI of ``regime`` for the plant
+    (A0, B0) under an output-feedback controller of order n_c.
+
+    Declares the certificates P_S (n x n) and P_C (n_c x n_c) and the
+    controller lifts T1 (n_c x n_c), T2 (n_c x n), T3 (l x n_c) and
+    T4 (l x n).  With Q_S the regime's Q map of P_S, the closed-loop
+    expression is G = [[A0 Q_S + B0 T4, B0 T3], [T2, T1]], and the
+    inequality is Sigma(G) < 0 followed by the positivity blocks
+    (normalized to >= I, equivalent by homogeneity, which pins the
+    certificate scale).  ``lift(problem, sigma, q_s, t3, t4, copies)``, when
+    given, adds a robust form of Sigma < 0 in its place and returns the
+    multiplier it declares.  Returns the problem and a dict of the variable
+    handles: "s", "c" (certificates), "t1".."t4", and "eta" from ``lift``.
     """
-    if not 1.0 <= alpha < 2.0:
-        raise AlphaOutOfRangeError(f"high-alpha analysis LMI needs 1 <= alpha < 2, got {alpha}")
-    m = require_square(a)
-    n = m.shape[0]
-    theta = np.pi - alpha * np.pi / 2.0
-    st, ct = np.sin(theta), np.cos(theta)
+    n, l = b0.shape
     p = LmiProblem()
-    xb = p.declare_symmetric_block(n, "X")
-    x = xb.expr()
-    s = m.T @ x + x @ m
-    k = x @ m - m.T @ x
-    big = block_expr([[st * s, ct * k], [-ct * k, st * s]])
-    p.add_constraint(big, Sense.NEGATIVE_DEFINITE)
-    p.add_constraint(x - np.eye(n), Sense.POSITIVE_DEFINITE)
-    sol = solve_feasibility(p, solver_cfg or SolverConfig())
-    if sol.status is SdpStatus.INDETERMINATE:
-        raise SolverFailureError("analysis LMI solve was indeterminate")
-    if sol.status is not SdpStatus.FEASIBLE:
-        return LmiCertificate(False, None, sol)
-    return LmiCertificate(True, xb.value(sol.values), sol)
+    blocks = {"s": regime.declare(p, n, "S"), "c": regime.declare(p, n_c, "C"),
+              "t1": p.declare_full_block(n_c, n_c, "T1"),
+              "t2": p.declare_full_block(n_c, n, "T2"),
+              "t3": p.declare_full_block(l, n_c, "T3"),
+              "t4": p.declare_full_block(l, n, "T4")}
+    q_s = regime.q_expr(blocks["s"])
+    g = block_expr([[a0 @ q_s + b0 @ blocks["t4"].expr(), b0 @ blocks["t3"].expr()],
+                    [blocks["t2"].expr(), blocks["t1"].expr()]])
+    sigma = regime.sigma(g)
+    if lift is None:
+        p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
+    else:
+        blocks["eta"] = lift(p, sigma, q_s, blocks["t3"], blocks["t4"], regime.copies)
+    p.add_constraint(regime.positivity(blocks["s"]), Sense.POSITIVE_DEFINITE)
+    if n_c > 0:
+        p.add_constraint(regime.positivity(blocks["c"]), Sense.POSITIVE_DEFINITE)
+    return p, blocks
 
 
 def analysis_feasible(a, alpha, solver_cfg=None):
-    """Dispatch to the LMI test matching the order regime."""
-    if 0.0 < alpha < 1.0:
-        return low_alpha_lmi_feasible(a, alpha, solver_cfg)
-    if 1.0 <= alpha < 2.0:
-        return high_alpha_lmi_feasible(a, alpha, solver_cfg)
-    raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
+    """LMI stability test of D^alpha x = A x for 0 < alpha < 2.
+
+    The certain-plant LMI of :func:`certificate_lmi` with no input (l = 0)
+    and no controller (n_c = 0): a Hermitian X > 0 with
+    Sym(A (rX + conj(r) conj(X))) < 0, r = exp(i theta),
+    theta = (1-alpha)*pi/2, below alpha = 1, and a symmetric X > 0 with
+    [[(A^T X + X A) sin(theta), (X A - A^T X) cos(theta)],
+     [(A^T X - X A) cos(theta), (A^T X + X A) sin(theta)]] < 0 up to the
+    sign of the skew blocks, theta = pi - alpha*pi/2, from alpha = 1 up.
+    Returns the certificate (complex Hermitian or real symmetric) when
+    strictly feasible.
+    """
+    regime = _regime(alpha)
+    m = require_square(a)
+    p, blocks = certificate_lmi(regime, regime.analysis_operand(m),
+                                np.zeros((m.shape[0], 0)), 0)
+    sol = solve_feasibility(p, solver_cfg or SolverConfig())
+    if sol.status is SdpStatus.INDETERMINATE:
+        raise SolverFailureError("analysis LMI solve was indeterminate")
+    if sol.status is not SdpStatus.FEASIBLE:
+        return LmiCertificate(False, None, sol)
+    return LmiCertificate(True, regime.value(blocks["s"], sol.values), sol)
 
 
 def closed_loop(a, b, c, controller):

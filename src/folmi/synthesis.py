@@ -7,9 +7,11 @@ factorization, a scalar multiplier eta, and a Schur-complement lift.  The
 lift is compressed to one row per nonzero column sum of the radii (at most
 n + l rows, doubled for 1 <= alpha < 2) instead of one per uncertain entry;
 the eta > 0 block carries the dropped rows, so the barrier solve is that of
-the full lift.  Two regimes are assembled separately (0 < alpha < 1 with a
-Hermitian certificate, 1 <= alpha < 2 with a symmetric one); plants with
-zero radii reduce to the certain-system core inequality.
+the full lift.  One assembly covers both order regimes (0 < alpha < 1 with
+a Hermitian certificate, 1 <= alpha < 2 with a symmetric one): the regime
+object of :mod:`folmi.stability` supplies the certificate, its Q map and
+positivity, and the core inequality, which is also the analysis LMI.
+Plants with zero radii reduce to that certain-system core inequality.
 
 Controller matrices are recovered from a feasible point by inverting the
 change of variables through the certificate blocks and the pseudo-inverse
@@ -22,11 +24,11 @@ accepted on LMI feasibility alone.
 
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import (
-    AlphaOutOfRangeError,
     FolmiError,
     InfeasibleError,
     ShapeMismatchError,
@@ -50,9 +52,14 @@ from .lmi import (
     SolverConfig,
     block_expr,
     solve_feasibility,
-    sym_expr,
 )
-from .stability import analysis_feasible, closed_loop, sector_margins
+from .stability import (
+    _regime,
+    analysis_feasible,
+    certificate_lmi,
+    closed_loop,
+    sector_margins,
+)
 
 COND_CAP = 1e12
 # Scaling rows per closed-loop stack in the certification sweep.
@@ -161,14 +168,11 @@ class SynthesisResult:
 
 @dataclass
 class _Assembly:
-    """LmiProblem plus the variable handles needed for recovery."""
+    """LmiProblem plus the regime and variable handles needed for recovery."""
 
     problem: LmiProblem
+    regime: object
     alpha: float
-    theta: float
-    n: int
-    l: int
-    m: int
     n_c: int
     c: np.ndarray
     blocks: dict
@@ -196,17 +200,17 @@ def _lift_scales(delta):
     return np.diag(np.sqrt(sums))[sums > 0]
 
 
-def _add_robust_lift(p, factors, sigma, cert, t3, t4, n_c, copies):
+def _add_robust_lift(factors, p, sigma, cert, t3, t4, copies):
     """Add the Schur-lifted robust inequality and eta > 0; return eta.
 
-    ``cert`` is the certificate expression multiplying A0 in Sigma (Q_S or
-    P_S) and ``copies`` the number of diagonal copies of the lift (1 below
-    alpha = 1, 2 above).  The lift is R' = [[D_A cert, 0], [D_B T4, D_B T3]]
-    per copy, and eta > 0 is emitted as eta I with one extra row per row
-    dropped from the full n^2 + n*l row lift; the assembly docstrings say
+    ``cert`` is the certificate expression multiplying A0 in Sigma (the Q
+    map of P_S) and ``copies`` the number of diagonal copies of the lift (1
+    below alpha = 1, 2 above).  The lift is R' = [[D_A cert, 0], [D_B T4,
+    D_B T3]] per copy, and eta > 0 is emitted as eta I with one extra row
+    per row dropped from the full n^2 + n*l row lift; :func:`assemble` says
     why that leaves the solve unchanged.
     """
-    n, l = factors.n, factors.l
+    n, l, n_c = factors.n, factors.l, t3.cols
     eta = p.declare_scalar("eta")
     d_a, d_b = _lift_scales(factors.delta_a), _lift_scales(factors.delta_b)
     r_one = block_expr([
@@ -228,139 +232,46 @@ def _add_robust_lift(p, factors, sigma, cert, t3, t4, n_c, copies):
     return eta
 
 
-def assemble_low_alpha(factors, c, alpha, n_c):
-    """Synthesis LMI for 0 < alpha < 1.
+def assemble(factors, c, alpha, n_c):
+    """Synthesis LMI for 0 < alpha < 2.
 
-    Decision variables: Hermitian certificates P_S = X_S + i Y_S (n x n)
-    and P_C = X_C + i Y_C (n_c x n_c) through their real parts, controller
-    lifts T1..T4, and the multiplier eta.  With theta = (1-alpha)*pi/2 and
-    Q = 2 cos(theta) X - 2 sin(theta) Y standing in for r P + conj(r P),
-    the core block is
+    Decision variables: the certificates P_S (n x n) and P_C (n_c x n_c)
+    of the order regime (Hermitian, through their real and imaginary
+    parts, below alpha = 1; symmetric from alpha = 1 up), controller lifts
+    T1..T4, and the multiplier eta.  With Q_S the regime's Q map of P_S
+    (2 cos(theta) X_S - 2 sin(theta) Y_S, resp. P_S), the certain-plant
+    core is Sigma of the closed-loop expression
+    G = [[A0 Q_S + B0 T4, B0 T3], [T2, T1]]: Sym(G) below alpha = 1, and
+    the rotated block [[G_s sin(theta), G_k cos(theta)], [-G_k cos(theta),
+    G_s sin(theta)]] of its symmetric and skew parts from alpha = 1 up
+    (see :func:`folmi.stability.certificate_lmi`).
 
-        Sigma = [[Sym(A0 Qs) + Sym(B0 T4), B0 T3 + T2^T],
-                 [..sym..,                 T1 + T1^T]]
-
-    and the uncertainty enters through the Schur-form constraint
-    [[Sigma + eta M M^T, R'^T], [R', -eta I]] < 0 with M = [[M_A, M_B],
-    [0, 0]] and the compressed lift R' = [[D_A Qs, 0], [D_B T4, D_B T3]],
-    D = diag(sqrt(column sums of the radii)).  Each row of the factor R_A
-    is a scaled unit vector, so R_A = U_A D_A with orthonormal columns in
-    U_A (likewise R_B = U_B D_B), and the full lift R = [[R_A Qs, 0],
-    [R_B T4, R_B T3]] of n^2 + n*l rows equals U R'.  Rows of D with a zero
-    column sum are zero and dropped, leaving at most n + l rows.  The full
-    Schur block is orthogonally similar to blockdiag(compressed block,
-    -eta I) with one -eta row per dropped row, so both have the same
-    feasible set and logdet(tI - F_full) = logdet(tI - F_comp) + (rows
-    dropped) log(t + eta).  The eta > 0 constraint carries that dropped
-    multiplicity as eta I of size 1 + (rows dropped); barrier value,
-    gradient, Hessian, the sum of constraint dimensions and the smallest
-    margin are then those of the full lift, and the solver takes the
-    same steps up to rounding.  Positivity of the Hermitian certificates
-    is imposed on their real embeddings, normalized to >= I, which is
-    equivalent by homogeneity and pins the certificate scale.  On the
+    The uncertainty enters through the Schur-form constraint
+    [[Sigma + eta M M^T, R'^T], [R', -eta I]] < 0, with one copy of M =
+    [[M_A, M_B], [0, 0]] and of the compressed lift R' = [[D_A Q_S, 0],
+    [D_B T4, D_B T3]] per diagonal copy of G in Sigma (one below alpha = 1,
+    two from alpha = 1 up), D = diag(sqrt(column sums of the radii)).  Each
+    row of the factor R_A is a scaled unit vector, so R_A = U_A D_A with
+    orthonormal columns in U_A (likewise R_B = U_B D_B), and the full lift
+    R = [[R_A Q_S, 0], [R_B T4, R_B T3]] of n^2 + n*l rows equals U R'.
+    Rows of D with a zero column sum are zero and dropped, leaving at most
+    n + l rows per copy.  The full Schur block is orthogonally similar to
+    blockdiag(compressed block, -eta I) with one -eta row per dropped row,
+    so both have the same feasible set and logdet(tI - F_full) =
+    logdet(tI - F_comp) + (rows dropped) log(t + eta).  The eta > 0
+    constraint carries that dropped multiplicity as eta I of size
+    1 + (rows dropped); barrier value, gradient, Hessian, the sum of
+    constraint dimensions and the smallest margin are then those of the
+    full lift, and the solver takes the same steps up to rounding.  On the
     certain path (all radii zero) only Sigma < 0 and the positivity blocks
     are emitted.
     """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRangeError(f"low-alpha synthesis needs 0 < alpha < 1, got {alpha}")
+    regime = _regime(alpha)
     c = _check_synthesis_shapes(factors, c, n_c)
-    n, l, m = factors.n, factors.l, c.shape[0]
-    theta = (1.0 - alpha) * np.pi / 2.0
-    a0, b0 = factors.a0, factors.b0
     uncertain = not factors.is_certain
-
-    p = LmiProblem()
-    xs = p.declare_symmetric_block(n, "X_S")
-    ys = p.declare_skew_block(n, "Y_S")
-    xc = p.declare_symmetric_block(n_c, "X_C")
-    yc = p.declare_skew_block(n_c, "Y_C")
-    t1 = p.declare_full_block(n_c, n_c, "T1")
-    t2 = p.declare_full_block(n_c, n, "T2")
-    t3 = p.declare_full_block(l, n_c, "T3")
-    t4 = p.declare_full_block(l, n, "T4")
-
-    cs, sn = 2.0 * np.cos(theta), 2.0 * np.sin(theta)
-    qs = cs * xs.expr() - sn * ys.expr()
-    s11 = sym_expr(a0 @ qs) + sym_expr(b0 @ t4.expr())
-    s12 = b0 @ t3.expr() + t2.expr().T
-    s22 = sym_expr(t1.expr())
-    sigma = block_expr([[s11, s12], [s12.T, s22]])
-
-    blocks = {"xs": xs, "ys": ys, "xc": xc, "yc": yc,
-              "t1": t1, "t2": t2, "t3": t3, "t4": t4}
-
-    if uncertain:
-        blocks["eta"] = _add_robust_lift(p, factors, sigma, qs, t3, t4, n_c, 1)
-    else:
-        p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
-
-    emb_s = block_expr([[xs.expr(), -1.0 * ys.expr()], [ys.expr(), xs.expr()]])
-    p.add_constraint(emb_s - np.eye(2 * n), Sense.POSITIVE_DEFINITE)
-    if n_c > 0:
-        emb_c = block_expr([[xc.expr(), -1.0 * yc.expr()], [yc.expr(), xc.expr()]])
-        p.add_constraint(emb_c - np.eye(2 * n_c), Sense.POSITIVE_DEFINITE)
-
-    return _Assembly(p, alpha, theta, n, l, m, n_c, c, blocks, uncertain)
-
-
-def assemble_high_alpha(factors, c, alpha, n_c):
-    """Synthesis LMI for 1 <= alpha < 2.
-
-    Decision variables: symmetric certificates P_S, P_C, lifts T1..T4 and
-    the multiplier eta; theta = pi - alpha*pi/2.  The core Sigma is the
-    2x2 rotation-structured block built from the symmetric part G_s and
-    skew part G_k of the certain closed-loop expression,
-
-        Sigma = [[G_s sin(theta),  G_k cos(theta)],
-                 [-G_k cos(theta), G_s sin(theta)]],
-
-    the uncertainty rows are R' = I_2 kron [[D_A P_S, 0], [D_B T4, D_B T3]]
-    and M carries the same rotation structure, so M M^T = I_2 kron
-    (M_A M_A^T + M_B M_B^T).  As for 0 < alpha < 1, R' is the compressed
-    lift with zero column sums dropped (at most 2(n + l) rows in place of
-    2(n^2 + n*l)), and eta > 0 is eta I of size 1 + (rows dropped) so the
-    barrier stays that of the full lift.  Certain path: Sigma < 0 only.
-    """
-    if not 1.0 <= alpha < 2.0:
-        raise AlphaOutOfRangeError(f"high-alpha synthesis needs 1 <= alpha < 2, got {alpha}")
-    c = _check_synthesis_shapes(factors, c, n_c)
-    n, l, m = factors.n, factors.l, c.shape[0]
-    theta = np.pi - alpha * np.pi / 2.0
-    st, ct = np.sin(theta), np.cos(theta)
-    a0, b0 = factors.a0, factors.b0
-    uncertain = not factors.is_certain
-
-    p = LmiProblem()
-    ps = p.declare_symmetric_block(n, "P_S")
-    pc = p.declare_symmetric_block(n_c, "P_C")
-    t1 = p.declare_full_block(n_c, n_c, "T1")
-    t2 = p.declare_full_block(n_c, n, "T2")
-    t3 = p.declare_full_block(l, n_c, "T3")
-    t4 = p.declare_full_block(l, n, "T4")
-
-    pse = ps.expr()
-    g11s = sym_expr(a0 @ pse) + sym_expr(b0 @ t4.expr())
-    g12s = b0 @ t3.expr() + t2.expr().T
-    g22s = sym_expr(t1.expr())
-    gs = block_expr([[g11s, g12s], [g12s.T, g22s]])
-    g11k = (a0 @ pse - (a0 @ pse).T) + (b0 @ t4.expr() - (b0 @ t4.expr()).T)
-    g12k = b0 @ t3.expr() - t2.expr().T
-    g22k = t1.expr() - t1.expr().T
-    gk = block_expr([[g11k, g12k], [-1.0 * g12k.T, g22k]])
-    sigma = block_expr([[st * gs, ct * gk], [(-ct) * gk, st * gs]])
-
-    blocks = {"ps": ps, "pc": pc, "t1": t1, "t2": t2, "t3": t3, "t4": t4}
-
-    if uncertain:
-        blocks["eta"] = _add_robust_lift(p, factors, sigma, pse, t3, t4, n_c, 2)
-    else:
-        p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
-
-    p.add_constraint(pse - np.eye(n), Sense.POSITIVE_DEFINITE)
-    if n_c > 0:
-        p.add_constraint(pc.expr() - np.eye(n_c), Sense.POSITIVE_DEFINITE)
-
-    return _Assembly(p, alpha, theta, n, l, m, n_c, c, blocks, uncertain)
+    lift = partial(_add_robust_lift, factors) if uncertain else None
+    problem, blocks = certificate_lmi(regime, factors.a0, factors.b0, n_c, lift)
+    return _Assembly(problem, regime, alpha, n_c, c, blocks, uncertain)
 
 
 def _invert_certificate(q, what):
@@ -371,20 +282,19 @@ def _invert_certificate(q, what):
     return np.linalg.inv(q)
 
 
-def recover_low_alpha(assembly, solution):
-    """Invert the 0 < alpha < 1 change of variables.
+def recover(assembly, solution):
+    """Invert the change of variables.
 
     Ac = T1 Qc^-1, Bc = T2 Qs^-1 C^+, Cc = T3 Qc^-1, Dc = T4 Qs^-1 C^+
-    with Q = 2 cos(theta) X - 2 sin(theta) Y, all real by construction.
+    with Q the regime's Q map of the certificate (2 cos(theta) X -
+    2 sin(theta) Y below alpha = 1, P from alpha = 1 up), real by
+    construction.
     """
     v = solution.values
     b = assembly.blocks
-    cs = 2.0 * np.cos(assembly.theta)
-    sn = 2.0 * np.sin(assembly.theta)
-    q_s = cs * b["xs"].value(v) - sn * b["ys"].value(v)
-    q_c = cs * b["xc"].value(v) - sn * b["yc"].value(v)
-    qs_inv = _invert_certificate(q_s, "Q_S")
-    qc_inv = _invert_certificate(q_c, "Q_C")
+    q_value = assembly.regime.q_value
+    qs_inv = _invert_certificate(q_value(b["s"], v), "Q_S")
+    qc_inv = _invert_certificate(q_value(b["c"], v), "Q_C")
     c_pinv = pinv(assembly.c)
     d_c = b["t4"].value(v) @ qs_inv @ c_pinv
     if assembly.n_c == 0:
@@ -395,42 +305,15 @@ def recover_low_alpha(assembly, solution):
     return DynamicController(assembly.n_c, a_c, b_c, c_c, d_c)
 
 
-def recover_high_alpha(assembly, solution):
-    """Invert the 1 <= alpha < 2 change of variables.
-
-    Ac = T1 Pc^-1, Bc = T2 Ps^-1 C^+, Cc = T3 Pc^-1, Dc = T4 Ps^-1 C^+.
-    """
-    v = solution.values
-    b = assembly.blocks
-    p_s = b["ps"].value(v)
-    p_c = b["pc"].value(v)
-    ps_inv = _invert_certificate(p_s, "P_S")
-    pc_inv = _invert_certificate(p_c, "P_C")
-    c_pinv = pinv(assembly.c)
-    d_c = b["t4"].value(v) @ ps_inv @ c_pinv
-    if assembly.n_c == 0:
-        return DynamicController.static(d_c)
-    a_c = b["t1"].value(v) @ pc_inv
-    b_c = b["t2"].value(v) @ ps_inv @ c_pinv
-    c_c = b["t3"].value(v) @ pc_inv
-    return DynamicController(assembly.n_c, a_c, b_c, c_c, d_c)
-
-
 def _result_from(assembly, solution, controller):
     v = solution.values
     b = assembly.blocks
     eta = float(b["eta"].value(v)[0, 0]) if "eta" in b else None
-    if "xs" in b:
-        p_s = b["xs"].value(v) + 1j * b["ys"].value(v)
-        p_c = b["xc"].value(v) + 1j * b["yc"].value(v)
-    else:
-        p_s = b["ps"].value(v)
-        p_c = b["pc"].value(v)
     return SynthesisResult(
         controller=controller,
         eta=eta,
-        p_s=p_s,
-        p_c=p_c,
+        p_s=assembly.regime.value(b["s"], v),
+        p_c=assembly.regime.value(b["c"], v),
         t1=b["t1"].value(v),
         t2=b["t2"].value(v),
         t3=b["t3"].value(v),
@@ -514,8 +397,7 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
 def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     """Design and certify a fixed-order controller for an interval plant.
 
-    Dispatches on the order regime, solves the synthesis LMI, recovers the
-    controller, and certifies it a posteriori.  A controller failing
+    Assembles and solves the synthesis LMI, recovers the controller, and certifies it a posteriori.  A controller failing
     certification triggers one retry at 10x the strictness margin and
     solve depth (a better-centered point), marked by ``attempts = 2`` on
     the result, before the failed certification is returned; a failed
@@ -527,12 +409,7 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     factors = decompose(sys)
 
     def attempt(run_cfg):
-        if 0.0 < sys.alpha < 1.0:
-            asm = assemble_low_alpha(factors, sys.c, sys.alpha, n_c)
-            recover = recover_low_alpha
-        else:
-            asm = assemble_high_alpha(factors, sys.c, sys.alpha, n_c)
-            recover = recover_high_alpha
+        asm = assemble(factors, sys.c, sys.alpha, n_c)
         sol = solve_feasibility(asm.problem, run_cfg)
         if sol.status is not SdpStatus.FEASIBLE:
             raise InfeasibleError(

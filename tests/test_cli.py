@@ -204,6 +204,18 @@ class TestMainEntry:
         )
         assert main(["synth", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("alpha", {"alpha": "abc"}),
+        ("n_c", {"n_c": "two"}),
+        ("certify.sample_count", {"certify": {"sample_count": "many"}}),
+        ("solver.max_iter", {"solver": {"max_iter": "x"}}),
+    ])
+    def test_malformed_scalar_is_a_usage_error(self, tmp_path, capsys, field, overrides):
+        path = write_config(tmp_path, **overrides)
+        assert main(["synth", str(path), "--samples", "5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+
     def test_report_determinism(self, tmp_path):
         def run(tag):
             rpath = tmp_path / f"r{tag}.json"

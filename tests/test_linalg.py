@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from folmi.errors import NonSquareError, NotHermitianError, NotSymmetricError
-from folmi.linalg import (
-    eig_general,
-    hermitian_real_embedding,
-    is_positive_definite,
-    kron,
-    pinv,
-)
+from folmi.errors import NonSquareError
+from folmi.linalg import eig_general, pinv
 
 EX1_A0 = np.array([
     [2.25, -7.5, 1.25],
@@ -103,89 +97,3 @@ class TestPinv:
             np.testing.assert_allclose((m @ p).T, m @ p, atol=tol)
             np.testing.assert_allclose((p @ m).T, p @ m, atol=tol)
 
-
-class TestKron:
-    def test_identity_times_scalar(self):
-        np.testing.assert_array_equal(kron(np.eye(2), [[5.0]]), np.diag([5.0, 5.0]))
-
-    def test_swap_times_identity(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(kron(swap, np.eye(1)), swap)
-
-    def test_block_scaling(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [0.0, 0.0]])
-        out = kron(a, b)
-        expected = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = a[i, j] * b
-        np.testing.assert_array_equal(out, expected)
-
-    def test_mixed_product_property(self):
-        rng = np.random.RandomState(5)
-        for _ in range(20):
-            a = rng.randn(2, 3)
-            c = rng.randn(3, 2)
-            b = rng.randn(3, 2)
-            d = rng.randn(2, 4)
-            np.testing.assert_allclose(
-                kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-10
-            )
-
-
-class TestPositiveDefinite:
-    def test_diagonal_true(self):
-        assert is_positive_definite(np.diag([1.0, 2.0]))
-
-    def test_tiny_negative_entry(self):
-        assert not is_positive_definite(np.diag([1.0, -1e-8]))
-
-    def test_margin_shifts_the_test(self):
-        assert not is_positive_definite(np.diag([1.0, 2.0]), margin=1.5)
-        assert is_positive_definite(np.diag([1.0, 2.0]), margin=0.5)
-
-    def test_negative_definite_via_negation(self):
-        assert is_positive_definite(-np.diag([-1.0, -2.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
-            is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-class TestHermitianEmbedding:
-    def test_real_identity(self):
-        np.testing.assert_array_equal(hermitian_real_embedding(np.eye(2)), np.eye(4))
-
-    def test_block_layout(self):
-        p = np.array([[2.0, 1j], [-1j, 2.0]])
-        expected = np.array([
-            [2.0, 0.0, 0.0, -1.0],
-            [0.0, 2.0, 1.0, 0.0],
-            [0.0, 1.0, 2.0, 0.0],
-            [-1.0, 0.0, 0.0, 2.0],
-        ])
-        np.testing.assert_array_equal(hermitian_real_embedding(p), expected)
-
-    def test_indefinite_case(self):
-        # eigenvalues of [[1, 2i], [-2i, 1]] are 3 and -1
-        p = np.array([[1.0, 2j], [-2j, 1.0]])
-        emb = hermitian_real_embedding(p)
-        np.testing.assert_allclose(
-            np.linalg.eigvalsh(emb), [-1.0, -1.0, 3.0, 3.0], atol=1e-12
-        )
-
-    def test_eigenvalues_doubled(self):
-        rng = np.random.RandomState(2)
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            x = rng.randn(n, n)
-            y = rng.randn(n, n)
-            p = x @ x.T + 1j * (y - y.T)
-            emb = hermitian_real_embedding(p)
-            want = np.repeat(np.linalg.eigvalsh(p), 2)
-            np.testing.assert_allclose(np.linalg.eigvalsh(emb), want, atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_real_embedding(np.array([[1.0, 1j], [1j, 1.0]]))

@@ -7,9 +7,8 @@ from folmi.errors import (
     ShapeMismatchError,
 )
 from folmi.stability import (
+    analysis_feasible,
     closed_loop,
-    low_alpha_lmi_feasible,
-    high_alpha_lmi_feasible,
     sector_margin,
     sector_margins,
 )
@@ -58,21 +57,17 @@ class TestSectorMargin:
 
 class TestLowAlphaLmi:
     def test_stable_scalar_feasible(self):
-        cert = low_alpha_lmi_feasible(np.array([[-1.0]]), 0.5)
+        cert = analysis_feasible(np.array([[-1.0]]), 0.5)
         assert cert.feasible
         assert cert.x.real[0, 0] > 0
 
     def test_unstable_scalar_infeasible(self):
-        assert not low_alpha_lmi_feasible(np.array([[1.0]]), 0.5).feasible
-
-    def test_alpha_range(self):
-        with pytest.raises(AlphaOutOfRangeError):
-            low_alpha_lmi_feasible(np.eye(2), 1.2)
+        assert not analysis_feasible(np.array([[1.0]]), 0.5).feasible
 
     def test_certificate_satisfies_inequality(self):
         a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.0, 0.5], [0.3, 0.0, -1.5]])
         alpha = 0.6
-        cert = low_alpha_lmi_feasible(a, alpha)
+        cert = analysis_feasible(a, alpha)
         assert cert.feasible
         self._check_low_alpha_certificate(a, alpha, cert.x)
 
@@ -91,7 +86,7 @@ class TestLowAlphaLmi:
 
     def test_certificate_scaling_invariance(self):
         a = np.array([[-1.0, 0.4], [0.0, -0.8]])
-        cert = low_alpha_lmi_feasible(a, 0.3)
+        cert = analysis_feasible(a, 0.3)
         for scale in (0.5, 3.0, 100.0):
             self._check_low_alpha_certificate(a, 0.3, cert.x, scale)
 
@@ -103,28 +98,24 @@ class TestLowAlphaLmi:
                 rep = sector_margin(a, alpha)
                 if abs(rep.margin) <= 1e-3:
                     continue
-                assert low_alpha_lmi_feasible(a, alpha).feasible == rep.stable
+                assert analysis_feasible(a, alpha).feasible == rep.stable
 
 
 class TestHighAlphaLmi:
     def test_stable_scalar_feasible(self):
-        assert high_alpha_lmi_feasible(np.array([[-1.0]]), 1.5).feasible
+        assert analysis_feasible(np.array([[-1.0]]), 1.5).feasible
 
     def test_rotation_infeasible_at_alpha_12(self):
         # eigenvalues at |arg| = pi/2 sit inside the 0.6 pi boundary
-        assert not high_alpha_lmi_feasible(ROTATION, 1.2).feasible
+        assert not analysis_feasible(ROTATION, 1.2).feasible
 
     def test_alpha_one_uses_high_alpha_regime(self):
-        assert high_alpha_lmi_feasible(np.array([[-1.0]]), 1.0).feasible
-
-    def test_alpha_range(self):
-        with pytest.raises(AlphaOutOfRangeError):
-            high_alpha_lmi_feasible(np.eye(2), 0.5)
+        assert analysis_feasible(np.array([[-1.0]]), 1.0).feasible
 
     def test_certificate_satisfies_inequality(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
         alpha = 1.5
-        cert = high_alpha_lmi_feasible(a, alpha)
+        cert = analysis_feasible(a, alpha)
         assert cert.feasible
         self._check_high_alpha_certificate(a, alpha, cert.x)
 
@@ -143,7 +134,7 @@ class TestHighAlphaLmi:
 
     def test_certificate_scaling_invariance(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
-        cert = high_alpha_lmi_feasible(a, 1.2)
+        cert = analysis_feasible(a, 1.2)
         for scale in (0.5, 3.0, 100.0):
             self._check_high_alpha_certificate(a, 1.2, cert.x, scale)
 
@@ -155,7 +146,37 @@ class TestHighAlphaLmi:
                 rep = sector_margin(a, alpha)
                 if abs(rep.margin) <= 1e-3:
                     continue
-                assert high_alpha_lmi_feasible(a, alpha).feasible == rep.stable
+                assert analysis_feasible(a, alpha).feasible == rep.stable
+
+
+# (status, Newton iterations) of analysis_feasible on the matrices
+# randn(3, 3) - 1.5 I drawn from RandomState(5), ten per alpha.  The counts
+# pin the barrier path of each regime: the symmetric regime's operand is
+# A^T, and A, though it decides the same question, takes other steps.
+ANALYSIS_PINS = {
+    0.3: [("FEASIBLE", 6), ("FEASIBLE", 9), ("FEASIBLE", 10), ("FEASIBLE", 8),
+          ("FEASIBLE", 11), ("FEASIBLE", 9), ("INFEASIBLE", 68), ("INFEASIBLE", 68),
+          ("INFEASIBLE", 67), ("INFEASIBLE", 68)],
+    0.75: [("FEASIBLE", 11), ("FEASIBLE", 12), ("FEASIBLE", 14), ("FEASIBLE", 13),
+           ("FEASIBLE", 13), ("FEASIBLE", 12), ("INFEASIBLE", 70), ("INFEASIBLE", 70),
+           ("INFEASIBLE", 67), ("INFEASIBLE", 69)],
+    1.2: [("FEASIBLE", 8), ("INFEASIBLE", 68), ("FEASIBLE", 11), ("FEASIBLE", 9),
+          ("FEASIBLE", 11), ("FEASIBLE", 11), ("INFEASIBLE", 69), ("INFEASIBLE", 70),
+          ("INFEASIBLE", 68), ("INFEASIBLE", 69)],
+    1.8: [("INFEASIBLE", 63), ("INFEASIBLE", 65), ("INFEASIBLE", 66), ("FEASIBLE", 7),
+          ("FEASIBLE", 15), ("INFEASIBLE", 63), ("INFEASIBLE", 66), ("INFEASIBLE", 67),
+          ("INFEASIBLE", 65), ("INFEASIBLE", 66)],
+}
+
+
+@pytest.mark.parametrize("alpha", list(ANALYSIS_PINS))
+def test_analysis_solves_are_pinned(alpha):
+    rng = np.random.RandomState(5)
+    got = []
+    for _ in ANALYSIS_PINS[alpha]:
+        sol = analysis_feasible(rng.randn(3, 3) - 1.5 * np.eye(3), alpha).solution
+        got.append((sol.status.name, sol.iterations))
+    assert got == ANALYSIS_PINS[alpha]
 
 
 class TestSectorMargins:

@@ -23,14 +23,12 @@ from folmi.lmi import (
     evaluate_constraint,
     solve_feasibility,
 )
-from folmi.stability import closed_loop, sector_margin
+from folmi.stability import analysis_feasible, closed_loop, sector_margin
 from folmi.synthesis import (
     DynamicController,
-    assemble_low_alpha,
-    assemble_high_alpha,
+    assemble,
     certify,
-    recover_low_alpha,
-    recover_high_alpha,
+    recover,
     synthesize,
 )
 from tests.test_interval import example1_system
@@ -96,26 +94,21 @@ class TestControllerType:
 class TestAssembleLowAlpha:
     def test_example1_static_order_feasible(self):
         sys = example1_system()
-        asm = assemble_low_alpha(decompose(sys), sys.c, 0.75, 0)
+        asm = assemble(decompose(sys), sys.c, 0.75, 0)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
 
     def test_example1_order_two_feasible(self):
         sys = example1_system()
-        asm = assemble_low_alpha(decompose(sys), sys.c, 0.75, 2)
+        asm = assemble(decompose(sys), sys.c, 0.75, 2)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
-
-    def test_alpha_range(self):
-        sys = example1_system()
-        with pytest.raises(AlphaOutOfRangeError):
-            assemble_low_alpha(decompose(sys), sys.c, 1.2, 0)
 
     def test_certain_scalar_reduces_to_core_inequality(self):
         # a = 5, b = 1, c = 1, zero radii: static stabilizability matches a
         # direct sweep of the scalar closed loop a + b*d*c over d
         sys = certain_scalar_system(5.0, 1.0, 1.0, 0.5)
-        asm = assemble_low_alpha(decompose(sys), sys.c, 0.5, 0)
+        asm = assemble(decompose(sys), sys.c, 0.5, 0)
         assert not asm.uncertain
         assert len(asm.problem.constraints) == 2  # core block + P_S positivity
         sol = solve_feasibility(asm.problem)
@@ -124,35 +117,31 @@ class TestAssembleLowAlpha:
             for d in np.arange(-50.0, 10.0, 0.25)
         )
         assert (sol.status is SdpStatus.FEASIBLE) == sweep_feasible
-        k = recover_low_alpha(asm, sol)
+        k = recover(asm, sol)
         assert sector_margin([[5.0 + k.d_c[0, 0]]], 0.5).stable
 
 
 class TestAssembleHighAlpha:
     def test_example2_static_order_feasible(self):
         sys = example2_system()
-        asm = assemble_high_alpha(decompose(sys), sys.c, 1.2, 0)
+        asm = assemble(decompose(sys), sys.c, 1.2, 0)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
 
     def test_example2_order_three_feasible(self):
         sys = example2_system()
-        asm = assemble_high_alpha(decompose(sys), sys.c, 1.2, 3)
+        asm = assemble(decompose(sys), sys.c, 1.2, 3)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
 
     def test_stable_certain_scalar_zero_gain_admissible(self):
         sys = certain_scalar_system(-1.0, 1.0, 1.0, 1.5)
-        asm = assemble_high_alpha(decompose(sys), sys.c, 1.5, 0)
+        asm = assemble(decompose(sys), sys.c, 1.5, 0)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
-        k = recover_high_alpha(asm, sol)
+        k = recover(asm, sol)
         assert sector_margin([[-1.0 + k.d_c[0, 0]]], 1.5).stable
 
-    def test_alpha_range(self):
-        sys = example2_system()
-        with pytest.raises(AlphaOutOfRangeError):
-            assemble_high_alpha(decompose(sys), sys.c, 0.75, 0)
 
 
 class TestRecoverLowAlpha:
@@ -160,33 +149,33 @@ class TestRecoverLowAlpha:
         # theta = pi/8 (alpha = 0.75): Q = 2 cos(pi/8) X, so T1 = -3.6955 I
         # against X_C = I recovers A_c = -2 I
         sys = example1_system()
-        asm = assemble_low_alpha(decompose(sys), sys.c, 0.75, 2)
+        asm = assemble(decompose(sys), sys.c, 0.75, 2)
         v = np.zeros(asm.problem.num_vars)
-        set_block(v, asm.blocks["xs"], np.eye(3))
-        set_block(v, asm.blocks["xc"], np.eye(2))
+        set_block(v, asm.blocks["s"][0], np.eye(3))
+        set_block(v, asm.blocks["c"][0], np.eye(2))
         set_block(v, asm.blocks["t1"], -3.6955 * np.eye(2))
-        k = recover_low_alpha(asm, FakeSolution(v))
+        k = recover(asm, FakeSolution(v))
         np.testing.assert_allclose(k.a_c, -2.0 * np.eye(2), atol=1e-4)
 
     def test_zero_t2_gives_zero_bc(self):
         sys = example1_system()
-        asm = assemble_low_alpha(decompose(sys), sys.c, 0.75, 1)
+        asm = assemble(decompose(sys), sys.c, 0.75, 1)
         v = np.zeros(asm.problem.num_vars)
-        set_block(v, asm.blocks["xs"], np.diag([1.0, 2.0, 3.0]))
-        set_block(v, asm.blocks["xc"], np.eye(1))
+        set_block(v, asm.blocks["s"][0], np.diag([1.0, 2.0, 3.0]))
+        set_block(v, asm.blocks["c"][0], np.eye(1))
         np.testing.assert_array_equal(
-            recover_low_alpha(asm, FakeSolution(v)).b_c, np.zeros((1, 1))
+            recover(asm, FakeSolution(v)).b_c, np.zeros((1, 1))
         )
 
     def test_dc_uses_pseudo_inverse_of_c(self):
         # C = [1 0 1]: pinv factor is [0.5, 0, 0.5]^T
         sys = example1_system()
-        asm = assemble_low_alpha(decompose(sys), sys.c, 0.75, 0)
+        asm = assemble(decompose(sys), sys.c, 0.75, 0)
         v = np.zeros(asm.problem.num_vars)
-        set_block(v, asm.blocks["xs"], np.eye(3))
+        set_block(v, asm.blocks["s"][0], np.eye(3))
         t4 = np.array([[4.0, 7.0, 2.0]])
         set_block(v, asm.blocks["t4"], t4)
-        k = recover_low_alpha(asm, FakeSolution(v))
+        k = recover(asm, FakeSolution(v))
         q_s = 2.0 * np.cos(np.pi / 8) * np.eye(3)
         want = t4 @ np.linalg.inv(q_s) @ np.array([[0.5], [0.0], [0.5]])
         np.testing.assert_allclose(k.d_c, want, atol=1e-12)
@@ -195,33 +184,56 @@ class TestRecoverLowAlpha:
 class TestRecoverHighAlpha:
     def test_scalar_division(self):
         sys = example2_system()
-        asm = assemble_high_alpha(decompose(sys), sys.c, 1.2, 2)
+        asm = assemble(decompose(sys), sys.c, 1.2, 2)
         v = np.zeros(asm.problem.num_vars)
-        set_block(v, asm.blocks["ps"], np.eye(3))
-        set_block(v, asm.blocks["pc"], 2.0 * np.eye(2))
+        set_block(v, asm.blocks["s"][0], np.eye(3))
+        set_block(v, asm.blocks["c"][0], 2.0 * np.eye(2))
         set_block(v, asm.blocks["t1"], -0.2778 * np.eye(2))
-        k = recover_high_alpha(asm, FakeSolution(v))
+        k = recover(asm, FakeSolution(v))
         np.testing.assert_allclose(k.a_c, -0.1389 * np.eye(2), atol=1e-12)
 
     def test_zero_t3_gives_zero_cc(self):
         sys = example2_system()
-        asm = assemble_high_alpha(decompose(sys), sys.c, 1.2, 1)
+        asm = assemble(decompose(sys), sys.c, 1.2, 1)
         v = np.zeros(asm.problem.num_vars)
-        set_block(v, asm.blocks["ps"], np.eye(3))
-        set_block(v, asm.blocks["pc"], np.eye(1))
+        set_block(v, asm.blocks["s"][0], np.eye(3))
+        set_block(v, asm.blocks["c"][0], np.eye(1))
         np.testing.assert_array_equal(
-            recover_high_alpha(asm, FakeSolution(v)).c_c, np.zeros((1, 1))
+            recover(asm, FakeSolution(v)).c_c, np.zeros((1, 1))
         )
 
     def test_dc_pinv_with_sign(self):
         # C = [1 0 -1]: pinv is [0.5, 0, -0.5]^T so T4 = [t 0 0] maps to t/2
         sys = example2_system()
-        asm = assemble_high_alpha(decompose(sys), sys.c, 1.2, 0)
+        asm = assemble(decompose(sys), sys.c, 1.2, 0)
         v = np.zeros(asm.problem.num_vars)
-        set_block(v, asm.blocks["ps"], np.eye(3))
+        set_block(v, asm.blocks["s"][0], np.eye(3))
         set_block(v, asm.blocks["t4"], np.array([[3.0, 0.0, 0.0]]))
-        k = recover_high_alpha(asm, FakeSolution(v))
+        k = recover(asm, FakeSolution(v))
         assert k.d_c[0, 0] == pytest.approx(1.5, abs=1e-12)
+
+
+class TestRegimeSwitch:
+    def test_alpha_range(self):
+        # a scalar plant with two uncertain entries: one lift copy of
+        # n + n_c + 2 rows below alpha = 1, two copies from alpha = 1 up
+        def plant(alpha):
+            return UncertainFoltiSystem(
+                alpha, IntervalMatrix(np.array([[-1.1]]), np.array([[-0.9]])),
+                IntervalMatrix(np.array([[0.9]]), np.array([[1.1]])), np.array([[1.0]]))
+
+        low, _ = synthesize(plant(0.999), 0, sample_count=5)
+        assert np.iscomplexobj(low.p_s) and low.schur_dim == 1 + 2
+        high, _ = synthesize(plant(1.0), 0, sample_count=5)
+        assert np.isrealobj(high.p_s) and high.schur_dim == 2 * (1 + 2)
+        assert np.iscomplexobj(analysis_feasible([[-1.0]], 0.999).x)
+        assert np.isrealobj(analysis_feasible([[-1.0]], 1.0).x)
+        factors = decompose(plant(0.5))
+        for alpha in (0.0, 2.0, -0.5, 2.5):
+            with pytest.raises(AlphaOutOfRangeError):
+                analysis_feasible([[-1.0]], alpha)
+            with pytest.raises(AlphaOutOfRangeError):
+                assemble(factors, [[1.0]], alpha, 0)
 
 
 class TestAssemblyStructure:
@@ -242,16 +254,16 @@ class TestAssemblyStructure:
     def test_low_alpha_sigma_is_closed_loop_analysis_form(self):
         sys_ = self._certain_square_plant(0.6)
         n_c = 2
-        asm = assemble_low_alpha(decompose(sys_), sys_.c, 0.6, n_c)
+        asm = assemble(decompose(sys_), sys_.c, 0.6, n_c)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
-        k = recover_low_alpha(asm, sol)
+        k = recover(asm, sol)
         v = sol.values
-        theta = asm.theta
-        q_s = 2 * np.cos(theta) * asm.blocks["xs"].value(v) \
-            - 2 * np.sin(theta) * asm.blocks["ys"].value(v)
-        q_c = 2 * np.cos(theta) * asm.blocks["xc"].value(v) \
-            - 2 * np.sin(theta) * asm.blocks["yc"].value(v)
+        theta = asm.regime.theta
+        q_s = 2 * np.cos(theta) * asm.blocks["s"][0].value(v) \
+            - 2 * np.sin(theta) * asm.blocks["s"][1].value(v)
+        q_c = 2 * np.cos(theta) * asm.blocks["c"][0].value(v) \
+            - 2 * np.sin(theta) * asm.blocks["c"][1].value(v)
         q = np.block([
             [q_s, np.zeros((3, n_c))],
             [np.zeros((n_c, 3)), q_c],
@@ -266,19 +278,19 @@ class TestAssemblyStructure:
     def test_high_alpha_sigma_is_rotated_analysis_form(self):
         sys_ = self._certain_square_plant(1.4, shift=2.0)
         n_c = 2
-        asm = assemble_high_alpha(decompose(sys_), sys_.c, 1.4, n_c)
+        asm = assemble(decompose(sys_), sys_.c, 1.4, n_c)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
-        k = recover_high_alpha(asm, sol)
+        k = recover(asm, sol)
         v = sol.values
-        p_s = asm.blocks["ps"].value(v)
-        p_c = asm.blocks["pc"].value(v)
+        p_s = asm.blocks["s"][0].value(v)
+        p_c = asm.blocks["c"][0].value(v)
         p = np.block([
             [p_s, np.zeros((3, n_c))],
             [np.zeros((n_c, 3)), p_c],
         ])
         a_cl = closed_loop(sys_.a.lower, sys_.b.lower, sys_.c, k)
-        st, ct = np.sin(asm.theta), np.cos(asm.theta)
+        st, ct = np.sin(asm.regime.theta), np.cos(asm.regime.theta)
         g_s = a_cl @ p + p @ a_cl.T
         g_k = a_cl @ p - p @ a_cl.T
         analysis_form = np.block([[g_s * st, g_k * ct], [-g_k * ct, g_s * st]])
@@ -291,7 +303,7 @@ class TestAssemblyStructure:
         # eliminating the multiplier block by hand must reproduce the
         # quadratic bound Sigma + eta M M^T + (1/eta) R^T R < 0
         sys_ = example1_system()
-        asm = assemble_low_alpha(decompose(sys_), sys_.c, 0.75, 1)
+        asm = assemble(decompose(sys_), sys_.c, 0.75, 1)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
         big = asm.problem.constraints[0].constant.copy()
@@ -490,11 +502,11 @@ class TestSynthesize:
         # scaling the whole certificate leaves the controller unchanged
         sys = example1_system()
         factors = decompose(sys)
-        asm = assemble_low_alpha(factors, sys.c, 0.75, 1)
+        asm = assemble(factors, sys.c, 0.75, 1)
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
-        k1 = recover_low_alpha(asm, sol)
-        k2 = recover_low_alpha(asm, FakeSolution(sol.values * 7.5))
+        k1 = recover(asm, sol)
+        k2 = recover(asm, FakeSolution(sol.values * 7.5))
         np.testing.assert_allclose(k1.a_c, k2.a_c, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(k1.d_c, k2.d_c, rtol=1e-9, atol=1e-12)
 
@@ -522,14 +534,15 @@ def full_lift_schur(factors, asm, v, sigma):
     """The synthesis block with one lift row per uncertain entry, rebuilt
     from ``factors.r_a`` / ``factors.r_b`` at the decision vector ``v``."""
     b = asm.blocks
-    if "xs" in b:
-        cert = 2.0 * np.cos(asm.theta) * b["xs"].value(v) \
-            - 2.0 * np.sin(asm.theta) * b["ys"].value(v)
+    if asm.alpha < 1.0:
+        x, y = b["s"]
+        cert = 2.0 * np.cos(asm.regime.theta) * x.value(v) \
+            - 2.0 * np.sin(asm.regime.theta) * y.value(v)
         copies = 1
     else:
-        cert = b["ps"].value(v)
+        cert = b["s"][0].value(v)
         copies = 2
-    n, n_c = asm.n, asm.n_c
+    n, n_c = factors.n, asm.n_c
     eta = float(b["eta"].value(v)[0, 0])
     t3, t4 = b["t3"].value(v), b["t4"].value(v)
     r_one = np.block([
@@ -602,7 +615,6 @@ class TestCompressedLift:
     def test_full_lift_spectrum_and_barrier(self, alpha, kind, n_c):
         sys_ = lift_plant(alpha, kind)
         factors = decompose(sys_)
-        assemble = assemble_low_alpha if alpha < 1.0 else assemble_high_alpha
         asm = assemble(factors, sys_.c, alpha, n_c)
         # the core inequality of the same midpoint plant, no uncertainty:
         # same variables except eta, which every assembly declares last
@@ -650,23 +662,24 @@ class TestCompressedLift:
         # and of the 8 kept lift rows, in place of 2 * 48 lift rows
         sys_ = lift_plant(1.3, "n6")
         for n_c in (0, 2):
-            asm = assemble_high_alpha(decompose(sys_), sys_.c, 1.3, n_c)
+            asm = assemble(decompose(sys_), sys_.c, 1.3, n_c)
             assert asm.problem.constraints[0].dim == 2 * (6 + n_c) + 2 * 8
             assert asm.problem.constraints[1].dim == 1 + 2 * 40
 
 
 # (min_sector_margin, passed, worst f_a, worst f_b) of synthesize(sys, n_c,
-# sample_count=20, seed=0) with the one-row-per-entry lift.  Signs of the
-# worst vertex are written "+", "-", and "0" for a zero radius.
+# sample_count=20, seed=0) with the one-row-per-entry lift, then the
+# (solver_iterations, schur_dim) of the compressed lift's final solve.
+# Signs of the worst vertex are written "+", "-", and "0" for a zero radius.
 GOLDEN = {
-    "example1-nc0": (0.1999717907563221, True, "-++-++-++", "++0"),
-    "example1-nc1": (0.19974327504726164, True, "-++-++-++", "++0"),
-    "example1-nc2": (0.1995941534371728, True, "-++-++-++", "++0"),
-    "example1-nc3": (0.19950333824935473, True, "-++-++-++", "++0"),
-    "example2-nc0": (-1.8849555921538759, False, "+-+------", "---"),
-    "example2-nc1": (-1.8849555921538759, False, "+-+------", "---"),
-    "example2-nc2": (-1.8849555921538759, False, "+-+------", "---"),
-    "example2-nc3": (-1.8849555921538759, False, "+--------", "---"),
+    "example1-nc0": (0.1999717907563221, True, "-++-++-++", "++0", 39, 7),
+    "example1-nc1": (0.19974327504726164, True, "-++-++-++", "++0", 41, 8),
+    "example1-nc2": (0.1995941534371728, True, "-++-++-++", "++0", 43, 9),
+    "example1-nc3": (0.19950333824935473, True, "-++-++-++", "++0", 45, 10),
+    "example2-nc0": (-1.8849555921538759, False, "+-+------", "---", 30, 14),
+    "example2-nc1": (-1.8849555921538759, False, "+-+------", "---", 31, 16),
+    "example2-nc2": (-1.8849555921538759, False, "+-+------", "---", 32, 18),
+    "example2-nc3": (-1.8849555921538759, False, "+--------", "---", 32, 20),
 }
 
 
@@ -677,11 +690,13 @@ def signs(text):
 class TestGoldenAnswers:
     def test_fixture_designs_match_the_full_lift_answers(self, fixture_designs):
         assert [name for name, *_ in fixture_designs] == list(GOLDEN)
-        for name, _, _, report in fixture_designs:
-            margin, passed, f_a, f_b = GOLDEN[name]
+        for name, _, result, report in fixture_designs:
+            margin, passed, f_a, f_b, iterations, schur_dim = GOLDEN[name]
             assert abs(report.min_sector_margin - margin) <= 1e-9, name
             assert report.passed is passed, name
             np.testing.assert_array_equal(report.worst_realization.f_a, signs(f_a),
                                           err_msg=name)
             np.testing.assert_array_equal(report.worst_realization.f_b, signs(f_b),
                                           err_msg=name)
+            assert (result.solver_iterations, result.schur_dim) == \
+                (iterations, schur_dim), name
