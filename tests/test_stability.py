@@ -64,6 +64,13 @@ class TestLowAlphaLmi:
     def test_unstable_scalar_infeasible(self):
         assert not analysis_feasible(np.array([[1.0]]), 0.5).feasible
 
+    def test_alpha_range(self):
+        # just below alpha = 1 the certificate is Hermitian, X + iY
+        assert np.iscomplexobj(analysis_feasible([[-1.0]], 0.999).x)
+        for alpha in (0.0, -0.5):
+            with pytest.raises(AlphaOutOfRangeError):
+                analysis_feasible(np.eye(2), alpha)
+
     def test_certificate_satisfies_inequality(self):
         a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.0, 0.5], [0.3, 0.0, -1.5]])
         alpha = 0.6
@@ -111,6 +118,13 @@ class TestHighAlphaLmi:
 
     def test_alpha_one_uses_high_alpha_regime(self):
         assert analysis_feasible(np.array([[-1.0]]), 1.0).feasible
+
+    def test_alpha_range(self):
+        # from alpha = 1 up the certificate is the real symmetric P
+        assert np.isrealobj(analysis_feasible([[-1.0]], 1.0).x)
+        for alpha in (2.0, 2.5):
+            with pytest.raises(AlphaOutOfRangeError):
+                analysis_feasible(np.eye(2), alpha)
 
     def test_certificate_satisfies_inequality(self):
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])

@@ -23,7 +23,7 @@ from folmi.lmi import (
     evaluate_constraint,
     solve_feasibility,
 )
-from folmi.stability import analysis_feasible, closed_loop, sector_margin
+from folmi.stability import closed_loop, sector_margin
 from folmi.synthesis import (
     DynamicController,
     assemble,
@@ -91,6 +91,14 @@ class TestControllerType:
         np.testing.assert_array_equal(k0.d_c, k02.d_c)
 
 
+def two_entry_scalar_plant(alpha):
+    # a scalar plant with two uncertain entries: one lift copy of
+    # n + n_c + 2 rows below alpha = 1, two copies from alpha = 1 up
+    return UncertainFoltiSystem(
+        alpha, IntervalMatrix(np.array([[-1.1]]), np.array([[-0.9]])),
+        IntervalMatrix(np.array([[0.9]]), np.array([[1.1]])), np.array([[1.0]]))
+
+
 class TestAssembleLowAlpha:
     def test_example1_static_order_feasible(self):
         sys = example1_system()
@@ -120,6 +128,14 @@ class TestAssembleLowAlpha:
         k = recover(asm, sol)
         assert sector_margin([[5.0 + k.d_c[0, 0]]], 0.5).stable
 
+    def test_alpha_range(self):
+        low, _ = synthesize(two_entry_scalar_plant(0.999), 0, sample_count=5)
+        assert np.iscomplexobj(low.p_s) and low.schur_dim == 1 + 2
+        sys = example1_system()
+        for alpha in (0.0, -0.5):
+            with pytest.raises(AlphaOutOfRangeError):
+                assemble(decompose(sys), sys.c, alpha, 0)
+
 
 class TestAssembleHighAlpha:
     def test_example2_static_order_feasible(self):
@@ -141,6 +157,14 @@ class TestAssembleHighAlpha:
         assert sol.status is SdpStatus.FEASIBLE
         k = recover(asm, sol)
         assert sector_margin([[-1.0 + k.d_c[0, 0]]], 1.5).stable
+
+    def test_alpha_range(self):
+        high, _ = synthesize(two_entry_scalar_plant(1.0), 0, sample_count=5)
+        assert np.isrealobj(high.p_s) and high.schur_dim == 2 * (1 + 2)
+        sys = example2_system()
+        for alpha in (2.0, 2.5):
+            with pytest.raises(AlphaOutOfRangeError):
+                assemble(decompose(sys), sys.c, alpha, 0)
 
 
 
@@ -211,29 +235,6 @@ class TestRecoverHighAlpha:
         set_block(v, asm.blocks["t4"], np.array([[3.0, 0.0, 0.0]]))
         k = recover(asm, FakeSolution(v))
         assert k.d_c[0, 0] == pytest.approx(1.5, abs=1e-12)
-
-
-class TestRegimeSwitch:
-    def test_alpha_range(self):
-        # a scalar plant with two uncertain entries: one lift copy of
-        # n + n_c + 2 rows below alpha = 1, two copies from alpha = 1 up
-        def plant(alpha):
-            return UncertainFoltiSystem(
-                alpha, IntervalMatrix(np.array([[-1.1]]), np.array([[-0.9]])),
-                IntervalMatrix(np.array([[0.9]]), np.array([[1.1]])), np.array([[1.0]]))
-
-        low, _ = synthesize(plant(0.999), 0, sample_count=5)
-        assert np.iscomplexobj(low.p_s) and low.schur_dim == 1 + 2
-        high, _ = synthesize(plant(1.0), 0, sample_count=5)
-        assert np.isrealobj(high.p_s) and high.schur_dim == 2 * (1 + 2)
-        assert np.iscomplexobj(analysis_feasible([[-1.0]], 0.999).x)
-        assert np.isrealobj(analysis_feasible([[-1.0]], 1.0).x)
-        factors = decompose(plant(0.5))
-        for alpha in (0.0, 2.0, -0.5, 2.5):
-            with pytest.raises(AlphaOutOfRangeError):
-                analysis_feasible([[-1.0]], alpha)
-            with pytest.raises(AlphaOutOfRangeError):
-                assemble(factors, [[1.0]], alpha, 0)
 
 
 class TestAssemblyStructure:
