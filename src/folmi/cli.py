@@ -25,7 +25,6 @@ from .errors import (
     InfeasibleError,
     ParseError,
     ShapeMismatchError,
-    SolverFailureError,
     ValidationError,
 )
 from .fosim import simulate, trajectory_to_csv
@@ -101,6 +100,14 @@ def _scalar(value, kind, name):
         raise ParseError(f"field '{name}' must be {what}, got {value!r}") from exc
 
 
+def _object(data, key, default):
+    """``data[key]`` if it is a JSON object, ``default`` if it is absent."""
+    value = data.get(key, default)
+    if value is not default and not isinstance(value, dict):
+        raise ParseError(f"field '{key}' must be an object, got {value!r}")
+    return value
+
+
 def _matrix_field(data, key, path):
     if key not in data:
         raise ParseError(f"{path}: missing field '{key}'")
@@ -149,9 +156,9 @@ def parse_config(path):
         b_upper=_matrix_field(data, "b_upper", path),
         c=_matrix_field(data, "c", path),
         n_c=_scalar(data.get("n_c", 0), int, "n_c"),
-        solver=dict(data.get("solver", {})),
-        certify=dict(data.get("certify", {})),
-        simulate=data.get("simulate"),
+        solver=dict(_object(data, "solver", {})),
+        certify=dict(_object(data, "certify", {})),
+        simulate=_object(data, "simulate", None),
         raw=data,
     )
     if not 0.0 < alpha < 2.0:
@@ -165,6 +172,7 @@ def parse_config(path):
         for key in ("x0", "t_end", "h"):
             if key not in sim:
                 raise ValidationError(f"simulate block missing '{key}'")
+        _matrix_field(sim, "x0", f"{path}: simulate")  # numeric, or ParseError
         h = _scalar(sim["h"], float, "simulate.h")
         if h <= 0:
             raise ValidationError("simulate step h must be positive")
@@ -245,26 +253,17 @@ def cmd_synth(config, out_path=None, report_path=None):
         result, cert = synthesize(
             sys_, config.n_c, config.solver_config(), **config.certify_config()
         )
-    except InfeasibleError as exc:
+    except FolmiError as exc:
+        infeasible = isinstance(exc, InfeasibleError)
         report = {
             "command": "synth",
             "config": config.raw,
-            "status": "INFEASIBLE",
+            "status": "INFEASIBLE" if infeasible else "SOLVER_ERROR",
             "detail": str(exc),
             "timings": {"total_s": time.perf_counter() - t_start},
         }
         _write_report(report, report_path)
-        return report, EXIT_INFEASIBLE
-    except (SolverFailureError, FolmiError) as exc:
-        report = {
-            "command": "synth",
-            "config": config.raw,
-            "status": "SOLVER_ERROR",
-            "detail": str(exc),
-            "timings": {"total_s": time.perf_counter() - t_start},
-        }
-        _write_report(report, report_path)
-        return report, EXIT_SOLVER_ERROR
+        return report, EXIT_INFEASIBLE if infeasible else EXIT_SOLVER_ERROR
 
     log.debug("synth: solver %s, min margin %g over %d vertices + %d samples",
               result.solver_status.name, cert.min_sector_margin,

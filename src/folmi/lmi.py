@@ -10,14 +10,15 @@ assemble the synthesis inequalities readably.
 Feasibility of a system of strict definiteness constraints is decided by a
 log-det barrier method on the epigraph form
 
-    minimize t  s.t.  F_j(x) <= t*I  for all j,  |x_i| <= R_box,
+    minimize t  s.t.  F_j(x) <= t*I  for all j,  |x_i| <= R_BOX,
 
 where each constraint is oriented so that negative definiteness is the
 goal.  The problem is declared FEASIBLE once an interior point reaches
 ``t <= -eps_margin`` (the point is re-audited before being returned) and
 INFEASIBLE once the barrier duality bound proves ``min t > -eps_margin``.
-Everything is dense and deterministic; blocks stay well under 100x100 at
-the scales this toolkit targets.
+The box bound ``R_BOX`` and the barrier weight's growth factor ``MU_FACTOR``
+are module constants.  Everything is dense and deterministic; blocks stay
+well under 100x100 at the scales this toolkit targets.
 """
 
 import enum
@@ -31,6 +32,8 @@ from .errors import (
 )
 
 _SYM_TOL = 1e-9
+R_BOX = 1e6
+MU_FACTOR = 30.0
 
 
 class Sense(enum.Enum):
@@ -199,7 +202,6 @@ class VariableBlock:
     kind: str
     rows: int
     cols: int
-    start: int
     indices: tuple
 
     def basis(self):
@@ -247,10 +249,7 @@ class VariableBlock:
 
     def value(self, values):
         """Reconstruct the block matrix from a flat variable vector."""
-        out = np.zeros((self.rows, self.cols))
-        for k, e in self.basis():
-            out += values[k] * e
-        return out
+        return self.expr().value(values)
 
 
 @dataclass(frozen=True)
@@ -281,21 +280,21 @@ class LmiProblem:
     def declare_symmetric_block(self, dim, name="S"):
         """Symmetric dim x dim block: dim*(dim+1)/2 variables."""
         idx = self._new_vars(dim * (dim + 1) // 2, name)
-        return VariableBlock("symmetric", dim, dim, idx[0] if idx else self.num_vars, idx)
+        return VariableBlock("symmetric", dim, dim, idx)
 
     def declare_skew_block(self, dim, name="K"):
         """Skew-symmetric block: dim*(dim-1)/2 variables (0 when dim <= 1)."""
         idx = self._new_vars(dim * (dim - 1) // 2, name)
-        return VariableBlock("skew", dim, dim, idx[0] if idx else self.num_vars, idx)
+        return VariableBlock("skew", dim, dim, idx)
 
     def declare_full_block(self, rows, cols, name="T"):
         """Unstructured rows x cols block: rows*cols variables."""
         idx = self._new_vars(rows * cols, name)
-        return VariableBlock("full", rows, cols, idx[0] if idx else self.num_vars, idx)
+        return VariableBlock("full", rows, cols, idx)
 
     def declare_scalar(self, name="s"):
         idx = self._new_vars(1, name)
-        return VariableBlock("scalar", 1, 1, idx[0], idx)
+        return VariableBlock("scalar", 1, 1, idx)
 
     def add_constraint(self, expr, sense):
         """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr."""
@@ -327,16 +326,15 @@ class SolverConfig:
     before accepting, which yields better-centered certificates without
     chasing the (box-bounded) true optimum.  ``seed`` is carried through
     reports; the algorithm itself is deterministic and never draws
-    randomness.
+    randomness.  The variable box bound and the barrier weight's growth
+    factor are the module constants ``R_BOX`` and ``MU_FACTOR``.
     """
 
     eps_margin: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 200
     seed: int = 0
-    r_box: float = 1e6
     feasibility_depth: float = 1e-3
-    mu_factor: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -400,13 +398,13 @@ class _Block:
         return m
 
 
-def _chol_logdet(s):
-    """Cholesky factor and logdet, or (None, None) if not PD."""
+def _logdet(s):
+    """log det of a symmetric matrix, or None if it is not positive definite."""
     try:
         l = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        return None, None
-    return l, 2.0 * float(np.sum(np.log(np.diag(l))))
+        return None
+    return 2.0 * float(np.sum(np.log(np.diag(l))))
 
 
 def solve_feasibility(problem, cfg=None):
@@ -423,34 +421,33 @@ def solve_feasibility(problem, cfg=None):
         raise IllFormedProblemError("problem has no constraints")
     blocks = [_Block(c) for c in problem.constraints]
     n = problem.num_vars
-    r_box = cfg.r_box
     nu = sum(b.dim for b in blocks) + 2 * n
     depth = max(cfg.eps_margin, cfg.feasibility_depth)
 
-    x = np.zeros(n)
-    t = max(float(np.linalg.eigvalsh(b.const)[-1]) for b in blocks)
-    t = t + 1.0 + 0.1 * abs(t)
-
-    def barrier(xv, tv):
-        """phi value, or None when (xv, tv) is not strictly feasible."""
-        if np.any(np.abs(xv) >= r_box):
+    def point(xv, tv):
+        """``(x, t, phi, slacks S_j = t*I - F_j(x))``, or None when the
+        point is not strictly feasible; the only place slacks are formed."""
+        if np.any(np.abs(xv) >= R_BOX):
             return None
-        total = 0.0
-        for b in blocks:
-            _, ld = _chol_logdet(tv * np.eye(b.dim) - b.matrix(xv))
-            if ld is None:
-                return None
-            total -= ld
-        total -= float(np.sum(np.log(r_box - xv) + np.log(r_box + xv)))
-        return total
-
-    def newton_step(xv, tv, mu):
-        """One damped Newton step on mu*t + phi; returns updated point,
-        squared decrement, and success flag."""
-        grad = np.zeros(n + 1)
-        hess = np.zeros((n + 1, n + 1))
+        slacks = []
+        phi = 0.0
         for b in blocks:
             s = tv * np.eye(b.dim) - b.matrix(xv)
+            ld = _logdet(s)
+            if ld is None:
+                return None
+            phi -= ld
+            slacks.append(s)
+        phi -= float(np.sum(np.log(R_BOX - xv) + np.log(R_BOX + xv)))
+        return xv, tv, phi, slacks
+
+    def newton_step(pt, mu):
+        """One damped Newton step on mu*t + phi from the point ``pt``;
+        returns the accepted point, squared decrement, and success flag."""
+        xv, tv, phi, slacks = pt
+        grad = np.zeros(n + 1)
+        hess = np.zeros((n + 1, n + 1))
+        for b, s in zip(blocks, slacks):
             w = np.linalg.inv(s)
             w = 0.5 * (w + w.T)
             grad[n] -= np.trace(w)
@@ -464,9 +461,9 @@ def solve_feasibility(problem, cfg=None):
                 cross = -(vflat @ w.reshape(-1))  # -tr(V_i W), the x-t coupling
                 hess[b.var_idx, n] += cross
                 hess[n, b.var_idx] += cross
-        grad[:n] += 1.0 / (r_box - xv) - 1.0 / (r_box + xv)
+        grad[:n] += 1.0 / (R_BOX - xv) - 1.0 / (R_BOX + xv)
         hess[:n, :n] += np.diag(
-            1.0 / (r_box - xv) ** 2 + 1.0 / (r_box + xv) ** 2
+            1.0 / (R_BOX - xv) ** 2 + 1.0 / (R_BOX + xv) ** 2
         )
         grad[n] += mu
 
@@ -480,23 +477,24 @@ def solve_feasibility(problem, cfg=None):
             except np.linalg.LinAlgError:
                 jitter = max(jitter * 100.0, 1e-12 * (1 + np.abs(hess).max()))
         else:
-            return xv, tv, 0.0, False
+            return pt, 0.0, False
         step = -np.linalg.solve(l.T, np.linalg.solve(l, grad))
         lam2 = float(-grad @ step)
         if not np.isfinite(lam2) or lam2 < 0:
-            return xv, tv, 0.0, False
+            return pt, 0.0, False
 
-        f0 = mu * tv + barrier(xv, tv)
+        f0 = mu * tv + phi
         alpha = 1.0 if lam2 <= 0.9 else 1.0 / (1.0 + np.sqrt(lam2))
         for _ in range(60):
-            xn = xv + alpha * step[:n]
-            tn = tv + alpha * step[n]
-            phi = barrier(xn, tn)
-            if phi is not None and mu * tn + phi <= f0 - 0.25 * alpha * lam2:
-                return xn, tn, lam2, True
+            trial = point(xv + alpha * step[:n], tv + alpha * step[n])
+            if trial is not None and mu * trial[1] + trial[2] <= f0 - 0.25 * alpha * lam2:
+                return trial, lam2, True
             alpha *= 0.5
-        return xv, tv, lam2, False
+        return pt, lam2, False
 
+    t = max(float(np.linalg.eigvalsh(b.const)[-1]) for b in blocks)
+    pt = point(np.zeros(n), t + 1.0 + 0.1 * abs(t))
+    x, t = pt[:2]
     mu = 1.0 / (1.0 + abs(t))
     iters = 0
     status = SdpStatus.INDETERMINATE
@@ -506,7 +504,8 @@ def solve_feasibility(problem, cfg=None):
         for _ in range(50):
             if iters >= cfg.max_iter or t <= -depth:
                 break
-            x, t, lam2, ok = newton_step(x, t, mu)
+            pt, lam2, ok = newton_step(pt, mu)
+            x, t = pt[:2]
             iters += 1
             if not ok or lam2 <= 1e-2:
                 break
@@ -524,7 +523,7 @@ def solve_feasibility(problem, cfg=None):
                 else SdpStatus.INFEASIBLE
             )
             break
-        mu *= cfg.mu_factor
+        mu *= MU_FACTOR
     else:
         status = (
             SdpStatus.FEASIBLE if t <= -cfg.eps_margin else SdpStatus.INDETERMINATE

@@ -7,6 +7,7 @@ from folmi.cli import (
     EXIT_CERTIFICATION_FAILED,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_SOLVER_ERROR,
     EXIT_USAGE,
     cmd_check,
     cmd_decompose,
@@ -17,7 +18,7 @@ from folmi.cli import (
     parse_config,
     save_controller,
 )
-from folmi.errors import ParseError, ValidationError
+from folmi.errors import ParseError, SingularCertificateError, ValidationError
 from folmi.synthesis import DynamicController
 
 
@@ -209,12 +210,27 @@ class TestMainEntry:
         ("n_c", {"n_c": "two"}),
         ("certify.sample_count", {"certify": {"sample_count": "many"}}),
         ("solver.max_iter", {"solver": {"max_iter": "x"}}),
+        ("solver", {"solver": "x"}),
+        ("certify", {"certify": [1]}),
+        ("simulate", {"simulate": "x"}),
+        ("x0", {"simulate": {"x0": ["a", 1, 1], "t_end": 10.0, "h": 0.01}}),
     ])
     def test_malformed_scalar_is_a_usage_error(self, tmp_path, capsys, field, overrides):
         path = write_config(tmp_path, **overrides)
         assert main(["synth", str(path), "--samples", "5"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    def test_solver_failure_is_reported_with_exit_4(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SingularCertificateError("certificate block is singular")
+
+        monkeypatch.setattr("folmi.cli.synthesize", fail)
+        rpath = tmp_path / "r.json"
+        assert main(["synth", "example1", "--report", str(rpath)]) == EXIT_SOLVER_ERROR
+        report = json.loads(rpath.read_text())
+        assert report["status"] == "SOLVER_ERROR"
+        assert report["detail"] == "certificate block is singular"
 
     def test_report_determinism(self, tmp_path):
         def run(tag):

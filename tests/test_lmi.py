@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import folmi.lmi
+import folmi.stability
 from folmi.errors import IllFormedProblemError, LengthMismatchError
+from folmi.interval import decompose
 from folmi.lmi import (
     LmiProblem,
     SdpStatus,
@@ -13,6 +16,9 @@ from folmi.lmi import (
     solve_feasibility,
     sym_expr,
 )
+from folmi.stability import analysis_feasible
+from folmi.synthesis import assemble
+from tests.test_interval import example1_system
 
 
 class TestVariableBlocks:
@@ -214,3 +220,47 @@ class TestSolver:
                 assert not seen_infeasible, "feasibility returned after being lost"
         assert order[0] is SdpStatus.FEASIBLE
         assert order[-1] is not SdpStatus.FEASIBLE
+
+
+def assert_slacks_factored_once(monkeypatch, module, run):
+    """Spy on Cholesky while ``run()`` makes one ``module.solve_feasibility``
+    call and check that no slack matrix is factored twice; the (n+1)-square
+    Newton systems are told apart by their size."""
+    problems, factored = [], []
+    cholesky, solve = np.linalg.cholesky, module.solve_feasibility
+
+    def spy_cholesky(a):
+        factored.append((a.shape, a.tobytes()))
+        return cholesky(a)
+
+    def spy_solve(problem, cfg=None):
+        problems.append(problem)
+        return solve(problem, cfg)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+    monkeypatch.setattr(module, "solve_feasibility", spy_solve)
+    run()
+    (problem,) = problems
+    newton = (problem.num_vars + 1,) * 2
+    assert all((c.dim, c.dim) != newton for c in problem.constraints)
+    slacks = [b for shape, b in factored if shape != newton]
+    assert len(slacks) > 10
+    refactored = len(slacks) - len(set(slacks))
+    assert refactored == 0
+
+
+class TestSingleEvaluation:
+    """Each barrier iterate's slacks S_j = t*I - F_j(x) are formed and
+    factored once: a Newton step reuses those of the point the previous
+    line search accepted."""
+
+    def test_analysis_solve(self, monkeypatch):
+        a = np.random.RandomState(5).randn(3, 3)  # unstable: an INFEASIBLE solve
+        assert_slacks_factored_once(
+            monkeypatch, folmi.stability, lambda: analysis_feasible(a, 0.3))
+
+    def test_uncertain_synthesis_solve(self, monkeypatch):
+        sys = example1_system()
+        asm = assemble(decompose(sys), sys.c, sys.alpha, 1)
+        assert_slacks_factored_once(
+            monkeypatch, folmi.lmi, lambda: folmi.lmi.solve_feasibility(asm.problem))
