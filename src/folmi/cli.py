@@ -209,6 +209,8 @@ def _certification_dict(report):
         "sample_count": report.sample_count,
         "min_sector_margin": report.min_sector_margin,
         "nominal_lmi_ok": report.nominal_lmi_ok,
+        "nominal_route": report.nominal_route,
+        "nominal_status": report.nominal_status.value,
         "passed": report.passed,
         "vertices_exhaustive": report.vertices_exhaustive,
         "worst_realization": {

@@ -11,10 +11,12 @@ Two equivalent routes are provided for D^alpha x = A x with 0 < alpha < 2:
   private regime object, chosen from alpha in :func:`_regime` and shared
   with the synthesis assembly and controller recovery.
 
-Keeping both routes independent lets each validate the other.  The module
-also assembles the output-feedback closed-loop matrix.
+Keeping both routes independent lets each validate the other.  The LMI of a
+diagonalizable matrix also has an audited certificate built from its
+eigenbasis.  The module also assembles the output-feedback closed-loop matrix.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +24,14 @@ import numpy as np
 from .errors import AlphaOutOfRangeError, ShapeMismatchError, SolverFailureError
 from .linalg import eig_general, eigvals_stack, require_square
 from .lmi import (
+    R_BOX,
     LmiProblem,
+    SdpSolution,
     SdpStatus,
     Sense,
     SolverConfig,
     block_expr,
+    constraint_margin,
     solve_feasibility,
     sym_expr,
 )
@@ -34,6 +39,12 @@ from .lmi import (
 # Eigenvalues below this magnitude have no usable argument and are
 # classified unstable (the sector boundary passes through the origin).
 ZERO_EIG_TOL = 1e-12
+# Eigenbases conditioned worse than this are left to the barrier solver.
+EIGENBASIS_COND_CAP = 1e8
+# Weights of conjugate eigenvectors tried in turn by the closed form below alpha = 1.
+CONJUGATE_WEIGHTS = (0.05, 0.2, 0.01)
+
+log = logging.getLogger("folmi.stability")
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,12 @@ class _HermitianRegime:
     def analysis_operand(self, a):
         return a
 
+    def eigen_certificates(self, vals, vecs):
+        """P = V D V^H, D = 1 on Im(lambda) >= 0 and a conjugate weight w on the
+        rest: Sigma = V diag(2 Re(lambda_k (r d_k + conj(r) d_conj(k)))) V^H."""
+        for w in CONJUGATE_WEIGHTS:
+            yield (vecs * np.where(vals.imag >= 0.0, 1.0, w)) @ vecs.conj().T
+
 
 class _SymmetricRegime:
     """1 <= alpha < 2: symmetric certificate P > 0 with theta =
@@ -173,6 +190,12 @@ class _SymmetricRegime:
         A itself would decide the same question (A^T has A's spectrum) but
         takes different barrier steps."""
         return a.T
+
+    def eigen_certificates(self, vals, vecs):
+        """P = W^H W, W = V^-1, real for real A: congruence by I_2 (x) W
+        splits Sigma into one 2x2 block per eigenvalue."""
+        w = np.linalg.inv(vecs)
+        yield w.conj().T @ w
 
 
 def _regime(alpha):
@@ -240,6 +263,47 @@ def analysis_feasible(a, alpha, solver_cfg=None):
     if sol.status is not SdpStatus.FEASIBLE:
         return LmiCertificate(False, None, sol)
     return LmiCertificate(True, regime.value(blocks["s"], sol.values), sol)
+
+
+def closed_form_certificate(a, alpha, eps_margin):
+    """Audited eigenbasis certificate of the analysis LMI of ``a``, or None.
+
+    Each candidate P of the regime (Chilali & Gahinet 1996; Sabatier, Moze &
+    Farges 2010), scaled so that Sigma and P - I clear ``eps_margin``, is
+    written into the :func:`analysis_feasible` problem and accepted only if
+    every constraint margin is >= ``eps_margin`` and every |x| < R_BOX, so
+    the barrier could not prove that problem INFEASIBLE.  None (reason
+    logged at INFO) when no candidate passes or cond(V) > EIGENBASIS_COND_CAP.
+    """
+    regime = _regime(alpha)
+    m = require_square(a)
+    vals, vecs = np.linalg.eig(m)
+    cond = np.linalg.cond(vecs)
+    if not cond <= EIGENBASIS_COND_CAP:
+        log.info("closed-form certificate: cond(V) = %.3g; using the barrier", cond)
+        return None
+    p, blocks = certificate_lmi(regime, regime.analysis_operand(m),
+                                np.zeros((m.shape[0], 0)), 0)
+    failures = []
+    for candidate in regime.eigen_certificates(vals, vecs):
+        x = np.zeros(p.num_vars)
+        # blocks (X, Y) = (Re P, Im P) below alpha = 1; zip drops Im P above
+        for block, part in zip(blocks["s"], (candidate.real, candidate.imag)):
+            for k, basis in block.basis():
+                x[k] = np.sum(basis * part) / np.sum(basis * basis)
+        # unit-scale margins of Sigma < 0 and of P - I > 0 (lambda_min(P) - 1)
+        sigma, pos = (constraint_margin(p, c, x) for c in p.constraints)
+        if sigma > 0.0 and pos > -1.0:
+            x *= 2.0 * max((1.0 + eps_margin) / (pos + 1.0), eps_margin / sigma)
+        margins = [constraint_margin(p, c, x) for c in p.constraints]
+        low, top = min(margins), np.abs(x).max()
+        if low >= eps_margin and top < R_BOX:
+            sol = SdpSolution(SdpStatus.FEASIBLE, x, low, 0, -low)
+            return LmiCertificate(True, regime.value(blocks["s"], x), sol)
+        failures.append("margins Sigma %.3g, P %.3g; max |x| %.3g" % (*margins, top))
+    log.info("closed-form certificate failed its audit (%s); using the barrier",
+             "; ".join(failures))
+    return None
 
 
 def closed_loop(a, b, c, controller):

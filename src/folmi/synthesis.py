@@ -18,8 +18,9 @@ change of variables through the certificate blocks and the pseudo-inverse
 of the output matrix.  The pseudo-inverse step is exact only when the
 T2/T4 blocks happen to lie in the row space of C, so every recovered
 controller is certified a posteriori against the interval family (vertex
-sweep plus random samples plus the nominal analysis LMI) and is never
-accepted on LMI feasibility alone.
+sweep plus random samples plus the nominal analysis LMI, decided by an
+audited closed-form certificate with the barrier solve as fallback) and is
+never accepted on LMI feasibility alone.
 """
 
 import logging
@@ -57,6 +58,7 @@ from .stability import (
     _regime,
     analysis_feasible,
     certificate_lmi,
+    closed_form_certificate,
     closed_loop,
     sector_margins,
 )
@@ -125,7 +127,8 @@ class DynamicController:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of sweeping a controller over the uncertainty family."""
+    """Outcome of sweeping a controller over the uncertainty family; the
+    nominal LMI verdict ``nominal_status`` came from ``nominal_route``."""
 
     vertex_count: int
     sample_count: int
@@ -134,6 +137,8 @@ class CertificationReport:
     nominal_lmi_ok: bool
     passed: bool
     vertices_exhaustive: bool
+    nominal_route: str
+    nominal_status: SdpStatus
 
 
 @dataclass(frozen=True)
@@ -349,11 +354,13 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     Checks the sector margin of the closed loop at every vertex of the
     interval family (when at most 2^24 exist; otherwise samples only and
     the report says so) plus ``sample_count`` seeded uniform interior
-    realizations, and runs the regime-matching analysis LMI on the center
-    closed loop.  With neither vertices nor samples the center realization
-    is swept.  ``passed`` requires every margin positive and the nominal
-    LMI feasible.  Vertex checking does not prove stability of the
-    continuous family, which is why interior samples are always included.
+    realizations, and decides the analysis LMI of the center closed loop by
+    the audited :func:`folmi.stability.closed_form_certificate`, falling back
+    to the barrier solve of ``analysis_feasible``.  With neither vertices nor
+    samples the center realization is swept.  ``passed`` requires every
+    margin positive and the nominal LMI feasible.  Vertex checking does not
+    prove stability of the continuous family, which is why interior samples
+    are always included.
 
     Realizations are swept in arrays of ``SWEEP_CHUNK`` scaling rows: one
     stack of closed loops and one batched eigenvalue call per array.  The
@@ -377,33 +384,39 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
             min_margin = float(margins[i])
             worst = f[i].copy()
     a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, controller)
-    try:
-        nominal_ok = analysis_feasible(a_cl0, sys.alpha, solver_cfg).feasible
-    except FolmiError:
-        nominal_ok = False
-    passed = bool(min_margin > 0.0) and nominal_ok
+    route, status = "closed_form", SdpStatus.FEASIBLE
+    eps_margin = (solver_cfg or SolverConfig()).eps_margin
+    if closed_form_certificate(a_cl0, sys.alpha, eps_margin) is None:
+        route = "barrier"
+        try:
+            status = analysis_feasible(a_cl0, sys.alpha, solver_cfg).solution.status
+        except FolmiError:
+            status = SdpStatus.INDETERMINATE
+    passed = bool(min_margin > 0.0) and status is SdpStatus.FEASIBLE
     na = factors.m_a.shape[1]
     return CertificationReport(
         vertex_count=vertex_count,
         sample_count=max(sample_count, 0),
         min_sector_margin=min_margin,
         worst_realization=UncertaintyRealization(worst[:na], worst[na:]),
-        nominal_lmi_ok=nominal_ok,
+        nominal_lmi_ok=status is SdpStatus.FEASIBLE,
         passed=passed,
         vertices_exhaustive=exhaustive,
+        nominal_route=route,
+        nominal_status=status,
     )
 
 
 def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     """Design and certify a fixed-order controller for an interval plant.
 
-    Assembles and solves the synthesis LMI, recovers the controller, and certifies it a posteriori.  A controller failing
-    certification triggers one retry at 10x the strictness margin and
-    solve depth (a better-centered point), marked by ``attempts = 2`` on
-    the result, before the failed certification is returned; a failed
-    result is returned with ``passed = False``, never hidden.  Raises
-    :class:`InfeasibleError` when the LMI itself is infeasible or
-    undecidable.
+    Assembles and solves the synthesis LMI, recovers the controller, and
+    certifies it a posteriori.  A controller failing certification triggers
+    one retry at 10x the strictness margin and solve depth (a better
+    centered point), marked by ``attempts = 2`` on the result, before the
+    failed certification is returned; a failed result is returned with
+    ``passed = False``, never hidden.  Raises :class:`InfeasibleError` when
+    the LMI itself is infeasible or undecidable.
     """
     cfg = solver_cfg or SolverConfig()
     factors = decompose(sys)

@@ -104,6 +104,9 @@ class TestCommands:
             assert synthesis["schur_dim"] == schur_dim, fixture
             assert synthesis["solver_iterations"] > 0
             assert synthesis["achieved_margin"] >= 1e-6
+            nominal = report["certification"]
+            assert (nominal["nominal_route"], nominal["nominal_status"]) == \
+                ("closed_form", "feasible"), fixture
         assert report["status"] == "CERTIFICATION_FAILED"
 
     def test_synth_uncontrollable_is_infeasible(self, tmp_path):
@@ -131,6 +134,10 @@ class TestCommands:
         report, code = cmd_check(cfg, DynamicController.static([[0.0]]))
         assert code == EXIT_CERTIFICATION_FAILED
         assert report["certification"]["min_sector_margin"] < 0
+        # the open-loop center is unstable: the closed form fails its audit
+        # and the barrier proves the nominal LMI infeasible
+        assert report["certification"]["nominal_route"] == "barrier"
+        assert report["certification"]["nominal_status"] == "infeasible"
 
     def test_simulate_writes_csv_and_decays(self, tmp_path):
         cfg = parse_config("example1")

@@ -5,9 +5,14 @@ from folmi.errors import (
     AlphaOutOfRangeError,
     ConvergenceFailureError,
     ShapeMismatchError,
+    SolverFailureError,
 )
+from folmi.lmi import R_BOX, SdpStatus, constraint_margin
 from folmi.stability import (
+    _regime,
     analysis_feasible,
+    certificate_lmi,
+    closed_form_certificate,
     closed_loop,
     sector_margin,
     sector_margins,
@@ -191,6 +196,74 @@ def test_analysis_solves_are_pinned(alpha):
         sol = analysis_feasible(rng.randn(3, 3) - 1.5 * np.eye(3), alpha).solution
         got.append((sol.status.name, sol.iterations))
     assert got == ANALYSIS_PINS[alpha]
+
+
+def barrier_status(a, alpha):
+    """Status of the barrier solve of :func:`analysis_feasible`."""
+    try:
+        return analysis_feasible(a, alpha).solution.status
+    except SolverFailureError:
+        return SdpStatus.INDETERMINATE
+
+
+class TestClosedFormCertificate:
+    def test_sound_on_seeded_matrices(self):
+        # 200 matrices randn(n, n) - s I, n = 2..7, s uniform in [0, 2),
+        # cycling through four orders; 66 are barrier-FEASIBLE
+        rng = np.random.RandomState(2026)
+        eps = 1e-6
+        outcomes = {}
+        for i in range(200):
+            n, alpha = rng.randint(2, 8), (0.3, 0.75, 1.2, 1.8)[i % 4]
+            a = rng.randn(n, n) - rng.uniform(0.0, 2.0) * np.eye(n)
+            cert = closed_form_certificate(a, alpha, eps)
+            status = barrier_status(a, alpha)
+            key = (cert is not None, status)
+            outcomes[key] = outcomes.get(key, 0) + 1
+            if cert is None:
+                continue
+            assert status is not SdpStatus.INFEASIBLE, (i, alpha)
+            regime = _regime(alpha)
+            p, _ = certificate_lmi(regime, regime.analysis_operand(a),
+                                   np.zeros((n, 0)), 0)
+            x = cert.solution.values
+            assert np.abs(x).max() < R_BOX
+            assert min(constraint_margin(p, c, x) for c in p.constraints) >= eps
+            if alpha < 1.0:
+                TestLowAlphaLmi._check_low_alpha_certificate(a, alpha, cert.x)
+            else:
+                TestHighAlphaLmi._check_high_alpha_certificate(a, alpha, cert.x)
+        # the closed form misses one barrier-FEASIBLE matrix (alpha = 0.3,
+        # sector margin 0.0037) and accepts every other one
+        assert outcomes == {
+            (True, SdpStatus.FEASIBLE): 65,
+            (False, SdpStatus.FEASIBLE): 1,
+            (False, SdpStatus.INFEASIBLE): 134,
+        }
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.2])
+    def test_defective_jordan_block_falls_back(self, alpha, caplog):
+        with caplog.at_level("INFO", logger="folmi.stability"):
+            assert closed_form_certificate([[-1.0, 1.0], [0.0, -1.0]], alpha, 1e-6) is None
+        assert "cond(V)" in caplog.text
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.2, 1.8])
+    def test_unstable_matrix_fails_the_audit(self, alpha, caplog):
+        a = np.array([[0.5, 1.0], [0.0, -1.0]])  # eigenvalue 0.5 > 0
+        with caplog.at_level("INFO", logger="folmi.stability"):
+            assert closed_form_certificate(a, alpha, 1e-6) is None
+        assert "failed its audit" in caplog.text
+        assert "margins Sigma -" in caplog.text
+
+    def test_certificate_regimes(self):
+        # Hermitian below alpha = 1, real symmetric from alpha = 1 up, as
+        # the barrier's certificates
+        a = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+        assert np.iscomplexobj(closed_form_certificate(a, 0.75, 1e-6).x)
+        cert = closed_form_certificate(a, 1.2, 1e-6)
+        assert np.isrealobj(cert.x)
+        assert cert.solution.status is SdpStatus.FEASIBLE
+        assert cert.solution.iterations == 0
 
 
 class TestSectorMargins:

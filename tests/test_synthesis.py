@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import folmi.synthesis
-from folmi.errors import AlphaOutOfRangeError, InfeasibleError
+from folmi.errors import AlphaOutOfRangeError, InfeasibleError, SolverFailureError
 from folmi.interval import (
     IntervalMatrix,
     UncertainFoltiSystem,
@@ -23,7 +23,7 @@ from folmi.lmi import (
     evaluate_constraint,
     solve_feasibility,
 )
-from folmi.stability import closed_loop, sector_margin
+from folmi.stability import analysis_feasible, closed_loop, sector_margin
 from folmi.synthesis import (
     DynamicController,
     assemble,
@@ -344,6 +344,36 @@ class TestCertify:
         )
         assert not report.passed
         assert report.min_sector_margin < 0
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.2])
+    @pytest.mark.parametrize("a", [
+        [[-1.0, 1.0], [0.0, -1.0]],  # defective Jordan block: cond(V) ~ 1e16
+        [[0.5, 1.0], [0.0, -1.0]],  # unstable: fails the audit
+    ])
+    def test_fallback_to_the_barrier(self, a, alpha):
+        sys = UncertainFoltiSystem(alpha, IntervalMatrix.certain(np.array(a)),
+                                   IntervalMatrix.certain(np.zeros((2, 1))),
+                                   np.array([[1.0, 0.0]]))
+        report = certify(sys, DynamicController.static([[0.0]]), sample_count=0)
+        barrier = analysis_feasible(np.array(a), alpha)
+        assert report.nominal_route == "barrier"
+        assert report.nominal_status is barrier.solution.status
+        assert report.nominal_lmi_ok is barrier.feasible
+
+    def test_indeterminate_barrier_flips_to_audited_feasible(self):
+        # the one verdict the closed form may change: with one Newton step
+        # the barrier is INDETERMINATE (nominal_lmi_ok was False), while the
+        # audited closed form proves the same LMI feasible
+        k = DynamicController.static([[-24.86]])
+        cfg = SolverConfig(max_iter=1)
+        sys = example1_system()
+        factors = decompose(sys)
+        with pytest.raises(SolverFailureError):
+            analysis_feasible(closed_loop(factors.a0, factors.b0, sys.c, k), 0.75, cfg)
+        report = certify(sys, k, sample_count=10, seed=0, solver_cfg=cfg)
+        assert report.nominal_route == "closed_form"
+        assert report.nominal_status is SdpStatus.FEASIBLE
+        assert report.nominal_lmi_ok and report.passed
 
 
 def reference_sweep(sys, controller, sample_count, seed):
@@ -701,3 +731,5 @@ class TestGoldenAnswers:
                                           err_msg=name)
             assert (result.solver_iterations, result.schur_dim) == \
                 (iterations, schur_dim), name
+            assert report.nominal_route == "closed_form", name
+            assert report.nominal_status is SdpStatus.FEASIBLE, name
