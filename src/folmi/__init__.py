@@ -7,9 +7,7 @@ from .interval import (
     UncertaintyFactors,
     UncertaintyRealization,
     decompose,
-    enumerate_vertices,
     realize,
-    sample_uniform,
 )
 from .lmi import (
     AffineMatrixConstraint,
@@ -46,9 +44,7 @@ __all__ = [
     "UncertaintyFactors",
     "UncertaintyRealization",
     "decompose",
-    "enumerate_vertices",
     "realize",
-    "sample_uniform",
     "AffineMatrixConstraint",
     "LmiProblem",
     "SdpSolution",

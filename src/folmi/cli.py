@@ -84,11 +84,16 @@ class ProblemConfig:
         unknown = set(self.certify) - allowed
         if unknown:
             raise ValidationError(f"unknown certify fields: {sorted(unknown)}")
-        return {
-            "sample_count": _scalar(self.certify.get("sample_count", 500), int,
-                                    "certify.sample_count"),
-            "seed": _scalar(self.certify.get("seed", 0), int, "certify.seed"),
-        }
+        count = _scalar(self.certify.get("sample_count", 500), int,
+                        "certify.sample_count")
+        seed = _scalar(self.certify.get("seed", 0), int, "certify.seed")
+        if count < 0:
+            raise ValidationError(
+                f"field 'certify.sample_count' must be >= 0, got {count}")
+        if not 0 <= seed < 2 ** 32:
+            raise ValidationError(
+                f"field 'certify.seed' must lie in [0, 2**32), got {seed}")
+        return {"sample_count": count, "seed": seed}
 
 
 def _scalar(value, kind, name):
@@ -250,11 +255,10 @@ def cmd_synth(config, out_path=None, report_path=None):
     sys_ = config.system()
     log.info("synth: n=%d l=%d m=%d alpha=%g n_c=%d", sys_.n, sys_.l, sys_.m,
              sys_.alpha, config.n_c)
+    solver_cfg, certify_kw = config.solver_config(), config.certify_config()
     t_start = time.perf_counter()
     try:
-        result, cert = synthesize(
-            sys_, config.n_c, config.solver_config(), **config.certify_config()
-        )
+        result, cert = synthesize(sys_, config.n_c, solver_cfg, **certify_kw)
     except FolmiError as exc:
         infeasible = isinstance(exc, InfeasibleError)
         report = {
@@ -281,7 +285,6 @@ def cmd_synth(config, out_path=None, report_path=None):
             "solver_status": result.solver_status.name,
             "solver_iterations": result.solver_iterations,
             "achieved_margin": result.achieved_margin,
-            "attempts": result.attempts,
             "schur_dim": result.schur_dim,
         },
         "certification": _certification_dict(cert),

@@ -25,10 +25,6 @@ class OutOfUnitBoxError(FolmiError, ValueError):
     """Uncertainty realization has an entry outside [-1, 1]."""
 
 
-class TooManyVerticesError(FolmiError, ValueError):
-    """Vertex enumeration would exceed the supported count."""
-
-
 class AlphaOutOfRangeError(FolmiError, ValueError):
     """Fractional order outside the range the operation supports."""
 

@@ -4,24 +4,19 @@ An uncertain plant is described by elementwise interval bounds on its state
 and input matrices.  The bounds are split into a midpoint plus a structured
 radius factorization ``A = A0 + M_A F_A R_A`` with ``F_A`` diagonal and
 bounded by the unit box, which is the form the synthesis LMIs consume.
-Vertex enumeration and uniform sampling of the unit box support a
-posteriori certification sweeps.
+The certification sweep draws arrays of unit-box scaling rows: vertices
+from :func:`vertex_scalings`, seeded uniform samples from
+:func:`sample_scalings`, both turned into plant stacks by :func:`realize`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundViolationError,
-    OutOfUnitBoxError,
-    TooManyVerticesError,
-)
+from .errors import BoundViolationError, OutOfUnitBoxError
 from .linalg import as_matrix
 
 MAX_VERTICES = 2 ** 24
-# Vertices built per array while enumerate_vertices yields them one by one.
-_ENUMERATE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -211,13 +206,6 @@ def realize(factors, u):
     return factors.a0 + sa * (fa * sa), factors.b0 + sb * (fb * sb)
 
 
-def center_realization(factors):
-    """The all-zero realization (midpoint plant)."""
-    return UncertaintyRealization(
-        np.zeros(factors.m_a.shape[1]), np.zeros(factors.m_b.shape[1])
-    )
-
-
 def count_vertices(factors):
     """Number of sign-pattern vertices over the strictly positive radii."""
     nnz = int(np.count_nonzero(factors.delta_a > 0)) + int(
@@ -231,7 +219,7 @@ def vertex_scalings(factors, lo, hi):
 
     Bit ``k`` of a vertex number sets the sign (+1 when the bit is set) of
     the k-th strictly positive radius, A row-major then B; zero-radius
-    coordinates stay 0.  This is the order of :func:`enumerate_vertices`.
+    coordinates stay 0.
     """
     radii = np.concatenate([factors.delta_a.ravel(), factors.delta_b.ravel()])
     active = np.flatnonzero(radii > 0)
@@ -241,40 +229,14 @@ def vertex_scalings(factors, lo, hi):
     return f
 
 
-def enumerate_vertices(factors):
-    """Yield every +/-1 sign pattern over the strictly positive radii.
-
-    Zero-radius coordinates are pinned at 0 so each vertex of the interval
-    family appears exactly once.  Raises :class:`TooManyVerticesError` when
-    the count would exceed 2^24.
-    """
-    total = count_vertices(factors)
-    if total > MAX_VERTICES:
-        raise TooManyVerticesError(f"{total} vertices exceed the 2^24 cap")
-    na = factors.m_a.shape[1]
-    for lo in range(0, total, _ENUMERATE_BLOCK):
-        for row in vertex_scalings(factors, lo, min(lo + _ENUMERATE_BLOCK, total)):
-            yield UncertaintyRealization(row[:na], row[na:])
-
-
 def sample_scalings(factors, count, seed, chunk):
     """Yield ``count`` seeded uniform scaling rows [f_a | f_b] in arrays of
     at most ``chunk`` rows.
 
-    The rows are the draws of :func:`sample_uniform` for the same seed,
-    whatever the chunk size: one ``RandomState(seed)`` stream, f_a then f_b
-    per row.
+    The rows are the same whatever the chunk size: one
+    ``RandomState(seed)`` stream, f_a then f_b per row.
     """
     rng = np.random.RandomState(seed)
     width = scaling_width(factors)
     for lo in range(0, count, chunk):
         yield rng.uniform(-1.0, 1.0, size=(min(chunk, count - lo), width))
-
-
-def sample_uniform(factors, count, seed):
-    """``count`` i.i.d. uniform unit-box realizations from a fixed seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    na = factors.m_a.shape[1]
-    rows = next(sample_scalings(factors, count, seed, count))
-    return [UncertaintyRealization(row[:na], row[na:]) for row in rows]

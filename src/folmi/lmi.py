@@ -16,9 +16,11 @@ where each constraint is oriented so that negative definiteness is the
 goal.  The problem is declared FEASIBLE once an interior point reaches
 ``t <= -eps_margin`` (the point is re-audited before being returned) and
 INFEASIBLE once the barrier duality bound proves ``min t > -eps_margin``.
-The box bound ``R_BOX`` and the barrier weight's growth factor ``MU_FACTOR``
-are module constants.  Everything is dense and deterministic; blocks stay
-well under 100x100 at the scales this toolkit targets.
+The iteration stops early once ``t <= -max(eps_margin, FEASIBILITY_DEPTH)``.
+The box bound ``R_BOX``, the barrier weight's growth factor ``MU_FACTOR``
+and ``FEASIBILITY_DEPTH`` are module constants.  Everything is dense and
+deterministic; blocks stay well under 100x100 at the scales this toolkit
+targets.
 """
 
 import enum
@@ -34,6 +36,9 @@ from .errors import (
 _SYM_TOL = 1e-9
 R_BOX = 1e6
 MU_FACTOR = 30.0
+# How far below zero t is pushed before accepting (at least eps_margin):
+# better-centered certificates without chasing the box-bounded optimum.
+FEASIBILITY_DEPTH = 1e-3
 
 
 class Sense(enum.Enum):
@@ -321,20 +326,17 @@ class LmiProblem:
 class SolverConfig:
     """Numerical knobs for the feasibility solver.
 
-    ``eps_margin`` is the strictness margin replacing "< 0";
-    ``feasibility_depth`` is how far below zero the objective is pushed
-    before accepting, which yields better-centered certificates without
-    chasing the (box-bounded) true optimum.  ``seed`` is carried through
-    reports; the algorithm itself is deterministic and never draws
-    randomness.  The variable box bound and the barrier weight's growth
-    factor are the module constants ``R_BOX`` and ``MU_FACTOR``.
+    ``eps_margin`` is the strictness margin replacing "< 0".  ``seed`` is
+    carried through reports; the algorithm itself is deterministic and never
+    draws randomness.  The variable box bound, the barrier weight's growth
+    factor and the acceptance depth are the module constants ``R_BOX``,
+    ``MU_FACTOR`` and ``FEASIBILITY_DEPTH``.
     """
 
     eps_margin: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 200
     seed: int = 0
-    feasibility_depth: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -422,7 +424,7 @@ def solve_feasibility(problem, cfg=None):
     blocks = [_Block(c) for c in problem.constraints]
     n = problem.num_vars
     nu = sum(b.dim for b in blocks) + 2 * n
-    depth = max(cfg.eps_margin, cfg.feasibility_depth)
+    depth = max(cfg.eps_margin, FEASIBILITY_DEPTH)
 
     def point(xv, tv):
         """``(x, t, phi, slacks S_j = t*I - F_j(x))``, or None when the

@@ -24,7 +24,7 @@ never accepted on LMI feasibility alone.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -149,8 +149,7 @@ class SynthesisResult:
     uncertainty multiplier exists.  ``p_s`` is complex Hermitian on the
     0 < alpha < 1 path and real symmetric otherwise.  ``schur_dim`` is the
     dimension of the synthesis inequality (the lifted Schur block, or Sigma
-    on the certain path), and ``attempts`` is 2 when the result comes from
-    the stricter retry of :func:`synthesize`.
+    on the certain path).
     """
 
     controller: DynamicController
@@ -168,7 +167,6 @@ class SynthesisResult:
     solver_iterations: int
     achieved_margin: float
     schur_dim: int
-    attempts: int = 1
 
 
 @dataclass
@@ -410,36 +408,18 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
 def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     """Design and certify a fixed-order controller for an interval plant.
 
-    Assembles and solves the synthesis LMI, recovers the controller, and
-    certifies it a posteriori.  A controller failing certification triggers
-    one retry at 10x the strictness margin and solve depth (a better
-    centered point), marked by ``attempts = 2`` on the result, before the
-    failed certification is returned; a failed result is returned with
-    ``passed = False``, never hidden.  Raises :class:`InfeasibleError` when
-    the LMI itself is infeasible or undecidable.
+    One pass: assembles and solves the synthesis LMI, recovers the
+    controller, and certifies it a posteriori.  A controller failing
+    certification is returned with ``passed = False``, never hidden.
+    Raises :class:`InfeasibleError` when the LMI itself is infeasible or
+    undecidable.
     """
-    cfg = solver_cfg or SolverConfig()
-    factors = decompose(sys)
-
-    def attempt(run_cfg):
-        asm = assemble(factors, sys.c, sys.alpha, n_c)
-        sol = solve_feasibility(asm.problem, run_cfg)
-        if sol.status is not SdpStatus.FEASIBLE:
-            raise InfeasibleError(
-                f"synthesis LMI {sol.status.value} for n_c={n_c}, alpha={sys.alpha}"
-            )
-        controller = recover(asm, sol)
-        result = _result_from(asm, sol, controller)
-        report = certify(sys, controller, sample_count, seed, run_cfg)
-        return result, report
-
-    result, report = attempt(cfg)
-    if not report.passed:
-        deeper = replace(
-            cfg,
-            eps_margin=cfg.eps_margin * 10.0,
-            feasibility_depth=max(cfg.feasibility_depth * 10.0, cfg.eps_margin * 10.0),
+    asm = assemble(decompose(sys), sys.c, sys.alpha, n_c)
+    sol = solve_feasibility(asm.problem, solver_cfg)
+    if sol.status is not SdpStatus.FEASIBLE:
+        raise InfeasibleError(
+            f"synthesis LMI {sol.status.value} for n_c={n_c}, alpha={sys.alpha}"
         )
-        result, report = attempt(deeper)
-        result = replace(result, attempts=2)
-    return result, report
+    controller = recover(asm, sol)
+    report = certify(sys, controller, sample_count, seed, solver_cfg)
+    return _result_from(asm, sol, controller), report

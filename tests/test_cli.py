@@ -92,15 +92,13 @@ class TestCommands:
         assert len(report["config"]["a_lower"]) + k.n_c == 5
 
     def test_synth_report_explains_the_solve(self):
-        # example2 fails certification, so the stricter retry runs; its
-        # lifted block has 2 * (n + n_c) = 6 rows of Sigma plus 2 * (3 + 1)
-        # lift rows (three A columns and one B column, all uncertain)
-        for fixture, attempts, schur_dim in (("example1", 1, 7), ("example2", 2, 14)):
+        # example2's lifted block has 2 * (n + n_c) = 6 rows of Sigma plus
+        # 2 * (3 + 1) lift rows (three A columns and one B column, all uncertain)
+        for fixture, schur_dim in (("example1", 7), ("example2", 14)):
             cfg = parse_config(fixture)
             cfg.certify["sample_count"] = 10
             report, _ = cmd_synth(cfg)
             synthesis = report["synthesis"]
-            assert synthesis["attempts"] == attempts, fixture
             assert synthesis["schur_dim"] == schur_dim, fixture
             assert synthesis["solver_iterations"] > 0
             assert synthesis["achieved_margin"] >= 1e-6
@@ -225,6 +223,23 @@ class TestMainEntry:
     def test_malformed_scalar_is_a_usage_error(self, tmp_path, capsys, field, overrides):
         path = write_config(tmp_path, **overrides)
         assert main(["synth", str(path), "--samples", "5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("field,overrides,flags", [
+        ("certify.seed", {}, ["--seed", "-1"]),
+        ("certify.seed", {"certify": {"seed": 2 ** 32}}, []),
+        ("certify.sample_count", {"certify": {"sample_count": -1}}, []),
+        ("certify.sample_count", {}, ["--samples", "-3"]),
+    ])
+    def test_out_of_range_certify_setting_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, field, overrides, flags):
+        def never(*args, **kwargs):
+            raise AssertionError("synthesized despite an invalid setting")
+
+        monkeypatch.setattr("folmi.cli.synthesize", never)
+        path = write_config(tmp_path, **overrides)
+        assert main(["synth", str(path), *flags]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 

@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from folmi.errors import BoundViolationError, OutOfUnitBoxError, TooManyVerticesError
+from folmi.errors import BoundViolationError, OutOfUnitBoxError
 from folmi.interval import (
     IntervalMatrix,
     UncertainFoltiSystem,
     UncertaintyRealization,
-    center_realization,
     count_vertices,
     decompose,
-    enumerate_vertices,
     realize,
     sample_scalings,
-    sample_uniform,
     vertex_scalings,
 )
 
@@ -106,7 +103,7 @@ class TestDecompose:
 class TestRealize:
     def test_center(self):
         f = decompose(example1_system())
-        a, b = realize(f, center_realization(f))
+        a, b = realize(f, UncertaintyRealization(np.zeros(9), np.zeros(3)))
         np.testing.assert_array_equal(a, f.a0)
         np.testing.assert_array_equal(b, f.b0)
 
@@ -181,14 +178,15 @@ class TestVertices:
             np.eye(1),
         )
         f = decompose(sys)
-        vertices = list(enumerate_vertices(f))
-        assert len(vertices) == 2
-        assert sorted(v.f_a[0] for v in vertices) == [-1.0, 1.0]
+        rows = vertex_scalings(f, 0, count_vertices(f))
+        assert rows.shape == (2, 2)
+        assert sorted(rows[:, 0]) == [-1.0, 1.0]
+        assert not rows[:, 1].any()
 
     def test_example1_count(self):
         f = decompose(example1_system())
         assert count_vertices(f) == 2048
-        assert len(list(enumerate_vertices(f))) == 2048
+        assert vertex_scalings(f, 0, 2048).shape == (2048, 12)
 
     def test_zero_radius_single_vertex(self):
         sys = UncertainFoltiSystem(
@@ -197,32 +195,20 @@ class TestVertices:
             IntervalMatrix.certain(np.zeros((2, 1))),
             np.eye(2),
         )
-        vertices = list(enumerate_vertices(decompose(sys)))
-        assert len(vertices) == 1
-        assert not vertices[0].f_a.any()
+        f = decompose(sys)
+        assert count_vertices(f) == 1
+        rows = vertex_scalings(f, 0, 1)
+        assert rows.shape == (1, 6) and not rows.any()
 
     def test_vertex_roundtrip(self):
         f = decompose(example1_system())
         lo_a, hi_a = np.array(EX1_A_LOWER), np.array(EX1_A_UPPER)
         tol = 1e-15
-        for u in enumerate_vertices(f):
-            a, b = realize(f, u)
-            on_bound = np.isclose(a, lo_a, rtol=tol, atol=tol) | np.isclose(
-                a, hi_a, rtol=tol, atol=tol
-            )
-            assert on_bound.all()
-
-    def test_too_many_vertices(self):
-        n = 5
-        sys = UncertainFoltiSystem(
-            0.5,
-            IntervalMatrix(np.zeros((n, n)), np.ones((n, n))),
-            IntervalMatrix.certain(np.zeros((n, 1))),
-            np.eye(n),
+        a, _ = realize(f, vertex_scalings(f, 0, count_vertices(f)))
+        on_bound = np.isclose(a, lo_a, rtol=tol, atol=tol) | np.isclose(
+            a, hi_a, rtol=tol, atol=tol
         )
-        with pytest.raises(TooManyVerticesError):
-            list(enumerate_vertices(decompose(sys)))
-
+        assert on_bound.all()
 
     def test_chunked_sign_rows_follow_enumeration_order(self):
         f = decompose(partly_uncertain_system())
@@ -230,17 +216,13 @@ class TestVertices:
         assert total == 256
         chunks = [vertex_scalings(f, lo, min(lo + 7, total)) for lo in range(0, total, 7)]
         rows = np.concatenate(chunks)
-        na = f.m_a.shape[1]
-        listed = list(enumerate_vertices(f))
-        assert rows.shape == (total, na + f.m_b.shape[1])
-        for row, u in zip(rows, listed):
-            np.testing.assert_array_equal(row[:na], u.f_a)
-            np.testing.assert_array_equal(row[na:], u.f_b)
+        np.testing.assert_array_equal(rows, vertex_scalings(f, 0, total))
+        assert rows.shape == (total, f.m_a.shape[1] + f.m_b.shape[1])
         # bit k of the vertex number is the sign (+1 when set) of the k-th
         # positive radius, A row-major then B; zero radii stay pinned at 0
         radii = np.concatenate([f.delta_a.ravel(), f.delta_b.ravel()])
         active = [k for k in range(radii.size) if radii[k] > 0]
-        for pattern in (0, 1, 2, 5, 100, 255):
+        for pattern in range(total):
             want = np.zeros(radii.size)
             for bit, k in enumerate(active):
                 want[k] = 1.0 if (pattern >> bit) & 1 else -1.0
@@ -251,36 +233,28 @@ class TestVertices:
 class TestSampling:
     def test_chunked_draws_match_per_sample_draws(self):
         f = decompose(example1_system())
-        listed = sample_uniform(f, 10, seed=4)
-        for chunk in (1, 3, 10, 64):
+        whole = next(sample_scalings(f, 10, 4, 10))
+        for chunk in (1, 3, 64):
             rows = np.concatenate(list(sample_scalings(f, 10, 4, chunk)))
-            np.testing.assert_array_equal(rows[:, :9], [u.f_a for u in listed])
-            np.testing.assert_array_equal(rows[:, 9:], [u.f_b for u in listed])
-        # the seed's stream drawn f_a then f_b per sample, as before
+            np.testing.assert_array_equal(rows, whole)
+        # the seed's stream drawn f_a then f_b per sample
         rng = np.random.RandomState(4)
-        for u in listed:
-            np.testing.assert_array_equal(u.f_a, rng.uniform(-1.0, 1.0, size=9))
-            np.testing.assert_array_equal(u.f_b, rng.uniform(-1.0, 1.0, size=3))
+        for row in whole:
+            np.testing.assert_array_equal(row[:9], rng.uniform(-1.0, 1.0, size=9))
+            np.testing.assert_array_equal(row[9:], rng.uniform(-1.0, 1.0, size=3))
 
     def test_deterministic(self):
         f = decompose(example1_system())
-        s1 = sample_uniform(f, 3, seed=7)
-        s2 = sample_uniform(f, 3, seed=7)
-        for u1, u2 in zip(s1, s2):
-            np.testing.assert_array_equal(u1.f_a, u2.f_a)
-            np.testing.assert_array_equal(u1.f_b, u2.f_b)
+        s1 = np.concatenate(list(sample_scalings(f, 3, 7, 2)))
+        s2 = np.concatenate(list(sample_scalings(f, 3, 7, 2)))
+        assert s1.shape == (3, 12)
+        np.testing.assert_array_equal(s1, s2)
 
     def test_samples_stay_in_bounds(self):
         f = decompose(example1_system())
         lo_a, hi_a = np.array(EX1_A_LOWER), np.array(EX1_A_UPPER)
-        for u in sample_uniform(f, 50, seed=0):
-            a, b = realize(f, u)
-            assert (a >= lo_a - 1e-12).all() and (a <= hi_a + 1e-12).all()
-            assert (b >= np.array(EX1_B_LOWER) - 1e-12).all()
-            assert (b <= np.array(EX1_B_UPPER) + 1e-12).all()
-
-    def test_count_validation(self):
-        f = decompose(example1_system())
-        with pytest.raises(ValueError):
-            sample_uniform(f, 0, seed=1)
-        assert len(sample_uniform(f, 1, seed=1)) == 1
+        a, b = realize(f, next(sample_scalings(f, 50, 0, 50)))
+        assert a.shape == (50, 3, 3)
+        assert (a >= lo_a - 1e-12).all() and (a <= hi_a + 1e-12).all()
+        assert (b >= np.array(EX1_B_LOWER) - 1e-12).all()
+        assert (b <= np.array(EX1_B_UPPER) + 1e-12).all()

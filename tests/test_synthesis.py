@@ -9,11 +9,9 @@ from folmi.errors import AlphaOutOfRangeError, InfeasibleError, SolverFailureErr
 from folmi.interval import (
     IntervalMatrix,
     UncertainFoltiSystem,
-    center_realization,
+    UncertaintyRealization,
     decompose,
-    enumerate_vertices,
     realize,
-    sample_uniform,
 )
 from folmi.lmi import (
     SdpStatus,
@@ -377,10 +375,28 @@ class TestCertify:
 
 
 def reference_sweep(sys, controller, sample_count, seed):
-    """(min margin, worst realization) of the one-at-a-time sweep."""
+    """(min margin, worst realization) of the one-at-a-time sweep.
+
+    Vertices and samples are rebuilt here, not taken from the sweep under
+    test: bit k of vertex number v sets the sign (+1 when set) of the k-th
+    positive radius, A row-major then B, and each sample draws f_a then f_b
+    from one ``RandomState(seed)`` stream.
+    """
     factors = decompose(sys)
-    realizations = list(enumerate_vertices(factors))
-    realizations += sample_uniform(factors, sample_count, seed)
+    radii = np.concatenate([factors.delta_a.ravel(), factors.delta_b.ravel()])
+    active = [k for k in range(radii.size) if radii[k] > 0]
+    na, nb = factors.delta_a.size, factors.delta_b.size
+    realizations = []
+    for v in range(2 ** len(active)):
+        f = np.zeros(radii.size)
+        for bit, k in enumerate(active):
+            f[k] = 1.0 if (v >> bit) & 1 else -1.0
+        realizations.append(UncertaintyRealization(f[:na], f[na:]))
+    rng = np.random.RandomState(seed)
+    for _ in range(sample_count):
+        f_a = rng.uniform(-1.0, 1.0, size=na)
+        f_b = rng.uniform(-1.0, 1.0, size=nb)
+        realizations.append(UncertaintyRealization(f_a, f_b))
     min_margin, worst = np.inf, None
     for u in realizations:
         a, b = realize(factors, u)
@@ -478,9 +494,8 @@ class TestBatchedSweep:
         center = sector_margin(decompose(sys).a0, 0.8).margin
         assert report.min_sector_margin == center
         json.dumps(report.min_sector_margin, allow_nan=False)
-        zero = center_realization(decompose(sys))
-        np.testing.assert_array_equal(report.worst_realization.f_a, zero.f_a)
-        np.testing.assert_array_equal(report.worst_realization.f_b, zero.f_b)
+        np.testing.assert_array_equal(report.worst_realization.f_a, np.zeros(n * n))
+        np.testing.assert_array_equal(report.worst_realization.f_b, np.zeros(n))
         assert report.passed
         assert any("samples only" in r.getMessage() and r.levelno == logging.INFO
                    for r in caplog.records)
@@ -547,6 +562,25 @@ class TestSynthesize:
         cfg = SolverConfig()
         for c in result.problem.constraints:
             assert constraint_margin(result.problem, c, result.values) >= cfg.eps_margin
+
+    @pytest.mark.parametrize("system,passed", [
+        (example1_system, True), (example2_system, False),
+    ])
+    def test_one_solve_and_one_certification_per_design(
+            self, monkeypatch, system, passed):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(folmi.synthesis, name, wrapped)
+
+        spy("solve_feasibility", folmi.synthesis.solve_feasibility)
+        spy("certify", folmi.synthesis.certify)
+        _, report = synthesize(system(), 0, sample_count=10, seed=0)
+        assert report.passed is passed
+        assert calls == ["solve_feasibility", "certify"]
 
     def test_failed_certification_is_reported_not_hidden(self):
         # the second example's plant family admits no robust static gain,
