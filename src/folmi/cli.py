@@ -31,7 +31,12 @@ from .fosim import simulate, trajectory_to_csv
 from .interval import IntervalMatrix, UncertainFoltiSystem, decompose
 from .lmi import SolverConfig
 from .stability import closed_loop
-from .synthesis import DynamicController, certify, synthesize
+from .synthesis import (
+    DynamicController,
+    certify,
+    check_sweep_settings,
+    synthesize,
+)
 
 log = logging.getLogger("folmi")
 
@@ -76,8 +81,10 @@ class ProblemConfig:
         unknown = set(self.solver) - set(kinds)
         if unknown:
             raise ValidationError(f"unknown solver fields: {sorted(unknown)}")
-        return SolverConfig(**{k: _scalar(v, kinds[k], f"solver.{k}")
-                               for k, v in self.solver.items()})
+        values = {k: _scalar(v, kinds[k], f"solver.{k}")
+                  for k, v in self.solver.items()}
+        values.pop("seed", None)  # documented schema; the solver draws no randomness
+        return SolverConfig(**values)
 
     def certify_config(self):
         allowed = {"sample_count", "seed"}
@@ -87,12 +94,7 @@ class ProblemConfig:
         count = _scalar(self.certify.get("sample_count", 500), int,
                         "certify.sample_count")
         seed = _scalar(self.certify.get("seed", 0), int, "certify.seed")
-        if count < 0:
-            raise ValidationError(
-                f"field 'certify.sample_count' must be >= 0, got {count}")
-        if not 0 <= seed < 2 ** 32:
-            raise ValidationError(
-                f"field 'certify.seed' must lie in [0, 2**32), got {seed}")
+        check_sweep_settings(count, seed, "certify.")
         return {"sample_count": count, "seed": seed}
 
 

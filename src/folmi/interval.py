@@ -3,7 +3,8 @@
 An uncertain plant is described by elementwise interval bounds on its state
 and input matrices.  The bounds are split into a midpoint plus a structured
 radius factorization ``A = A0 + M_A F_A R_A`` with ``F_A`` diagonal and
-bounded by the unit box, which is the form the synthesis LMIs consume.
+bounded by the unit box.  The synthesis lift consumes only M M^T and the
+column sums of the radii, as (M M^T, D) (see ``synthesis._lift``).
 The certification sweep draws arrays of unit-box scaling rows: vertices
 from :func:`vertex_scalings`, seeded uniform samples from
 :func:`sample_scalings`, both turned into plant stacks by :func:`realize`.

@@ -326,17 +326,15 @@ class LmiProblem:
 class SolverConfig:
     """Numerical knobs for the feasibility solver.
 
-    ``eps_margin`` is the strictness margin replacing "< 0".  ``seed`` is
-    carried through reports; the algorithm itself is deterministic and never
-    draws randomness.  The variable box bound, the barrier weight's growth
-    factor and the acceptance depth are the module constants ``R_BOX``,
-    ``MU_FACTOR`` and ``FEASIBILITY_DEPTH``.
+    ``eps_margin`` is the strictness margin replacing "< 0".  The algorithm
+    is deterministic and never draws randomness.  The variable box bound,
+    the barrier weight's growth factor and the acceptance depth are the
+    module constants ``R_BOX``, ``MU_FACTOR`` and ``FEASIBILITY_DEPTH``.
     """
 
     eps_margin: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 200
-    seed: int = 0
 
 
 @dataclass(frozen=True)

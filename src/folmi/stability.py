@@ -127,10 +127,6 @@ class _HermitianRegime:
         x, y = cert
         return self._cs * x.expr() - self._sn * y.expr()
 
-    def q_value(self, cert, values):
-        x, y = cert
-        return self._cs * x.value(values) - self._sn * y.value(values)
-
     def positivity(self, cert):
         x, y = cert
         emb = block_expr([[x.expr(), -1.0 * y.expr()], [y.expr(), x.expr()]])
@@ -170,13 +166,11 @@ class _SymmetricRegime:
     def q_expr(self, cert):
         return cert[0].expr()
 
-    def q_value(self, cert, values):
-        return cert[0].value(values)
-
     def positivity(self, cert):
         return cert[0].expr() - np.eye(cert[0].rows)
 
-    value = q_value
+    def value(self, cert, values):
+        return cert[0].value(values)
 
     def sigma(self, g):
         """[[G_s sin(theta), G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]]
@@ -210,14 +204,21 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
 
     Declares the certificates P_S (n x n) and P_C (n_c x n_c) and the
     controller lifts T1 (n_c x n_c), T2 (n_c x n), T3 (l x n_c) and
-    T4 (l x n).  With Q_S the regime's Q map of P_S, the closed-loop
-    expression is G = [[A0 Q_S + B0 T4, B0 T3], [T2, T1]], and the
-    inequality is Sigma(G) < 0 followed by the positivity blocks
-    (normalized to >= I, equivalent by homogeneity, which pins the
-    certificate scale).  ``lift(problem, sigma, q_s, t3, t4, copies)``, when
-    given, adds a robust form of Sigma < 0 in its place and returns the
-    multiplier it declares.  Returns the problem and a dict of the variable
-    handles: "s", "c" (certificates), "t1".."t4", and "eta" from ``lift``.
+    T4 (l x n).  With Q_S the regime's Q map of P_S and the plant-side
+    expression Z = [[Q_S, 0], [T4, T3]], the closed-loop expression is
+    G = [[[A0 B0] Z], [[T2 T1]]], and the inequality is Sigma(G) < 0
+    followed by the positivity blocks (normalized to >= I, equivalent by
+    homogeneity, which pins the certificate scale).
+
+    ``lift = (MM^T, D, extra)`` replaces Sigma < 0 by its robust form for
+    the plants [A B] = [A0 B0] + M F R, |F| <= 1, with MM^T (n x n) and a
+    right factor R = U D whose U has orthonormal columns, so only D (n + l
+    columns) enters: with k = regime.copies and a multiplier eta, the Schur
+    block [[Sigma + eta I_k (x) MM^T, (I_k (x) D Z)^T], [I_k (x) D Z,
+    -eta I]] < 0, then eta I of size 1 + k * extra, where ``extra`` is the
+    number of rows R has beyond D.  Returns the problem and a dict of the
+    variable handles: "s", "c" (certificates), "t1".."t4", and "eta" when
+    lifted.
     """
     n, l = b0.shape
     p = LmiProblem()
@@ -226,14 +227,27 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
               "t2": p.declare_full_block(n_c, n, "T2"),
               "t3": p.declare_full_block(l, n_c, "T3"),
               "t4": p.declare_full_block(l, n, "T4")}
-    q_s = regime.q_expr(blocks["s"])
-    g = block_expr([[a0 @ q_s + b0 @ blocks["t4"].expr(), b0 @ blocks["t3"].expr()],
-                    [blocks["t2"].expr(), blocks["t1"].expr()]])
+    z = block_expr([[regime.q_expr(blocks["s"]), np.zeros((n, n_c))],
+                    [blocks["t4"].expr(), blocks["t3"].expr()]])
+    g = block_expr([[np.hstack([a0, b0]) @ z],
+                    [block_expr([[blocks["t2"].expr(), blocks["t1"].expr()]])]])
     sigma = regime.sigma(g)
     if lift is None:
         p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
     else:
-        blocks["eta"] = lift(p, sigma, q_s, blocks["t3"], blocks["t4"], regime.copies)
+        mmt, d, extra = lift
+        k = regime.copies
+        eta = blocks["eta"] = p.declare_scalar("eta")
+        pad = np.zeros((n + n_c, n + n_c))
+        pad[:n, :n] = mmt
+        dz = d @ z
+        zeros = np.zeros(dz.shape)
+        r = block_expr([[dz if i == j else zeros for j in range(k)] for i in range(k)])
+        p.add_constraint(block_expr([
+            [sigma + eta.scale(np.kron(np.eye(k), pad)), r.T],
+            [r, -1.0 * eta.scale(np.eye(r.rows))],
+        ]), Sense.NEGATIVE_DEFINITE)
+        p.add_constraint(eta.scale(np.eye(1 + k * extra)), Sense.POSITIVE_DEFINITE)
     p.add_constraint(regime.positivity(blocks["s"]), Sense.POSITIVE_DEFINITE)
     if n_c > 0:
         p.add_constraint(regime.positivity(blocks["c"]), Sense.POSITIVE_DEFINITE)

@@ -25,7 +25,6 @@ never accepted on LMI feasibility alone.
 
 import logging
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .errors import (
     InfeasibleError,
     ShapeMismatchError,
     SingularCertificateError,
+    ValidationError,
 )
 from .interval import (
     MAX_VERTICES,
@@ -49,9 +49,7 @@ from .linalg import as_matrix, pinv
 from .lmi import (
     LmiProblem,
     SdpStatus,
-    Sense,
     SolverConfig,
-    block_expr,
     solve_feasibility,
 )
 from .stability import (
@@ -179,7 +177,6 @@ class _Assembly:
     n_c: int
     c: np.ndarray
     blocks: dict
-    uncertain: bool
 
 
 def _check_synthesis_shapes(factors, c, n_c):
@@ -191,48 +188,29 @@ def _check_synthesis_shapes(factors, c, n_c):
     return c
 
 
-def _lift_scales(delta):
-    """Rows of D = diag(sqrt(column sums of delta)) whose sum is nonzero.
+def _lift(factors):
+    """The robust lift (MM^T, D, extra) of :func:`certificate_lmi`.
 
-    Every row of the radius factor R (see ``interval._radius_factors``) is
-    a scaled unit vector, so R = U D where U has orthonormal columns, one
-    per nonzero column sum.  Hence R X = U (D X) for any X, and the rows of
-    D with a zero sum are zero rows of the lift.
+    MM^T = M_A M_A^T + M_B M_B^T, and D = diag(sqrt(column sums of
+    [Delta_A Delta_B])) without its zero rows, so at most n + l rows.  Each
+    row of the radius factor R_A (see ``interval._radius_factors``) is a
+    scaled unit vector, so R_A = U_A D_A with orthonormal columns in U_A
+    (likewise R_B = U_B D_B), and the full lift [[R_A Q_S, 0], [R_B T4,
+    R_B T3]] of n^2 + n*l rows equals U D Z with Z = [[Q_S, 0], [T4, T3]].
+    The full Schur block is therefore orthogonally similar to
+    blockdiag(compressed block, -eta I) with one -eta row per dropped row,
+    so both have the same feasible set and logdet(tI - F_full) =
+    logdet(tI - F_comp) + (rows dropped) log(t + eta).  The eta > 0
+    constraint carries that dropped multiplicity, ``extra`` = n^2 + n*l -
+    rows(D) per copy; barrier value, gradient, Hessian, the sum of
+    constraint dimensions and the smallest margin are then those of the
+    full lift, and the solver takes the same steps up to rounding.
     """
-    sums = delta.sum(axis=0)
-    return np.diag(np.sqrt(sums))[sums > 0]
-
-
-def _add_robust_lift(factors, p, sigma, cert, t3, t4, copies):
-    """Add the Schur-lifted robust inequality and eta > 0; return eta.
-
-    ``cert`` is the certificate expression multiplying A0 in Sigma (the Q
-    map of P_S) and ``copies`` the number of diagonal copies of the lift (1
-    below alpha = 1, 2 above).  The lift is R' = [[D_A cert, 0], [D_B T4,
-    D_B T3]] per copy, and eta > 0 is emitted as eta I with one extra row
-    per row dropped from the full n^2 + n*l row lift; :func:`assemble` says
-    why that leaves the solve unchanged.
-    """
-    n, l, n_c = factors.n, factors.l, t3.cols
-    eta = p.declare_scalar("eta")
-    d_a, d_b = _lift_scales(factors.delta_a), _lift_scales(factors.delta_b)
-    r_one = block_expr([
-        [d_a @ cert, np.zeros((d_a.shape[0], n_c))],
-        [d_b @ t4.expr(), d_b @ t3.expr()],
-    ])
-    zeros = np.zeros(r_one.shape)
-    r = block_expr([[r_one if i == j else zeros for j in range(copies)]
-                    for i in range(copies)])
-    mmt = np.zeros((n + n_c, n + n_c))
-    mmt[:n, :n] = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
-    schur = block_expr([
-        [sigma + eta.scale(np.kron(np.eye(copies), mmt)), r.T],
-        [r, -1.0 * eta.scale(np.eye(r.rows))],
-    ])
-    p.add_constraint(schur, Sense.NEGATIVE_DEFINITE)
-    dropped = copies * (n * n + n * l - r_one.rows)
-    p.add_constraint(eta.scale(np.eye(1 + dropped)), Sense.POSITIVE_DEFINITE)
-    return eta
+    n, l = factors.n, factors.l
+    sums = np.hstack([factors.delta_a, factors.delta_b]).sum(axis=0)
+    d = np.diag(np.sqrt(sums))[sums > 0]
+    mmt = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
+    return mmt, d, n * n + n * l - d.shape[0]
 
 
 def assemble(factors, c, alpha, n_c):
@@ -249,32 +227,20 @@ def assemble(factors, c, alpha, n_c):
     G_s sin(theta)]] of its symmetric and skew parts from alpha = 1 up
     (see :func:`folmi.stability.certificate_lmi`).
 
-    The uncertainty enters through the Schur-form constraint
-    [[Sigma + eta M M^T, R'^T], [R', -eta I]] < 0, with one copy of M =
-    [[M_A, M_B], [0, 0]] and of the compressed lift R' = [[D_A Q_S, 0],
-    [D_B T4, D_B T3]] per diagonal copy of G in Sigma (one below alpha = 1,
-    two from alpha = 1 up), D = diag(sqrt(column sums of the radii)).  Each
-    row of the factor R_A is a scaled unit vector, so R_A = U_A D_A with
-    orthonormal columns in U_A (likewise R_B = U_B D_B), and the full lift
-    R = [[R_A Q_S, 0], [R_B T4, R_B T3]] of n^2 + n*l rows equals U R'.
-    Rows of D with a zero column sum are zero and dropped, leaving at most
-    n + l rows per copy.  The full Schur block is orthogonally similar to
-    blockdiag(compressed block, -eta I) with one -eta row per dropped row,
-    so both have the same feasible set and logdet(tI - F_full) =
-    logdet(tI - F_comp) + (rows dropped) log(t + eta).  The eta > 0
-    constraint carries that dropped multiplicity as eta I of size
-    1 + (rows dropped); barrier value, gradient, Hessian, the sum of
-    constraint dimensions and the smallest margin are then those of the
-    full lift, and the solver takes the same steps up to rounding.  On the
-    certain path (all radii zero) only Sigma < 0 and the positivity blocks
-    are emitted.
+    The uncertainty enters through the robust lift of
+    :func:`folmi.stability.certificate_lmi`, with M = [[M_A, M_B], [0, 0]]
+    and the compressed right factor D [[Q_S, 0], [T4, T3]] per diagonal
+    copy of G in Sigma (one below alpha = 1, two from alpha = 1 up), and a
+    multiplier eta; :func:`_lift` builds its data and says why the
+    compression leaves the feasible set and the barrier of the full lift
+    unchanged.  On the certain path (all radii zero) only Sigma < 0 and the
+    positivity blocks are emitted.
     """
     regime = _regime(alpha)
     c = _check_synthesis_shapes(factors, c, n_c)
-    uncertain = not factors.is_certain
-    lift = partial(_add_robust_lift, factors) if uncertain else None
+    lift = None if factors.is_certain else _lift(factors)
     problem, blocks = certificate_lmi(regime, factors.a0, factors.b0, n_c, lift)
-    return _Assembly(problem, regime, alpha, n_c, c, blocks, uncertain)
+    return _Assembly(problem, regime, alpha, n_c, c, blocks)
 
 
 def _invert_certificate(q, what):
@@ -295,9 +261,9 @@ def recover(assembly, solution):
     """
     v = solution.values
     b = assembly.blocks
-    q_value = assembly.regime.q_value
-    qs_inv = _invert_certificate(q_value(b["s"], v), "Q_S")
-    qc_inv = _invert_certificate(q_value(b["c"], v), "Q_C")
+    q_expr = assembly.regime.q_expr
+    qs_inv = _invert_certificate(q_expr(b["s"]).value(v), "Q_S")
+    qc_inv = _invert_certificate(q_expr(b["c"]).value(v), "Q_C")
     c_pinv = pinv(assembly.c)
     d_c = b["t4"].value(v) @ qs_inv @ c_pinv
     if assembly.n_c == 0:
@@ -329,6 +295,17 @@ def _result_from(assembly, solution, controller):
         achieved_margin=solution.achieved_margin,
         schur_dim=assembly.problem.constraints[0].dim,
     )
+
+
+def check_sweep_settings(sample_count, seed, prefix=""):
+    """ValidationError unless ``sample_count`` >= 0 and ``seed`` lies in
+    [0, 2**32), the seeds of the sample stream; ``prefix`` qualifies the
+    names in the message."""
+    if sample_count < 0:
+        raise ValidationError(
+            f"'{prefix}sample_count' must be >= 0, got {sample_count}")
+    if not 0 <= seed < 2 ** 32:
+        raise ValidationError(f"'{prefix}seed' must lie in [0, 2**32), got {seed}")
 
 
 def _sweep_scalings(factors, vertex_count, sample_count, seed):
@@ -363,7 +340,10 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     Realizations are swept in arrays of ``SWEEP_CHUNK`` scaling rows: one
     stack of closed loops and one batched eigenvalue call per array.  The
     worst realization is the first one reaching the minimal margin.
+    Raises :class:`ValidationError` for a negative ``sample_count`` or a
+    ``seed`` outside [0, 2**32) before sweeping anything.
     """
+    check_sweep_settings(sample_count, seed)
     factors = decompose(sys)
     total = count_vertices(factors)
     exhaustive = total <= MAX_VERTICES
@@ -394,7 +374,7 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     na = factors.m_a.shape[1]
     return CertificationReport(
         vertex_count=vertex_count,
-        sample_count=max(sample_count, 0),
+        sample_count=sample_count,
         min_sector_margin=min_margin,
         worst_realization=UncertaintyRealization(worst[:na], worst[na:]),
         nominal_lmi_ok=status is SdpStatus.FEASIBLE,
@@ -412,8 +392,10 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     controller, and certifies it a posteriori.  A controller failing
     certification is returned with ``passed = False``, never hidden.
     Raises :class:`InfeasibleError` when the LMI itself is infeasible or
-    undecidable.
+    undecidable, and :class:`ValidationError` for certify settings that
+    :func:`certify` rejects, before assembling anything.
     """
+    check_sweep_settings(sample_count, seed)
     asm = assemble(decompose(sys), sys.c, sys.alpha, n_c)
     sol = solve_feasibility(asm.problem, solver_cfg)
     if sol.status is not SdpStatus.FEASIBLE:

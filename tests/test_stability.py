@@ -7,7 +7,7 @@ from folmi.errors import (
     ShapeMismatchError,
     SolverFailureError,
 )
-from folmi.lmi import R_BOX, SdpStatus, constraint_margin
+from folmi.lmi import R_BOX, SdpStatus, constraint_margin, solve_feasibility
 from folmi.stability import (
     _regime,
     analysis_feasible,
@@ -196,6 +196,26 @@ def test_analysis_solves_are_pinned(alpha):
         sol = analysis_feasible(rng.randn(3, 3) - 1.5 * np.eye(3), alpha).solution
         got.append((sol.status.name, sol.iterations))
     assert got == ANALYSIS_PINS[alpha]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.2, 1.6])
+@pytest.mark.parametrize("factor,status", [
+    (0.5, SdpStatus.FEASIBLE), (0.9, SdpStatus.FEASIBLE),
+    (1.1, SdpStatus.INFEASIBLE), (1.5, SdpStatus.INFEASIBLE),
+])
+def test_lifted_scalar_analysis_threshold(alpha, factor, status):
+    # a = a0 + rho f rho, |f| <= 1, with l = 0 and n_c = 0: eliminating eta
+    # from the scalar-multiplier lift leaves a0 + rho^2 < 0 below alpha = 1
+    # and a0 sin(theta) + rho^2 < 0, theta = pi - alpha pi/2, from alpha = 1 up
+    a0, regime = -1.0, _regime(alpha)
+    threshold = -a0 if alpha < 1.0 else -a0 * np.sin(np.pi - alpha * np.pi / 2.0)
+    rho = np.sqrt(factor * threshold)
+    p, blocks = certificate_lmi(regime, np.array([[a0]]), np.zeros((1, 0)), 0,
+                                (np.array([[rho * rho]]), np.array([[rho]]), 0))
+    k = regime.copies
+    assert "eta" in blocks
+    assert [c.dim for c in p.constraints[:2]] == [2 * k, 1]
+    assert solve_feasibility(p).status is status
 
 
 def barrier_status(a, alpha):

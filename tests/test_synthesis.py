@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import folmi.synthesis
-from folmi.errors import AlphaOutOfRangeError, InfeasibleError, SolverFailureError
+from folmi.errors import (
+    AlphaOutOfRangeError,
+    InfeasibleError,
+    SolverFailureError,
+    ValidationError,
+)
 from folmi.interval import (
     IntervalMatrix,
     UncertainFoltiSystem,
@@ -115,7 +120,7 @@ class TestAssembleLowAlpha:
         # direct sweep of the scalar closed loop a + b*d*c over d
         sys = certain_scalar_system(5.0, 1.0, 1.0, 0.5)
         asm = assemble(decompose(sys), sys.c, 0.5, 0)
-        assert not asm.uncertain
+        assert "eta" not in asm.blocks
         assert len(asm.problem.constraints) == 2  # core block + P_S positivity
         sol = solve_feasibility(asm.problem)
         sweep_feasible = any(
@@ -593,6 +598,26 @@ class TestSynthesize:
         assert result.solver_status is SdpStatus.FEASIBLE
         assert not report.passed
         assert report.min_sector_margin < 0
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"sample_count": -5}, "'sample_count'"),
+    ({"seed": -1}, "'seed'"),
+    ({"seed": 2 ** 32}, "'seed'"),
+])
+@pytest.mark.parametrize("entry", ["certify", "synthesize"])
+def test_invalid_sweep_settings_raise_before_any_work(monkeypatch, entry, kwargs, name):
+    def never(*args, **kwargs):
+        raise AssertionError("worked despite an invalid certify setting")
+
+    for stage in ("solve_feasibility", "assemble", "realize"):
+        monkeypatch.setattr(folmi.synthesis, stage, never)
+    sys = example1_system()
+    with pytest.raises(ValidationError, match=name):
+        if entry == "certify":
+            certify(sys, DynamicController.static([[-24.86]]), **kwargs)
+        else:
+            synthesize(sys, 0, **kwargs)
 
 
 def full_lift_schur(factors, asm, v, sigma):
