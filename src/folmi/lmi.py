@@ -19,8 +19,13 @@ INFEASIBLE once the barrier duality bound proves ``min t > -eps_margin``.
 The iteration stops early once ``t <= -max(eps_margin, FEASIBILITY_DEPTH)``.
 The box bound ``R_BOX``, the barrier weight's growth factor ``MU_FACTOR``
 and ``FEASIBILITY_DEPTH`` are module constants.  Everything is dense and
-deterministic; blocks stay well under 100x100 at the scales this toolkit
-targets.
+deterministic, with one exception: a constraint whose oriented form is
+c*x_i*I (zero constant, one variable, a multiple of the identity, such as
+the eta > 0 block of the robust lift) has the slack (t - c*x_i)*I, so its
+barrier term is -dim*log(t - c*x_i) and is evaluated, differentiated and
+started in closed form instead of being inverted and factored.  The final
+audit of every returned point still forms each constraint densely.  The
+other blocks stay well under 100x100 at the scales this toolkit targets.
 """
 
 import enum
@@ -31,6 +36,7 @@ import numpy as np
 from .errors import (
     IllFormedProblemError,
     LengthMismatchError,
+    ValidationError,
 )
 
 _SYM_TOL = 1e-9
@@ -326,8 +332,10 @@ class LmiProblem:
 class SolverConfig:
     """Numerical knobs for the feasibility solver.
 
-    ``eps_margin`` is the strictness margin replacing "< 0".  The algorithm
-    is deterministic and never draws randomness.  The variable box bound,
+    ``eps_margin`` is the strictness margin replacing "< 0".  It and
+    ``tol`` must be finite and positive, and ``max_iter`` at least 1, or
+    construction raises ``ValidationError``.  The algorithm is
+    deterministic and never draws randomness.  The variable box bound,
     the barrier weight's growth factor and the acceptance depth are the
     module constants ``R_BOX``, ``MU_FACTOR`` and ``FEASIBILITY_DEPTH``.
     """
@@ -335,6 +343,17 @@ class SolverConfig:
     eps_margin: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 200
+
+    def __post_init__(self):
+        # a margin <= 0 would let FEASIBLE certify points that violate "< 0"
+        for name in ("eps_margin", "tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(
+                    f"'solver.{name}' must be finite and > 0, got {value!r}")
+        if self.max_iter < 1:
+            raise ValidationError(
+                f"'solver.max_iter' must be >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -377,7 +396,12 @@ def constraint_margin(problem, constraint, values):
 
 
 class _Block:
-    """NEG-oriented constraint with stacked coefficient tensors."""
+    """NEG-oriented constraint with stacked coefficient tensors, and its
+    term -log det(t*I - F(x)) of the barrier.
+
+    ``scale`` is c when the oriented block is c*x_i*I (zero constant, one
+    variable), whose slack t*I - F(x) is (t - c*x_i)*I; otherwise None.
+    """
 
     def __init__(self, constraint):
         sign = 1.0 if constraint.sense is Sense.NEGATIVE_DEFINITE else -1.0
@@ -390,12 +414,56 @@ class _Block:
             )
         else:
             self.coeff = np.zeros((0, self.dim, self.dim))
+        self.scale = None
+        if self.var_idx.size == 1 and not np.any(self.const):
+            c = float(self.coeff[0, 0, 0])
+            if np.array_equal(self.coeff[0], c * np.eye(self.dim)):
+                self.scale = c
 
     def matrix(self, x):
         m = self.const.copy()
         if self.var_idx.size:
             m += np.tensordot(x[self.var_idx], self.coeff, axes=1)
         return m
+
+    def slack(self, x, t):
+        """``(S, log det S)`` for the slack S = t*I - F(x), or None when S is
+        not positive definite.  A c*x_i*I block returns the scalar
+        s = t - c*x_i as S and dim*log(s), with no matrix formed."""
+        if self.scale is not None:
+            s = t - self.scale * x[self.var_idx[0]]
+            return (s, self.dim * np.log(s)) if s > 0.0 else None
+        s = t * np.eye(self.dim) - self.matrix(x)
+        ld = _logdet(s)
+        return None if ld is None else (s, ld)
+
+    def add_derivatives(self, s, grad, hess):
+        """Add the gradient and Hessian of -log det S over (x, t), with t
+        the last coordinate, at the slack ``s`` returned by :meth:`slack`."""
+        n = grad.size - 1
+        if self.scale is not None:
+            # -k log s with s = t - c*x_i: the dense terms below at S^-1 = I/s
+            i, k, c = self.var_idx[0], self.dim, self.scale
+            grad[n] -= k / s
+            grad[i] += k * c / s
+            hess[n, n] += k / s**2
+            hess[i, i] += k * c * c / s**2
+            hess[i, n] -= k * c / s**2
+            hess[n, i] -= k * c / s**2
+            return
+        w = np.linalg.inv(s)
+        w = 0.5 * (w + w.T)
+        grad[n] -= np.trace(w)
+        hess[n, n] += float(np.sum(w * w))
+        if self.var_idx.size:
+            v = w[None, :, :] @ self.coeff  # stack of V_i = S^-1 A_i
+            vflat = v.reshape(v.shape[0], -1)
+            vtflat = np.transpose(v, (0, 2, 1)).reshape(v.shape[0], -1)
+            grad[self.var_idx] += np.einsum("pii->p", v)
+            hess[np.ix_(self.var_idx, self.var_idx)] += vflat @ vtflat.T
+            cross = -(vflat @ w.reshape(-1))  # -tr(V_i W), the x-t coupling
+            hess[self.var_idx, n] += cross
+            hess[n, self.var_idx] += cross
 
 
 def _logdet(s):
@@ -432,12 +500,11 @@ def solve_feasibility(problem, cfg=None):
         slacks = []
         phi = 0.0
         for b in blocks:
-            s = tv * np.eye(b.dim) - b.matrix(xv)
-            ld = _logdet(s)
-            if ld is None:
+            slack = b.slack(xv, tv)
+            if slack is None:
                 return None
-            phi -= ld
-            slacks.append(s)
+            slacks.append(slack[0])
+            phi -= slack[1]
         phi -= float(np.sum(np.log(R_BOX - xv) + np.log(R_BOX + xv)))
         return xv, tv, phi, slacks
 
@@ -448,19 +515,7 @@ def solve_feasibility(problem, cfg=None):
         grad = np.zeros(n + 1)
         hess = np.zeros((n + 1, n + 1))
         for b, s in zip(blocks, slacks):
-            w = np.linalg.inv(s)
-            w = 0.5 * (w + w.T)
-            grad[n] -= np.trace(w)
-            hess[n, n] += float(np.sum(w * w))
-            if b.var_idx.size:
-                v = w[None, :, :] @ b.coeff  # stack of V_i = S^-1 A_i
-                vflat = v.reshape(v.shape[0], -1)
-                vtflat = np.transpose(v, (0, 2, 1)).reshape(v.shape[0], -1)
-                grad[b.var_idx] += np.einsum("pii->p", v)
-                hess[np.ix_(b.var_idx, b.var_idx)] += vflat @ vtflat.T
-                cross = -(vflat @ w.reshape(-1))  # -tr(V_i W), the x-t coupling
-                hess[b.var_idx, n] += cross
-                hess[n, b.var_idx] += cross
+            b.add_derivatives(s, grad, hess)
         grad[:n] += 1.0 / (R_BOX - xv) - 1.0 / (R_BOX + xv)
         hess[:n, :n] += np.diag(
             1.0 / (R_BOX - xv) ** 2 + 1.0 / (R_BOX + xv) ** 2
@@ -492,7 +547,8 @@ def solve_feasibility(problem, cfg=None):
             alpha *= 0.5
         return pt, lam2, False
 
-    t = max(float(np.linalg.eigvalsh(b.const)[-1]) for b in blocks)
+    t = max(0.0 if b.scale is not None else float(np.linalg.eigvalsh(b.const)[-1])
+            for b in blocks)
     pt = point(np.zeros(n), t + 1.0 + 0.1 * abs(t))
     x, t = pt[:2]
     mu = 1.0 / (1.0 + abs(t))

@@ -204,7 +204,12 @@ def _lift(factors):
     constraint carries that dropped multiplicity, ``extra`` = n^2 + n*l -
     rows(D) per copy; barrier value, gradient, Hessian, the sum of
     constraint dimensions and the smallest margin are then those of the
-    full lift, and the solver takes the same steps up to rounding.
+    full lift, and the solver takes the same steps up to rounding.  The
+    eta block is the one block :func:`folmi.lmi.solve_feasibility` does
+    not treat densely: as a zero-constant multiple of the identity its
+    slack is (t + eta) I, so its barrier term is -(1 + k*extra)
+    log(t + eta) in closed form, at a cost per Newton step that does not
+    grow with its size.
     """
     n, l = factors.n, factors.l
     sums = np.hstack([factors.delta_a, factors.delta_b]).sum(axis=0)

@@ -243,6 +243,28 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 
+    @pytest.mark.parametrize("field,solver", [
+        ("solver.eps_margin", {"eps_margin": -1.0}),
+        ("solver.eps_margin", {"eps_margin": 0.0}),
+        ("solver.tol", {"tol": float("nan")}),
+        ("solver.max_iter", {"max_iter": 0}),
+    ])
+    def test_out_of_range_solver_setting_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, field, solver):
+        # unstable scalar plant A = 1 with no input: with eps_margin = -1 the
+        # synthesis LMI used to read FEASIBLE (margin -0.79)
+        def never(*args, **kwargs):
+            raise AssertionError("synthesized despite an invalid setting")
+
+        monkeypatch.setattr("folmi.cli.synthesize", never)
+        path = write_config(
+            tmp_path, a_lower=[[1.0]], a_upper=[[1.0]], b_lower=[[0.0]],
+            b_upper=[[0.0]], c=[[1.0]], solver=solver,
+            simulate={"x0": [1.0], "t_end": 1.0, "h": 0.01})
+        assert main(["synth", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{field}'" in err
+
     def test_solver_failure_is_reported_with_exit_4(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise SingularCertificateError("certificate block is singular")
