@@ -12,6 +12,7 @@ certification passed; documented nonzero codes cover the failure modes.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -179,11 +180,16 @@ def parse_config(path):
         for key in ("x0", "t_end", "h"):
             if key not in sim:
                 raise ValidationError(f"simulate block missing '{key}'")
-        _matrix_field(sim, "x0", f"{path}: simulate")  # numeric, or ParseError
+        x0 = _matrix_field(sim, "x0", f"{path}: simulate")  # numeric, or ParseError
+        if not np.all(np.isfinite(x0)):
+            raise ValidationError("simulate x0 must be finite")
         h = _scalar(sim["h"], float, "simulate.h")
-        if h <= 0:
-            raise ValidationError("simulate step h must be positive")
-        if _scalar(sim["t_end"], float, "simulate.t_end") < h:
+        if not (math.isfinite(h) and h > 0):
+            raise ValidationError(f"simulate step h must be positive and finite, got {h}")
+        t_end = _scalar(sim["t_end"], float, "simulate.t_end")
+        if not math.isfinite(t_end):
+            raise ValidationError(f"simulate t_end must be finite, got {t_end}")
+        if t_end < h:
             raise ValidationError("simulate t_end must cover at least one step")
     cfg.system()  # runs the remaining shape checks
     cfg.solver_config()

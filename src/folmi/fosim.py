@@ -4,9 +4,18 @@ Integrates D^alpha x = A x (Caputo, 0 < alpha < 2) with the implicit
 Grunwald-Letnikov scheme on the shifted variable y = x - x(0), for which
 the Riemann-Liouville-form GL operator coincides with the Caputo
 derivative; for 1 < alpha < 2 the second initial condition is fixed at
-x'(0) = 0 (simulation from rest).  The full memory tail is kept at every
-step, which is affordable at the horizon lengths used here and removes a
-truncation knob.
+x'(0) = 0 (simulation from rest).
+
+The memory is kept in full, with no short-memory truncation and no knob:
+step k sums w_j y_{k-j} over every lag 1 <= j <= k.  The lags j < _NEAR
+are summed directly at each step.  The lags in each dyadic band [L, 2L),
+L = _NEAR, 2 _NEAR, ..., are added ahead for the next L nodes by one FFT
+convolution over all states, made at every multiple of L (the semi-relaxed
+block convolution of Hairer, Lubich & Schlichte 1985, "Fast numerical
+solution of nonlinear Volterra convolution equations", SIAM J. Sci. Stat.
+Comput. 6:532).  Each term is summed exactly once, so N steps cost
+O(N log^2 N) instead of the O(N^2) of the step-by-step sum, and a run of
+fewer than _NEAR steps is the direct sum.
 
 A scalar Mittag-Leffler evaluator provides an independent analytic oracle
 E_alpha(lambda t^alpha) for validating the stepper on (block-)diagonal
@@ -36,6 +45,14 @@ _SERIES_PEAK_LOG = 14.0
 # step guard: h^alpha * spectral_radius(A) above this is meaningless
 _STEP_RADIUS_CAP = 100.0
 
+# GL lags below this are summed directly at every step, the rest in dyadic
+# FFT bands [L, 2L) for L = _NEAR, 2 _NEAR, ...; a power of two.  32, 64 and
+# 128 run within 15% of each other; 128 measured fastest on 3- to 9-state
+# loops.
+_NEAR = 128
+
+_CSV_CHUNK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -58,15 +75,14 @@ def gl_weights(alpha, count):
     """First ``count`` Grunwald-Letnikov weights for order alpha.
 
     These are the coefficients of (1 - z)^alpha: w_0 = 1 and
-    w_j = w_{j-1} * (1 - (alpha + 1) / j).
+    w_j = w_{j-1} * (1 - (alpha + 1) / j), multiplied in that order.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    w = np.empty(count)
-    w[0] = 1.0
-    for j in range(1, count):
-        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
-    return w
+    factors = np.empty(count)
+    factors[0] = 1.0
+    factors[1:] = 1.0 - (alpha + 1.0) / np.arange(1, count)
+    return np.cumprod(factors)
 
 
 def _reciprocal_gamma(x):
@@ -165,21 +181,30 @@ def simulate(a_cl, alpha, x0, t_end, h):
 
         (I - h^alpha A) y_k = h^alpha A x0 - sum_{j=1..k} w_j y_{k-j}
 
-    with full memory.  Raises SingularStepError when the implicit step
-    matrix is (near) singular and StepTooLargeError when the step is far
-    too coarse for the system's eigenvalue scale.
+    over the full memory, without truncation.  Lags j < _NEAR are summed
+    directly at each step; each dyadic band of lags [L, 2L) is added ahead
+    for L steps at once by one FFT convolution, as soon as the states it
+    needs are known (Hairer, Lubich & Schlichte 1985).  Every term is
+    summed exactly once, in O(N log^2 N) work for N steps.  Raises
+    ValueError for a non-finite h, t_end or x0, SingularStepError when the
+    implicit step matrix is (near) singular and StepTooLargeError when the
+    step is far too coarse for the system's eigenvalue scale.
     """
     a = require_square(a_cl, "a_cl")
     if not 0.0 < alpha < 2.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < h:
         raise ValueError(f"t_end must be at least one step, got {t_end} < {h}")
     x0 = np.asarray(x0, float).reshape(-1)
     n = a.shape[0]
     if x0.size != n:
         raise ValueError(f"x0 has length {x0.size}, expected {n}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
 
     h_alpha = h ** alpha
     if n and h_alpha * float(np.max(np.abs(np.linalg.eigvals(a)))) > _STEP_RADIUS_CAP:
@@ -194,20 +219,44 @@ def simulate(a_cl, alpha, x0, t_end, h):
 
     steps = int(round(t_end / h))
     times = np.arange(steps + 1) * h
-    w = gl_weights(alpha, steps + 1)
-    y = np.zeros((steps + 1, n))
+    w = gl_weights(alpha, max(steps + 1, _NEAR))
+    near_w = w[_NEAR - 1 : 0 : -1]  # w_{NEAR-1}, ..., w_1
+    # Row t of y accumulates the far lags j >= _NEAR of node t, added ahead
+    # by the bands, until step t replaces it with y_t.  The _NEAR - 1 rows
+    # of ys above y_0 stay zero: the lags that reach before t = 0.
+    ys = np.zeros((steps + _NEAR, n))
+    y = ys[_NEAR - 1 :]
+    band_w = {}
     forcing = h_alpha * (a @ x0)
     for k in range(1, steps + 1):
-        tail = w[1 : k + 1] @ y[k - 1 :: -1]
-        y[k] = step_inv @ (forcing - tail)
+        size = _NEAR
+        while k % size == 0:
+            # lags [size, 2 size) of the nodes t in [k, k + size) read
+            # y_{k-2 size+1} .. y_{k-1}, all known; a circular convolution
+            # of length 2 size holds them without wrap-around
+            lo, hi = max(k - 2 * size + 1, 0), min(k + size, steps + 1)
+            if size not in band_w:
+                band_w[size] = np.fft.rfft(w[size : 2 * size], 2 * size)[:, None]
+            spectrum = np.fft.rfft(y[lo:k], 2 * size, axis=0)
+            spectrum *= band_w[size]
+            conv = np.fft.irfft(spectrum, 2 * size, axis=0)
+            y[k:hi] += conv[k - size - lo : hi - size - lo]
+            size *= 2
+        y[k] = step_inv @ (forcing - y[k] - near_w @ ys[k : k + _NEAR - 1])
     return Trajectory(alpha, h, times, y + x0[None, :])
 
 
 def trajectory_to_csv(traj, path):
-    """Write ``t,x1,...,xN`` rows with 9 significant digits and LF endings."""
+    """Write ``t,x1,...,xN`` rows with 9 significant digits and LF endings.
+
+    Rows are formatted and written in chunks, which bounds the Python
+    floats alive at once.
+    """
     n = traj.states.shape[1]
-    lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join(f"{v:.9g}" for v in (t, *row)))
+    row = ",".join(["%.9g"] * (n + 1)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+        for lo in range(0, traj.times.size, _CSV_CHUNK_ROWS):
+            hi = lo + _CSV_CHUNK_ROWS
+            chunk = np.column_stack([traj.times[lo:hi], traj.states[lo:hi]])
+            fh.write("".join([row % tuple(values) for values in chunk.tolist()]))

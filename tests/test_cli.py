@@ -75,6 +75,19 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="h must be positive"):
             parse_config(path)
 
+    @pytest.mark.parametrize("simulate,match", [
+        ({"x0": [1.0, 1.0, 1.0], "t_end": 10.0, "h": float("nan")}, "h must be"),
+        ({"x0": [1.0, 1.0, 1.0], "t_end": 10.0, "h": float("inf")}, "h must be"),
+        ({"x0": [1.0, 1.0, 1.0], "t_end": float("inf"), "h": 0.01}, "t_end must be finite"),
+        ({"x0": [1.0, 1.0, 1.0], "t_end": float("nan"), "h": 0.01}, "t_end must be finite"),
+        ({"x0": [1.0, float("nan"), 1.0], "t_end": 10.0, "h": 0.01}, "x0 must be finite"),
+        ({"x0": [float("-inf"), 1.0, 1.0], "t_end": 10.0, "h": 0.01}, "x0 must be finite"),
+    ])
+    def test_non_finite_simulate_setting_rejected(self, tmp_path, simulate, match):
+        path = write_config(tmp_path, simulate=simulate)
+        with pytest.raises(ValidationError, match=match):
+            parse_config(path)
+
 
 class TestCommands:
     def test_synth_example1_order_two(self, tmp_path):
@@ -264,6 +277,26 @@ class TestMainEntry:
         assert main(["synth", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("h", float("nan")), ("t_end", float("inf")), ("x0", [1.0, float("nan"), 1.0]),
+    ])
+    def test_non_finite_simulate_setting_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        # h = NaN used to die in LinAlgError, t_end = inf in OverflowError,
+        # and x0 with a NaN exited 0 with final_norm_ratio inf
+        def never(*args, **kwargs):
+            raise AssertionError("simulated despite an invalid setting")
+
+        monkeypatch.setattr("folmi.cli.simulate", never)
+        sim = {"x0": [1.0, 1.0, 1.0], "t_end": 10.0, "h": 0.01, key: value}
+        path = write_config(tmp_path, simulate=sim)
+        ctrl = tmp_path / "k.json"
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        assert main(["simulate", str(path), str(ctrl), "--out",
+                     str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_solver_failure_is_reported_with_exit_4(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

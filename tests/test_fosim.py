@@ -9,7 +9,45 @@ from folmi.errors import (
     SingularStepError,
     StepTooLargeError,
 )
-from folmi.fosim import gl_weights, mittag_leffler, simulate, trajectory_to_csv
+from folmi import fosim
+from folmi.fosim import (
+    Trajectory,
+    gl_weights,
+    mittag_leffler,
+    simulate,
+    trajectory_to_csv,
+)
+
+
+def recurrence_weights(alpha, count):
+    """GL weights from the written-out recurrence, one product at a time."""
+    w = np.empty(count)
+    w[0] = 1.0
+    for j in range(1, count):
+        w[j] = w[j - 1] * (1.0 - (alpha + 1.0) / j)
+    return w
+
+
+def direct_gl(a, alpha, x0, steps, h):
+    """The implicit GL recursion with the memory summed term by term."""
+    n = a.shape[0]
+    h_alpha = h ** alpha
+    w = recurrence_weights(alpha, steps + 1)
+    step_inv = np.linalg.inv(np.eye(n) - h_alpha * a)
+    forcing = h_alpha * (a @ x0)
+    y = np.zeros((steps + 1, n))
+    for k in range(1, steps + 1):
+        y[k] = step_inv @ (forcing - w[k:0:-1] @ y[:k])
+    return y + x0
+
+
+def csv_reference(traj):
+    """The row-by-row formatter the CSV writer must reproduce byte for byte."""
+    n = traj.states.shape[1]
+    lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(",".join(f"{v:.9g}" for v in (t, *row)))
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestGlWeights:
@@ -31,6 +69,11 @@ class TestGlWeights:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             gl_weights(0.5, 0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.5, 0.75, 0.9, 1.0, 1.3, 1.8, 1.99])
+    @pytest.mark.parametrize("count", [1, 2, 3, 129, 20001])
+    def test_bit_identical_to_the_recurrence(self, alpha, count):
+        assert np.array_equal(gl_weights(alpha, count), recurrence_weights(alpha, count))
 
 
 class TestMittagLeffler:
@@ -186,9 +229,69 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(np.eye(1), 0.5, [1.0], 1.0, 0.0)
         with pytest.raises(ValueError):
+            simulate(np.eye(1), 0.5, [1.0], 1.0, -0.01)
+        with pytest.raises(ValueError):
             simulate(np.eye(1), 0.5, [1.0], 0.001, 0.01)
         with pytest.raises(AlphaOutOfRangeError):
             simulate(np.eye(1), 2.1, [1.0], 1.0, 0.01)
+
+    @pytest.mark.parametrize("x0,t_end,h", [
+        ([1.0], 1.0, math.nan),
+        ([1.0], 1.0, math.inf),
+        ([1.0], math.inf, 0.01),
+        ([1.0], math.nan, 0.01),
+        ([math.nan], 1.0, 0.01),
+        ([-math.inf], 1.0, 0.01),
+    ])
+    def test_non_finite_settings_rejected(self, x0, t_end, h):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(np.array([[-2.0]]), 0.75, x0, t_end, h)
+
+
+def seeded_loop(n, seed):
+    """A stable n x n loop: a random matrix shifted left of its spectrum."""
+    rng = np.random.RandomState(seed)
+    a = rng.randn(n, n) / math.sqrt(n)
+    return a - (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n), rng.randn(n)
+
+
+def assert_matches_direct(a, alpha, x0, steps, h):
+    got = simulate(a, alpha, x0, steps * h, h).states
+    want = direct_gl(a, alpha, x0, steps, h)
+    assert got.shape == want.shape
+    gap = np.abs(got - want).max(axis=1)
+    scale = np.maximum(1.0, np.maximum.accumulate(np.abs(want).max(axis=1)))
+    np.testing.assert_array_equal(got[:2], want[:2])  # x_0 and the first node
+    assert gap[:41].max() <= 1e-12
+    assert np.all(gap <= 1e-10 * scale), (gap / scale).max()
+
+
+ALPHAS = (0.5, 0.9, 1.3, 1.8)
+HORIZONS = (1, fosim._NEAR - 1, fosim._NEAR, fosim._NEAR + 1, 1000, 5000)
+
+
+class TestDyadicMemory:
+    """The dyadic FFT summation against the term-by-term GL recursion."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("steps", HORIZONS)
+    def test_matches_direct_sum(self, alpha, steps):
+        case = ALPHAS.index(alpha) * len(HORIZONS) + HORIZONS.index(steps)
+        a, x0 = seeded_loop(1 + case % 8, case)  # every n from 1 to 8
+        assert_matches_direct(a, alpha, x0, steps, 1e-2)
+
+    def test_exponentially_growing_loop(self):
+        a = np.array([[0.4, 0.3], [0.0, 0.2]])
+        assert_matches_direct(a, 0.9, np.array([1.0, -0.5]), 5000, 1e-2)
+
+    def test_lightly_damped_oscillating_loop(self):
+        # eigenvalues 2 exp(+-i theta) just inside the stable sector
+        # |arg| > alpha pi / 2
+        alpha = 1.3
+        theta = alpha * math.pi / 2 + 0.05
+        re, im = 2.0 * math.cos(theta), 2.0 * math.sin(theta)
+        a = np.array([[re, im], [-im, re]])
+        assert_matches_direct(a, alpha, np.array([1.0, 0.0]), 5000, 1e-2)
 
 
 class TestTrajectoryCsv:
@@ -207,3 +310,16 @@ class TestTrajectoryCsv:
         # 9 significant digits
         val = float(lines[3].split(",")[1])
         assert f"{val:.9g}" == lines[3].split(",")[1]
+
+    @pytest.mark.parametrize("rows,n", [(2500, 3), (5, 1), (1, 0), (1024, 2), (1025, 2)])
+    def test_bytes_match_the_reference_formatter(self, tmp_path, rows, n):
+        rng = np.random.RandomState(rows + n)
+        states = rng.randn(rows, n) * 10.0 ** rng.randint(-300, 300, (rows, n))
+        special = [-1.5, -0.0, 0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,
+                   123456789012.0, 1e-7, math.nan, math.inf, -math.inf]
+        flat = states.reshape(-1)
+        flat[: len(special)] = special[: flat.size]
+        traj = Trajectory(0.75, 1e-3, np.arange(rows) * 1e-3, states)
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, path)
+        assert path.read_bytes() == csv_reference(traj)
