@@ -20,12 +20,7 @@ from .lmi import (
     solve_feasibility,
 )
 from .fosim import Trajectory, gl_weights, mittag_leffler, simulate, trajectory_to_csv
-from .stability import (
-    SectorReport,
-    analysis_feasible,
-    closed_loop,
-    sector_margin,
-)
+from .stability import analysis_feasible, closed_loop, sector_margins
 from .synthesis import (
     CertificationReport,
     DynamicController,
@@ -58,10 +53,9 @@ __all__ = [
     "mittag_leffler",
     "simulate",
     "trajectory_to_csv",
-    "SectorReport",
     "analysis_feasible",
     "closed_loop",
-    "sector_margin",
+    "sector_margins",
     "CertificationReport",
     "DynamicController",
     "SynthesisResult",

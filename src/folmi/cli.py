@@ -98,14 +98,22 @@ class ProblemConfig:
         check_sweep_settings(count, seed, "certify.")
         return {"sample_count": count, "seed": seed}
 
+    def as_run(self):
+        """``raw`` with the n_c, solver and certify settings the run used."""
+        return {**self.raw, "n_c": self.n_c, "solver": self.solver,
+                "certify": self.certify}
+
 
 def _scalar(value, kind, name):
-    """``kind(value)`` for ``kind`` float or int; ParseError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        what = "a number" if kind is float else "an integer"
-        raise ParseError(f"field '{name}' must be {what}, got {value!r}") from exc
+    """``value`` as ``kind`` (float or int) if it is a non-boolean JSON number,
+    integral for int; ParseError naming the field otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    what = "a number" if kind is float else "an integer"
+    raise ParseError(f"field '{name}' must be {what}, got {value!r}")
 
 
 def _object(data, key, default):
@@ -271,11 +279,13 @@ def cmd_synth(config, out_path=None, report_path=None):
         infeasible = isinstance(exc, InfeasibleError)
         report = {
             "command": "synth",
-            "config": config.raw,
+            "config": config.as_run(),
             "status": "INFEASIBLE" if infeasible else "SOLVER_ERROR",
             "detail": str(exc),
             "timings": {"total_s": time.perf_counter() - t_start},
         }
+        if infeasible:
+            report["solver_status"] = exc.status.name
         _write_report(report, report_path)
         return report, EXIT_INFEASIBLE if infeasible else EXIT_SOLVER_ERROR
 
@@ -285,7 +295,7 @@ def cmd_synth(config, out_path=None, report_path=None):
     status = "PASSED" if cert.passed else "CERTIFICATION_FAILED"
     report = {
         "command": "synth",
-        "config": config.raw,
+        "config": config.as_run(),
         "status": status,
         "synthesis": {
             "controller": result.controller.to_dict(),
@@ -319,7 +329,7 @@ def cmd_check(config, controller, report_path=None):
     )
     report = {
         "command": "check",
-        "config": config.raw,
+        "config": config.as_run(),
         "status": "PASSED" if cert.passed else "CERTIFICATION_FAILED",
         "controller": controller.to_dict(),
         "certification": _certification_dict(cert),

@@ -42,7 +42,11 @@ class SolverFailureError(FolmiError, RuntimeError):
 
 
 class InfeasibleError(FolmiError, RuntimeError):
-    """Synthesis LMIs are infeasible for the requested controller order."""
+    """Synthesis LMI is infeasible or undecidable; ``status`` says which."""
+
+    def __init__(self, message, status):
+        super().__init__(message)
+        self.status = status
 
 
 class SingularCertificateError(FolmiError, RuntimeError):

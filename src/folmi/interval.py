@@ -7,7 +7,9 @@ bounded by the unit box.  The synthesis lift consumes only M M^T and the
 column sums of the radii, as (M M^T, D) (see ``synthesis._lift``).
 The certification sweep draws arrays of unit-box scaling rows: vertices
 from :func:`vertex_scalings`, seeded uniform samples from
-:func:`sample_scalings`, both turned into plant stacks by :func:`realize`.
+:func:`sample_scalings`, both turned into plant stacks by :func:`realize`,
+the one route from scalings to plants.  :class:`UncertaintyRealization`
+names one such row, as the worst case of a certification report.
 """
 
 from dataclasses import dataclass
@@ -179,24 +181,17 @@ def scaling_width(factors):
     return factors.m_a.shape[1] + factors.m_b.shape[1]
 
 
-def realize(factors, u):
-    """Plant matrices for unit-box scalings.
+def realize(factors, rows):
+    """Plant stacks A (N, n, n) and B (N, n, l) for an (N, n^2 + n*l) array
+    of unit-box scaling rows [f_a | f_b].
 
-    ``u`` is an :class:`UncertaintyRealization`, giving one pair (A, B), or
-    an (N, n^2 + n*l) array of scaling rows [f_a | f_b], giving the stacks
-    A (N, n, n) and B (N, n, l).  Entry (i, j) of A moves by
-    ``s * (f * s)`` with ``s = sqrt(delta_a[i, j])``, which is exactly the
-    factorized product ``m_a @ (f[:, None] * r_a)``; B likewise.
+    Entry (i, j) of A moves by ``s * (f * s)`` with
+    ``s = sqrt(delta_a[i, j])``, which is exactly the factorized product
+    ``m_a @ (f[:, None] * r_a)``; B likewise.  One realization
+    ``(f_a, f_b)`` is the single row ``np.concatenate([f_a, f_b])[None]``.
     """
     na, nb = factors.m_a.shape[1], factors.m_b.shape[1]
-    if isinstance(u, UncertaintyRealization):
-        if u.f_a.shape != (na,):
-            raise ValueError(f"f_a has length {u.f_a.size}, expected {na}")
-        if u.f_b.shape != (nb,):
-            raise ValueError(f"f_b has length {u.f_b.size}, expected {nb}")
-        a, b = realize(factors, np.concatenate([u.f_a, u.f_b])[None])
-        return a[0], b[0]
-    f = np.asarray(u, dtype=float)
+    f = np.asarray(rows, dtype=float)
     if f.ndim != 2 or f.shape[1] != na + nb:
         raise ValueError(f"scalings have shape {f.shape}, expected (N, {na + nb})")
     if f.size and np.abs(f).max() > 1.0 + 1e-12:

@@ -1,5 +1,5 @@
-"""Dense matrix kernel: input coercion, eigenvalues (of one matrix or a
-stack) and the pseudo-inverse.
+"""Dense matrix kernel: input coercion, the eigenvalues of a stack of
+matrices and the pseudo-inverse.
 
 All routines operate on plain float64 ``numpy`` arrays.  Matrices stay small
 (closed-loop dimensions of a dozen or so), so everything is dense and the
@@ -39,9 +39,9 @@ def eigvals_stack(stack):
     """Eigenvalues (with multiplicity, unsorted) of each matrix of a real
     (N, d, d) stack, as an (N, d) array.
 
-    One LAPACK call covers the whole stack.  The dimension cap, the
-    finiteness check and the mapping of a LAPACK failure to
-    :class:`ConvergenceFailureError` are those of :func:`eig_general`.
+    One LAPACK call covers the whole stack.  Matrices larger than
+    ``EIG_DIM_CAP`` or with non-finite entries are a ``ValueError``, and a
+    LAPACK failure is a :class:`ConvergenceFailureError`.
     """
     a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -57,17 +57,6 @@ def eigvals_stack(stack):
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(str(exc)) from exc
-
-
-def eig_general(m):
-    """All eigenvalues (with multiplicity) of a square real matrix.
-
-    Returns a complex array sorted by (real, imag) so the ordering is
-    deterministic for a fixed input.
-    """
-    vals = eigvals_stack(require_square(m)[None])[0]
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
 
 
 def pinv(m):

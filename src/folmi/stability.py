@@ -3,7 +3,8 @@
 Two equivalent routes are provided for D^alpha x = A x with 0 < alpha < 2:
 
 * the eigenvalue sector test (stable iff every eigenvalue satisfies
-  |arg(lambda)| > alpha*pi/2), and
+  |arg(lambda)| > alpha*pi/2), run on a whole (N, d, d) stack of matrices
+  by :func:`sector_margins`, and
 * an LMI feasibility certificate: the synthesis inequality of
   :func:`certificate_lmi` without input or controller.  Each order regime
   (a Hermitian certificate solved over its real/imaginary parts for
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaOutOfRangeError, ShapeMismatchError, SolverFailureError
-from .linalg import eig_general, eigvals_stack, require_square
+from .linalg import eigvals_stack, require_square
 from .lmi import (
     R_BOX,
     LmiProblem,
@@ -45,16 +46,6 @@ EIGENBASIS_COND_CAP = 1e8
 CONJUGATE_WEIGHTS = (0.05, 0.2, 0.01)
 
 log = logging.getLogger("folmi.stability")
-
-
-@dataclass(frozen=True)
-class SectorReport:
-    """Angular stability margin of a spectrum against the alpha-sector."""
-
-    alpha: float
-    eigenvalues: np.ndarray
-    margin: float
-    stable: bool
 
 
 @dataclass(frozen=True)
@@ -85,23 +76,13 @@ def sector_margins(stack, alpha):
     """Minimal angular margin min_i |arg(lambda_i)| - alpha*pi/2 of every
     matrix of an (N, d, d) stack, as an (N,) array.
 
-    All eigenvalues come from one batched call; :func:`sector_margin` is
-    the single-matrix case of the same computation.
+    All eigenvalues come from one batched call.  Positive margin means
+    asymptotically stable; a (near-)zero eigenvalue is treated as having
+    argument 0, hence unstable.  One matrix ``a`` is the stack
+    ``np.asarray(a)[None]``.
     """
     _check_alpha(alpha)
     return _margins(eigvals_stack(stack), alpha)
-
-
-def sector_margin(a, alpha):
-    """Minimal angular margin min_i |arg(lambda_i)| - alpha*pi/2.
-
-    Positive margin means asymptotically stable.  A (near-)zero eigenvalue
-    is treated as having argument 0, hence unstable.
-    """
-    _check_alpha(alpha)
-    eigs = eig_general(a)
-    margin = float(_margins(eigs[None], alpha)[0])
-    return SectorReport(alpha, eigs, margin, margin > 0.0)
 
 
 class _HermitianRegime:

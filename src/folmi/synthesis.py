@@ -405,7 +405,8 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     sol = solve_feasibility(asm.problem, solver_cfg)
     if sol.status is not SdpStatus.FEASIBLE:
         raise InfeasibleError(
-            f"synthesis LMI {sol.status.value} for n_c={n_c}, alpha={sys.alpha}"
+            f"synthesis LMI {sol.status.value} for n_c={n_c}, alpha={sys.alpha}",
+            sol.status,
         )
     controller = recover(asm, sol)
     report = certify(sys, controller, sample_count, seed, solver_cfg)

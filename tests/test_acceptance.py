@@ -30,7 +30,7 @@ import pytest
 from folmi.fosim import mittag_leffler, simulate
 from folmi.interval import decompose, realize
 from folmi.lmi import SdpStatus, SolverConfig, constraint_margin
-from folmi.stability import analysis_feasible, closed_loop, sector_margin
+from folmi.stability import analysis_feasible, closed_loop, sector_margins
 from folmi.synthesis import DynamicController, certify, synthesize
 from tests.test_interval import example1_system
 from tests.test_synthesis import example2_system
@@ -149,8 +149,8 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_open_loop_instability(self):
-        m1 = sector_margin(decompose(example1_system()).a0, 0.75).margin
-        m2 = sector_margin(decompose(example2_system()).a0, 1.2).margin
+        m1 = sector_margins(decompose(example1_system()).a0[None], 0.75)[0]
+        m2 = sector_margins(decompose(example2_system()).a0[None], 1.2)[0]
         ok = m1 < 0 and m2 < 0
         record(ok, 4, f"example1 margin {m1:.4f}, example2 margin {m2:.4f}")
         assert m1 < 0
@@ -166,11 +166,11 @@ class TestCriterion5:
             agree = total = 0
             for _ in range(200):
                 a = rng.randn(3, 3)
-                report = sector_margin(a, alpha)
-                if abs(report.margin) <= 1e-3:
+                margin = sector_margins(a[None], alpha)[0]
+                if abs(margin) <= 1e-3:
                     continue
                 total += 1
-                agree += analysis_feasible(a, alpha).feasible == report.stable
+                agree += analysis_feasible(a, alpha).feasible == (margin > 0)
             counts[alpha] = (agree, total)
             assert agree == total, f"alpha={alpha}: {agree}/{total}"
         elapsed = time.perf_counter() - start
@@ -185,12 +185,8 @@ class TestCriterion6:
         np.testing.assert_allclose(f.m_a @ f.r_a, f.delta_a, rtol=1e-15, atol=1e-16)
         np.testing.assert_allclose(f.m_b @ f.r_b, f.delta_b, rtol=1e-15, atol=1e-16)
         # extreme realizations reproduce the interval bounds
-        ones_a = np.ones(f.m_a.shape[1])
-        ones_b = np.ones(f.m_b.shape[1])
-        from folmi.interval import UncertaintyRealization
-
-        hi_a, hi_b = realize(f, UncertaintyRealization(ones_a, ones_b))
-        lo_a, lo_b = realize(f, UncertaintyRealization(-ones_a, -ones_b))
+        ones = np.ones(f.m_a.shape[1] + f.m_b.shape[1])
+        (hi_a, lo_a), (hi_b, lo_b) = realize(f, np.stack([ones, -ones]))
         sys_ = example1_system()
         np.testing.assert_allclose(hi_a, sys_.a.upper, rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(hi_b, sys_.b.upper, rtol=1e-15, atol=1e-15)

@@ -131,6 +131,18 @@ class TestCommands:
         report, code = cmd_synth(parse_config(path))
         assert code == EXIT_INFEASIBLE
         assert report["status"] == "INFEASIBLE"
+        assert report["solver_status"] == "INFEASIBLE"
+
+    def test_synth_indeterminate_is_told_apart(self):
+        # one Newton step decides nothing: the status and exit code stay
+        # those of INFEASIBLE, and solver_status says why
+        cfg = parse_config("example1")
+        cfg.n_c, cfg.solver["max_iter"] = 1, 1
+        report, code = cmd_synth(cfg)
+        assert code == EXIT_INFEASIBLE
+        assert report["status"] == "INFEASIBLE"
+        assert report["solver_status"] == "INDETERMINATE"
+        assert "indeterminate" in report["detail"]
 
     def test_check_reference_static_controller(self, tmp_path):
         cfg = parse_config("example1")
@@ -232,6 +244,16 @@ class TestMainEntry:
         ("certify", {"certify": [1]}),
         ("simulate", {"simulate": "x"}),
         ("x0", {"simulate": {"x0": ["a", 1, 1], "t_end": 10.0, "h": 0.01}}),
+        # integer fields take integral JSON numbers only, and no field a boolean
+        ("n_c", {"n_c": 1.5}),
+        ("n_c", {"n_c": True}),
+        ("n_c", {"n_c": "2"}),
+        ("certify.sample_count", {"certify": {"sample_count": 10.9}}),
+        ("certify.seed", {"certify": {"seed": 0.5}}),
+        ("solver.max_iter", {"solver": {"max_iter": 2.5}}),
+        ("alpha", {"alpha": True}),
+        ("solver.tol", {"solver": {"tol": False}}),
+        ("simulate.h", {"simulate": {"x0": [1.0, 1.0, 1.0], "t_end": 10.0, "h": True}}),
     ])
     def test_malformed_scalar_is_a_usage_error(self, tmp_path, capsys, field, overrides):
         path = write_config(tmp_path, **overrides)
@@ -308,6 +330,37 @@ class TestMainEntry:
         report = json.loads(rpath.read_text())
         assert report["status"] == "SOLVER_ERROR"
         assert report["detail"] == "certificate block is singular"
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, n_c=2.0,
+                                        certify={"sample_count": 5.0, "seed": 3}))
+        assert cfg.n_c == 2 and cfg.certify_config() == {"sample_count": 5, "seed": 3}
+
+    @pytest.mark.parametrize("command", ["synth", "check"])
+    def test_report_config_reruns_the_run(self, tmp_path, command):
+        # the config block records --nc, --seed and --samples, so a run from
+        # it alone, with no flags, gives the same design and certification
+        ctrl = tmp_path / "k.json"
+        save_controller(DynamicController(1, [[-5.55]], [[-0.43]], [[-1.25]],
+                                          [[-26.55]]), ctrl)
+        args = {"synth": ["synth", "example1", "--nc", "1"],
+                "check": ["check", "example1", str(ctrl)]}[command]
+        first, again = tmp_path / "r1.json", tmp_path / "r2.json"
+        main([*args, "--seed", "7", "--samples", "20", "--report", str(first)])
+        r1 = json.loads(first.read_text())
+        assert r1["config"]["certify"] == {"sample_count": 20, "seed": 7}
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(r1["config"]))
+        args[1] = str(problem)
+        main([*args, "--report", str(again)])
+        r2 = json.loads(again.read_text())
+        assert r2["config"] == r1["config"]
+
+        def answer(report):
+            return json.dumps([report.get("synthesis", {}).get("controller"),
+                               report["certification"]], sort_keys=True)
+
+        assert answer(r2) == answer(r1)
 
     def test_report_determinism(self, tmp_path):
         def run(tag):

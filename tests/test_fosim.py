@@ -200,15 +200,14 @@ class TestSimulate:
         assert errors[0] > errors[1] > errors[2]
 
     def test_stable_systems_decay(self):
-        from folmi.stability import sector_margin
+        from folmi.stability import sector_margins
 
         rng = np.random.RandomState(31)
         checked = 0
         for _ in range(30):
             a = rng.randn(3, 3) - 2.5 * np.eye(3)
             for alpha in (0.75, 1.2):
-                rep = sector_margin(a, alpha)
-                if rep.margin <= 0.05:
+                if sector_margins(a[None], alpha)[0] <= 0.05:
                     continue
                 traj = simulate(a, alpha, np.ones(3), 20.0, 1e-2)
                 assert traj.final_norm_ratio < 1.0

@@ -103,20 +103,18 @@ class TestDecompose:
 class TestRealize:
     def test_center(self):
         f = decompose(example1_system())
-        a, b = realize(f, UncertaintyRealization(np.zeros(9), np.zeros(3)))
-        np.testing.assert_array_equal(a, f.a0)
-        np.testing.assert_array_equal(b, f.b0)
+        a, b = realize(f, np.zeros((1, 12)))
+        np.testing.assert_array_equal(a[0], f.a0)
+        np.testing.assert_array_equal(b[0], f.b0)
 
     def test_extremes_hit_bounds(self):
         f = decompose(example1_system())
-        ones_a = np.ones(f.m_a.shape[1])
-        ones_b = np.ones(f.m_b.shape[1])
-        a, b = realize(f, UncertaintyRealization(ones_a, ones_b))
-        np.testing.assert_allclose(a, np.array(EX1_A_UPPER), rtol=1e-15, atol=1e-15)
-        np.testing.assert_allclose(b, np.array(EX1_B_UPPER), rtol=1e-15, atol=1e-15)
-        a, b = realize(f, UncertaintyRealization(-ones_a, -ones_b))
-        np.testing.assert_allclose(a, np.array(EX1_A_LOWER), rtol=1e-15, atol=1e-15)
-        np.testing.assert_allclose(b, np.array(EX1_B_LOWER), rtol=1e-15, atol=1e-15)
+        ones = np.ones(f.m_a.shape[1] + f.m_b.shape[1])
+        (a_hi, a_lo), (b_hi, b_lo) = realize(f, np.stack([ones, -ones]))
+        np.testing.assert_allclose(a_hi, np.array(EX1_A_UPPER), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(b_hi, np.array(EX1_B_UPPER), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(a_lo, np.array(EX1_A_LOWER), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(b_lo, np.array(EX1_B_LOWER), rtol=1e-15, atol=1e-15)
 
     def test_entrywise_identity(self):
         # (m_a diag(f) r_a)_{ij} == f[(i,j)] * radius_{ij}
@@ -157,14 +155,18 @@ class TestStackedRealize:
             fa, fb = row[:na], row[na:]
             np.testing.assert_array_equal(a[k], f.a0 + f.m_a @ (fa[:, None] * f.r_a))
             np.testing.assert_array_equal(b[k], f.b0 + f.m_b @ (fb[:, None] * f.r_b))
-            ua, ub = realize(f, UncertaintyRealization(fa, fb))
-            np.testing.assert_array_equal(a[k], ua)
-            np.testing.assert_array_equal(b[k], ub)
+            ua, ub = realize(f, np.concatenate([fa, fb])[None])
+            np.testing.assert_array_equal(a[k], ua[0])
+            np.testing.assert_array_equal(b[k], ub[0])
 
     def test_rejects_bad_width_and_out_of_box(self):
         f = decompose(example1_system())
         with pytest.raises(ValueError):
             realize(f, np.zeros((2, 5)))
+        with pytest.raises(ValueError):  # one row must be a (1, 12) stack
+            realize(f, np.zeros(12))
+        with pytest.raises(TypeError):  # rows only, not a realization object
+            realize(f, UncertaintyRealization(np.zeros(9), np.zeros(3)))
         with pytest.raises(OutOfUnitBoxError):
             realize(f, np.full((1, 12), 1.5))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from folmi.errors import NonSquareError
-from folmi.linalg import eig_general, pinv
+from folmi.linalg import eigvals_stack, pinv
 
 EX1_A0 = np.array([
     [2.25, -7.5, 1.25],
@@ -24,19 +24,26 @@ def charpoly_3x3(a):
     return [1.0, -tr, 0.5 * (tr * tr - tr2), -det]
 
 
+def eigvals(m):
+    """Eigenvalues of one matrix: the one-matrix stack of eigvals_stack."""
+    return eigvals_stack(np.asarray(m, dtype=float)[None])[0]
+
+
 class TestEigGeneral:
+    """Eigenvalues of general (non-symmetric) real matrices."""
+
     def test_scalar(self):
-        assert eig_general([[-1.0]]) == pytest.approx([-1.0])
+        assert eigvals([[-1.0]]) == pytest.approx([-1.0])
 
     def test_rotation_matrix(self):
-        vals = eig_general([[0.0, 1.0], [-1.0, 0.0]])
+        vals = eigvals([[0.0, 1.0], [-1.0, 0.0]])
         np.testing.assert_allclose(sorted(vals, key=lambda z: z.imag), [-1j, 1j], atol=1e-12)
 
     def test_example1_midpoint_is_sector_unstable(self):
         # the open-loop plant has eigenvalues inside the 0.75-order sector;
         # validate the returned eigenvalues against the cofactor-based
         # characteristic polynomial before trusting their arguments
-        vals = eig_general(EX1_A0)
+        vals = eigvals(EX1_A0)
         coeffs = charpoly_3x3(EX1_A0)
         scale = 1.0 + np.abs(EX1_A0).max()
         for lam in vals:
@@ -46,27 +53,30 @@ class TestEigGeneral:
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
-            eig_general(np.zeros((2, 3)))
+            eigvals_stack(np.zeros((1, 2, 3)))
+        with pytest.raises(NonSquareError):
+            eigvals_stack(np.eye(2))  # one matrix, not a stack
 
     def test_dimension_cap(self):
+        assert eigvals_stack(np.eye(64)[None]).shape == (1, 64)
         with pytest.raises(ValueError):
-            eig_general(np.eye(65))
+            eigvals_stack(np.eye(65)[None])
 
     def test_trace_and_det_consistency(self):
         rng = np.random.RandomState(11)
         for _ in range(50):
             n = rng.randint(1, 9)
-            m = rng.randn(n, n)
-            vals = eig_general(m)
-            tol = 1e-6 * (1.0 + np.abs(m).max())
-            assert abs(vals.sum() - np.trace(m)) <= tol
-            assert abs(np.prod(vals) - np.linalg.det(m)) <= tol * max(
-                1.0, abs(np.linalg.det(m))
-            )
+            stack = rng.randn(3, n, n)
+            for m, vals in zip(stack, eigvals_stack(stack)):
+                tol = 1e-6 * (1.0 + np.abs(m).max())
+                assert abs(vals.sum() - np.trace(m)) <= tol
+                assert abs(np.prod(vals) - np.linalg.det(m)) <= tol * max(
+                    1.0, abs(np.linalg.det(m))
+                )
 
     def test_deterministic(self):
-        m = np.random.RandomState(3).randn(6, 6)
-        np.testing.assert_array_equal(eig_general(m), eig_general(m))
+        stack = np.random.RandomState(3).randn(4, 6, 6)
+        np.testing.assert_array_equal(eigvals_stack(stack), eigvals_stack(stack))
 
 
 class TestPinv:

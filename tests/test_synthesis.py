@@ -11,13 +11,7 @@ from folmi.errors import (
     SolverFailureError,
     ValidationError,
 )
-from folmi.interval import (
-    IntervalMatrix,
-    UncertainFoltiSystem,
-    UncertaintyRealization,
-    decompose,
-    realize,
-)
+from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose
 from folmi.lmi import (
     SdpStatus,
     Sense,
@@ -26,7 +20,7 @@ from folmi.lmi import (
     evaluate_constraint,
     solve_feasibility,
 )
-from folmi.stability import analysis_feasible, closed_loop, sector_margin
+from folmi.stability import analysis_feasible, closed_loop
 from folmi.synthesis import (
     DynamicController,
     assemble,
@@ -35,6 +29,7 @@ from folmi.synthesis import (
     synthesize,
 )
 from tests.test_interval import example1_system
+from tests.test_stability import reference_margin
 
 EX2_A_LOWER = [[-1.1, -1.5, 3.0], [0.8, -2.6, 0.7], [-1.4, -4.0, -1.2]]
 EX2_A_UPPER = [[-0.9, -1.0, 4.0], [1.2, -2.0, 1.3], [-1.0, -3.0, -0.8]]
@@ -124,12 +119,12 @@ class TestAssembleLowAlpha:
         assert len(asm.problem.constraints) == 2  # core block + P_S positivity
         sol = solve_feasibility(asm.problem)
         sweep_feasible = any(
-            sector_margin([[5.0 + d]], 0.5).stable
+            reference_margin([[5.0 + d]], 0.5) > 0
             for d in np.arange(-50.0, 10.0, 0.25)
         )
         assert (sol.status is SdpStatus.FEASIBLE) == sweep_feasible
         k = recover(asm, sol)
-        assert sector_margin([[5.0 + k.d_c[0, 0]]], 0.5).stable
+        assert reference_margin([[5.0 + k.d_c[0, 0]]], 0.5) > 0
 
     def test_alpha_range(self):
         low, _ = synthesize(two_entry_scalar_plant(0.999), 0, sample_count=5)
@@ -159,7 +154,7 @@ class TestAssembleHighAlpha:
         sol = solve_feasibility(asm.problem)
         assert sol.status is SdpStatus.FEASIBLE
         k = recover(asm, sol)
-        assert sector_margin([[-1.0 + k.d_c[0, 0]]], 1.5).stable
+        assert reference_margin([[-1.0 + k.d_c[0, 0]]], 1.5) > 0
 
     def test_alpha_range(self):
         high, _ = synthesize(two_entry_scalar_plant(1.0), 0, sample_count=5)
@@ -380,12 +375,14 @@ class TestCertify:
 
 
 def reference_sweep(sys, controller, sample_count, seed):
-    """(min margin, worst realization) of the one-at-a-time sweep.
+    """(min margin, worst (f_a, f_b)) of the one-at-a-time sweep.
 
     Vertices and samples are rebuilt here, not taken from the sweep under
     test: bit k of vertex number v sets the sign (+1 when set) of the k-th
     positive radius, A row-major then B, and each sample draws f_a then f_b
-    from one ``RandomState(seed)`` stream.
+    from one ``RandomState(seed)`` stream.  Each plant is the factorized
+    product A = A0 + M_A diag(f_a) R_A (B likewise) and each margin comes
+    from :func:`reference_margin`.
     """
     factors = decompose(sys)
     radii = np.concatenate([factors.delta_a.ravel(), factors.delta_b.ravel()])
@@ -396,18 +393,19 @@ def reference_sweep(sys, controller, sample_count, seed):
         f = np.zeros(radii.size)
         for bit, k in enumerate(active):
             f[k] = 1.0 if (v >> bit) & 1 else -1.0
-        realizations.append(UncertaintyRealization(f[:na], f[na:]))
+        realizations.append((f[:na], f[na:]))
     rng = np.random.RandomState(seed)
     for _ in range(sample_count):
         f_a = rng.uniform(-1.0, 1.0, size=na)
         f_b = rng.uniform(-1.0, 1.0, size=nb)
-        realizations.append(UncertaintyRealization(f_a, f_b))
+        realizations.append((f_a, f_b))
     min_margin, worst = np.inf, None
-    for u in realizations:
-        a, b = realize(factors, u)
-        margin = sector_margin(closed_loop(a, b, sys.c, controller), sys.alpha).margin
+    for f_a, f_b in realizations:
+        a = factors.a0 + factors.m_a @ (f_a[:, None] * factors.r_a)
+        b = factors.b0 + factors.m_b @ (f_b[:, None] * factors.r_b)
+        margin = reference_margin(closed_loop(a, b, sys.c, controller), sys.alpha)
         if margin < min_margin:
-            min_margin, worst = margin, u
+            min_margin, worst = margin, (f_a, f_b)
     return min_margin, worst
 
 
@@ -467,8 +465,8 @@ class TestBatchedSweep:
             report = certify(sys, k, sample_count=60, seed=5)
             margin, worst = reference_sweep(sys, k, 60, 5)
             assert abs(report.min_sector_margin - margin) <= 1e-9, name
-            assert np.array_equal(report.worst_realization.f_a, worst.f_a), name
-            assert np.array_equal(report.worst_realization.f_b, worst.f_b), name
+            assert np.array_equal(report.worst_realization.f_a, worst[0]), name
+            assert np.array_equal(report.worst_realization.f_b, worst[1]), name
             assert report.vertex_count == 2 ** int(
                 np.count_nonzero(sys.a.upper > sys.a.lower)
                 + np.count_nonzero(sys.b.upper > sys.b.lower)
@@ -496,7 +494,7 @@ class TestBatchedSweep:
             report = certify(sys, k, sample_count=0)
         assert not report.vertices_exhaustive
         assert report.vertex_count == 0 and report.sample_count == 0
-        center = sector_margin(decompose(sys).a0, 0.8).margin
+        center = reference_margin(decompose(sys).a0, 0.8)
         assert report.min_sector_margin == center
         json.dumps(report.min_sector_margin, allow_nan=False)
         np.testing.assert_array_equal(report.worst_realization.f_a, np.zeros(n * n))
