@@ -37,10 +37,6 @@ class LengthMismatchError(FolmiError, ValueError):
     """Value vector length does not match the declared variable count."""
 
 
-class SolverFailureError(FolmiError, RuntimeError):
-    """Feasibility solver returned INDETERMINATE or otherwise failed."""
-
-
 class InfeasibleError(FolmiError, RuntimeError):
     """Synthesis LMI is infeasible or undecidable; ``status`` says which."""
 

@@ -208,42 +208,25 @@ def block_expr(grid):
 
 @dataclass(frozen=True)
 class VariableBlock:
-    """Handle for a structured block of scalar decision variables."""
+    """Structured block of scalar decision variables: ``indices[k]`` is entry
+    ``entries[k]`` = (i, j), row by row, and unless ``mirror`` is None also
+    ``mirror`` times entry (j, i) (1 for a symmetric block, -1 for a skew one)."""
 
-    kind: str
     rows: int
     cols: int
     indices: tuple
+    entries: tuple
+    mirror: float | None
 
     def basis(self):
         """Pairs (variable index, basis matrix) spanning the block."""
         out = []
-        pos = 0
-        if self.kind == "symmetric":
-            for i in range(self.rows):
-                for j in range(i, self.rows):
-                    e = np.zeros((self.rows, self.cols))
-                    e[i, j] = 1.0
-                    e[j, i] = 1.0
-                    out.append((self.indices[pos], e))
-                    pos += 1
-        elif self.kind == "skew":
-            for i in range(self.rows):
-                for j in range(i + 1, self.rows):
-                    e = np.zeros((self.rows, self.cols))
-                    e[i, j] = 1.0
-                    e[j, i] = -1.0
-                    out.append((self.indices[pos], e))
-                    pos += 1
-        elif self.kind in ("full", "scalar"):
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    e = np.zeros((self.rows, self.cols))
-                    e[i, j] = 1.0
-                    out.append((self.indices[pos], e))
-                    pos += 1
-        else:
-            raise ValueError(f"unknown block kind {self.kind}")
+        for k, (i, j) in zip(self.indices, self.entries):
+            e = np.zeros((self.rows, self.cols))
+            e[i, j] = 1.0
+            if self.mirror is not None:
+                e[j, i] = self.mirror
+            out.append((k, e))
         return out
 
     def expr(self):
@@ -252,8 +235,8 @@ class VariableBlock:
         )
 
     def scale(self, matrix):
-        """``variable * matrix`` for a scalar block (affine lift)."""
-        if self.kind != "scalar":
+        """``variable * matrix`` for a 1x1 one-variable block (affine lift)."""
+        if (self.rows, self.cols, len(self.indices)) != (1, 1, 1):
             raise ValueError("scale() is only defined for scalar blocks")
         m = np.atleast_2d(np.asarray(matrix, float))
         return MatExpr(m.shape[0], m.shape[1], None, {self.indices[0]: m.copy()})
@@ -288,24 +271,25 @@ class LmiProblem:
         self.num_vars += count
         return tuple(range(start, start + count))
 
+    def _declare(self, rows, cols, entries, mirror, name):
+        entries = tuple(entries)
+        idx = self._new_vars(len(entries), name)
+        return VariableBlock(rows, cols, idx, entries, mirror)
+
     def declare_symmetric_block(self, dim, name="S"):
         """Symmetric dim x dim block: dim*(dim+1)/2 variables."""
-        idx = self._new_vars(dim * (dim + 1) // 2, name)
-        return VariableBlock("symmetric", dim, dim, idx)
+        return self._declare(dim, dim, zip(*np.triu_indices(dim)), 1.0, name)
 
     def declare_skew_block(self, dim, name="K"):
         """Skew-symmetric block: dim*(dim-1)/2 variables (0 when dim <= 1)."""
-        idx = self._new_vars(dim * (dim - 1) // 2, name)
-        return VariableBlock("skew", dim, dim, idx)
+        return self._declare(dim, dim, zip(*np.triu_indices(dim, 1)), -1.0, name)
 
     def declare_full_block(self, rows, cols, name="T"):
         """Unstructured rows x cols block: rows*cols variables."""
-        idx = self._new_vars(rows * cols, name)
-        return VariableBlock("full", rows, cols, idx)
+        return self._declare(rows, cols, np.ndindex(rows, cols), None, name)
 
     def declare_scalar(self, name="s"):
-        idx = self._new_vars(1, name)
-        return VariableBlock("scalar", 1, 1, idx)
+        return self.declare_full_block(1, 1, name)
 
     def add_constraint(self, expr, sense):
         """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr."""

@@ -14,7 +14,8 @@ Two equivalent routes are provided for D^alpha x = A x with 0 < alpha < 2:
 
 Keeping both routes independent lets each validate the other.  The LMI of a
 diagonalizable matrix also has an audited certificate built from its
-eigenbasis.  The module also assembles the output-feedback closed-loop matrix.
+eigenbasis.  Both LMI routes return their verdict as a status.  The module
+also assembles the output-feedback closed loop of a plant or a plant stack.
 """
 
 import logging
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRangeError, ShapeMismatchError, SolverFailureError
+from .errors import AlphaOutOfRangeError, ShapeMismatchError
 from .linalg import eigvals_stack, require_square
 from .lmi import (
     R_BOX,
@@ -30,7 +31,6 @@ from .lmi import (
     SdpSolution,
     SdpStatus,
     Sense,
-    SolverConfig,
     block_expr,
     constraint_margin,
     solve_feasibility,
@@ -62,16 +62,6 @@ def _check_alpha(alpha):
         raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
 
 
-def _margins(eigs, alpha):
-    """Row-wise min |arg| - alpha*pi/2 of an (N, d) eigenvalue array."""
-    boundary = alpha * np.pi / 2.0
-    if eigs.shape[1] == 0:
-        return np.full(eigs.shape[0], np.pi - boundary)
-    args = np.abs(np.angle(eigs))
-    args[np.abs(eigs) < ZERO_EIG_TOL] = 0.0
-    return args.min(axis=1) - boundary
-
-
 def sector_margins(stack, alpha):
     """Minimal angular margin min_i |arg(lambda_i)| - alpha*pi/2 of every
     matrix of an (N, d, d) stack, as an (N,) array.
@@ -82,7 +72,13 @@ def sector_margins(stack, alpha):
     ``np.asarray(a)[None]``.
     """
     _check_alpha(alpha)
-    return _margins(eigvals_stack(stack), alpha)
+    eigs = eigvals_stack(stack)
+    boundary = alpha * np.pi / 2.0
+    if eigs.shape[1] == 0:
+        return np.full(eigs.shape[0], np.pi - boundary)
+    args = np.abs(np.angle(eigs))
+    args[np.abs(eigs) < ZERO_EIG_TOL] = 0.0
+    return args.min(axis=1) - boundary
 
 
 class _HermitianRegime:
@@ -235,6 +231,15 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     return p, blocks
 
 
+def _analysis_lmi(a, alpha):
+    """``(regime, A, problem, blocks)`` of the analysis LMI of ``a``."""
+    regime = _regime(alpha)
+    m = require_square(a)
+    p, blocks = certificate_lmi(regime, regime.analysis_operand(m),
+                                np.zeros((m.shape[0], 0)), 0)
+    return regime, m, p, blocks
+
+
 def analysis_feasible(a, alpha, solver_cfg=None):
     """LMI stability test of D^alpha x = A x for 0 < alpha < 2.
 
@@ -246,15 +251,10 @@ def analysis_feasible(a, alpha, solver_cfg=None):
      [(A^T X - X A) cos(theta), (A^T X + X A) sin(theta)]] < 0 up to the
     sign of the skew blocks, theta = pi - alpha*pi/2, from alpha = 1 up.
     Returns the certificate (complex Hermitian or real symmetric) when
-    strictly feasible.
+    strictly feasible, else None with the INFEASIBLE or INDETERMINATE status.
     """
-    regime = _regime(alpha)
-    m = require_square(a)
-    p, blocks = certificate_lmi(regime, regime.analysis_operand(m),
-                                np.zeros((m.shape[0], 0)), 0)
-    sol = solve_feasibility(p, solver_cfg or SolverConfig())
-    if sol.status is SdpStatus.INDETERMINATE:
-        raise SolverFailureError("analysis LMI solve was indeterminate")
+    regime, _, p, blocks = _analysis_lmi(a, alpha)
+    sol = solve_feasibility(p, solver_cfg)
     if sol.status is not SdpStatus.FEASIBLE:
         return LmiCertificate(False, None, sol)
     return LmiCertificate(True, regime.value(blocks["s"], sol.values), sol)
@@ -270,15 +270,12 @@ def closed_form_certificate(a, alpha, eps_margin):
     the barrier could not prove that problem INFEASIBLE.  None (reason
     logged at INFO) when no candidate passes or cond(V) > EIGENBASIS_COND_CAP.
     """
-    regime = _regime(alpha)
-    m = require_square(a)
+    regime, m, p, blocks = _analysis_lmi(a, alpha)
     vals, vecs = np.linalg.eig(m)
     cond = np.linalg.cond(vecs)
     if not cond <= EIGENBASIS_COND_CAP:
         log.info("closed-form certificate: cond(V) = %.3g; using the barrier", cond)
         return None
-    p, blocks = certificate_lmi(regime, regime.analysis_operand(m),
-                                np.zeros((m.shape[0], 0)), 0)
     failures = []
     for candidate in regime.eigen_certificates(vals, vecs):
         x = np.zeros(p.num_vars)
@@ -305,27 +302,22 @@ def closed_loop(a, b, c, controller):
     """Augmented closed-loop matrix for output feedback.
 
     Returns [[A + B Dc C, B Cc], [Bc C, Ac]], which collapses to
-    A + B Dc C for a static (order zero) controller.  Given stacks A
-    (N, n, n) and B (N, n, l) it returns the (N, n + n_c, n + n_c) stack
-    of closed loops, one per plant.
+    A + B Dc C for a static (order zero) controller.  One body serves A
+    (n, n), B (n, l) and stacks A (N, n, n), B (N, n, l), which give the
+    (N, n + n_c, n + n_c) stack of closed loops.  A non-square A is a
+    ShapeMismatchError and a non-finite A a ValueError in either form.
     """
-    stacked = np.ndim(a) == 3
-    if stacked:
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        if a.shape[1] != a.shape[2]:
-            raise ShapeMismatchError(f"A stack {a.shape} is not square")
-    else:
-        a = require_square(a, "a")[None]
-        b = np.atleast_2d(np.asarray(b, float))[None]
-    c = np.atleast_2d(np.asarray(c, float))
-    count, n = a.shape[0], a.shape[1]
-    if b.ndim != 3 or b.shape[:2] != (count, n) or c.shape[1] != n:
+    a, b, c = (np.atleast_2d(np.asarray(m, float)) for m in (a, b, c))
+    n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise ShapeMismatchError(f"A {a.shape} is not square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("A has non-finite entries")
+    if b.shape[:-1] != a.shape[:-1] or c.shape[1] != n:
         raise ShapeMismatchError(
             f"plant shapes inconsistent: A {a.shape}, B {b.shape}, C {c.shape}"
         )
-    l = b.shape[2]
-    m = c.shape[0]
+    l, m = b.shape[-1], c.shape[0]
     if controller.d_c.shape != (l, m):
         raise ShapeMismatchError(
             f"Dc is {controller.d_c.shape}, expected ({l},{m})"
@@ -334,9 +326,9 @@ def closed_loop(a, b, c, controller):
     if controller.a_c.shape != (n_c, n_c) or controller.b_c.shape != (n_c, m) \
             or controller.c_c.shape != (l, n_c):
         raise ShapeMismatchError("controller block shapes inconsistent")
-    out = np.empty((count, n + n_c, n + n_c))
-    out[:, :n, :n] = a + b @ controller.d_c @ c
-    out[:, :n, n:] = b @ controller.c_c
-    out[:, n:, :n] = controller.b_c @ c
-    out[:, n:, n:] = controller.a_c
-    return out if stacked else out[0]
+    out = np.empty(a.shape[:-2] + (n + n_c, n + n_c))
+    out[..., :n, :n] = a + b @ controller.d_c @ c
+    out[..., :n, n:] = b @ controller.c_c
+    out[..., n:, :n] = controller.b_c @ c
+    out[..., n:, n:] = controller.a_c
+    return out

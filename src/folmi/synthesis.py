@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    FolmiError,
     InfeasibleError,
     ShapeMismatchError,
     SingularCertificateError,
@@ -367,14 +366,11 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
             min_margin = float(margins[i])
             worst = f[i].copy()
     a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, controller)
-    route, status = "closed_form", SdpStatus.FEASIBLE
     eps_margin = (solver_cfg or SolverConfig()).eps_margin
-    if closed_form_certificate(a_cl0, sys.alpha, eps_margin) is None:
-        route = "barrier"
-        try:
-            status = analysis_feasible(a_cl0, sys.alpha, solver_cfg).solution.status
-        except FolmiError:
-            status = SdpStatus.INDETERMINATE
+    route, cert = "closed_form", closed_form_certificate(a_cl0, sys.alpha, eps_margin)
+    if cert is None:
+        route, cert = "barrier", analysis_feasible(a_cl0, sys.alpha, solver_cfg)
+    status = cert.solution.status
     passed = bool(min_margin > 0.0) and status is SdpStatus.FEASIBLE
     na = factors.m_a.shape[1]
     return CertificationReport(

@@ -254,12 +254,26 @@ class TestMainEntry:
         ("alpha", {"alpha": True}),
         ("solver.tol", {"solver": {"tol": False}}),
         ("simulate.h", {"simulate": {"x0": [1.0, 1.0, 1.0], "t_end": 10.0, "h": True}}),
+        # matrix entries follow the same rule (a boolean or a numeric string
+        # used to read as a number), and an integer past the float range in a
+        # float field or matrix entry used to crash in OverflowError
+        ("a_lower", {"a_lower": [[True, -8.0, 1.0], [9.0, 6.0, 1.0], [1.0, 2.0, -1.0]]}),
+        ("b_upper", {"b_upper": [["1.0"], [-0.6], [0.0]]}),
+        ("alpha", {"alpha": 10 ** 400}),
+        ("c", {"c": [[1.0, 0.0, -(10 ** 400)]]}),
     ])
     def test_malformed_scalar_is_a_usage_error(self, tmp_path, capsys, field, overrides):
         path = write_config(tmp_path, **overrides)
         assert main(["synth", str(path), "--samples", "5"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
+
+    def test_interval_bound_shapes_differ_is_a_usage_error(self, tmp_path, capsys):
+        # used to crash in a broadcast ValueError traceback
+        path = write_config(tmp_path, a_lower=[[2.0, -8.0], [9.0, 6.0]])
+        assert main(["decompose", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: interval bound shapes differ: (2, 2) vs (3, 3)")
 
     @pytest.mark.parametrize("field,overrides,flags", [
         ("certify.seed", {}, ["--seed", "-1"]),

@@ -48,6 +48,26 @@ class TestVariableBlocks:
         assert p.num_vars == 0
         np.testing.assert_array_equal(k.value(np.zeros(0)), [[0.0]])
 
+    @pytest.mark.parametrize("declare,order,mirror", [
+        # variable k sets entry order[k] to 1 and its transpose to mirror
+        (lambda p: p.declare_symmetric_block(3),
+         [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], 1.0),
+        (lambda p: p.declare_skew_block(3), [(0, 1), (0, 2), (1, 2)], -1.0),
+        (lambda p: p.declare_full_block(2, 3),
+         [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)], None),
+    ])
+    def test_variable_order(self, declare, order, mirror):
+        p = LmiProblem()
+        p.declare_scalar("before")
+        block = declare(p)
+        assert p.num_vars == 1 + len(order)
+        for k, (i, j) in enumerate(order, start=1):
+            want = np.zeros((block.rows, block.cols))
+            if mirror is not None:
+                want[j, i] = mirror
+            want[i, j] = 1.0
+            np.testing.assert_array_equal(block.value(np.eye(p.num_vars)[k]), want)
+
     def test_full_and_scalar(self):
         p = LmiProblem()
         t = p.declare_full_block(2, 3, "T")

@@ -5,7 +5,6 @@ from folmi.errors import (
     AlphaOutOfRangeError,
     ConvergenceFailureError,
     ShapeMismatchError,
-    SolverFailureError,
 )
 from folmi.lmi import R_BOX, SdpStatus, constraint_margin, solve_feasibility
 from folmi.stability import (
@@ -225,14 +224,6 @@ def test_lifted_scalar_analysis_threshold(alpha, factor, status):
     assert solve_feasibility(p).status is status
 
 
-def barrier_status(a, alpha):
-    """Status of the barrier solve of :func:`analysis_feasible`."""
-    try:
-        return analysis_feasible(a, alpha).solution.status
-    except SolverFailureError:
-        return SdpStatus.INDETERMINATE
-
-
 class TestClosedFormCertificate:
     def test_sound_on_seeded_matrices(self):
         # 200 matrices randn(n, n) - s I, n = 2..7, s uniform in [0, 2),
@@ -244,7 +235,7 @@ class TestClosedFormCertificate:
             n, alpha = rng.randint(2, 8), (0.3, 0.75, 1.2, 1.8)[i % 4]
             a = rng.randn(n, n) - rng.uniform(0.0, 2.0) * np.eye(n)
             cert = closed_form_certificate(a, alpha, eps)
-            status = barrier_status(a, alpha)
+            status = analysis_feasible(a, alpha).solution.status
             key = (cert is not None, status)
             outcomes[key] = outcomes.get(key, 0) + 1
             if cert is None:
@@ -382,6 +373,15 @@ class TestClosedLoop:
                 np.testing.assert_array_equal(got[i], closed_loop(a[i], b[i], c, k))
         with pytest.raises(ShapeMismatchError):
             closed_loop(a, b[:5], c, k)
+        # both forms reject a non-square or non-finite A the same way
+        bad = a.copy()
+        bad[2, 1, 0] = np.nan
+        for a_, b_ in ((a, b), (a[0], b[0])):
+            with pytest.raises(ShapeMismatchError):
+                closed_loop(a_[..., :2], b_, c, k)
+        for a_, b_ in ((bad, b), (bad[2], b[2])):
+            with pytest.raises(ValueError, match="non-finite"):
+                closed_loop(a_, b_, c, k)
 
     def test_shape_mismatch(self):
         k = DynamicController.static([[1.0, 0.0]])  # expects m = 2

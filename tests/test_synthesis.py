@@ -8,7 +8,6 @@ import folmi.synthesis
 from folmi.errors import (
     AlphaOutOfRangeError,
     InfeasibleError,
-    SolverFailureError,
     ValidationError,
 )
 from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose
@@ -366,8 +365,10 @@ class TestCertify:
         cfg = SolverConfig(max_iter=1)
         sys = example1_system()
         factors = decompose(sys)
-        with pytest.raises(SolverFailureError):
-            analysis_feasible(closed_loop(factors.a0, factors.b0, sys.c, k), 0.75, cfg)
+        a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, k)
+        barrier = analysis_feasible(a_cl0, 0.75, cfg)
+        assert not barrier.feasible and barrier.x is None
+        assert barrier.solution.status is SdpStatus.INDETERMINATE
         report = certify(sys, k, sample_count=10, seed=0, solver_cfg=cfg)
         assert report.nominal_route == "closed_form"
         assert report.nominal_status is SdpStatus.FEASIBLE
