@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -84,8 +85,10 @@ class ProblemConfig:
             raise ValidationError(f"unknown solver fields: {sorted(unknown)}")
         values = {k: _scalar(v, kinds[k], f"solver.{k}")
                   for k, v in self.solver.items()}
-        values.pop("seed", None)  # documented schema; the solver draws no randomness
-        return SolverConfig(**values)
+        # seed and tol are documented but unused: the solver draws no
+        # randomness, and its gap exit is set by eps_margin
+        return SolverConfig(**{k: v for k, v in values.items()
+                               if k not in ("seed", "tol")})
 
     def certify_config(self):
         allowed = {"sample_count", "seed"}
@@ -145,13 +148,29 @@ def _matrix_field(data, key, path):
         raise ParseError(f"{path}: field '{key}' is not a numeric matrix") from exc
 
 
-def _resolve_config_path(path):
+def _config_source(path):
+    """The file at ``path``, else the packaged fixture of that name."""
     if os.path.exists(path):
-        return path, None
+        return pathlib.Path(path)
     if path in _FIXTURES:
-        ref = resources.files("folmi").joinpath(f"fixtures/{path}.json")
-        return None, ref
+        return resources.files("folmi").joinpath(f"fixtures/{path}.json")
     raise ParseError(f"config file not found: {path}")
+
+
+def _load_json(source, path):
+    """The JSON document in ``source`` (a path or a packaged resource).  A
+    file that cannot be read, bad JSON (named by its line) and any other
+    ValueError, such as an integer literal past Python's int-string
+    conversion limit, raise ParseError."""
+    try:
+        with source.open() as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def parse_config(path):
@@ -161,16 +180,7 @@ def parse_config(path):
     Parse failures report the offending line or field; validation failures
     name the violated invariant.
     """
-    fs_path, ref = _resolve_config_path(str(path))
-    try:
-        if fs_path is not None:
-            with open(fs_path) as fh:
-                data = json.load(fh)
-        else:
-            data = json.loads(ref.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-
+    data = _load_json(_config_source(str(path)), path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     if "alpha" not in data:
@@ -213,14 +223,13 @@ def parse_config(path):
 
 
 def load_controller(path):
+    """Read a controller file; its entries are read as in a problem file."""
+    data = _load_json(pathlib.Path(path), path)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return DynamicController.from_dict(data)
-    except FileNotFoundError as exc:
-        raise ParseError(f"controller file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        return DynamicController(
+            _scalar(data["n_c"], int, "n_c"),
+            *(_numbers(data[k], k) for k in ("a_c", "b_c", "c_c", "d_c")),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad controller file: {exc}") from exc
 

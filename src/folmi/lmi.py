@@ -15,7 +15,9 @@ log-det barrier method on the epigraph form
 where each constraint is oriented so that negative definiteness is the
 goal.  The problem is declared FEASIBLE once an interior point reaches
 ``t <= -eps_margin`` (the point is re-audited before being returned) and
-INFEASIBLE once the barrier duality bound proves ``min t > -eps_margin``.
+INFEASIBLE only once the barrier duality bound proves ``min t >
+-eps_margin``.  When the duality gap falls below ``eps_margin / 2`` or the
+iteration budget runs out before either, the verdict is INDETERMINATE.
 The iteration stops early once ``t <= -max(eps_margin, FEASIBILITY_DEPTH)``.
 The box bound ``R_BOX``, the barrier weight's growth factor ``MU_FACTOR``
 and ``FEASIBILITY_DEPTH`` are module constants.  Everything is dense and
@@ -59,42 +61,37 @@ class SdpStatus(enum.Enum):
 
 
 class MatExpr:
-    """Matrix expression ``const + sum_i x_i * lin[i]`` with fixed shape."""
+    """Matrix expression ``terms[None] + sum_k x_k * terms[k]``: one term
+    table from None (the constant) and variable indices k to matrices of the
+    constant's shape.  Expressions share the term matrices that an operator
+    leaves unchanged, so none is ever written in place."""
 
     __array_ufunc__ = None  # keep numpy from consuming us in mixed ops
 
-    def __init__(self, rows, cols, const=None, lin=None):
-        self.rows = rows
-        self.cols = cols
-        self.const = (
-            np.zeros((rows, cols)) if const is None else np.asarray(const, float)
-        )
-        if self.const.shape != (rows, cols):
-            raise ValueError("constant shape mismatch")
-        self.lin = {} if lin is None else lin
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
+    def __init__(self, terms):
+        self.terms = terms
+        self.shape = terms[None].shape
+        self.rows, self.cols = self.shape
 
     @staticmethod
     def wrap(other):
         if isinstance(other, MatExpr):
             return other
-        arr = np.atleast_2d(np.asarray(other, float))
-        return MatExpr(arr.shape[0], arr.shape[1], arr)
+        return MatExpr({None: np.atleast_2d(np.asarray(other, float))})
+
+    def _map(self, f):
+        return MatExpr({k: f(v) for k, v in self.terms.items()})
 
     def __add__(self, other):
         other = MatExpr.wrap(other)
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        lin = {k: v.copy() for k, v in self.lin.items()}
-        for k, v in other.lin.items():
-            lin[k] = lin[k] + v if k in lin else v
-        return MatExpr(self.rows, self.cols, self.const + other.const, lin)
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms[k] + v if k in terms else v
+        return MatExpr(terms)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self.__add__(MatExpr.wrap(other).__neg__())
@@ -103,18 +100,11 @@ class MatExpr:
         return MatExpr.wrap(other).__add__(self.__neg__())
 
     def __neg__(self):
-        return MatExpr(
-            self.rows, self.cols, -self.const, {k: -v for k, v in self.lin.items()}
-        )
+        return self._map(np.negative)
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return MatExpr(
-            self.rows,
-            self.cols,
-            s * self.const,
-            {k: s * v for k, v in self.lin.items()},
-        )
+        return self._map(lambda v: s * v)
 
     __rmul__ = __mul__
 
@@ -125,39 +115,25 @@ class MatExpr:
         r = np.atleast_2d(np.asarray(other, float))
         if r.shape[0] != self.cols:
             raise ValueError(f"shape mismatch {self.shape} @ {r.shape}")
-        return MatExpr(
-            self.rows,
-            r.shape[1],
-            self.const @ r,
-            {k: v @ r for k, v in self.lin.items()},
-        )
+        return self._map(lambda v: v @ r)
 
     def __rmatmul__(self, other):
         """Left-multiplication by a constant matrix."""
         l = np.atleast_2d(np.asarray(other, float))
         if l.shape[1] != self.rows:
             raise ValueError(f"shape mismatch {l.shape} @ {self.shape}")
-        return MatExpr(
-            l.shape[0],
-            self.cols,
-            l @ self.const,
-            {k: l @ v for k, v in self.lin.items()},
-        )
+        return self._map(lambda v: l @ v)
 
     @property
     def T(self):
-        return MatExpr(
-            self.cols,
-            self.rows,
-            self.const.T.copy(),
-            {k: v.T.copy() for k, v in self.lin.items()},
-        )
+        return self._map(lambda v: v.T.copy())
 
     def value(self, values):
         """Substitute a flat variable vector."""
-        out = self.const.copy()
-        for k, coeff in self.lin.items():
-            out += values[k] * coeff
+        out = self.terms[None].copy()
+        for k, coeff in self.terms.items():
+            if k is not None:
+                out += values[k] * coeff
         return out
 
 
@@ -174,36 +150,28 @@ def block_expr(grid):
     which lets one assembly path cover degenerate controller orders.
     """
     grid = [[MatExpr.wrap(e) for e in row] for row in grid]
-    n_rows = len(grid)
     n_cols = len(grid[0])
     if any(len(row) != n_cols for row in grid):
         raise ValueError("ragged block grid")
     heights = [row[0].rows for row in grid]
     widths = [grid[0][j].cols for j in range(n_cols)]
+    r0, c0 = np.cumsum([0] + heights), np.cumsum([0] + widths)
+    # the blocks tile the constant, and from -0.0, the exact additive
+    # identity, += copies each one bit for bit, signed zeros included
+    terms = {None: np.full((r0[-1], c0[-1]), -0.0)}
     for i, row in enumerate(grid):
         for j, e in enumerate(row):
-            if e.rows != heights[i] or e.cols != widths[j]:
+            if e.shape != (heights[i], widths[j]):
                 raise ValueError(
                     f"block ({i},{j}) is {e.shape}, expected "
                     f"({heights[i]},{widths[j]})"
                 )
-    total_r = sum(heights)
-    total_c = sum(widths)
-    const = np.zeros((total_r, total_c))
-    lin = {}
-    r0 = 0
-    for i, row in enumerate(grid):
-        c0 = 0
-        for j, e in enumerate(row):
             if e.rows and e.cols:
-                const[r0 : r0 + e.rows, c0 : c0 + e.cols] = e.const
-                for k, coeff in e.lin.items():
-                    if k not in lin:
-                        lin[k] = np.zeros((total_r, total_c))
-                    lin[k][r0 : r0 + e.rows, c0 : c0 + e.cols] += coeff
-            c0 += widths[j]
-        r0 += heights[i]
-    return MatExpr(total_r, total_c, const, lin)
+                for k, coeff in e.terms.items():
+                    if k not in terms:
+                        terms[k] = np.zeros(terms[None].shape)
+                    terms[k][r0[i] : r0[i + 1], c0[j] : c0[j + 1]] += coeff
+    return MatExpr(terms)
 
 
 @dataclass(frozen=True)
@@ -230,16 +198,14 @@ class VariableBlock:
         return out
 
     def expr(self):
-        return MatExpr(
-            self.rows, self.cols, None, {k: e for k, e in self.basis()}
-        )
+        return MatExpr(dict([(None, np.zeros((self.rows, self.cols)))] + self.basis()))
 
     def scale(self, matrix):
         """``variable * matrix`` for a 1x1 one-variable block (affine lift)."""
         if (self.rows, self.cols, len(self.indices)) != (1, 1, 1):
             raise ValueError("scale() is only defined for scalar blocks")
         m = np.atleast_2d(np.asarray(matrix, float))
-        return MatExpr(m.shape[0], m.shape[1], None, {self.indices[0]: m.copy()})
+        return MatExpr({None: np.zeros(m.shape), self.indices[0]: m.copy()})
 
     def value(self, values):
         """Reconstruct the block matrix from a flat variable vector."""
@@ -299,13 +265,13 @@ class LmiProblem:
             raise IllFormedProblemError(
                 f"constraint must be square and nonempty, got {expr.shape}"
             )
-        mats = [expr.const] + list(expr.lin.values())
-        for m in mats:
+        for m in expr.terms.values():
             scale = 1.0 + np.abs(m).max()
             if np.abs(m - m.T).max() > _SYM_TOL * scale:
                 raise IllFormedProblemError("constraint matrices must be symmetric")
-        const = 0.5 * (expr.const + expr.const.T)
-        coeffs = {k: 0.5 * (v + v.T) for k, v in expr.lin.items() if np.any(v)}
+        coeffs = {k: 0.5 * (v + v.T) for k, v in expr.terms.items()
+                  if k is None or np.any(v)}
+        const = coeffs.pop(None)
         self.constraints.append(
             AffineMatrixConstraint(expr.rows, const, coeffs, Sense(sense))
         )
@@ -316,25 +282,23 @@ class LmiProblem:
 class SolverConfig:
     """Numerical knobs for the feasibility solver.
 
-    ``eps_margin`` is the strictness margin replacing "< 0".  It and
-    ``tol`` must be finite and positive, and ``max_iter`` at least 1, or
-    construction raises ``ValidationError``.  The algorithm is
-    deterministic and never draws randomness.  The variable box bound,
+    ``eps_margin`` is the strictness margin replacing "< 0"; the barrier
+    also stops once its duality gap falls below ``eps_margin / 2``.  It must
+    be finite and positive, and ``max_iter`` at least 1, or construction
+    raises ``ValidationError``.  The algorithm is deterministic and never
+    draws randomness.  The variable box bound,
     the barrier weight's growth factor and the acceptance depth are the
     module constants ``R_BOX``, ``MU_FACTOR`` and ``FEASIBILITY_DEPTH``.
     """
 
     eps_margin: float = 1e-6
-    tol: float = 1e-8
     max_iter: int = 200
 
     def __post_init__(self):
         # a margin <= 0 would let FEASIBLE certify points that violate "< 0"
-        for name in ("eps_margin", "tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValidationError(
-                    f"'solver.{name}' must be finite and > 0, got {value!r}")
+        if not (np.isfinite(self.eps_margin) and self.eps_margin > 0):
+            raise ValidationError(
+                f"'solver.eps_margin' must be finite and > 0, got {self.eps_margin!r}")
         if self.max_iter < 1:
             raise ValidationError(
                 f"'solver.max_iter' must be >= 1, got {self.max_iter!r}")
@@ -465,7 +429,8 @@ def solve_feasibility(problem, cfg=None):
     Runs a short-step barrier method on ``min t : F_j(x) <= t*I`` and
     returns FEASIBLE with a strictly satisfying point, INFEASIBLE with a
     duality-bound certificate that no point reaches margin ``eps_margin``,
-    or INDETERMINATE if the iteration budget runs out in the gray zone.
+    or INDETERMINATE if the duality gap closes or the iteration budget runs
+    out in the gray zone.
     The result is deterministic for a fixed problem and configuration.
     """
     cfg = cfg or SolverConfig()
@@ -537,7 +502,7 @@ def solve_feasibility(problem, cfg=None):
     x, t = pt[:2]
     mu = 1.0 / (1.0 + abs(t))
     iters = 0
-    status = SdpStatus.INDETERMINATE
+    infeasible = False
     while iters < cfg.max_iter:
         # center at current mu; a loose decrement suffices for the duality
         # slack used below, and any point at depth already decides FEASIBLE
@@ -550,24 +515,18 @@ def solve_feasibility(problem, cfg=None):
             if not ok or lam2 <= 1e-2:
                 break
         gap = (nu + np.sqrt(nu)) / mu
-        if t <= -depth:
-            status = SdpStatus.FEASIBLE
+        if t - gap > -cfg.eps_margin:  # the duality bound: min t > -eps_margin
+            infeasible = True
             break
-        if t - gap > -cfg.eps_margin:
-            status = SdpStatus.INFEASIBLE
-            break
-        if gap <= 0.5 * max(cfg.eps_margin, cfg.tol):
-            status = (
-                SdpStatus.FEASIBLE
-                if t <= -cfg.eps_margin
-                else SdpStatus.INFEASIBLE
-            )
+        if t <= -depth or gap <= 0.5 * cfg.eps_margin:
             break
         mu *= MU_FACTOR
+    if infeasible:
+        status = SdpStatus.INFEASIBLE
+    elif t <= -cfg.eps_margin:
+        status = SdpStatus.FEASIBLE
     else:
-        status = (
-            SdpStatus.FEASIBLE if t <= -cfg.eps_margin else SdpStatus.INDETERMINATE
-        )
+        status = SdpStatus.INDETERMINATE
 
     margins = [constraint_margin(problem, c, x) for c in problem.constraints]
     achieved = min(margins)

@@ -42,8 +42,6 @@ from .lmi import (
 ZERO_EIG_TOL = 1e-12
 # Eigenbases conditioned worse than this are left to the barrier solver.
 EIGENBASIS_COND_CAP = 1e8
-# Weights of conjugate eigenvectors tried in turn by the closed form below alpha = 1.
-CONJUGATE_WEIGHTS = (0.05, 0.2, 0.01)
 
 log = logging.getLogger("folmi.stability")
 
@@ -120,11 +118,11 @@ class _HermitianRegime:
     def analysis_operand(self, a):
         return a
 
-    def eigen_certificates(self, vals, vecs):
-        """P = V D V^H, D = 1 on Im(lambda) >= 0 and a conjugate weight w on the
-        rest: Sigma = V diag(2 Re(lambda_k (r d_k + conj(r) d_conj(k)))) V^H."""
-        for w in CONJUGATE_WEIGHTS:
-            yield (vecs * np.where(vals.imag >= 0.0, 1.0, w)) @ vecs.conj().T
+    def eigen_certificate(self, vals, vecs):
+        """P = V D V^H, D = 1 on Im(lambda) >= 0 and the conjugate weight 0.05
+        on the rest: Sigma = V diag(2 Re(lambda_k (r d_k + conj(r)
+        d_conj(k)))) V^H."""
+        return (vecs * np.where(vals.imag >= 0.0, 1.0, 0.05)) @ vecs.conj().T
 
 
 class _SymmetricRegime:
@@ -162,11 +160,11 @@ class _SymmetricRegime:
         takes different barrier steps."""
         return a.T
 
-    def eigen_certificates(self, vals, vecs):
+    def eigen_certificate(self, vals, vecs):
         """P = W^H W, W = V^-1, real for real A: congruence by I_2 (x) W
         splits Sigma into one 2x2 block per eigenvalue."""
         w = np.linalg.inv(vecs)
-        yield w.conj().T @ w
+        return w.conj().T @ w
 
 
 def _regime(alpha):
@@ -263,12 +261,13 @@ def analysis_feasible(a, alpha, solver_cfg=None):
 def closed_form_certificate(a, alpha, eps_margin):
     """Audited eigenbasis certificate of the analysis LMI of ``a``, or None.
 
-    Each candidate P of the regime (Chilali & Gahinet 1996; Sabatier, Moze &
-    Farges 2010), scaled so that Sigma and P - I clear ``eps_margin``, is
-    written into the :func:`analysis_feasible` problem and accepted only if
-    every constraint margin is >= ``eps_margin`` and every |x| < R_BOX, so
-    the barrier could not prove that problem INFEASIBLE.  None (reason
-    logged at INFO) when no candidate passes or cond(V) > EIGENBASIS_COND_CAP.
+    The eigenbasis certificate P of the regime (Chilali & Gahinet 1996;
+    Sabatier, Moze & Farges 2010), scaled so that Sigma and P - I clear
+    ``eps_margin``, is written into the :func:`analysis_feasible` problem and
+    accepted only if every constraint margin is >= ``eps_margin`` and every
+    |x| < R_BOX, so the barrier could not prove that problem INFEASIBLE.
+    None (reason logged at INFO) when P fails that audit or cond(V) >
+    EIGENBASIS_COND_CAP.
     """
     regime, m, p, blocks = _analysis_lmi(a, alpha)
     vals, vecs = np.linalg.eig(m)
@@ -276,25 +275,23 @@ def closed_form_certificate(a, alpha, eps_margin):
     if not cond <= EIGENBASIS_COND_CAP:
         log.info("closed-form certificate: cond(V) = %.3g; using the barrier", cond)
         return None
-    failures = []
-    for candidate in regime.eigen_certificates(vals, vecs):
-        x = np.zeros(p.num_vars)
-        # blocks (X, Y) = (Re P, Im P) below alpha = 1; zip drops Im P above
-        for block, part in zip(blocks["s"], (candidate.real, candidate.imag)):
-            for k, basis in block.basis():
-                x[k] = np.sum(basis * part) / np.sum(basis * basis)
-        # unit-scale margins of Sigma < 0 and of P - I > 0 (lambda_min(P) - 1)
-        sigma, pos = (constraint_margin(p, c, x) for c in p.constraints)
-        if sigma > 0.0 and pos > -1.0:
-            x *= 2.0 * max((1.0 + eps_margin) / (pos + 1.0), eps_margin / sigma)
-        margins = [constraint_margin(p, c, x) for c in p.constraints]
-        low, top = min(margins), np.abs(x).max()
-        if low >= eps_margin and top < R_BOX:
-            sol = SdpSolution(SdpStatus.FEASIBLE, x, low, 0, -low)
-            return LmiCertificate(True, regime.value(blocks["s"], x), sol)
-        failures.append("margins Sigma %.3g, P %.3g; max |x| %.3g" % (*margins, top))
-    log.info("closed-form certificate failed its audit (%s); using the barrier",
-             "; ".join(failures))
+    candidate = regime.eigen_certificate(vals, vecs)
+    x = np.zeros(p.num_vars)
+    # blocks (X, Y) = (Re P, Im P) below alpha = 1; zip drops Im P above
+    for block, part in zip(blocks["s"], (candidate.real, candidate.imag)):
+        for k, basis in block.basis():
+            x[k] = np.sum(basis * part) / np.sum(basis * basis)
+    # unit-scale margins of Sigma < 0 and of P - I > 0 (lambda_min(P) - 1)
+    sigma, pos = (constraint_margin(p, c, x) for c in p.constraints)
+    if sigma > 0.0 and pos > -1.0:
+        x *= 2.0 * max((1.0 + eps_margin) / (pos + 1.0), eps_margin / sigma)
+    margins = [constraint_margin(p, c, x) for c in p.constraints]
+    low, top = min(margins), np.abs(x).max()
+    if low >= eps_margin and top < R_BOX:
+        sol = SdpSolution(SdpStatus.FEASIBLE, x, low, 0, -low)
+        return LmiCertificate(True, regime.value(blocks["s"], x), sol)
+    log.info("closed-form certificate failed its audit (margins Sigma %.3g, "
+             "P %.3g; max |x| %.3g); using the barrier", *margins, top)
     return None
 
 

@@ -111,16 +111,6 @@ class DynamicController:
             "d_c": self.d_c.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            int(d["n_c"]),
-            np.asarray(d["a_c"], float),
-            np.asarray(d["b_c"], float),
-            np.asarray(d["c_c"], float),
-            np.asarray(d["d_c"], float),
-        )
-
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -261,7 +251,8 @@ def recover(assembly, solution):
     Ac = T1 Qc^-1, Bc = T2 Qs^-1 C^+, Cc = T3 Qc^-1, Dc = T4 Qs^-1 C^+
     with Q the regime's Q map of the certificate (2 cos(theta) X -
     2 sin(theta) Y below alpha = 1, P from alpha = 1 up), real by
-    construction.
+    construction.  At n_c = 0 the empty blocks give the empty Ac, Bc and
+    Cc of :meth:`DynamicController.static`.
     """
     v = solution.values
     b = assembly.blocks
@@ -269,13 +260,13 @@ def recover(assembly, solution):
     qs_inv = _invert_certificate(q_expr(b["s"]).value(v), "Q_S")
     qc_inv = _invert_certificate(q_expr(b["c"]).value(v), "Q_C")
     c_pinv = pinv(assembly.c)
-    d_c = b["t4"].value(v) @ qs_inv @ c_pinv
-    if assembly.n_c == 0:
-        return DynamicController.static(d_c)
-    a_c = b["t1"].value(v) @ qc_inv
-    b_c = b["t2"].value(v) @ qs_inv @ c_pinv
-    c_c = b["t3"].value(v) @ qc_inv
-    return DynamicController(assembly.n_c, a_c, b_c, c_c, d_c)
+    return DynamicController(
+        assembly.n_c,
+        b["t1"].value(v) @ qc_inv,
+        b["t2"].value(v) @ qs_inv @ c_pinv,
+        b["t3"].value(v) @ qc_inv,
+        b["t4"].value(v) @ qs_inv @ c_pinv,
+    )
 
 
 def _result_from(assembly, solution, controller):

@@ -268,6 +268,33 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{field}'" in err
 
+    @pytest.mark.parametrize("d_c", [[[True]], [["-2.0"]]])
+    def test_controller_entry_must_be_a_number(self, tmp_path, capsys, d_c):
+        # used to read as Dc = 1.0 resp. -2.0 and run to exit 3
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(
+            {"n_c": 0, "a_c": [], "b_c": [], "c_c": [], "d_c": d_c}))
+        assert main(["check", "example1", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'d_c'" in err
+
+    @pytest.mark.parametrize("command", ["decompose", "check"])
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, command):
+        # a directory given as the problem or controller file used to end in
+        # an IsADirectoryError traceback
+        argv = ([command, str(tmp_path)] if command == "decompose"
+                else [command, "example1", str(tmp_path)])
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    def test_over_long_integer_is_a_usage_error(self, tmp_path, capsys):
+        # an integer literal past Python's 4300-digit int-string limit used
+        # to end json.load in a ValueError traceback
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace('"alpha": 0.75', '"alpha": ' + "1" * 5001))
+        assert main(["decompose", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_interval_bound_shapes_differ_is_a_usage_error(self, tmp_path, capsys):
         # used to crash in a broadcast ValueError traceback
         path = write_config(tmp_path, a_lower=[[2.0, -8.0], [9.0, 6.0]])
@@ -295,7 +322,6 @@ class TestMainEntry:
     @pytest.mark.parametrize("field,solver", [
         ("solver.eps_margin", {"eps_margin": -1.0}),
         ("solver.eps_margin", {"eps_margin": 0.0}),
-        ("solver.tol", {"tol": float("nan")}),
         ("solver.max_iter", {"max_iter": 0}),
     ])
     def test_out_of_range_solver_setting_is_a_usage_error(

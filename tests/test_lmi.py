@@ -113,6 +113,16 @@ class TestExpressions:
         big = block_expr([[s.expr(), t.expr().T], [t.expr(), np.zeros((0, 0))]])
         assert big.shape == (2, 2)
 
+    def test_reflected_operators(self):
+        # an array on the left of + and - hands the expression to __radd__
+        # and __rsub__
+        p = LmiProblem()
+        s = p.declare_symmetric_block(2, "S")
+        shift = np.array([[1.0, 2.0], [3.0, 4.0]])
+        v = np.array([1.0, -2.0, 0.5])
+        np.testing.assert_array_equal((shift + s.expr()).value(v), shift + s.value(v))
+        np.testing.assert_array_equal((shift - s.expr()).value(v), shift - s.value(v))
+
     def test_sym_expr(self):
         p = LmiProblem()
         t = p.declare_full_block(2, 2, "T")
@@ -178,6 +188,17 @@ class TestSolver:
         p.add_constraint(x.expr(), Sense.NEGATIVE_DEFINITE)  # x < 0
         sol = solve_feasibility(p)
         assert sol.status is SdpStatus.INFEASIBLE
+
+    def test_gap_exit_without_a_proof_is_indeterminate(self):
+        # the one point has margin exactly eps_margin, which t approaches
+        # but never reaches; when the duality gap closed after 13 steps this
+        # used to read INFEASIBLE, which only the duality bound may prove
+        p = LmiProblem()
+        p.add_constraint(np.array([[-1e-6]]), Sense.NEGATIVE_DEFINITE)
+        sol = solve_feasibility(p)
+        assert sol.status is SdpStatus.INDETERMINATE
+        assert sol.iterations == 13
+        assert sol.achieved_margin == 1e-6
 
     def test_scalar_analysis_style_lmi(self):
         # scalar analytic check: -4 cos(pi/4) X < 0 admits X = 1
@@ -246,8 +267,7 @@ class TestSolver:
 
     @pytest.mark.parametrize("settings", [
         {"eps_margin": -1.0}, {"eps_margin": 0.0}, {"eps_margin": float("nan")},
-        {"eps_margin": float("inf")}, {"tol": 0.0}, {"tol": -1e-8},
-        {"tol": float("nan")}, {"max_iter": 0}, {"max_iter": -5},
+        {"eps_margin": float("inf")}, {"max_iter": 0}, {"max_iter": -5},
     ])
     def test_out_of_range_settings_are_rejected(self, settings):
         # with eps_margin = -1 the infeasible pair x + 1 < 0, x > 0 used to

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import folmi.synthesis
+from folmi.cli import load_controller, save_controller
 from folmi.errors import (
     AlphaOutOfRangeError,
     InfeasibleError,
@@ -77,15 +78,15 @@ class TestControllerType:
         assert k.b_c.shape == (0, 1)
         assert k.c_c.shape == (1, 0)
 
-    def test_dict_round_trip(self):
-        k = DynamicController(1, [[-5.55]], [[-0.43]], [[-1.25]], [[-26.55]])
-        k2 = DynamicController.from_dict(k.to_dict())
-        np.testing.assert_array_equal(k.a_c, k2.a_c)
-        np.testing.assert_array_equal(k.d_c, k2.d_c)
-        k0 = DynamicController.static([[-3.0]])
-        k02 = DynamicController.from_dict(k0.to_dict())
-        assert k02.n_c == 0
-        np.testing.assert_array_equal(k0.d_c, k02.d_c)
+    def test_dict_round_trip(self, tmp_path):
+        # to_dict through the controller file and back
+        for k in (DynamicController(1, [[-5.55]], [[-0.43]], [[-1.25]], [[-26.55]]),
+                  DynamicController.static([[-3.0]])):
+            save_controller(k, tmp_path / "k.json")
+            k2 = load_controller(tmp_path / "k.json")
+            assert k2.n_c == k.n_c
+            for name in ("a_c", "b_c", "c_c", "d_c"):
+                np.testing.assert_array_equal(getattr(k2, name), getattr(k, name))
 
 
 def two_entry_scalar_plant(alpha):
