@@ -267,7 +267,9 @@ class TestSolver:
 
     @pytest.mark.parametrize("settings", [
         {"eps_margin": -1.0}, {"eps_margin": 0.0}, {"eps_margin": float("nan")},
-        {"eps_margin": float("inf")}, {"max_iter": 0}, {"max_iter": -5},
+        {"eps_margin": float("inf")}, {"eps_margin": float("-inf")},
+        {"eps_margin": -0.0}, {"eps_margin": -1e-300},
+        {"max_iter": 0}, {"max_iter": -5},
     ])
     def test_out_of_range_settings_are_rejected(self, settings):
         # with eps_margin = -1 the infeasible pair x + 1 < 0, x > 0 used to
