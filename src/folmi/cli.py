@@ -157,14 +157,25 @@ def _config_source(path):
     raise ParseError(f"config file not found: {path}")
 
 
+def _parse_int(literal):
+    """A JSON integer; one past Python's int-string conversion limit is
+    refused as too long instead of with the interpreter's own advice."""
+    try:
+        return int(literal)
+    except ValueError:
+        digits = len(literal.lstrip("-"))
+        raise ValueError(
+            f"an integer literal in the file is too long ({digits} digits)"
+        ) from None
+
+
 def _load_json(source, path):
     """The JSON document in ``source`` (a path or a packaged resource).  A
-    file that cannot be read, bad JSON (named by its line) and any other
-    ValueError, such as an integer literal past Python's int-string
-    conversion limit, raise ParseError."""
+    file that cannot be read, bad JSON (named by its line), an over-long
+    integer literal and any other ValueError raise ParseError."""
     try:
         with source.open() as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:

@@ -7,15 +7,17 @@ derivative; for 1 < alpha < 2 the second initial condition is fixed at
 x'(0) = 0 (simulation from rest).
 
 The memory is kept in full, with no short-memory truncation and no knob:
-step k sums w_j y_{k-j} over every lag 1 <= j <= k.  The lags j < _NEAR
-are summed directly at each step.  The lags in each dyadic band [L, 2L),
-L = _NEAR, 2 _NEAR, ..., are added ahead for the next L nodes by one FFT
-convolution over all states, made at every multiple of L (the semi-relaxed
-block convolution of Hairer, Lubich & Schlichte 1985, "Fast numerical
-solution of nonlinear Volterra convolution equations", SIAM J. Sci. Stat.
-Comput. 6:532).  Each term is summed exactly once, so N steps cost
-O(N log^2 N) instead of the O(N^2) of the step-by-step sum, and a run of
-fewer than _NEAR steps is the direct sum.
+step k sums w_j y_{k-j} over every lag 1 <= j <= k.  The lags in each
+dyadic band [L, 2L), L = _NEAR, 2 _NEAR, ..., are subtracted ahead for the
+next L nodes by one FFT convolution over all states, made at every multiple
+of L (the semi-relaxed block convolution of Hairer, Lubich & Schlichte 1985,
+"Fast numerical solution of nonlinear Volterra convolution equations", SIAM
+J. Sci. Stat. Comput. 6:532); the top band reads only what the nodes up to
+the horizon reach.  The lags j < _NEAR are solved _BLOCK nodes at a time:
+one Toeplitz product subtracts the lags that reach before the block, and
+one precomputed inverse of the implicit step over _BLOCK nodes resolves
+the lags inside it.  Each term is summed exactly once, so N steps cost
+O(N log^2 N) instead of the O(N^2) of the step-by-step sum.
 
 A scalar Mittag-Leffler evaluator provides an independent analytic oracle
 E_alpha(lambda t^alpha) for validating the stepper on (block-)diagonal
@@ -45,11 +47,15 @@ _SERIES_PEAK_LOG = 14.0
 # step guard: h^alpha * spectral_radius(A) above this is meaningless
 _STEP_RADIUS_CAP = 100.0
 
-# GL lags below this are summed directly at every step, the rest in dyadic
-# FFT bands [L, 2L) for L = _NEAR, 2 _NEAR, ...; a power of two.  32, 64 and
-# 128 run within 15% of each other; 128 measured fastest on 3- to 9-state
-# loops.
+# GL lags below this are solved in blocks of _BLOCK nodes, the rest summed in
+# dyadic FFT bands [L, 2L) for L = _NEAR, 2 _NEAR, ...; a power of two.  With
+# the blocked solve, 128, 256 and 512 run within 15% of each other on 3- to
+# 8-state loops and 64 about 25% slower.
 _NEAR = 128
+
+# nodes solved together by one precomputed block inverse; divides _NEAR, so
+# the bands fire only at block starts
+_BLOCK = 32
 
 _CSV_CHUNK_ROWS = 1024
 
@@ -174,6 +180,42 @@ def mittag_leffler(alpha, z):
     return _ml_series(alpha, z)
 
 
+def _block_toeplitz_inverse(step_inv, w):
+    """Inverse of the implicit GL step over len(w) consecutive nodes.
+
+    The step is block lower-triangular Toeplitz, with step_inv^-1 on the
+    diagonal and w_i I on the i-th subdiagonal, so its inverse is too, with
+    blocks R_0 = step_inv and R_i = -step_inv sum_{j=1..i} w_j R_{i-j}.
+    """
+    b, n = w.size, step_inv.shape[0]
+    r = np.empty((b, n, n))
+    inv = np.zeros((b, n, b, n))
+    for i in range(b):
+        r[i] = -step_inv @ np.tensordot(w[i:0:-1], r[:i], axes=1) if i else step_inv
+        inv[i, :, : i + 1] = r[i::-1].transpose(1, 0, 2)
+    return inv.reshape(b * n, b * n)
+
+
+def _subtract_band(y, w, k, size, hi, spectra):
+    """Subtract the lags [size, 2 size) of nodes [k, hi) from y[k:hi].
+
+    They read y_lo .. y_{k-1}, all known, through one circular convolution
+    long enough to keep the wrap-around out of rows [k, hi).  A band cut
+    short by the horizon reads only the rows and weights its nodes reach.
+    """
+    lo = max(k - 2 * size + 1, 0)
+    src, w_hi = min(k, hi - size), min(2 * size, hi - lo)
+    # src - lo rows times w_hi - size weights, read from offset k - size - lo:
+    # the shortest power of two at least src + w_hi - k - 1
+    length = 1 << (src + w_hi - k - 2).bit_length()
+    key = (size, w_hi, length)
+    if key not in spectra:
+        spectra[key] = np.fft.rfft(w[size:w_hi], length)[:, None]
+    spectrum = np.fft.rfft(y[lo:src], length, axis=0)
+    spectrum *= spectra[key]
+    y[k:hi] -= np.fft.irfft(spectrum, length, axis=0)[k - size - lo : hi - size - lo]
+
+
 def simulate(a_cl, alpha, x0, t_end, h):
     """Integrate D^alpha x = a_cl x from x(0) = x0 up to t_end with step h.
 
@@ -181,16 +223,21 @@ def simulate(a_cl, alpha, x0, t_end, h):
 
         (I - h^alpha A) y_k = h^alpha A x0 - sum_{j=1..k} w_j y_{k-j}
 
-    over the full memory, without truncation.  Lags j < _NEAR are summed
-    directly at each step; each dyadic band of lags [L, 2L) is added ahead
-    for L steps at once by one FFT convolution, as soon as the states it
-    needs are known (Hairer, Lubich & Schlichte 1985).  Every term is
-    summed exactly once, in O(N log^2 N) work for N steps.  Raises
-    ValueError for a non-finite h, t_end or x0, SingularStepError when the
+    over the full memory, without truncation.  Node 1 is solved alone and
+    the later nodes _BLOCK at a time: the lags j < _NEAR that reach before
+    the block are subtracted by one Toeplitz product, and a precomputed
+    inverse of the step over _BLOCK nodes resolves the lags inside it.
+    Each dyadic band of lags [L, 2L) is subtracted ahead for L nodes at
+    once by one FFT convolution, as soon as the states it needs are known
+    (Hairer, Lubich & Schlichte 1985).  Every term is summed exactly once,
+    in O(N log^2 N) work for N steps.  Raises ValueError for an empty
+    a_cl or a non-finite h, t_end or x0, SingularStepError when the
     implicit step matrix is (near) singular and StepTooLargeError when the
     step is far too coarse for the system's eigenvalue scale.
     """
     a = require_square(a_cl, "a_cl")
+    if a.size == 0:
+        raise ValueError("a_cl is empty: a closed loop needs at least one state")
     if not 0.0 < alpha < 2.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
     if not (math.isfinite(h) and h > 0.0):
@@ -207,7 +254,7 @@ def simulate(a_cl, alpha, x0, t_end, h):
         raise ValueError("x0 must be finite")
 
     h_alpha = h ** alpha
-    if n and h_alpha * float(np.max(np.abs(np.linalg.eigvals(a)))) > _STEP_RADIUS_CAP:
+    if h_alpha * float(np.max(np.abs(np.linalg.eigvals(a)))) > _STEP_RADIUS_CAP:
         raise StepTooLargeError(
             "h^alpha * spectral_radius(a_cl) exceeds the usable range; "
             "reduce the step size"
@@ -220,29 +267,29 @@ def simulate(a_cl, alpha, x0, t_end, h):
     steps = int(round(t_end / h))
     times = np.arange(steps + 1) * h
     w = gl_weights(alpha, max(steps + 1, _NEAR))
-    near_w = w[_NEAR - 1 : 0 : -1]  # w_{NEAR-1}, ..., w_1
-    # Row t of y accumulates the far lags j >= _NEAR of node t, added ahead
-    # by the bands, until step t replaces it with y_t.  The _NEAR - 1 rows
-    # of ys above y_0 stay zero: the lags that reach before t = 0.
+    # history[i, m] weighs row m of ys[k : k + _NEAR - 1], that is
+    # y_{k-_NEAR+1+m}, for node k + i: the near lags that reach before k
+    lag = _NEAR - 1 + np.arange(_BLOCK)[:, None] - np.arange(_NEAR - 1)
+    history = np.where(lag < _NEAR, w[np.minimum(lag, _NEAR - 1)], 0.0)
+    block_inv = _block_toeplitz_inverse(step_inv, w[:_BLOCK])
+    # Row t of y holds the forcing minus the far lags j >= _NEAR of node t,
+    # subtracted ahead by the bands, until its block replaces it with y_t.
+    # The _NEAR - 1 rows of ys above y_0 stay zero: the lags that reach
+    # before t = 0.
     ys = np.zeros((steps + _NEAR, n))
     y = ys[_NEAR - 1 :]
-    band_w = {}
-    forcing = h_alpha * (a @ x0)
-    for k in range(1, steps + 1):
+    y[1:] = h_alpha * (a @ x0)
+    y[1] = step_inv @ y[1]  # as the one-step recursion does, bit for bit
+    spectra = {}
+    for start in range(0, steps + 1, _BLOCK):
+        k, stop = max(start, 2), min(start + _BLOCK, steps + 1)
         size = _NEAR
         while k % size == 0:
-            # lags [size, 2 size) of the nodes t in [k, k + size) read
-            # y_{k-2 size+1} .. y_{k-1}, all known; a circular convolution
-            # of length 2 size holds them without wrap-around
-            lo, hi = max(k - 2 * size + 1, 0), min(k + size, steps + 1)
-            if size not in band_w:
-                band_w[size] = np.fft.rfft(w[size : 2 * size], 2 * size)[:, None]
-            spectrum = np.fft.rfft(y[lo:k], 2 * size, axis=0)
-            spectrum *= band_w[size]
-            conv = np.fft.irfft(spectrum, 2 * size, axis=0)
-            y[k:hi] += conv[k - size - lo : hi - size - lo]
+            _subtract_band(y, w, k, size, min(k + size, steps + 1), spectra)
             size *= 2
-        y[k] = step_inv @ (forcing - y[k] - near_w @ ys[k : k + _NEAR - 1])
+        b = stop - k
+        rhs = y[k:stop] - history[:b] @ ys[k : k + _NEAR - 1]
+        y[k:stop] = (block_inv[: b * n, : b * n] @ rhs.reshape(-1)).reshape(b, n)
     return Trajectory(alpha, h, times, y + x0[None, :])
 
 

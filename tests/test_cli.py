@@ -293,7 +293,9 @@ class TestMainEntry:
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace('"alpha": 0.75', '"alpha": ' + "1" * 5001))
         assert main(["decompose", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: an integer literal in the file is too long")
+        assert "5001 digits" in err and "sys.set_int_max_str_digits" not in err
 
     def test_interval_bound_shapes_differ_is_a_usage_error(self, tmp_path, capsys):
         # used to crash in a broadcast ValueError traceback

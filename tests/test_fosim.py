@@ -224,6 +224,11 @@ class TestSimulate:
         with pytest.raises(StepTooLargeError):
             simulate(np.array([[-1e6]]), 1.0, [1.0], 10.0, 1.0)
 
+    def test_empty_system_rejected(self):
+        # used to end in numpy's LinAlgError from the conditioning check
+        with pytest.raises(ValueError, match="a_cl is empty"):
+            simulate(np.zeros((0, 0)), 0.7, [], 1.0, 0.01)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             simulate(np.eye(1), 0.5, [1.0], 1.0, 0.0)
@@ -266,11 +271,17 @@ def assert_matches_direct(a, alpha, x0, steps, h):
 
 
 ALPHAS = (0.5, 0.9, 1.3, 1.8)
-HORIZONS = (1, fosim._NEAR - 1, fosim._NEAR, fosim._NEAR + 1, 1000, 5000)
+HORIZONS = (1, fosim._NEAR - 1, fosim._NEAR, fosim._NEAR + 1, 1000, 5000,
+            fosim._BLOCK - 1, fosim._BLOCK, fosim._BLOCK + 1, 2 * fosim._BLOCK + 1,
+            4 * fosim._NEAR + 1)
 
 
 class TestDyadicMemory:
-    """The dyadic FFT summation against the term-by-term GL recursion."""
+    """The blocked near solve and the dyadic FFT summation against the
+    term-by-term GL recursion."""
+
+    def test_bands_fire_only_at_block_starts(self):
+        assert fosim._NEAR % fosim._BLOCK == 0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("steps", HORIZONS)
