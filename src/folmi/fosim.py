@@ -13,10 +13,11 @@ next L nodes by one FFT convolution over all states, made at every multiple
 of L (the semi-relaxed block convolution of Hairer, Lubich & Schlichte 1985,
 "Fast numerical solution of nonlinear Volterra convolution equations", SIAM
 J. Sci. Stat. Comput. 6:532); the top band reads only what the nodes up to
-the horizon reach.  The lags j < _NEAR are solved _BLOCK nodes at a time:
-one Toeplitz product subtracts the lags that reach before the block, and
-one precomputed inverse of the implicit step over _BLOCK nodes resolves
-the lags inside it.  Each term is summed exactly once, so N steps cost
+the horizon reach.  The lags j < _NEAR are solved a block of nodes at a time
+(_BLOCK, fewer for loops of more than _BLOCK_ROWS / _BLOCK states): one
+Toeplitz product subtracts the lags that reach before the block, and one
+precomputed inverse of the implicit step over the block resolves the lags
+inside it.  Each term is summed exactly once, so N steps cost
 O(N log^2 N) instead of the O(N^2) of the step-by-step sum.
 
 A scalar Mittag-Leffler evaluator provides an independent analytic oracle
@@ -47,15 +48,21 @@ _SERIES_PEAK_LOG = 14.0
 # step guard: h^alpha * spectral_radius(A) above this is meaningless
 _STEP_RADIUS_CAP = 100.0
 
-# GL lags below this are solved in blocks of _BLOCK nodes, the rest summed in
+# GL lags below this are solved in blocks of nodes, the rest summed in
 # dyadic FFT bands [L, 2L) for L = _NEAR, 2 _NEAR, ...; a power of two.  With
 # the blocked solve, 128, 256 and 512 run within 15% of each other on 3- to
 # 8-state loops and 64 about 25% slower.
 _NEAR = 128
 
-# nodes solved together by one precomputed block inverse; divides _NEAR, so
-# the bands fire only at block starts
+# most nodes solved together by one precomputed block inverse; divides _NEAR,
+# so the bands fire only at block starts
 _BLOCK = 32
+
+# most rows of the block inverse: above _BLOCK_ROWS / _BLOCK states the block
+# is halved, down to 2 nodes, until it fits.  Its dense matvec costs
+# block * n^2 multiply-adds per node, and past about 256 rows that outweighs
+# the per-node Python work it saves (timed on 1- to 64-state loops)
+_BLOCK_ROWS = 256
 
 _CSV_CHUNK_ROWS = 1024
 
@@ -224,9 +231,10 @@ def simulate(a_cl, alpha, x0, t_end, h):
         (I - h^alpha A) y_k = h^alpha A x0 - sum_{j=1..k} w_j y_{k-j}
 
     over the full memory, without truncation.  Node 1 is solved alone and
-    the later nodes _BLOCK at a time: the lags j < _NEAR that reach before
-    the block are subtracted by one Toeplitz product, and a precomputed
-    inverse of the step over _BLOCK nodes resolves the lags inside it.
+    the later nodes in blocks of _BLOCK, halved while the block spans more
+    than _BLOCK_ROWS rows: the lags j < _NEAR that reach before the block
+    are subtracted by one Toeplitz product, and a precomputed inverse of the
+    step over the block resolves the lags inside it.
     Each dyadic band of lags [L, 2L) is subtracted ahead for L nodes at
     once by one FFT convolution, as soon as the states it needs are known
     (Hairer, Lubich & Schlichte 1985).  Every term is summed exactly once,
@@ -267,11 +275,14 @@ def simulate(a_cl, alpha, x0, t_end, h):
     steps = int(round(t_end / h))
     times = np.arange(steps + 1) * h
     w = gl_weights(alpha, max(steps + 1, _NEAR))
+    block = _BLOCK
+    while block > 2 and block * n > _BLOCK_ROWS:
+        block //= 2
     # history[i, m] weighs row m of ys[k : k + _NEAR - 1], that is
     # y_{k-_NEAR+1+m}, for node k + i: the near lags that reach before k
-    lag = _NEAR - 1 + np.arange(_BLOCK)[:, None] - np.arange(_NEAR - 1)
+    lag = _NEAR - 1 + np.arange(block)[:, None] - np.arange(_NEAR - 1)
     history = np.where(lag < _NEAR, w[np.minimum(lag, _NEAR - 1)], 0.0)
-    block_inv = _block_toeplitz_inverse(step_inv, w[:_BLOCK])
+    block_inv = _block_toeplitz_inverse(step_inv, w[:block])
     # Row t of y holds the forcing minus the far lags j >= _NEAR of node t,
     # subtracted ahead by the bands, until its block replaces it with y_t.
     # The _NEAR - 1 rows of ys above y_0 stay zero: the lags that reach
@@ -281,8 +292,8 @@ def simulate(a_cl, alpha, x0, t_end, h):
     y[1:] = h_alpha * (a @ x0)
     y[1] = step_inv @ y[1]  # as the one-step recursion does, bit for bit
     spectra = {}
-    for start in range(0, steps + 1, _BLOCK):
-        k, stop = max(start, 2), min(start + _BLOCK, steps + 1)
+    for start in range(0, steps + 1, block):
+        k, stop = max(start, 2), min(start + block, steps + 1)
         size = _NEAR
         while k % size == 0:
             _subtract_band(y, w, k, size, min(k + size, steps + 1), spectra)

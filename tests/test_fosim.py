@@ -271,9 +271,12 @@ def assert_matches_direct(a, alpha, x0, steps, h):
 
 
 ALPHAS = (0.5, 0.9, 1.3, 1.8)
-HORIZONS = (1, fosim._NEAR - 1, fosim._NEAR, fosim._NEAR + 1, 1000, 5000,
-            fosim._BLOCK - 1, fosim._BLOCK, fosim._BLOCK + 1, 2 * fosim._BLOCK + 1,
-            4 * fosim._NEAR + 1)
+HORIZONS = (1, fosim._NEAR - 1, fosim._NEAR, fosim._NEAR + 1, 1000, 5000)
+# numbered after every (alpha, horizon) case above, which keep their seeds
+BLOCK_HORIZONS = (fosim._BLOCK - 1, fosim._BLOCK, fosim._BLOCK + 1,
+                  2 * fosim._BLOCK + 1, 4 * fosim._NEAR + 1)
+CASES = [(alpha, steps) for horizons in (HORIZONS, BLOCK_HORIZONS)
+         for alpha in ALPHAS for steps in horizons]
 
 
 class TestDyadicMemory:
@@ -284,11 +287,17 @@ class TestDyadicMemory:
         assert fosim._NEAR % fosim._BLOCK == 0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("steps", HORIZONS)
+    @pytest.mark.parametrize("steps", HORIZONS + BLOCK_HORIZONS)
     def test_matches_direct_sum(self, alpha, steps):
-        case = ALPHAS.index(alpha) * len(HORIZONS) + HORIZONS.index(steps)
+        case = CASES.index((alpha, steps))
         a, x0 = seeded_loop(1 + case % 8, case)  # every n from 1 to 8
         assert_matches_direct(a, alpha, x0, steps, 1e-2)
+
+    @pytest.mark.parametrize("n", [16, 24, 40, 129])
+    def test_larger_loops_solve_smaller_blocks(self, n):
+        # 16, 8, 4 and 2 nodes per block
+        a, x0 = seeded_loop(n, n)
+        assert_matches_direct(a, 0.9, x0, 2 * fosim._NEAR + 1, 1e-2)
 
     def test_exponentially_growing_loop(self):
         a = np.array([[0.4, 0.3], [0.0, 0.2]])
