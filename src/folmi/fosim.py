@@ -317,4 +317,4 @@ def trajectory_to_csv(traj, path):
         for lo in range(0, traj.times.size, _CSV_CHUNK_ROWS):
             hi = lo + _CSV_CHUNK_ROWS
             chunk = np.column_stack([traj.times[lo:hi], traj.states[lo:hi]])
-            fh.write("".join([row % tuple(values) for values in chunk.tolist()]))
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))

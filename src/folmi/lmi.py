@@ -28,6 +28,14 @@ barrier term is -dim*log(t - c*x_i) and is evaluated, differentiated and
 started in closed form instead of being inverted and factored.  The final
 audit of every returned point still forms each constraint densely.  The
 other blocks stay well under 100x100 at the scales this toolkit targets.
+
+At those sizes a Newton step costs numpy calls, not flops, so the hot
+paths are written for few calls with unchanged arithmetic: each block
+keeps its coefficients as one (p, dim*dim) matrix, forms F(x) with one
+matrix-vector product and adds its derivatives through slices when its
+variables are contiguous; ``add_constraint`` checks and symmetrizes the
+stacked term table at once.  Every floating-point operation is that of the
+term-by-term formulas, which the tests keep as bit-for-bit references.
 """
 
 import enum
@@ -265,12 +273,16 @@ class LmiProblem:
             raise IllFormedProblemError(
                 f"constraint must be square and nonempty, got {expr.shape}"
             )
-        for m in expr.terms.values():
-            scale = 1.0 + np.abs(m).max()
-            if np.abs(m - m.T).max() > _SYM_TOL * scale:
-                raise IllFormedProblemError("constraint matrices must be symmetric")
-        coeffs = {k: 0.5 * (v + v.T) for k, v in expr.terms.items()
-                  if k is None or np.any(v)}
+        # one pass over the stacked term table: symmetry check, symmetrization
+        # and zero-term filter, entry for entry the per-term formulas
+        m = np.stack(list(expr.terms.values()))
+        mt = m.transpose(0, 2, 1)
+        scale = 1.0 + np.abs(m).max(axis=(1, 2))
+        if np.any(np.abs(m - mt).max(axis=(1, 2)) > _SYM_TOL * scale):
+            raise IllFormedProblemError("constraint matrices must be symmetric")
+        nonzero = m.reshape(len(m), -1).any(axis=1)
+        coeffs = {k: v for k, v, nz in zip(expr.terms, 0.5 * (m + mt), nonzero)
+                  if k is None or nz}
         const = coeffs.pop(None)
         self.constraints.append(
             AffineMatrixConstraint(expr.rows, const, coeffs, Sense(sense))
@@ -349,30 +361,29 @@ class _Block:
 
     ``scale`` is c when the oriented block is c*x_i*I (zero constant, one
     variable), whose slack t*I - F(x) is (t - c*x_i)*I; otherwise None.
+    ``sel`` and ``sel2`` select the block's variables in the gradient and
+    the Hessian: slices when they are contiguous, index arrays otherwise.
     """
 
     def __init__(self, constraint):
         sign = 1.0 if constraint.sense is Sense.NEGATIVE_DEFINITE else -1.0
-        self.dim = constraint.dim
+        self.dim = d = constraint.dim
         self.const = sign * constraint.constant
-        self.var_idx = np.array(sorted(constraint.coeffs), dtype=int)
-        if self.var_idx.size:
-            self.coeff = np.stack(
-                [sign * constraint.coeffs[k] for k in self.var_idx]
-            )
+        self.var_idx = idx = np.array(sorted(constraint.coeffs), dtype=int)
+        p = idx.size
+        self.coeff = np.array([sign * constraint.coeffs[k] for k in idx]).reshape(p, d, d)
+        self.flat = self.coeff.reshape(p, d * d)  # sized explicitly for p = 0
+        self.eye = np.eye(d)
+        if p and idx[-1] - idx[0] == p - 1:
+            self.sel = slice(idx[0], idx[0] + p)
+            self.sel2 = (self.sel, self.sel)
         else:
-            self.coeff = np.zeros((0, self.dim, self.dim))
+            self.sel, self.sel2 = idx, np.ix_(idx, idx)
         self.scale = None
-        if self.var_idx.size == 1 and not np.any(self.const):
+        if p == 1 and not np.any(self.const):
             c = float(self.coeff[0, 0, 0])
-            if np.array_equal(self.coeff[0], c * np.eye(self.dim)):
+            if np.array_equal(self.coeff[0], c * self.eye):
                 self.scale = c
-
-    def matrix(self, x):
-        m = self.const.copy()
-        if self.var_idx.size:
-            m += np.tensordot(x[self.var_idx], self.coeff, axes=1)
-        return m
 
     def slack(self, x, t):
         """``(S, log det S)`` for the slack S = t*I - F(x), or None when S is
@@ -381,7 +392,10 @@ class _Block:
         if self.scale is not None:
             s = t - self.scale * x[self.var_idx[0]]
             return (s, self.dim * np.log(s)) if s > 0.0 else None
-        s = t * np.eye(self.dim) - self.matrix(x)
+        m = self.const
+        if self.var_idx.size:
+            m = m + (x[self.var_idx] @ self.flat).reshape(self.dim, self.dim)
+        s = t * self.eye - m
         ld = _logdet(s)
         return None if ld is None else (s, ld)
 
@@ -403,15 +417,14 @@ class _Block:
         w = 0.5 * (w + w.T)
         grad[n] -= np.trace(w)
         hess[n, n] += float(np.sum(w * w))
-        if self.var_idx.size:
-            v = w[None, :, :] @ self.coeff  # stack of V_i = S^-1 A_i
-            vflat = v.reshape(v.shape[0], -1)
-            vtflat = np.transpose(v, (0, 2, 1)).reshape(v.shape[0], -1)
-            grad[self.var_idx] += np.einsum("pii->p", v)
-            hess[np.ix_(self.var_idx, self.var_idx)] += vflat @ vtflat.T
-            cross = -(vflat @ w.reshape(-1))  # -tr(V_i W), the x-t coupling
-            hess[self.var_idx, n] += cross
-            hess[n, self.var_idx] += cross
+        v = w @ self.coeff  # stack of V_i = S^-1 A_i
+        vflat = v.reshape(self.flat.shape)
+        vtflat = np.transpose(v, (0, 2, 1)).reshape(self.flat.shape)
+        grad[self.sel] += np.einsum("pii->p", v)
+        hess[self.sel2] += vflat @ vtflat.T
+        cross = -(vflat @ w.reshape(-1))  # -tr(V_i W), the x-t coupling
+        hess[self.sel, n] += cross
+        hess[n, self.sel] += cross
 
 
 def _logdet(s):
@@ -420,7 +433,17 @@ def _logdet(s):
         l = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.sum(np.log(np.diag(l))))
+    return 2.0 * float(np.sum(np.log(l.diagonal())))
+
+
+def _add_box_derivatives(xv, grad, hess):
+    """Add the gradient and Hessian of -sum log(R_BOX -+ x_i) over x, the
+    Hessian through a strided view of the first len(x) diagonal entries."""
+    n = xv.size
+    grad[:n] += 1.0 / (R_BOX - xv) - 1.0 / (R_BOX + xv)
+    hess.reshape(-1)[: n * (n + 2) : n + 2] += (
+        1.0 / (R_BOX - xv) ** 2 + 1.0 / (R_BOX + xv) ** 2
+    )
 
 
 def solve_feasibility(problem, cfg=None):
@@ -465,10 +488,7 @@ def solve_feasibility(problem, cfg=None):
         hess = np.zeros((n + 1, n + 1))
         for b, s in zip(blocks, slacks):
             b.add_derivatives(s, grad, hess)
-        grad[:n] += 1.0 / (R_BOX - xv) - 1.0 / (R_BOX + xv)
-        hess[:n, :n] += np.diag(
-            1.0 / (R_BOX - xv) ** 2 + 1.0 / (R_BOX + xv) ** 2
-        )
+        _add_box_derivatives(xv, grad, hess)
         grad[n] += mu
 
         jitter = 0.0

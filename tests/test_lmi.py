@@ -21,7 +21,7 @@ from folmi.lmi import (
 from folmi.stability import analysis_feasible
 from folmi.synthesis import assemble
 from tests.test_interval import example1_system
-from tests.test_synthesis import lift_plant
+from tests.test_synthesis import example2_system, lift_plant
 
 
 class TestVariableBlocks:
@@ -434,3 +434,191 @@ class TestScalarIdentityBlock:
         assert dim not in others + [problem.num_vars + 1]
         assert_no_factorization_of_size(
             monkeypatch, dim, lambda: solve_feasibility(problem))
+
+
+def reference_slack(b, x, t):
+    """The slack t*I - F(x) as formed through np.tensordot."""
+    m = b.const.copy()
+    if b.var_idx.size:
+        m += np.tensordot(x[b.var_idx], b.coeff, axes=1)
+    return t * np.eye(b.dim) - m
+
+
+def reference_derivatives(b, s, grad, hess):
+    """The barrier gradient and Hessian through w[None], np.ix_ and
+    fancy-indexed cross terms."""
+    n = grad.size - 1
+    w = np.linalg.inv(s)
+    w = 0.5 * (w + w.T)
+    grad[n] -= np.trace(w)
+    hess[n, n] += float(np.sum(w * w))
+    if b.var_idx.size:
+        v = w[None, :, :] @ b.coeff
+        vflat = v.reshape(v.shape[0], -1)
+        vtflat = np.transpose(v, (0, 2, 1)).reshape(v.shape[0], -1)
+        grad[b.var_idx] += np.einsum("pii->p", v)
+        hess[np.ix_(b.var_idx, b.var_idx)] += vflat @ vtflat.T
+        cross = -(vflat @ w.reshape(-1))
+        hess[b.var_idx, n] += cross
+        hess[n, b.var_idx] += cross
+
+
+def reference_box(xv, grad, hess):
+    """The box-barrier terms with the Hessian diagonal built by np.diag."""
+    n = xv.size
+    grad[:n] += 1.0 / (folmi.lmi.R_BOX - xv) - 1.0 / (folmi.lmi.R_BOX + xv)
+    hess[:n, :n] += np.diag(
+        1.0 / (folmi.lmi.R_BOX - xv) ** 2 + 1.0 / (folmi.lmi.R_BOX + xv) ** 2
+    )
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def bit_identity_blocks():
+    """``(name, problem size, block)``: the example1 n_c = 1 blocks and a
+    constant block with no variables."""
+    sys_ = example1_system()
+    problem = assemble(decompose(sys_), sys_.c, sys_.alpha, 1).problem
+    schur, _, pos_s, pos_c = problem.constraints
+    empty = AffineMatrixConstraint(
+        3, -np.eye(3) - 0.1 * np.ones((3, 3)), {}, Sense.NEGATIVE_DEFINITE)
+    return [("schur", problem.num_vars, schur), ("positivity_s", problem.num_vars, pos_s),
+            ("positivity_c", problem.num_vars, pos_c), ("no_variables", 4, empty)]
+
+
+class TestBlockBitIdentity:
+    """The barrier terms of a block are the same bits as the tensordot /
+    np.ix_ / np.diag formulas, whichever way its variables are laid out."""
+
+    def test_the_cases_cover_every_layout(self):
+        cases = {name: c for name, _, c in bit_identity_blocks()}
+        blocks = {name: _Block(c) for name, c in cases.items()}
+        # 18 of the 19 variables: not contiguous, selected by index arrays
+        assert blocks["schur"].var_idx.size == 18
+        assert isinstance(blocks["schur"].sel, np.ndarray)
+        assert isinstance(blocks["positivity_s"].sel, slice)
+        assert cases["positivity_s"].sense is Sense.POSITIVE_DEFINITE
+        # one variable but a nonzero constant: dense, not the scalar slack
+        assert blocks["positivity_c"].var_idx.size == 1
+        assert blocks["positivity_c"].scale is None
+        assert blocks["no_variables"].var_idx.size == 0
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_slack_and_derivatives(self, case):
+        name, n, constraint = bit_identity_blocks()[case]
+        b = _Block(constraint)
+        rng = np.random.RandomState(case)
+        for _ in range(5):
+            x = rng.randn(n)
+            f = -reference_slack(b, x, 0.0)  # F(x), oriented
+            t = float(np.linalg.eigvalsh(f)[-1]) + 0.1 + rng.rand()
+            s, ld = b.slack(x, t)
+            s_ref = reference_slack(b, x, t)
+            assert_same_bits(s, s_ref)
+            assert ld == 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(s_ref)))))
+            grad, hess = rng.randn(n + 1), rng.randn(n + 1, n + 1)
+            grad_ref, hess_ref = grad.copy(), hess.copy()
+            b.add_derivatives(s, grad, hess)
+            reference_derivatives(b, s_ref, grad_ref, hess_ref)
+            assert_same_bits(grad, grad_ref)
+            assert_same_bits(hess, hess_ref)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 19])
+    def test_box_terms(self, n):
+        # from zero, as a Newton step starts, the terms are not swamped by
+        # the entries they are added to; x runs up to the box's edge
+        rng = np.random.RandomState(n)
+        xv = rng.uniform(-1.0, 1.0, n) * folmi.lmi.R_BOX * 10.0 ** -rng.randint(0, 9, n)
+        grad, hess = np.zeros(n + 1), np.zeros((n + 1, n + 1))
+        grad_ref, hess_ref = grad.copy(), hess.copy()
+        folmi.lmi._add_box_derivatives(xv, grad, hess)
+        reference_box(xv, grad_ref, hess_ref)
+        assert_same_bits(grad, grad_ref)
+        assert_same_bits(hess, hess_ref)
+
+
+def reference_constraint(expr, sense):
+    """``add_constraint`` term by term: each matrix's symmetry check,
+    symmetrization and zero test on its own."""
+    for m in expr.terms.values():
+        scale = 1.0 + np.abs(m).max()
+        if np.abs(m - m.T).max() > folmi.lmi._SYM_TOL * scale:
+            raise IllFormedProblemError("constraint matrices must be symmetric")
+    coeffs = {k: 0.5 * (v + v.T) for k, v in expr.terms.items()
+              if k is None or np.any(v)}
+    const = coeffs.pop(None)
+    return AffineMatrixConstraint(expr.rows, const, coeffs, Sense(sense))
+
+
+def assert_same_constraint(c, ref):
+    assert (c.dim, c.sense) == (ref.dim, ref.sense)
+    assert_same_bits(c.constant, ref.constant)
+    assert list(c.coeffs) == list(ref.coeffs)  # the order evaluation sums in
+    for k in ref.coeffs:
+        assert_same_bits(c.coeffs[k], ref.coeffs[k])
+
+
+class TestBatchedConstraint:
+    """``add_constraint`` checks, symmetrizes and filters the stacked term
+    table in one pass, with the per-term results bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["example1", "example2"])
+    def test_assembled_constraints_match_the_per_term_reference(self, monkeypatch, kind):
+        add, checked = LmiProblem.add_constraint, []
+
+        def spy(problem, expr, sense):
+            c = add(problem, expr, sense)
+            assert_same_constraint(c, reference_constraint(expr, sense))
+            checked.append(c.dim)
+            return c
+
+        monkeypatch.setattr(LmiProblem, "add_constraint", spy)
+        sys_ = {"example1": example1_system, "example2": example2_system}[kind]()
+        factors = decompose(sys_)
+        for n_c in range(4):
+            assemble(factors, sys_.c, sys_.alpha, n_c)
+        folmi.stability._analysis_lmi(factors.a0, sys_.alpha)
+        assert len(checked) == 3 + 3 * 4 + 2  # n_c = 0 has no P_C block
+
+    @pytest.mark.parametrize("position", [0, 7, 15])
+    def test_one_asymmetric_term_among_many_is_rejected(self, position):
+        # the tolerance scales with each term's own largest entry: an
+        # asymmetry of 1e-6 passes beside entries of 1e6, not beside ones
+        p = LmiProblem()
+        s = p.declare_symmetric_block(4, "S")
+        big = 1e6 * s.expr()
+        assert len(big.terms) == 11
+        skewed = np.zeros((4, 4))
+        skewed[0, 1] = 1e-6
+        xs = [p.declare_scalar(f"x{k}") for k in range(16)]
+        e = big + 1e-4 * np.eye(4)
+        for k, x in enumerate(xs):
+            e = e + x.scale(skewed if k == position else np.eye(4))
+        with pytest.raises(IllFormedProblemError, match="symmetric"):
+            p.add_constraint(e, Sense.NEGATIVE_DEFINITE)
+        with pytest.raises(IllFormedProblemError, match="symmetric"):
+            reference_constraint(e, Sense.NEGATIVE_DEFINITE)
+        # the same asymmetry on a term of scale 1e6 is within tolerance
+        skewed[0, 0] = 1e6
+        tolerated = big
+        for x in xs:
+            tolerated = tolerated + x.scale(skewed)
+        c = p.add_constraint(tolerated, Sense.NEGATIVE_DEFINITE)
+        assert_same_constraint(c, reference_constraint(tolerated, Sense.NEGATIVE_DEFINITE))
+
+    def test_all_zero_terms_are_dropped(self):
+        p = LmiProblem()
+        t = p.declare_full_block(3, 3, "T")
+        s = p.declare_symmetric_block(3, "S")
+        x = p.declare_scalar("x")
+        zero = sym_expr(t.expr() @ np.zeros((3, 3)))  # nine all-zero terms
+        e = zero + s.expr() - x.scale(np.eye(3)) + np.zeros((3, 3))
+        assert len(e.terms) == 1 + 9 + 6 + 1
+        c = p.add_constraint(e, Sense.NEGATIVE_DEFINITE)
+        assert list(c.coeffs) == list(s.indices) + list(x.indices)
+        assert not np.any(c.constant)  # the constant is kept, zero or not
+        assert_same_constraint(c, reference_constraint(e, Sense.NEGATIVE_DEFINITE))
