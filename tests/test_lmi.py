@@ -478,16 +478,20 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+BIT_IDENTITY_BLOCKS = ("schur", "positivity_s", "positivity_c", "no_variables")
+
+
 def bit_identity_blocks():
-    """``(name, problem size, block)``: the example1 n_c = 1 blocks and a
-    constant block with no variables."""
+    """``{name: (problem size, constraint)}``: the example1 n_c = 1 blocks
+    and a constant block with no variables."""
     sys_ = example1_system()
     problem = assemble(decompose(sys_), sys_.c, sys_.alpha, 1).problem
     schur, _, pos_s, pos_c = problem.constraints
     empty = AffineMatrixConstraint(
         3, -np.eye(3) - 0.1 * np.ones((3, 3)), {}, Sense.NEGATIVE_DEFINITE)
-    return [("schur", problem.num_vars, schur), ("positivity_s", problem.num_vars, pos_s),
-            ("positivity_c", problem.num_vars, pos_c), ("no_variables", 4, empty)]
+    n = problem.num_vars
+    return dict(zip(BIT_IDENTITY_BLOCKS,
+                    [(n, schur), (n, pos_s), (n, pos_c), (4, empty)]))
 
 
 class TestBlockBitIdentity:
@@ -495,7 +499,7 @@ class TestBlockBitIdentity:
     np.ix_ / np.diag formulas, whichever way its variables are laid out."""
 
     def test_the_cases_cover_every_layout(self):
-        cases = {name: c for name, _, c in bit_identity_blocks()}
+        cases = {name: c for name, (_, c) in bit_identity_blocks().items()}
         blocks = {name: _Block(c) for name, c in cases.items()}
         # 18 of the 19 variables: not contiguous, selected by index arrays
         assert blocks["schur"].var_idx.size == 18
@@ -507,11 +511,11 @@ class TestBlockBitIdentity:
         assert blocks["positivity_c"].scale is None
         assert blocks["no_variables"].var_idx.size == 0
 
-    @pytest.mark.parametrize("case", range(4))
-    def test_slack_and_derivatives(self, case):
-        name, n, constraint = bit_identity_blocks()[case]
+    @pytest.mark.parametrize("name", BIT_IDENTITY_BLOCKS)
+    def test_slack_and_derivatives(self, name):
+        n, constraint = bit_identity_blocks()[name]
         b = _Block(constraint)
-        rng = np.random.RandomState(case)
+        rng = np.random.RandomState(BIT_IDENTITY_BLOCKS.index(name))
         for _ in range(5):
             x = rng.randn(n)
             f = -reference_slack(b, x, 0.0)  # F(x), oriented
