@@ -1,11 +1,13 @@
 """Affine linear-matrix-inequality modeling and a dense feasibility solver.
 
-The modeling layer represents symmetric matrix expressions that are affine
-in a flat vector of scalar decision variables.  Structured variable blocks
-(symmetric, skew-symmetric, rectangular, scalar) map their entries onto
-that flat vector, and :class:`MatExpr` provides enough operator support
-(+, -, @ with constants, transpose, scalar multiply, block stacking) to
-assemble the synthesis inequalities readably.
+The modeling layer represents matrix expressions that are affine in a flat
+vector of scalar decision variables.  A :class:`MatExpr` is one coefficient
+stack: its sorted variable indices, their (k, rows, cols) coefficients and a
+constant.  Each operator (+, -, @ with constants, transpose, scalar
+multiply, block stacking) is a few numpy calls on whole stacks, and a
+declared block (symmetric, skew-symmetric, rectangular, scalar) is the
+one-hot expression of its new variables.  A constraint keeps the
+symmetrized stack of its expression, which the solver uses as it is.
 
 Feasibility of a system of strict definiteness constraints is decided by a
 log-det barrier method on the epigraph form
@@ -33,9 +35,9 @@ At those sizes a Newton step costs numpy calls, not flops, so the hot
 paths are written for few calls with unchanged arithmetic: each block
 keeps its coefficients as one (p, dim*dim) matrix, forms F(x) with one
 matrix-vector product and adds its derivatives through slices when its
-variables are contiguous; ``add_constraint`` checks and symmetrizes the
-stacked term table at once.  Every floating-point operation is that of the
-term-by-term formulas, which the tests keep as bit-for-bit references.
+variables are contiguous.  Every floating-point operation, in the solver
+and in the expression operators, is that of the term-by-term formulas, which
+the tests keep as bit-for-bit references.
 """
 
 import enum
@@ -69,35 +71,38 @@ class SdpStatus(enum.Enum):
 
 
 class MatExpr:
-    """Matrix expression ``terms[None] + sum_k x_k * terms[k]``: one term
-    table from None (the constant) and variable indices k to matrices of the
-    constant's shape.  Expressions share the term matrices that an operator
-    leaves unchanged, so none is ever written in place."""
+    """Matrix expression ``const + sum_k x[ids[k]] * coeff[k]``: sorted
+    variable indices ``ids``, their (len(ids), rows, cols) coefficient stack
+    ``coeff`` and the constant ``const``.  Operators build new arrays and
+    never write into an operand's, so expressions may share them."""
 
     __array_ufunc__ = None  # keep numpy from consuming us in mixed ops
 
-    def __init__(self, terms):
-        self.terms = terms
-        self.shape = terms[None].shape
+    def __init__(self, ids, coeff, const):
+        self.ids, self.coeff, self.const = ids, coeff, const
+        self.shape = const.shape
         self.rows, self.cols = self.shape
 
     @staticmethod
     def wrap(other):
         if isinstance(other, MatExpr):
             return other
-        return MatExpr({None: np.atleast_2d(np.asarray(other, float))})
-
-    def _map(self, f):
-        return MatExpr({k: f(v) for k, v in self.terms.items()})
+        const = np.atleast_2d(np.asarray(other, float))
+        return MatExpr(np.zeros(0, int), np.zeros((0,) + const.shape), const)
 
     def __add__(self, other):
         other = MatExpr.wrap(other)
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms[k] + v if k in terms else v
-        return MatExpr(terms)
+        if np.array_equal(self.ids, other.ids):
+            return MatExpr(self.ids, self.coeff + other.coeff, self.const + other.const)
+        ids = np.union1d(self.ids, other.ids)
+        # from -0.0, the exact additive identity, a term of one side alone
+        # keeps its bits, signed zeros included
+        coeff = np.full((ids.size,) + self.shape, -0.0)
+        coeff[np.searchsorted(ids, self.ids)] = self.coeff
+        coeff[np.searchsorted(ids, other.ids)] += other.coeff
+        return MatExpr(ids, coeff, self.const + other.const)
 
     __radd__ = __add__
 
@@ -108,11 +113,11 @@ class MatExpr:
         return MatExpr.wrap(other).__add__(self.__neg__())
 
     def __neg__(self):
-        return self._map(np.negative)
+        return MatExpr(self.ids, -self.coeff, -self.const)
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return self._map(lambda v: s * v)
+        return MatExpr(self.ids, s * self.coeff, s * self.const)
 
     __rmul__ = __mul__
 
@@ -121,27 +126,34 @@ class MatExpr:
         if isinstance(other, MatExpr):
             raise TypeError("product of two variable expressions is not affine")
         r = np.atleast_2d(np.asarray(other, float))
-        if r.shape[0] != self.cols:
-            raise ValueError(f"shape mismatch {self.shape} @ {r.shape}")
-        return self._map(lambda v: v @ r)
+        return MatExpr(self.ids, self.coeff @ r, self.const @ r)
 
     def __rmatmul__(self, other):
         """Left-multiplication by a constant matrix."""
         l = np.atleast_2d(np.asarray(other, float))
-        if l.shape[1] != self.rows:
-            raise ValueError(f"shape mismatch {l.shape} @ {self.shape}")
-        return self._map(lambda v: l @ v)
+        return MatExpr(self.ids, l @ self.coeff, l @ self.const)
 
     @property
     def T(self):
-        return self._map(lambda v: v.T.copy())
+        return MatExpr(self.ids, self.coeff.transpose(0, 2, 1).copy(), self.const.T.copy())
+
+    def scale(self, matrix):
+        """``x * matrix`` for a 1x1 expression x with zero constant, such as
+        a declared scalar (the affine lift's multiplier)."""
+        if self.shape != (1, 1) or np.any(self.const):
+            raise ValueError("scale() is only defined for 1x1 linear expressions")
+        m = np.atleast_2d(np.asarray(matrix, float))
+        return MatExpr(self.ids, self.coeff * m, np.zeros(m.shape))
+
+    def expr(self):
+        """This expression: a declared block is its own expression."""
+        return self
 
     def value(self, values):
-        """Substitute a flat variable vector."""
-        out = self.terms[None].copy()
-        for k, coeff in self.terms.items():
-            if k is not None:
-                out += values[k] * coeff
+        """Substitute a flat variable vector, adding the terms in ``ids`` order."""
+        out = self.const.copy()
+        for v, coeff in zip(values[self.ids], self.coeff):
+            out += v * coeff
         return out
 
 
@@ -164,70 +176,51 @@ def block_expr(grid):
     heights = [row[0].rows for row in grid]
     widths = [grid[0][j].cols for j in range(n_cols)]
     r0, c0 = np.cumsum([0] + heights), np.cumsum([0] + widths)
-    # the blocks tile the constant, and from -0.0, the exact additive
-    # identity, += copies each one bit for bit, signed zeros included
-    terms = {None: np.full((r0[-1], c0[-1]), -0.0)}
+    placed = []
     for i, row in enumerate(grid):
         for j, e in enumerate(row):
             if e.shape != (heights[i], widths[j]):
-                raise ValueError(
-                    f"block ({i},{j}) is {e.shape}, expected "
-                    f"({heights[i]},{widths[j]})"
-                )
+                raise ValueError(f"block ({i},{j}) is {e.shape}, expected "
+                                 f"({heights[i]},{widths[j]})")
             if e.rows and e.cols:
-                for k, coeff in e.terms.items():
-                    if k not in terms:
-                        terms[k] = np.zeros(terms[None].shape)
-                    terms[k][r0[i] : r0[i + 1], c0[j] : c0[j + 1]] += coeff
-    return MatExpr(terms)
-
-
-@dataclass(frozen=True)
-class VariableBlock:
-    """Structured block of scalar decision variables: ``indices[k]`` is entry
-    ``entries[k]`` = (i, j), row by row, and unless ``mirror`` is None also
-    ``mirror`` times entry (j, i) (1 for a symmetric block, -1 for a skew one)."""
-
-    rows: int
-    cols: int
-    indices: tuple
-    entries: tuple
-    mirror: float | None
-
-    def basis(self):
-        """Pairs (variable index, basis matrix) spanning the block."""
-        out = []
-        for k, (i, j) in zip(self.indices, self.entries):
-            e = np.zeros((self.rows, self.cols))
-            e[i, j] = 1.0
-            if self.mirror is not None:
-                e[j, i] = self.mirror
-            out.append((k, e))
-        return out
-
-    def expr(self):
-        return MatExpr(dict([(None, np.zeros((self.rows, self.cols)))] + self.basis()))
-
-    def scale(self, matrix):
-        """``variable * matrix`` for a 1x1 one-variable block (affine lift)."""
-        if (self.rows, self.cols, len(self.indices)) != (1, 1, 1):
-            raise ValueError("scale() is only defined for scalar blocks")
-        m = np.atleast_2d(np.asarray(matrix, float))
-        return MatExpr({None: np.zeros(m.shape), self.indices[0]: m.copy()})
-
-    def value(self, values):
-        """Reconstruct the block matrix from a flat variable vector."""
-        return self.expr().value(values)
+                placed.append((slice(r0[i], r0[i + 1]), slice(c0[j], c0[j + 1]), e))
+    ids = np.unique(np.concatenate([np.zeros(0, int)] + [e.ids for _, _, e in placed]))
+    # the blocks tile the constant, and from -0.0, the exact additive
+    # identity, += copies each one bit for bit, signed zeros included; a
+    # coefficient is 0.0 outside the blocks of its variable
+    const = np.full((r0[-1], c0[-1]), -0.0)
+    coeff = np.zeros((ids.size, r0[-1], c0[-1]))
+    for rows, cols, e in placed:
+        const[rows, cols] += e.const
+        coeff[np.searchsorted(ids, e.ids), rows, cols] += e.coeff
+    return MatExpr(ids, coeff, const)
 
 
 @dataclass(frozen=True)
 class AffineMatrixConstraint:
-    """One definiteness constraint ``const + sum_i x_i coeffs[i]  (sense) 0``."""
+    """One definiteness constraint ``constant + sum_k x[ids[k]] * stack[k]
+    (sense) 0`` over the sorted variable indices ``ids``."""
 
     dim: int
     constant: np.ndarray
-    coeffs: dict
+    ids: np.ndarray
+    stack: np.ndarray
     sense: Sense
+
+    @property
+    def coeffs(self):
+        """{variable index: coefficient matrix}, views of ``stack``."""
+        return dict(zip(self.ids.tolist(), self.stack))
+
+
+def _symmetrized(m):
+    """``0.5 (M + M^T)`` of each matrix M of a stack, after checking its
+    symmetry at the scale of its own largest entry."""
+    mt = m.transpose(0, 2, 1)
+    scale = 1.0 + np.abs(m).max(axis=(1, 2))
+    if np.any(np.abs(m - mt).max(axis=(1, 2)) > _SYM_TOL * scale):
+        raise IllFormedProblemError("constraint matrices must be symmetric")
+    return 0.5 * (m + mt)
 
 
 @dataclass
@@ -238,55 +231,51 @@ class LmiProblem:
     var_names: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
 
-    def _new_vars(self, count, name):
-        start = self.num_vars
-        for k in range(count):
-            self.var_names.append(f"{name}[{k}]" if count > 1 else name)
-        self.num_vars += count
-        return tuple(range(start, start + count))
-
     def _declare(self, rows, cols, entries, mirror, name):
-        entries = tuple(entries)
-        idx = self._new_vars(len(entries), name)
-        return VariableBlock(rows, cols, idx, entries, mirror)
+        """The expression of a block of new variables: variable k sets entry
+        (i[k], j[k]) of ``entries`` = (i, j) to 1 and, unless ``mirror`` is
+        None, entry (j[k], i[k]) to ``mirror`` (1 for a symmetric block, -1
+        for a skew one)."""
+        i, j = entries
+        k = np.arange(i.size)
+        self.var_names += [f"{name}[{q}]" if k.size > 1 else name for q in k]
+        coeff = np.zeros((k.size, rows, cols))
+        coeff[k, i, j] = 1.0
+        if mirror is not None:
+            coeff[k, j, i] = mirror
+        ids, self.num_vars = self.num_vars + k, self.num_vars + k.size
+        return MatExpr(ids, coeff, np.zeros((rows, cols)))
 
     def declare_symmetric_block(self, dim, name="S"):
-        """Symmetric dim x dim block: dim*(dim+1)/2 variables."""
-        return self._declare(dim, dim, zip(*np.triu_indices(dim)), 1.0, name)
+        """Symmetric dim x dim block: dim*(dim+1)/2 variables, the upper
+        triangle row by row."""
+        return self._declare(dim, dim, np.triu_indices(dim), 1.0, name)
 
     def declare_skew_block(self, dim, name="K"):
-        """Skew-symmetric block: dim*(dim-1)/2 variables (0 when dim <= 1)."""
-        return self._declare(dim, dim, zip(*np.triu_indices(dim, 1)), -1.0, name)
+        """Skew-symmetric block: dim*(dim-1)/2 variables (0 when dim <= 1),
+        the strict upper triangle row by row."""
+        return self._declare(dim, dim, np.triu_indices(dim, 1), -1.0, name)
 
     def declare_full_block(self, rows, cols, name="T"):
-        """Unstructured rows x cols block: rows*cols variables."""
-        return self._declare(rows, cols, np.ndindex(rows, cols), None, name)
+        """Unstructured rows x cols block: rows*cols variables, row by row."""
+        entries = np.indices((rows, cols)).reshape(2, -1)
+        return self._declare(rows, cols, entries, None, name)
 
     def declare_scalar(self, name="s"):
         return self.declare_full_block(1, 1, name)
 
     def add_constraint(self, expr, sense):
-        """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr."""
-        if not isinstance(expr, MatExpr):
-            expr = MatExpr.wrap(expr)
+        """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr;
+        terms that are all zero are dropped."""
+        expr = MatExpr.wrap(expr)
         if expr.rows != expr.cols or expr.rows == 0:
             raise IllFormedProblemError(
                 f"constraint must be square and nonempty, got {expr.shape}"
             )
-        # one pass over the stacked term table: symmetry check, symmetrization
-        # and zero-term filter, entry for entry the per-term formulas
-        m = np.stack(list(expr.terms.values()))
-        mt = m.transpose(0, 2, 1)
-        scale = 1.0 + np.abs(m).max(axis=(1, 2))
-        if np.any(np.abs(m - mt).max(axis=(1, 2)) > _SYM_TOL * scale):
-            raise IllFormedProblemError("constraint matrices must be symmetric")
-        nonzero = m.reshape(len(m), -1).any(axis=1)
-        coeffs = {k: v for k, v, nz in zip(expr.terms, 0.5 * (m + mt), nonzero)
-                  if k is None or nz}
-        const = coeffs.pop(None)
-        self.constraints.append(
-            AffineMatrixConstraint(expr.rows, const, coeffs, Sense(sense))
-        )
+        const, coeff = _symmetrized(expr.const[None])[0], _symmetrized(expr.coeff)
+        nonzero = coeff.any(axis=(1, 2))
+        self.constraints.append(AffineMatrixConstraint(
+            expr.rows, const, expr.ids[nonzero], coeff[nonzero], Sense(sense)))
         return self.constraints[-1]
 
 
@@ -338,9 +327,7 @@ def evaluate_constraint(problem, constraint, values):
         raise LengthMismatchError(
             f"expected {problem.num_vars} values, got {values.shape}"
         )
-    m = constraint.constant.copy()
-    for k, coeff in constraint.coeffs.items():
-        m += values[k] * coeff
+    m = MatExpr(constraint.ids, constraint.stack, constraint.constant).value(values)
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     if constraint.sense is Sense.NEGATIVE_DEFINITE:
         return m, float(eigs[-1])
@@ -369,9 +356,9 @@ class _Block:
         sign = 1.0 if constraint.sense is Sense.NEGATIVE_DEFINITE else -1.0
         self.dim = d = constraint.dim
         self.const = sign * constraint.constant
-        self.var_idx = idx = np.array(sorted(constraint.coeffs), dtype=int)
+        self.var_idx = idx = constraint.ids
         p = idx.size
-        self.coeff = np.array([sign * constraint.coeffs[k] for k in idx]).reshape(p, d, d)
+        self.coeff = sign * constraint.stack
         self.flat = self.coeff.reshape(p, d * d)  # sized explicitly for p = 0
         self.eye = np.eye(d)
         if p and idx[-1] - idx[0] == p - 1:

@@ -13,9 +13,10 @@ Two equivalent routes are provided for D^alpha x = A x with 0 < alpha < 2:
   with the synthesis assembly and controller recovery.
 
 Keeping both routes independent lets each validate the other.  The LMI of a
-diagonalizable matrix also has an audited certificate built from its
-eigenbasis.  Both LMI routes return their verdict as a status.  The module
-also assembles the output-feedback closed loop of a plant or a plant stack.
+diagonalizable matrix also has a certificate built from its eigenbasis and
+audited on numbers by the same regime code.  Both LMI routes return their
+verdict as a status.  The module also assembles the output-feedback closed
+loop of a plant or a plant stack.
 """
 
 import logging
@@ -28,11 +29,11 @@ from .linalg import eigvals_stack, require_square
 from .lmi import (
     R_BOX,
     LmiProblem,
+    MatExpr,
     SdpSolution,
     SdpStatus,
     Sense,
     block_expr,
-    constraint_margin,
     solve_feasibility,
     sym_expr,
 )
@@ -100,16 +101,15 @@ class _HermitianRegime:
 
     def q_expr(self, cert):
         x, y = cert
-        return self._cs * x.expr() - self._sn * y.expr()
+        return self._cs * x - self._sn * y
 
     def positivity(self, cert):
         x, y = cert
-        emb = block_expr([[x.expr(), -1.0 * y.expr()], [y.expr(), x.expr()]])
-        return emb - np.eye(2 * x.rows)
+        return block_expr([[x, -1.0 * y], [y, x]]) - np.eye(2 * x.rows)
 
-    def value(self, cert, values):
-        x, y = cert
-        return x.value(values) + 1j * y.value(values)
+    def value(self, parts):
+        x, y = parts
+        return x + 1j * y
 
     def sigma(self, g):
         """Sym(G) for the closed-loop expression G = A_cl Q."""
@@ -119,10 +119,11 @@ class _HermitianRegime:
         return a
 
     def eigen_certificate(self, vals, vecs):
-        """P = V D V^H, D = 1 on Im(lambda) >= 0 and the conjugate weight 0.05
-        on the rest: Sigma = V diag(2 Re(lambda_k (r d_k + conj(r)
-        d_conj(k)))) V^H."""
-        return (vecs * np.where(vals.imag >= 0.0, 1.0, 0.05)) @ vecs.conj().T
+        """(X, Y), exactly symmetric and skew, of P = V D V^H, D = 1 on
+        Im(lambda) >= 0 and the conjugate weight 0.05 on the rest: Sigma =
+        V diag(2 Re(lambda_k (r d_k + conj(r) d_conj(k)))) V^H."""
+        p = (vecs * np.where(vals.imag >= 0.0, 1.0, 0.05)) @ vecs.conj().T
+        return 0.5 * (p.real + p.real.T), 0.5 * (p.imag - p.imag.T)
 
 
 class _SymmetricRegime:
@@ -139,13 +140,13 @@ class _SymmetricRegime:
         return (p.declare_symmetric_block(dim, f"P_{name}"),)
 
     def q_expr(self, cert):
-        return cert[0].expr()
+        return cert[0]
 
     def positivity(self, cert):
-        return cert[0].expr() - np.eye(cert[0].rows)
+        return cert[0] - np.eye(cert[0].rows)
 
-    def value(self, cert, values):
-        return cert[0].value(values)
+    def value(self, parts):
+        return parts[0]
 
     def sigma(self, g):
         """[[G_s sin(theta), G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]]
@@ -161,14 +162,17 @@ class _SymmetricRegime:
         return a.T
 
     def eigen_certificate(self, vals, vecs):
-        """P = W^H W, W = V^-1, real for real A: congruence by I_2 (x) W
-        splits Sigma into one 2x2 block per eigenvalue."""
+        """(P,), exactly symmetric, for P = W^H W, W = V^-1, real for real A:
+        congruence by I_2 (x) W splits Sigma into one 2x2 block per
+        eigenvalue."""
         w = np.linalg.inv(vecs)
-        return w.conj().T @ w
+        p = (w.conj().T @ w).real
+        return (0.5 * (p + p.T),)
 
 
 def _regime(alpha):
-    """The certificate regime of the order alpha."""
+    """The certificate regime of the order alpha.  Its methods take the
+    certificate's parts, (X, Y) or (P,): expressions, or matrices in value()."""
     _check_alpha(alpha)
     return _HermitianRegime(alpha) if alpha < 1.0 else _SymmetricRegime(alpha)
 
@@ -203,9 +207,9 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
               "t3": p.declare_full_block(l, n_c, "T3"),
               "t4": p.declare_full_block(l, n, "T4")}
     z = block_expr([[regime.q_expr(blocks["s"]), np.zeros((n, n_c))],
-                    [blocks["t4"].expr(), blocks["t3"].expr()]])
+                    [blocks["t4"], blocks["t3"]]])
     g = block_expr([[np.hstack([a0, b0]) @ z],
-                    [block_expr([[blocks["t2"].expr(), blocks["t1"].expr()]])]])
+                    [block_expr([[blocks["t2"], blocks["t1"]]])]])
     sigma = regime.sigma(g)
     if lift is None:
         p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
@@ -230,12 +234,11 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
 
 
 def _analysis_lmi(a, alpha):
-    """``(regime, A, problem, blocks)`` of the analysis LMI of ``a``."""
-    regime = _regime(alpha)
-    m = require_square(a)
+    """``(regime, problem, blocks)`` of the analysis LMI of ``a``."""
+    regime, m = _regime(alpha), require_square(a)
     p, blocks = certificate_lmi(regime, regime.analysis_operand(m),
                                 np.zeros((m.shape[0], 0)), 0)
-    return regime, m, p, blocks
+    return regime, p, blocks
 
 
 def analysis_feasible(a, alpha, solver_cfg=None):
@@ -251,11 +254,12 @@ def analysis_feasible(a, alpha, solver_cfg=None):
     Returns the certificate (complex Hermitian or real symmetric) when
     strictly feasible, else None with the INFEASIBLE or INDETERMINATE status.
     """
-    regime, _, p, blocks = _analysis_lmi(a, alpha)
+    regime, p, blocks = _analysis_lmi(a, alpha)
     sol = solve_feasibility(p, solver_cfg)
     if sol.status is not SdpStatus.FEASIBLE:
         return LmiCertificate(False, None, sol)
-    return LmiCertificate(True, regime.value(blocks["s"], sol.values), sol)
+    cert = regime.value([b.value(sol.values) for b in blocks["s"]])
+    return LmiCertificate(True, cert, sol)
 
 
 def closed_form_certificate(a, alpha, eps_margin):
@@ -263,35 +267,42 @@ def closed_form_certificate(a, alpha, eps_margin):
 
     The eigenbasis certificate P of the regime (Chilali & Gahinet 1996;
     Sabatier, Moze & Farges 2010), scaled so that Sigma and P - I clear
-    ``eps_margin``, is written into the :func:`analysis_feasible` problem and
-    accepted only if every constraint margin is >= ``eps_margin`` and every
-    |x| < R_BOX, so the barrier could not prove that problem INFEASIBLE.
-    None (reason logged at INFO) when P fails that audit or cond(V) >
-    EIGENBASIS_COND_CAP.
+    ``eps_margin``, is audited on numbers, with no LMI problem built: the
+    regime's Sigma and positivity of constant expressions of P must have
+    margins >= ``eps_margin``, and the :func:`analysis_feasible` variables at
+    P, which the solution holds in that problem's order, |x| < R_BOX, so the
+    barrier could not prove that problem INFEASIBLE.  None (reason logged at
+    INFO) when P fails that audit or cond(V) > EIGENBASIS_COND_CAP.
     """
-    regime, m, p, blocks = _analysis_lmi(a, alpha)
+    regime, m = _regime(alpha), require_square(a)
     vals, vecs = np.linalg.eig(m)
     cond = np.linalg.cond(vecs)
     if not cond <= EIGENBASIS_COND_CAP:
         log.info("closed-form certificate: cond(V) = %.3g; using the barrier", cond)
         return None
-    candidate = regime.eigen_certificate(vals, vecs)
-    x = np.zeros(p.num_vars)
-    # blocks (X, Y) = (Re P, Im P) below alpha = 1; zip drops Im P above
-    for block, part in zip(blocks["s"], (candidate.real, candidate.imag)):
-        for k, basis in block.basis():
-            x[k] = np.sum(basis * part) / np.sum(basis * basis)
-    # unit-scale margins of Sigma < 0 and of P - I > 0 (lambda_min(P) - 1)
-    sigma, pos = (constraint_margin(p, c, x) for c in p.constraints)
+    parts = regime.eigen_certificate(vals, vecs)
+    # the variables in declare()'s order: the upper triangle of X (or P),
+    # then the strict upper triangle of Y
+    x = np.concatenate([part[np.triu_indices(len(m), k)] for k, part in enumerate(parts)])
+
+    def margins(scale):
+        """Margins of Sigma < 0 and of P - I > 0 at the certificate scale * P."""
+        cert = tuple(MatExpr.wrap(scale * part) for part in parts)
+        sigma = regime.sigma(regime.analysis_operand(m) @ regime.q_expr(cert))
+        pos = regime.positivity(cert)
+        return -np.linalg.eigvalsh(sigma.const)[-1], np.linalg.eigvalsh(pos.const)[0]
+
+    sigma, pos = margins(1.0)  # pos = lambda_min(P) - 1
+    scale = 1.0
     if sigma > 0.0 and pos > -1.0:
-        x *= 2.0 * max((1.0 + eps_margin) / (pos + 1.0), eps_margin / sigma)
-    margins = [constraint_margin(p, c, x) for c in p.constraints]
-    low, top = min(margins), np.abs(x).max()
+        scale = 2.0 * max((1.0 + eps_margin) / (pos + 1.0), eps_margin / sigma)
+    found, x = margins(scale), scale * x
+    low, top = min(found), np.abs(x).max()
     if low >= eps_margin and top < R_BOX:
         sol = SdpSolution(SdpStatus.FEASIBLE, x, low, 0, -low)
-        return LmiCertificate(True, regime.value(blocks["s"], x), sol)
+        return LmiCertificate(True, regime.value([scale * part for part in parts]), sol)
     log.info("closed-form certificate failed its audit (margins Sigma %.3g, "
-             "P %.3g; max |x| %.3g); using the barrier", *margins, top)
+             "P %.3g; max |x| %.3g); using the barrier", *found, top)
     return None
 
 

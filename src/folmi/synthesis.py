@@ -276,8 +276,8 @@ def _result_from(assembly, solution, controller):
     return SynthesisResult(
         controller=controller,
         eta=eta,
-        p_s=assembly.regime.value(b["s"], v),
-        p_c=assembly.regime.value(b["c"], v),
+        p_s=assembly.regime.value([x.value(v) for x in b["s"]]),
+        p_c=assembly.regime.value([x.value(v) for x in b["c"]]),
         t1=b["t1"].value(v),
         t2=b["t2"].value(v),
         t3=b["t3"].value(v),

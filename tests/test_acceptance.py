@@ -11,8 +11,10 @@ failure reasons:
   leaves corner plants with an eigenvalue on the positive real axis,
 * criterion 3, second family: no static output gain robustly stabilizes
   all 4096 vertices (exhaustive sweep over the sign-admissible DC window),
-  and the pseudo-inverse recovery lands the dynamic cases at effectively
-  static behavior, which certification then rejects,
+  and the synthesis LMI is invariant under the controller-state flip
+  x_c -> -x_c, so the barrier, started on its fixed subspace, returns
+  T2 = T3 = 0 and every dynamic design is that static gain plus a
+  disconnected state, which certification then rejects,
 * criterion 7 at order 0.5: the mandated GL recursion carries a first-node
   deviation |lam| h^alpha (1/Gamma(1+alpha) - 1) ~ 8.1e-3 > 5e-3 at
   lam = -2,
@@ -126,10 +128,13 @@ class TestCriterion3:
         strict=True,
         reason="no static output gain robustly stabilizes all 4096 vertices "
         "(exhaustive sweep over the only sign-admissible DC window tops out "
-        "at margin -0.0388), and the pseudo-inverse recovery step collapses "
-        "the dynamic designs to near-static behavior; the synthesis LMIs "
-        "themselves are feasible, so the gap is the recovery step, which "
-        "certification correctly rejects",
+        "at margin -0.0388), and the dynamic designs are that static gain: "
+        "the synthesis LMI is invariant under the controller-state flip "
+        "x_c -> -x_c (T2, T3 -> -T2, -T3 with a block-diagonal certificate), "
+        "the barrier starts on the flip's fixed subspace and stays there, so "
+        "T2 = T3 = 0 and B_c = C_c = 0, and averaging any feasible point with "
+        "its mirror shows the n_c >= 1 LMI is feasible exactly when the "
+        "n_c = 0 one is; certification correctly rejects these designs",
     )
     def test_example2_all_orders(self, synthesis_runs):
         details = []

@@ -29,16 +29,19 @@ def recurrence_weights(alpha, count):
 
 
 def direct_gl(a, alpha, x0, steps, h):
-    """The implicit GL recursion with the memory summed term by term."""
+    """The implicit GL recursion with the memory summed term by term in
+    np.longdouble, so that near alpha = 2 its rounding stays well below the
+    simulator's; each step is solved in float64 as the simulator does, which
+    keeps the first node, with no memory, bit for bit."""
     n = a.shape[0]
     h_alpha = h ** alpha
-    w = recurrence_weights(alpha, steps + 1)
+    w = recurrence_weights(alpha, steps + 1).astype(np.longdouble)
     step_inv = np.linalg.inv(np.eye(n) - h_alpha * a)
     forcing = h_alpha * (a @ x0)
-    y = np.zeros((steps + 1, n))
+    y = np.zeros((steps + 1, n), np.longdouble)
     for k in range(1, steps + 1):
-        y[k] = step_inv @ (forcing - w[k:0:-1] @ y[:k])
-    return y + x0
+        y[k] = step_inv @ (forcing - w[k:0:-1] @ y[:k]).astype(float)
+    return y.astype(float) + x0
 
 
 def csv_reference(traj):

@@ -24,6 +24,13 @@ from tests.test_interval import example1_system
 from tests.test_synthesis import example2_system, lift_plant
 
 
+def constraint_of(dim, constant, coeffs, sense):
+    """The AffineMatrixConstraint of ``constant + sum_k x_k coeffs[k]``."""
+    ids = sorted(coeffs)
+    stack = np.array([coeffs[k] for k in ids], float).reshape(len(ids), dim, dim)
+    return AffineMatrixConstraint(dim, constant, np.array(ids, dtype=int), stack, sense)
+
+
 class TestVariableBlocks:
     def test_symmetric_count_and_sharing(self):
         p = LmiProblem()
@@ -349,7 +356,7 @@ def rotated_eta_problem(problem):
     q, _ = np.linalg.qr(np.random.RandomState(eta.dim).randn(eta.dim, eta.dim))
     (idx, coeff), = eta.coeffs.items()
     constraints = list(problem.constraints)
-    constraints[1] = AffineMatrixConstraint(
+    constraints[1] = constraint_of(
         eta.dim, eta.constant, {idx: q @ coeff @ q.T}, eta.sense)
     return LmiProblem(problem.num_vars, problem.var_names, constraints)
 
@@ -367,7 +374,7 @@ class TestScalarIdentityBlock:
 
     def test_detection(self):
         def scale(const, coeffs, sense=Sense.NEGATIVE_DEFINITE):
-            return _Block(AffineMatrixConstraint(3, const, coeffs, sense)).scale
+            return _Block(constraint_of(3, const, coeffs, sense)).scale
 
         zero, eye = np.zeros((3, 3)), np.eye(3)
         assert scale(zero, {4: 2.5 * eye}) == 2.5
@@ -385,8 +392,8 @@ class TestScalarIdentityBlock:
         # -5 log(t - c x_2) for c = +-1.5 against the dense block's logdet,
         # gradient and Hessian over (x_0..x_3, t)
         coeff = 1.5 * np.eye(5)
-        closed = _Block(AffineMatrixConstraint(5, np.zeros((5, 5)), {2: coeff}, sense))
-        dense = _Block(AffineMatrixConstraint(5, np.zeros((5, 5)), {2: coeff}, sense))
+        closed = _Block(constraint_of(5, np.zeros((5, 5)), {2: coeff}, sense))
+        dense = _Block(constraint_of(5, np.zeros((5, 5)), {2: coeff}, sense))
         dense.scale = None
         rng = np.random.RandomState(3)
         for _ in range(5):
@@ -487,7 +494,7 @@ def bit_identity_blocks():
     sys_ = example1_system()
     problem = assemble(decompose(sys_), sys_.c, sys_.alpha, 1).problem
     schur, _, pos_s, pos_c = problem.constraints
-    empty = AffineMatrixConstraint(
+    empty = constraint_of(
         3, -np.eye(3) - 0.1 * np.ones((3, 3)), {}, Sense.NEGATIVE_DEFINITE)
     n = problem.num_vars
     return dict(zip(BIT_IDENTITY_BLOCKS,
@@ -545,17 +552,22 @@ class TestBlockBitIdentity:
         assert_same_bits(hess, hess_ref)
 
 
+def term_table(expr):
+    """An expression's terms as {None: constant, k: coefficient of x_k}."""
+    return {None: expr.const, **dict(zip(expr.ids.tolist(), expr.coeff))}
+
+
 def reference_constraint(expr, sense):
     """``add_constraint`` term by term: each matrix's symmetry check,
     symmetrization and zero test on its own."""
-    for m in expr.terms.values():
+    for m in term_table(expr).values():
         scale = 1.0 + np.abs(m).max()
         if np.abs(m - m.T).max() > folmi.lmi._SYM_TOL * scale:
             raise IllFormedProblemError("constraint matrices must be symmetric")
-    coeffs = {k: 0.5 * (v + v.T) for k, v in expr.terms.items()
+    coeffs = {k: 0.5 * (v + v.T) for k, v in term_table(expr).items()
               if k is None or np.any(v)}
     const = coeffs.pop(None)
-    return AffineMatrixConstraint(expr.rows, const, coeffs, Sense(sense))
+    return constraint_of(expr.rows, const, coeffs, Sense(sense))
 
 
 def assert_same_constraint(c, ref):
@@ -595,7 +607,7 @@ class TestBatchedConstraint:
         p = LmiProblem()
         s = p.declare_symmetric_block(4, "S")
         big = 1e6 * s.expr()
-        assert len(big.terms) == 11
+        assert len(term_table(big)) == 11
         skewed = np.zeros((4, 4))
         skewed[0, 1] = 1e-6
         xs = [p.declare_scalar(f"x{k}") for k in range(16)]
@@ -621,8 +633,70 @@ class TestBatchedConstraint:
         x = p.declare_scalar("x")
         zero = sym_expr(t.expr() @ np.zeros((3, 3)))  # nine all-zero terms
         e = zero + s.expr() - x.scale(np.eye(3)) + np.zeros((3, 3))
-        assert len(e.terms) == 1 + 9 + 6 + 1
+        assert len(term_table(e)) == 1 + 9 + 6 + 1
         c = p.add_constraint(e, Sense.NEGATIVE_DEFINITE)
-        assert list(c.coeffs) == list(s.indices) + list(x.indices)
+        assert list(c.coeffs) == list(s.ids) + list(x.ids)
         assert not np.any(c.constant)  # the constant is kept, zero or not
         assert_same_constraint(c, reference_constraint(e, Sense.NEGATIVE_DEFINITE))
+
+
+def table_sum(a, b):
+    """Two term tables added term by term: shared terms summed, every other
+    term kept as it is."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out[k] + v if k in out else v
+    return out
+
+
+def table_block(grid):
+    """block_expr term by term: the constant filled from -0.0 and each
+    variable's matrix from 0.0, and every nonempty block added into them."""
+    heights = [row[0][None].shape[0] for row in grid]
+    widths = [t[None].shape[1] for t in grid[0]]
+    r0, c0 = np.cumsum([0] + heights), np.cumsum([0] + widths)
+    out = {None: np.full((r0[-1], c0[-1]), -0.0)}
+    for i, row in enumerate(grid):
+        for j, table in enumerate(row):
+            if heights[i] and widths[j]:
+                for k, v in table.items():
+                    if k not in out:
+                        out[k] = np.zeros(out[None].shape)
+                    out[k][r0[i]:r0[i + 1], c0[j]:c0[j + 1]] += v
+    return out
+
+
+def random_expr(rng, shape):
+    """An expression over a random subset of 6 variables whose constant and
+    coefficients mix values with +0.0 and -0.0 entries."""
+    ids = np.flatnonzero(rng.rand(6) < 0.5)
+    m = rng.randn(ids.size + 1, *shape) * (rng.rand(ids.size + 1, *shape) < 0.5)
+    m[rng.rand(*m.shape) < 0.3] = -0.0
+    return folmi.lmi.MatExpr(ids, m[1:], m[0])
+
+
+def assert_same_table(got, want):
+    assert sorted(got, key=str) == sorted(want, key=str)
+    for k in want:
+        assert_same_bits(got[k], want[k])
+
+
+class TestStackedOperators:
+    """Sums and block stacking on coefficient stacks give the bits of the
+    term-by-term formulas, signed zeros included."""
+
+    def test_sum(self):
+        rng = np.random.RandomState(4)
+        for _ in range(200):
+            a, b = random_expr(rng, (3, 2)), random_expr(rng, (3, 2))
+            assert_same_table(term_table(a + b), table_sum(term_table(a), term_table(b)))
+            assert_same_table(term_table(a - b),
+                              table_sum(term_table(a), term_table(-1.0 * b)))
+
+    def test_block_stacking(self):
+        rng = np.random.RandomState(5)
+        for _ in range(100):
+            rows, cols = rng.randint(0, 3, 2), rng.randint(0, 3, 3)
+            grid = [[random_expr(rng, (h, w)) for w in cols] for h in rows]
+            want = table_block([[term_table(e) for e in row] for row in grid])
+            assert_same_table(term_table(block_expr(grid)), want)

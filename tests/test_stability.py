@@ -6,8 +6,17 @@ from folmi.errors import (
     ConvergenceFailureError,
     ShapeMismatchError,
 )
-from folmi.lmi import R_BOX, SdpStatus, constraint_margin, solve_feasibility
+import folmi.stability
+from folmi.lmi import (
+    R_BOX,
+    LmiProblem,
+    SdpStatus,
+    constraint_margin,
+    evaluate_constraint,
+    solve_feasibility,
+)
 from folmi.stability import (
+    EIGENBASIS_COND_CAP,
     _regime,
     analysis_feasible,
     certificate_lmi,
@@ -224,7 +233,91 @@ def test_lifted_scalar_analysis_threshold(alpha, factor, status):
     assert solve_feasibility(p).status is status
 
 
+def lmi_audit(a, alpha, eps):
+    """The closed-form audit through the analysis LMI: ``(outcome, values)``
+    with the eigenbasis candidate written into the problem's variables by
+    projection on each variable's coefficient, scaled, and every constraint
+    audited by constraint_margin."""
+    regime, p, blocks = folmi.stability._analysis_lmi(a, alpha)
+    vals, vecs = np.linalg.eig(np.asarray(a, float))
+    if not np.linalg.cond(vecs) <= EIGENBASIS_COND_CAP:
+        return "cond", None
+    x = np.zeros(p.num_vars)
+    for block, part in zip(blocks["s"], regime.eigen_certificate(vals, vecs)):
+        for k, basis in zip(block.ids, block.coeff):
+            x[k] = np.sum(basis * part) / np.sum(basis * basis)
+    sigma, pos = (constraint_margin(p, c, x) for c in p.constraints)
+    if sigma > 0.0 and pos > -1.0:
+        x *= 2.0 * max((1.0 + eps) / (pos + 1.0), eps / sigma)
+    margins = [constraint_margin(p, c, x) for c in p.constraints]
+    accepted = min(margins) >= eps and np.abs(x).max() < R_BOX
+    return "accepted" if accepted else "rejected", x
+
+
+def audit_corpus(count):
+    """``(a, alpha, kind)``: n = 2..8, alpha uniform in (0.05, 1.95), cycling
+    through two kinds of shifted random matrices, a defective kind (one 2x2
+    Jordan block) and a borderline kind (a conjugate pair at angle
+    alpha*pi/2 + d from the positive real axis, d = +-1e-3 or +-1e-7)."""
+    rng = np.random.RandomState(16)
+    for i in range(count):
+        n, alpha, kind = rng.randint(2, 9), rng.uniform(0.05, 1.95), i % 4
+        s = rng.randn(n, n)
+        j = np.diag(-rng.uniform(0.2, 2.0, n))
+        if kind < 2:
+            a = rng.randn(n, n) - rng.uniform(0.0, 3.0) * np.eye(n)
+        else:
+            if kind == 2:
+                j[1, 1], j[0, 1] = j[0, 0], 1.0
+            else:
+                theta = alpha * np.pi / 2 + (1e-3, -1e-3, 1e-7, -1e-7)[(i // 4) % 4]
+                c, sn = np.cos(theta), np.sin(theta)
+                j[:2, :2] = rng.uniform(0.5, 2.0) * np.array([[c, sn], [-sn, c]])
+            a = s @ j @ np.linalg.inv(s)
+        yield a, alpha, kind
+
+
 class TestClosedFormCertificate:
+    def test_numeric_audit_matches_the_lmi_audit(self):
+        # the same verdict on every matrix; the same values bit for bit
+        # wherever P - I or a well-separated Sigma sets the scale, and on
+        # borderline matrices, where eps / margin(Sigma) does, up to the
+        # rounding of Sigma amplified by |Sigma| / margin(Sigma)
+        outcomes = {}
+        for a, alpha, kind in audit_corpus(600):
+            outcome, ref = lmi_audit(a, alpha, 1e-6)
+            cert = closed_form_certificate(a, alpha, 1e-6)
+            assert (cert is not None) == (outcome == "accepted"), (kind, alpha)
+            outcomes[kind, outcome] = outcomes.get((kind, outcome), 0) + 1
+            if cert is None:
+                continue
+            values = cert.solution.values
+            if kind < 3:
+                assert values.tobytes() == ref.tobytes()
+                continue
+            p = folmi.stability._analysis_lmi(a, alpha)[1]
+            sigma, extreme = evaluate_constraint(p, p.constraints[0], ref)
+            amplification = np.abs(np.linalg.eigvalsh(sigma)).max() / -extreme
+            rel = np.abs(values - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-13 * amplification
+        assert outcomes == {
+            (0, "accepted"): 60, (0, "rejected"): 90,
+            (1, "accepted"): 54, (1, "rejected"): 96,
+            (2, "cond"): 125, (2, "rejected"): 25,
+            (3, "accepted"): 37, (3, "rejected"): 113,
+        }
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.2, 1.8])
+    def test_a_passing_audit_builds_no_problem(self, monkeypatch, alpha):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LmiProblem was built")
+
+        monkeypatch.setattr(LmiProblem, "__init__", refuse)
+        cert = closed_form_certificate(np.array([[-3.0, 0.5], [-0.5, -3.0]]), alpha, 1e-6)
+        assert cert.solution.status is SdpStatus.FEASIBLE
+        with pytest.raises(AssertionError, match="LmiProblem"):
+            analysis_feasible(np.array([[-1.0]]), alpha)
+
     def test_sound_on_seeded_matrices(self):
         # 200 matrices randn(n, n) - s I, n = 2..7, s uniform in [0, 2),
         # cycling through four orders; 66 are barrier-FEASIBLE

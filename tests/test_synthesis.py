@@ -58,7 +58,7 @@ def certain_scalar_system(a, b, c, alpha):
 def set_block(values, block, matrix):
     """Write a desired block matrix into a flat variable vector."""
     m = np.atleast_2d(np.asarray(matrix, float))
-    for k, basis in block.basis():
+    for k, basis in zip(block.ids, block.coeff):
         weight = float((basis * basis).sum())
         values[k] = float((m * basis).sum()) / weight
     return values
@@ -712,7 +712,7 @@ class TestCompressedLift:
             alpha, IntervalMatrix.certain(factors.a0),
             IntervalMatrix.certain(factors.b0), sys_.c))
         core = assemble(certain, sys_.c, alpha, n_c).problem
-        eta_idx = asm.blocks["eta"].indices[0]
+        eta_idx = asm.blocks["eta"].ids[0]
         assert eta_idx == asm.problem.num_vars - 1 == core.num_vars
 
         copies = 1 if alpha < 1.0 else 2
@@ -792,3 +792,16 @@ class TestGoldenAnswers:
                 (iterations, schur_dim), name
             assert report.nominal_route == "closed_form", name
             assert report.nominal_status is SdpStatus.FEASIBLE, name
+
+    def test_dynamic_designs_are_static(self, fixture_designs):
+        # the flip x_c -> -x_c maps (T2, T3) to -(T2, T3) and keeps the
+        # spectrum of every constraint; the barrier starts on its fixed
+        # subspace and stays there, so each n_c >= 1 design is a static gain
+        # beside a controller state that is neither driven nor read
+        dynamic = [(name, result) for name, _, result, _ in fixture_designs
+                   if result.controller.n_c]
+        assert len(dynamic) == 6
+        for name, result in dynamic:
+            k = result.controller
+            for m in (result.t2, result.t3, k.b_c, k.c_c):
+                assert m.size and not np.any(m), name
