@@ -96,7 +96,8 @@ class MatExpr:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
         if np.array_equal(self.ids, other.ids):
             return MatExpr(self.ids, self.coeff + other.coeff, self.const + other.const)
-        ids = np.union1d(self.ids, other.ids)
+        # sorted union by bincount: np.union1d would first import numpy.ma
+        ids = np.flatnonzero(np.bincount(np.concatenate([self.ids, other.ids])))
         # from -0.0, the exact additive identity, a term of one side alone
         # keeps its bits, signed zeros included
         coeff = np.full((ids.size,) + self.shape, -0.0)
@@ -138,8 +139,7 @@ class MatExpr:
         return MatExpr(self.ids, self.coeff.transpose(0, 2, 1).copy(), self.const.T.copy())
 
     def scale(self, matrix):
-        """``x * matrix`` for a 1x1 expression x with zero constant, such as
-        a declared scalar (the affine lift's multiplier)."""
+        """``x * matrix`` for a 1x1 expression x with zero constant (a scalar)."""
         if self.shape != (1, 1) or np.any(self.const):
             raise ValueError("scale() is only defined for 1x1 linear expressions")
         m = np.atleast_2d(np.asarray(matrix, float))
@@ -184,7 +184,8 @@ def block_expr(grid):
                                  f"({heights[i]},{widths[j]})")
             if e.rows and e.cols:
                 placed.append((slice(r0[i], r0[i + 1]), slice(c0[j], c0[j + 1]), e))
-    ids = np.unique(np.concatenate([np.zeros(0, int)] + [e.ids for _, _, e in placed]))
+    ids = np.flatnonzero(np.bincount(np.concatenate([np.zeros(0, int)]
+                                                    + [e.ids for _, _, e in placed])))
     # the blocks tile the constant, and from -0.0, the exact additive
     # identity, += copies each one bit for bit, signed zeros included; a
     # coefficient is 0.0 outside the blocks of its variable
