@@ -12,7 +12,6 @@ certification passed; documented nonzero codes cover the failure modes.
 import argparse
 import json
 import logging
-import math
 import os
 import pathlib
 import sys
@@ -29,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .fosim import simulate, trajectory_to_csv
+from .fosim import check_simulate_settings, simulate, trajectory_to_csv
 from .interval import IntervalMatrix, UncertainFoltiSystem, decompose
 from .lmi import SolverConfig
 from .stability import closed_loop
@@ -216,17 +215,10 @@ def parse_config(path):
         for key in ("x0", "t_end", "h"):
             if key not in sim:
                 raise ValidationError(f"simulate block missing '{key}'")
-        x0 = _matrix_field(sim, "x0", f"{path}: simulate")  # numeric, or ParseError
-        if not np.all(np.isfinite(x0)):
-            raise ValidationError("simulate x0 must be finite")
-        h = _scalar(sim["h"], float, "simulate.h")
-        if not (math.isfinite(h) and h > 0):
-            raise ValidationError(f"simulate step h must be positive and finite, got {h}")
-        t_end = _scalar(sim["t_end"], float, "simulate.t_end")
-        if not math.isfinite(t_end):
-            raise ValidationError(f"simulate t_end must be finite, got {t_end}")
-        if t_end < h:
-            raise ValidationError("simulate t_end must cover at least one step")
+        check_simulate_settings(
+            _matrix_field(sim, "x0", f"{path}: simulate"),  # numeric, or ParseError
+            _scalar(sim["t_end"], float, "simulate.t_end"),
+            _scalar(sim["h"], float, "simulate.h"))
     cfg.system()  # checks alpha, the interval bounds and the shapes
     cfg.solver_config()
     cfg.certify_config()

@@ -35,6 +35,7 @@ from .errors import (
     DomainTooLargeError,
     SingularStepError,
     StepTooLargeError,
+    ValidationError,
 )
 from .linalg import require_square
 
@@ -223,6 +224,20 @@ def _subtract_band(y, w, k, size, hi, spectra):
     y[k:hi] -= np.fft.irfft(spectrum, length, axis=0)[k - size - lo : hi - size - lo]
 
 
+def check_simulate_settings(x0, t_end, h):
+    """ValidationError unless the step h is finite and > 0, t_end is finite
+    and covers at least one step, and x0 is finite."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValidationError(f"simulate step h must be positive and finite, got {h}")
+    if not math.isfinite(t_end):
+        raise ValidationError(f"simulate t_end must be finite, got {t_end}")
+    if t_end < h:
+        raise ValidationError(
+            f"simulate t_end must cover at least one step, got {t_end} < {h}")
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError("simulate x0 must be finite")
+
+
 def simulate(a_cl, alpha, x0, t_end, h):
     """Integrate D^alpha x = a_cl x from x(0) = x0 up to t_end with step h.
 
@@ -239,7 +254,8 @@ def simulate(a_cl, alpha, x0, t_end, h):
     once by one FFT convolution, as soon as the states it needs are known
     (Hairer, Lubich & Schlichte 1985).  Every term is summed exactly once,
     in O(N log^2 N) work for N steps.  Raises ValueError for an empty
-    a_cl or a non-finite h, t_end or x0, SingularStepError when the
+    a_cl, ValidationError (a ValueError) for settings that
+    :func:`check_simulate_settings` rejects, SingularStepError when the
     implicit step matrix is (near) singular and StepTooLargeError when the
     step is far too coarse for the system's eigenvalue scale.
     """
@@ -248,18 +264,11 @@ def simulate(a_cl, alpha, x0, t_end, h):
         raise ValueError("a_cl is empty: a closed loop needs at least one state")
     if not 0.0 < alpha < 2.0:
         raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step h must be finite and positive, got {h}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    if t_end < h:
-        raise ValueError(f"t_end must be at least one step, got {t_end} < {h}")
     x0 = np.asarray(x0, float).reshape(-1)
+    check_simulate_settings(x0, t_end, h)
     n = a.shape[0]
     if x0.size != n:
         raise ValueError(f"x0 has length {x0.size}, expected {n}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
 
     h_alpha = h ** alpha
     if h_alpha * float(np.max(np.abs(np.linalg.eigvals(a)))) > _STEP_RADIUS_CAP:

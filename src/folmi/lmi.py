@@ -23,13 +23,8 @@ iteration budget runs out before either, the verdict is INDETERMINATE.
 The iteration stops early once ``t <= -max(eps_margin, FEASIBILITY_DEPTH)``.
 The box bound ``R_BOX``, the barrier weight's growth factor ``MU_FACTOR``
 and ``FEASIBILITY_DEPTH`` are module constants.  Everything is dense and
-deterministic, with one exception: a constraint whose oriented form is
-c*x_i*I (zero constant, one variable, a multiple of the identity, such as
-the eta > 0 block of the robust lift) has the slack (t - c*x_i)*I, so its
-barrier term is -dim*log(t - c*x_i) and is evaluated, differentiated and
-started in closed form instead of being inverted and factored.  The final
-audit of every returned point still forms each constraint densely.  The
-other blocks stay well under 100x100 at the scales this toolkit targets.
+deterministic; the blocks stay well under 100x100 at the scales this
+toolkit targets.
 
 At those sizes a Newton step costs numpy calls, not flops, so the hot
 paths are written for few calls with unchanged arithmetic: each block
@@ -70,6 +65,12 @@ class SdpStatus(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
+def _union(id_arrays):
+    """Sorted union of integer index arrays, by bincount: np.union1d would
+    first import numpy.ma."""
+    return np.flatnonzero(np.bincount(np.concatenate([np.zeros(0, int)] + id_arrays)))
+
+
 class MatExpr:
     """Matrix expression ``const + sum_k x[ids[k]] * coeff[k]``: sorted
     variable indices ``ids``, their (len(ids), rows, cols) coefficient stack
@@ -96,8 +97,7 @@ class MatExpr:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
         if np.array_equal(self.ids, other.ids):
             return MatExpr(self.ids, self.coeff + other.coeff, self.const + other.const)
-        # sorted union by bincount: np.union1d would first import numpy.ma
-        ids = np.flatnonzero(np.bincount(np.concatenate([self.ids, other.ids])))
+        ids = _union([self.ids, other.ids])
         # from -0.0, the exact additive identity, a term of one side alone
         # keeps its bits, signed zeros included
         coeff = np.full((ids.size,) + self.shape, -0.0)
@@ -184,8 +184,7 @@ def block_expr(grid):
                                  f"({heights[i]},{widths[j]})")
             if e.rows and e.cols:
                 placed.append((slice(r0[i], r0[i + 1]), slice(c0[j], c0[j + 1]), e))
-    ids = np.flatnonzero(np.bincount(np.concatenate([np.zeros(0, int)]
-                                                    + [e.ids for _, _, e in placed])))
+    ids = _union([e.ids for _, _, e in placed])
     # the blocks tile the constant, and from -0.0, the exact additive
     # identity, += copies each one bit for bit, signed zeros included; a
     # coefficient is 0.0 outside the blocks of its variable
@@ -266,13 +265,15 @@ class LmiProblem:
         return self.declare_full_block(1, 1, name)
 
     def add_constraint(self, expr, sense):
-        """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr;
-        terms that are all zero are dropped."""
+        """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr
+        with finite entries; terms that are all zero are dropped."""
         expr = MatExpr.wrap(expr)
         if expr.rows != expr.cols or expr.rows == 0:
             raise IllFormedProblemError(
                 f"constraint must be square and nonempty, got {expr.shape}"
             )
+        if not (np.all(np.isfinite(expr.const)) and np.all(np.isfinite(expr.coeff))):
+            raise IllFormedProblemError("constraint entries must be finite")
         const, coeff = _symmetrized(expr.const[None])[0], _symmetrized(expr.coeff)
         nonzero = coeff.any(axis=(1, 2))
         self.constraints.append(AffineMatrixConstraint(
@@ -347,8 +348,6 @@ class _Block:
     """NEG-oriented constraint with stacked coefficient tensors, and its
     term -log det(t*I - F(x)) of the barrier.
 
-    ``scale`` is c when the oriented block is c*x_i*I (zero constant, one
-    variable), whose slack t*I - F(x) is (t - c*x_i)*I; otherwise None.
     ``sel`` and ``sel2`` select the block's variables in the gradient and
     the Hessian: slices when they are contiguous, index arrays otherwise.
     """
@@ -367,19 +366,10 @@ class _Block:
             self.sel2 = (self.sel, self.sel)
         else:
             self.sel, self.sel2 = idx, np.ix_(idx, idx)
-        self.scale = None
-        if p == 1 and not np.any(self.const):
-            c = float(self.coeff[0, 0, 0])
-            if np.array_equal(self.coeff[0], c * self.eye):
-                self.scale = c
 
     def slack(self, x, t):
         """``(S, log det S)`` for the slack S = t*I - F(x), or None when S is
-        not positive definite.  A c*x_i*I block returns the scalar
-        s = t - c*x_i as S and dim*log(s), with no matrix formed."""
-        if self.scale is not None:
-            s = t - self.scale * x[self.var_idx[0]]
-            return (s, self.dim * np.log(s)) if s > 0.0 else None
+        not positive definite."""
         m = self.const
         if self.var_idx.size:
             m = m + (x[self.var_idx] @ self.flat).reshape(self.dim, self.dim)
@@ -391,16 +381,6 @@ class _Block:
         """Add the gradient and Hessian of -log det S over (x, t), with t
         the last coordinate, at the slack ``s`` returned by :meth:`slack`."""
         n = grad.size - 1
-        if self.scale is not None:
-            # -k log s with s = t - c*x_i: the dense terms below at S^-1 = I/s
-            i, k, c = self.var_idx[0], self.dim, self.scale
-            grad[n] -= k / s
-            grad[i] += k * c / s
-            hess[n, n] += k / s**2
-            hess[i, i] += k * c * c / s**2
-            hess[i, n] -= k * c / s**2
-            hess[n, i] -= k * c / s**2
-            return
         w = np.linalg.inv(s)
         w = 0.5 * (w + w.T)
         grad[n] -= np.trace(w)
@@ -504,8 +484,7 @@ def solve_feasibility(problem, cfg=None):
             alpha *= 0.5
         return pt, lam2, False
 
-    t = max(0.0 if b.scale is not None else float(np.linalg.eigvalsh(b.const)[-1])
-            for b in blocks)
+    t = max(float(np.linalg.eigvalsh(b.const)[-1]) for b in blocks)
     pt = point(np.zeros(n), t + 1.0 + 0.1 * abs(t))
     x, t = pt[:2]
     mu = 1.0 / (1.0 + abs(t))

@@ -189,13 +189,12 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     followed by the positivity blocks (normalized to >= I, equivalent by
     homogeneity, which pins the certificate scale).
 
-    ``lift = (MM^T, D, extra)`` replaces Sigma < 0 by its robust form for
-    the plants [A B] = [A0 B0] + M F R, |F| <= 1, with MM^T (n x n) and a
-    right factor R = U D whose U has orthonormal columns, so only D (n + l
+    ``lift = (MM^T, D)`` replaces Sigma < 0 by its robust form for the
+    plants [A B] = [A0 B0] + M F R, |F| <= 1, with MM^T (n x n) and a right
+    factor R = U D whose U has orthonormal columns, so only D (n + l
     columns) enters: with k = regime.copies and a multiplier eta, the Schur
     block [[Sigma + eta I_k (x) MM^T, (I_k (x) D Z)^T], [I_k (x) D Z,
-    -eta I]] < 0, then eta I of size 1 + k * extra, where ``extra`` is the
-    number of rows R has beyond D.  Returns the problem and a dict of the
+    -eta I]] < 0, then eta > 0.  Returns the problem and a dict of the
     variable handles: "s", "c" (certificates), "t1".."t4", and "eta" when
     lifted.
     """
@@ -214,7 +213,7 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     if lift is None:
         p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
     else:
-        mmt, d, extra = lift
+        mmt, d = lift
         k = regime.copies
         eta = blocks["eta"] = p.declare_scalar("eta")
         pad = np.zeros((n + n_c, n + n_c))
@@ -226,7 +225,7 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
             [sigma + eta.scale(np.kron(np.eye(k), pad)), r.T],
             [r, -1.0 * eta.scale(np.eye(r.rows))],
         ]), Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(eta.scale(np.eye(1 + k * extra)), Sense.POSITIVE_DEFINITE)
+        p.add_constraint(eta, Sense.POSITIVE_DEFINITE)
     p.add_constraint(regime.positivity(blocks["s"]), Sense.POSITIVE_DEFINITE)
     if n_c > 0:
         p.add_constraint(regime.positivity(blocks["c"]), Sense.POSITIVE_DEFINITE)

@@ -5,12 +5,12 @@ certificates by a change of variables T1..T4 absorbing the controller
 matrices, with the interval uncertainty handled through its structured
 factorization, a scalar multiplier eta, and a Schur-complement lift.  The
 lift is compressed to one row per nonzero column sum of the radii (at most
-n + l rows, doubled for 1 <= alpha < 2) instead of one per uncertain entry;
-the eta > 0 block carries the dropped rows, so the barrier solve is that of
-the full lift.  One assembly covers both order regimes (0 < alpha < 1 with
-a Hermitian certificate, 1 <= alpha < 2 with a symmetric one): the regime
-object of :mod:`folmi.stability` supplies the certificate, its Q map and
-positivity, and the core inequality, which is also the analysis LMI.
+n + l rows, doubled for 1 <= alpha < 2) instead of one per uncertain entry,
+with the same feasible set as the full lift.  One assembly covers both
+order regimes (0 < alpha < 1 with a Hermitian certificate, 1 <= alpha < 2
+with a symmetric one): the regime object of :mod:`folmi.stability`
+supplies the certificate, its Q map and positivity, and the core
+inequality, which is also the analysis LMI.
 Plants with zero radii reduce to that certain-system core inequality.
 
 Controller matrices are recovered from a feasible point by inverting the
@@ -178,7 +178,7 @@ def _check_synthesis_shapes(factors, c, n_c):
 
 
 def _lift(factors):
-    """The robust lift (MM^T, D, extra) of :func:`certificate_lmi`.
+    """The robust lift (MM^T, D) of :func:`certificate_lmi`.
 
     MM^T = M_A M_A^T + M_B M_B^T, and D = diag(sqrt(column sums of
     [Delta_A Delta_B])) without its zero rows, so at most n + l rows.  Each
@@ -188,23 +188,11 @@ def _lift(factors):
     R_B T3]] of n^2 + n*l rows equals U D Z with Z = [[Q_S, 0], [T4, T3]].
     The full Schur block is therefore orthogonally similar to
     blockdiag(compressed block, -eta I) with one -eta row per dropped row,
-    so both have the same feasible set and logdet(tI - F_full) =
-    logdet(tI - F_comp) + (rows dropped) log(t + eta).  The eta > 0
-    constraint carries that dropped multiplicity, ``extra`` = n^2 + n*l -
-    rows(D) per copy; barrier value, gradient, Hessian, the sum of
-    constraint dimensions and the smallest margin are then those of the
-    full lift, and the solver takes the same steps up to rounding.  The
-    eta block is the one block :func:`folmi.lmi.solve_feasibility` does
-    not treat densely: as a zero-constant multiple of the identity its
-    slack is (t + eta) I, so its barrier term is -(1 + k*extra)
-    log(t + eta) in closed form, at a cost per Newton step that does not
-    grow with its size.
+    and under eta > 0 both lifts decide the same LMI.
     """
-    n, l = factors.n, factors.l
     sums = np.hstack([factors.delta_a, factors.delta_b]).sum(axis=0)
     d = np.diag(np.sqrt(sums))[sums > 0]
-    mmt = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
-    return mmt, d, n * n + n * l - d.shape[0]
+    return factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T, d
 
 
 def assemble(factors, c, alpha, n_c):
@@ -226,9 +214,9 @@ def assemble(factors, c, alpha, n_c):
     and the compressed right factor D [[Q_S, 0], [T4, T3]] per diagonal
     copy of G in Sigma (one below alpha = 1, two from alpha = 1 up), and a
     multiplier eta; :func:`_lift` builds its data and says why the
-    compression leaves the feasible set and the barrier of the full lift
-    unchanged.  On the certain path (all radii zero) only Sigma < 0 and the
-    positivity blocks are emitted.
+    compression leaves the feasible set of the full lift unchanged.  On the
+    certain path (all radii zero) only Sigma < 0 and the positivity blocks
+    are emitted.
     """
     regime = _regime(alpha)
     c = _check_synthesis_shapes(factors, c, n_c)

@@ -278,6 +278,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'d_c'" in err
 
+    def test_overflowing_controller_is_a_solver_error(self, tmp_path, capsys):
+        # Dc = 1e308 overflows the nominal analysis LMI to inf and NaN
+        # entries, which used to end in a LinAlgError traceback
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(
+            {"n_c": 0, "a_c": [], "b_c": [], "c_c": [], "d_c": [[1e308]]}))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["check", "example1", str(path), "--samples", "5"])
+        assert code == EXIT_SOLVER_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
     @pytest.mark.parametrize("command", ["decompose", "check"])
     def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, command):
         # a directory given as the problem or controller file used to end in

@@ -21,7 +21,7 @@ from folmi.lmi import (
 from folmi.stability import analysis_feasible
 from folmi.synthesis import assemble
 from tests.test_interval import example1_system
-from tests.test_synthesis import example2_system, lift_plant
+from tests.test_synthesis import example2_system
 
 
 def constraint_of(dim, constant, coeffs, sense):
@@ -151,6 +151,20 @@ class TestConstraints:
         t = p.declare_full_block(2, 3, "T")
         with pytest.raises(IllFormedProblemError):
             p.add_constraint(t.expr(), Sense.NEGATIVE_DEFINITE)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["constant", "coefficient"])
+    def test_rejects_non_finite_entries(self, where, bad):
+        # a NaN fails no symmetry comparison, so finiteness is checked alone
+        p = LmiProblem()
+        x = p.declare_scalar("x")
+        m = np.eye(2)
+        m[0, 0] = bad
+        expr = x.scale(np.eye(2)) - m if where == "constant" else x.scale(m)
+        assert np.all(np.isfinite(expr.coeff if where == "constant" else expr.const))
+        with pytest.raises(IllFormedProblemError, match="finite"):
+            p.add_constraint(expr, Sense.NEGATIVE_DEFINITE)
+        assert p.constraints == []
 
     def test_evaluate_constant_at_zero(self):
         p = LmiProblem()
@@ -329,120 +343,6 @@ class TestSingleEvaluation:
             monkeypatch, folmi.lmi, lambda: folmi.lmi.solve_feasibility(asm.problem))
 
 
-def assert_no_factorization_of_size(monkeypatch, dim, run):
-    """Spy on Cholesky and inverse while ``run()`` solves and check that no
-    dim x dim matrix is factored or inverted."""
-    shapes = []
-    cholesky, inv = np.linalg.cholesky, np.linalg.inv
-
-    def spy(f):
-        def wrapped(a):
-            shapes.append(a.shape)
-            return f(a)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky))
-    monkeypatch.setattr(np.linalg, "inv", spy(inv))
-    run()
-    assert len(shapes) > 10
-    assert (dim, dim) not in shapes
-
-
-def rotated_eta_problem(problem):
-    """``problem`` with its eta block's coefficient c*I replaced by
-    Q (c*I) Q^T for a seeded orthogonal Q: the same constraint up to
-    rounding, but no longer exactly c*I, so the solver treats it densely."""
-    eta = problem.constraints[1]
-    q, _ = np.linalg.qr(np.random.RandomState(eta.dim).randn(eta.dim, eta.dim))
-    (idx, coeff), = eta.coeffs.items()
-    constraints = list(problem.constraints)
-    constraints[1] = constraint_of(
-        eta.dim, eta.constant, {idx: q @ coeff @ q.T}, eta.sense)
-    return LmiProblem(problem.num_vars, problem.var_names, constraints)
-
-
-SCALAR_BLOCK_CASES = (
-    [(0.75, "example1", n_c) for n_c in range(4)]
-    + [(1.2, "example2", n_c) for n_c in range(4)]
-    + [(0.7, "n6", 1), (1.3, "n6", 1)]
-)
-
-
-class TestScalarIdentityBlock:
-    """A zero-constant block c*x_i*I (the eta > 0 block of the robust lift)
-    is solved through the scalar slack t - c*x_i, not densely."""
-
-    def test_detection(self):
-        def scale(const, coeffs, sense=Sense.NEGATIVE_DEFINITE):
-            return _Block(constraint_of(3, const, coeffs, sense)).scale
-
-        zero, eye = np.zeros((3, 3)), np.eye(3)
-        assert scale(zero, {4: 2.5 * eye}) == 2.5
-        assert scale(zero, {4: 2.5 * eye}, Sense.POSITIVE_DEFINITE) == -2.5
-        # a nonzero constant, two variables, a non-identity coefficient
-        assert scale(-1e-300 * eye, {4: eye}) is None
-        assert scale(zero, {4: eye, 5: eye}) is None
-        assert scale(zero, {4: np.diag([1.0, 1.0, 1.0 + 1e-15])}) is None
-        off = eye.copy()
-        off[0, 1] = off[1, 0] = 1e-300
-        assert scale(zero, {4: off}) is None
-
-    @pytest.mark.parametrize("sense", list(Sense))
-    def test_barrier_terms_match_the_dense_formulas(self, sense):
-        # -5 log(t - c x_2) for c = +-1.5 against the dense block's logdet,
-        # gradient and Hessian over (x_0..x_3, t)
-        coeff = 1.5 * np.eye(5)
-        closed = _Block(constraint_of(5, np.zeros((5, 5)), {2: coeff}, sense))
-        dense = _Block(constraint_of(5, np.zeros((5, 5)), {2: coeff}, sense))
-        dense.scale = None
-        rng = np.random.RandomState(3)
-        for _ in range(5):
-            x, t = rng.randn(4), 5.0 + rng.rand()
-            (s, ld), (s_ref, ld_ref) = closed.slack(x, t), dense.slack(x, t)
-            assert np.ndim(s) == 0 and s_ref.shape == (5, 5)
-            assert abs(ld - ld_ref) <= 1e-12 * abs(ld_ref)
-            derivs = []
-            for b, slack in ((closed, s), (dense, s_ref)):
-                grad, hess = np.zeros(5), np.zeros((5, 5))
-                b.add_derivatives(slack, grad, hess)
-                derivs.append((grad, hess))
-            np.testing.assert_allclose(derivs[0][0], derivs[1][0], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(derivs[0][1], derivs[1][1], rtol=1e-12, atol=1e-15)
-        # outside the domain both reject the point
-        x = np.zeros(4)
-        x[2] = 10.0 if closed.scale > 0 else -10.0
-        assert closed.slack(x, 1.0) is None and dense.slack(x, 1.0) is None
-
-    @pytest.mark.parametrize("alpha,kind,n_c", SCALAR_BLOCK_CASES)
-    def test_closed_form_matches_the_dense_path(self, alpha, kind, n_c):
-        sys_ = lift_plant(alpha, kind)
-        problem = assemble(decompose(sys_), sys_.c, alpha, n_c).problem
-        dense = rotated_eta_problem(problem)
-        assert _Block(problem.constraints[1]).scale == -1.0
-        assert _Block(dense.constraints[1]).scale is None
-        closed, ref = solve_feasibility(problem), solve_feasibility(dense)
-        assert closed.status is ref.status is SdpStatus.FEASIBLE
-        assert closed.iterations == ref.iterations
-        # relative to the largest entry (up to ~700 on the n = 6 plant at
-        # alpha = 1.3), where rotating the dense block alone moves x by ~1e-8
-        scale = max(1.0, np.abs(ref.values).max())
-        assert np.abs(closed.values - ref.values).max() <= 1e-9 * scale
-        for c in problem.constraints:
-            assert abs(constraint_margin(problem, c, closed.values)
-                       - constraint_margin(problem, c, ref.values)) <= 1e-9
-        assert abs(closed.achieved_margin - ref.achieved_margin) <= 1e-9
-
-    @pytest.mark.parametrize("alpha,kind,n_c", [(1.2, "example2", 0), (0.7, "n6", 1)])
-    def test_no_eta_sized_factorization(self, monkeypatch, alpha, kind, n_c):
-        sys_ = lift_plant(alpha, kind)
-        problem = assemble(decompose(sys_), sys_.c, alpha, n_c).problem
-        dim = problem.constraints[1].dim
-        others = [c.dim for c in problem.constraints if c is not problem.constraints[1]]
-        assert dim not in others + [problem.num_vars + 1]
-        assert_no_factorization_of_size(
-            monkeypatch, dim, lambda: solve_feasibility(problem))
-
-
 def reference_slack(b, x, t):
     """The slack t*I - F(x) as formed through np.tensordot."""
     m = b.const.copy()
@@ -485,7 +385,7 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-BIT_IDENTITY_BLOCKS = ("schur", "positivity_s", "positivity_c", "no_variables")
+BIT_IDENTITY_BLOCKS = ("schur", "eta", "positivity_s", "positivity_c", "no_variables")
 
 
 def bit_identity_blocks():
@@ -493,12 +393,11 @@ def bit_identity_blocks():
     and a constant block with no variables."""
     sys_ = example1_system()
     problem = assemble(decompose(sys_), sys_.c, sys_.alpha, 1).problem
-    schur, _, pos_s, pos_c = problem.constraints
     empty = constraint_of(
         3, -np.eye(3) - 0.1 * np.ones((3, 3)), {}, Sense.NEGATIVE_DEFINITE)
     n = problem.num_vars
     return dict(zip(BIT_IDENTITY_BLOCKS,
-                    [(n, schur), (n, pos_s), (n, pos_c), (4, empty)]))
+                    [(n, c) for c in problem.constraints] + [(4, empty)]))
 
 
 class TestBlockBitIdentity:
@@ -513,9 +412,10 @@ class TestBlockBitIdentity:
         assert isinstance(blocks["schur"].sel, np.ndarray)
         assert isinstance(blocks["positivity_s"].sel, slice)
         assert cases["positivity_s"].sense is Sense.POSITIVE_DEFINITE
-        # one variable but a nonzero constant: dense, not the scalar slack
+        # one variable, with a zero constant (eta > 0) or a nonzero one
+        assert blocks["eta"].var_idx.size == blocks["eta"].dim == 1
+        assert not np.any(blocks["eta"].const)
         assert blocks["positivity_c"].var_idx.size == 1
-        assert blocks["positivity_c"].scale is None
         assert blocks["no_variables"].var_idx.size == 0
 
     @pytest.mark.parametrize("name", BIT_IDENTITY_BLOCKS)

@@ -226,7 +226,7 @@ def test_lifted_scalar_analysis_threshold(alpha, factor, status):
     threshold = -a0 if alpha < 1.0 else -a0 * np.sin(np.pi - alpha * np.pi / 2.0)
     rho = np.sqrt(factor * threshold)
     p, blocks = certificate_lmi(regime, np.array([[a0]]), np.zeros((1, 0)), 0,
-                                (np.array([[rho * rho]]), np.array([[rho]]), 0))
+                                (np.array([[rho * rho]]), np.array([[rho]])))
     k = regime.copies
     assert "eta" in blocks
     assert [c.dim for c in p.constraints[:2]] == [2 * k, 1]

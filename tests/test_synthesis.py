@@ -20,7 +20,7 @@ from folmi.lmi import (
     evaluate_constraint,
     solve_feasibility,
 )
-from folmi.stability import analysis_feasible, closed_loop
+from folmi.stability import _regime, analysis_feasible, certificate_lmi, closed_loop
 from folmi.synthesis import (
     DynamicController,
     assemble,
@@ -695,10 +695,21 @@ LIFT_CASES = [
 ]
 
 
+def verdict_plant(seed, alpha):
+    """n = 3, l = 1 plant with radii up to a seeded U(0, 0.12) level, so
+    that some synthesis LMIs are infeasible."""
+    rng = np.random.RandomState(seed)
+    a0, b0 = rng.randn(3, 3), rng.randn(3, 1)
+    level = rng.uniform(0.0, 0.12)
+    ra, rb = level * rng.rand(3, 3), level * rng.rand(3, 1)
+    return UncertainFoltiSystem(alpha, IntervalMatrix(a0 - ra, a0 + ra),
+                                IntervalMatrix(b0 - rb, b0 + rb), rng.randn(2, 3))
+
+
 class TestCompressedLift:
     """The compressed lift is the full one-row-per-entry lift up to an
     orthogonal change of basis; the rows it drops reappear as -eta
-    eigenvalues, and the enlarged eta block keeps the barrier equal."""
+    eigenvalues, so under eta > 0 both lifts decide the same LMI."""
 
     @pytest.mark.parametrize("n_c", [0, 2])
     @pytest.mark.parametrize("alpha,kind", LIFT_CASES)
@@ -722,7 +733,7 @@ class TestCompressedLift:
         d = copies * (sys_.n + n_c)
         schur, eta_block = asm.problem.constraints[:2]
         assert schur.dim == d + copies * kept
-        assert eta_block.dim == 1 + q - copies * kept
+        assert eta_block.dim == 1
 
         rng = np.random.RandomState(4)
         for _ in range(3):
@@ -738,14 +749,34 @@ class TestCompressedLift:
             scale = np.abs(got).max()
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
 
-            rest = [oriented(asm.problem, c, v) for c in asm.problem.constraints[2:]]
-            compressed = [comp, oriented(asm.problem, eta_block, v)] + rest
-            uncompressed = [full, np.array([[-eta]])] + rest
-            assert sum(f.shape[0] for f in compressed) == \
-                sum(f.shape[0] for f in uncompressed)
-            t = max(np.linalg.eigvalsh(f)[-1] for f in uncompressed) + 0.5
-            b_comp, b_full = barrier(compressed, t), barrier(uncompressed, t)
-            assert abs(b_comp - b_full) <= 1e-10 * abs(b_full)
+            # the Schur block's barrier term: the dropped rows add
+            # -log(t + eta) each, so the compressed solve's barrier differs
+            # from the full lift's while its feasible set does not
+            t = np.linalg.eigvalsh(full)[-1] + 0.5
+            dropped = (q - copies * kept) * np.log(t + eta)
+            b_comp, b_full = barrier([comp], t), barrier([full], t)
+            assert abs(b_comp - dropped - b_full) <= 1e-10 * abs(b_full)
+
+    def test_full_lift_gives_the_same_verdict(self):
+        # the full lift assembled by certificate_lmi itself, with
+        # D = blockdiag(R_A, R_B), against the compressed one on seeded
+        # plants in both regimes at n_c = 0 and 1
+        statuses = set()
+        for seed in range(500, 532):
+            alpha, n_c = (0.75, 1.3)[seed % 2], (seed // 2) % 2
+            sys_ = verdict_plant(seed, alpha)
+            factors = decompose(sys_)
+            compressed = solve_feasibility(assemble(factors, sys_.c, alpha, n_c).problem)
+            d = np.block([[factors.r_a, np.zeros((9, 1))], [np.zeros((3, 3)), factors.r_b]])
+            problem, _ = certificate_lmi(_regime(alpha), factors.a0, factors.b0, n_c,
+                                         (folmi.synthesis._lift(factors)[0], d))
+            copies = 1 if alpha < 1.0 else 2
+            assert problem.constraints[0].dim == copies * (3 + n_c + 12)
+            assert problem.constraints[1].dim == 1
+            full = solve_feasibility(problem)
+            assert full.status is compressed.status, seed
+            statuses.add(compressed.status)
+        assert statuses == {SdpStatus.FEASIBLE, SdpStatus.INFEASIBLE}
 
     def test_schur_dimension_of_the_large_plant(self):
         # n = 6, l = 2 at alpha >= 1: two copies of n + n_c rows of Sigma
@@ -754,22 +785,22 @@ class TestCompressedLift:
         for n_c in (0, 2):
             asm = assemble(decompose(sys_), sys_.c, 1.3, n_c)
             assert asm.problem.constraints[0].dim == 2 * (6 + n_c) + 2 * 8
-            assert asm.problem.constraints[1].dim == 1 + 2 * 40
+            assert asm.problem.constraints[1].dim == 1
 
 
-# (min_sector_margin, passed, worst f_a, worst f_b) of synthesize(sys, n_c,
-# sample_count=20, seed=0) with the one-row-per-entry lift, then the
-# (solver_iterations, schur_dim) of the compressed lift's final solve.
+# (min_sector_margin, passed, worst f_a, worst f_b, solver_iterations,
+# schur_dim) of synthesize(sys, n_c, sample_count=20, seed=0), whose lift
+# keeps one row per nonzero radius column sum and a 1x1 eta > 0 block.
 # Signs of the worst vertex are written "+", "-", and "0" for a zero radius.
 GOLDEN = {
-    "example1-nc0": (0.1999717907563221, True, "-++-++-++", "++0", 39, 7),
-    "example1-nc1": (0.19974327504726164, True, "-++-++-++", "++0", 41, 8),
-    "example1-nc2": (0.1995941534371728, True, "-++-++-++", "++0", 43, 9),
-    "example1-nc3": (0.19950333824935473, True, "-++-++-++", "++0", 45, 10),
-    "example2-nc0": (-1.8849555921538759, False, "+-+------", "---", 30, 14),
-    "example2-nc1": (-1.8849555921538759, False, "+-+------", "---", 31, 16),
-    "example2-nc2": (-1.8849555921538759, False, "+-+------", "---", 32, 18),
-    "example2-nc3": (-1.8849555921538759, False, "+--------", "---", 32, 20),
+    "example1-nc0": (0.2000995550625635, True, "-++-++-++", "++0", 32, 7),
+    "example1-nc1": (0.19980552126455664, True, "-++-++-++", "++0", 35, 8),
+    "example1-nc2": (0.1994011102431381, True, "-++-++-++", "++0", 37, 9),
+    "example1-nc3": (0.19934565759397005, True, "-++-++-++", "++0", 40, 10),
+    "example2-nc0": (-1.8849555921538759, False, "--+------", "---", 23, 14),
+    "example2-nc1": (-1.8849555921538759, False, "--+------", "---", 24, 16),
+    "example2-nc2": (-1.8849555921538759, False, "+-+------", "---", 26, 18),
+    "example2-nc3": (-1.8849555921538759, False, "--+------", "---", 27, 20),
 }
 
 
