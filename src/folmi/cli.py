@@ -35,6 +35,7 @@ from .stability import closed_loop
 from .synthesis import (
     DynamicController,
     certify,
+    check_order,
     check_sweep_settings,
     synthesize,
 )
@@ -208,8 +209,7 @@ def parse_config(path):
         simulate=_object(data, "simulate", None),
         raw=data,
     )
-    if cfg.n_c < 0:
-        raise ValidationError(f"n_c must be >= 0, got {cfg.n_c}")
+    check_order(cfg.n_c)
     if cfg.simulate is not None:
         sim = cfg.simulate
         for key in ("x0", "t_end", "h"):
@@ -291,6 +291,7 @@ def cmd_synth(config, out_path=None, report_path=None):
     log.info("synth: n=%d l=%d m=%d alpha=%g n_c=%d", sys_.n, sys_.l, sys_.m,
              sys_.alpha, config.n_c)
     solver_cfg, certify_kw = config.solver_config(), config.certify_config()
+    check_order(config.n_c)  # --nc is applied after parse_config
     t_start = time.perf_counter()
     try:
         result, cert = synthesize(sys_, config.n_c, solver_cfg, **certify_kw)
@@ -336,10 +337,6 @@ def cmd_synth(config, out_path=None, report_path=None):
 def cmd_check(config, controller, report_path=None):
     """Certify a given controller against the configured plant family."""
     sys_ = config.system()
-    if controller.d_c.shape != (sys_.l, sys_.m):
-        raise ShapeMismatchError(
-            f"controller Dc is {controller.d_c.shape}, plant needs ({sys_.l},{sys_.m})"
-        )
     log.info("check: controller order %d against alpha=%g family",
              controller.n_c, sys_.alpha)
     t_start = time.perf_counter()

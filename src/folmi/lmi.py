@@ -15,12 +15,16 @@ log-det barrier method on the epigraph form
     minimize t  s.t.  F_j(x) <= t*I  for all j,  |x_i| <= R_BOX,
 
 where each constraint is oriented so that negative definiteness is the
-goal.  The problem is declared FEASIBLE once an interior point reaches
-``t <= -eps_margin`` (the point is re-audited before being returned) and
-INFEASIBLE only once the barrier duality bound proves ``min t >
--eps_margin``.  When the duality gap falls below ``eps_margin / 2`` or the
-iteration budget runs out before either, the verdict is INDETERMINATE.
-The iteration stops early once ``t <= -max(eps_margin, FEASIBILITY_DEPTH)``.
+goal.  One loop takes one damped Newton step per turn.  It stops once
+``t <= -max(eps_margin, FEASIBILITY_DEPTH)``, when a step fails, when the
+duality gap falls below ``eps_margin / 2`` or when the iteration budget
+runs out.  The weight on t grows once the iterate is centred (squared
+Newton decrement at most 1e-2) or 50 steps were taken at that weight.  The
+verdict is INFEASIBLE only when the duality bound, taken at a centred
+iterate, proves ``min t > -eps_margin``; FEASIBLE when the last iterate
+has ``t <= -eps_margin`` and passes its re-audit; INDETERMINATE otherwise.
+So a failed step ends in INDETERMINATE unless the iterate already clears
+``eps_margin``.
 The box bound ``R_BOX``, the barrier weight's growth factor ``MU_FACTOR``
 and ``FEASIBILITY_DEPTH`` are module constants.  Everything is dense and
 deterministic; the blocks stay well under 100x100 at the scales this
@@ -419,9 +423,9 @@ def solve_feasibility(problem, cfg=None):
 
     Runs a short-step barrier method on ``min t : F_j(x) <= t*I`` and
     returns FEASIBLE with a strictly satisfying point, INFEASIBLE with a
-    duality-bound certificate that no point reaches margin ``eps_margin``,
-    or INDETERMINATE if the duality gap closes or the iteration budget runs
-    out in the gray zone.
+    duality bound, taken at a centred iterate, that no point reaches margin
+    ``eps_margin``, or INDETERMINATE if the duality gap closes, a Newton
+    step fails or the iteration budget runs out in the gray zone.
     The result is deterministic for a fixed problem and configuration.
     """
     cfg = cfg or SolverConfig()
@@ -449,8 +453,10 @@ def solve_feasibility(problem, cfg=None):
         return xv, tv, phi, slacks
 
     def newton_step(pt, mu):
-        """One damped Newton step on mu*t + phi from the point ``pt``;
-        returns the accepted point, squared decrement, and success flag."""
+        """One damped Newton step on mu*t + phi from the point ``pt``:
+        the accepted point and the squared decrement, or None when the
+        Newton system cannot be factored or no trial passes the line
+        search."""
         xv, tv, phi, slacks = pt
         grad = np.zeros(n + 1)
         hess = np.zeros((n + 1, n + 1))
@@ -469,55 +475,50 @@ def solve_feasibility(problem, cfg=None):
             except np.linalg.LinAlgError:
                 jitter = max(jitter * 100.0, 1e-12 * (1 + np.abs(hess).max()))
         else:
-            return pt, 0.0, False
+            return None
         step = -np.linalg.solve(l.T, np.linalg.solve(l, grad))
         lam2 = float(-grad @ step)
         if not np.isfinite(lam2) or lam2 < 0:
-            return pt, 0.0, False
+            return None
 
         f0 = mu * tv + phi
         alpha = 1.0 if lam2 <= 0.9 else 1.0 / (1.0 + np.sqrt(lam2))
         for _ in range(60):
             trial = point(xv + alpha * step[:n], tv + alpha * step[n])
             if trial is not None and mu * trial[1] + trial[2] <= f0 - 0.25 * alpha * lam2:
-                return trial, lam2, True
+                return trial, lam2
             alpha *= 0.5
-        return pt, lam2, False
+        return None
 
     t = max(float(np.linalg.eigvalsh(b.const)[-1]) for b in blocks)
     pt = point(np.zeros(n), t + 1.0 + 0.1 * abs(t))
     x, t = pt[:2]
     mu = 1.0 / (1.0 + abs(t))
-    iters = 0
-    infeasible = False
-    while iters < cfg.max_iter:
-        # center at current mu; a loose decrement suffices for the duality
-        # slack used below, and any point at depth already decides FEASIBLE
-        for _ in range(50):
-            if iters >= cfg.max_iter or t <= -depth:
-                break
-            pt, lam2, ok = newton_step(pt, mu)
-            x, t = pt[:2]
-            iters += 1
-            if not ok or lam2 <= 1e-2:
-                break
-        gap = (nu + np.sqrt(nu)) / mu
-        if t - gap > -cfg.eps_margin:  # the duality bound: min t > -eps_margin
-            infeasible = True
+    iters = steps = 0  # Newton steps in all, and at the current mu
+    status = SdpStatus.INDETERMINATE
+    while t > -depth and iters < cfg.max_iter:
+        iters += 1
+        steps += 1
+        step = newton_step(pt, mu)
+        if step is None:
             break
-        if t <= -depth or gap <= 0.5 * cfg.eps_margin:
+        pt, lam2 = step
+        x, t = pt[:2]
+        centred = lam2 <= 1e-2  # loose, but enough for the duality bound
+        if t <= -depth or (not centred and steps < 50):
+            continue
+        gap = (nu + np.sqrt(nu)) / mu
+        if centred and t - gap > -cfg.eps_margin:  # proves min t > -eps_margin
+            status = SdpStatus.INFEASIBLE
+            break
+        if gap <= 0.5 * cfg.eps_margin:
             break
         mu *= MU_FACTOR
-    if infeasible:
-        status = SdpStatus.INFEASIBLE
-    elif t <= -cfg.eps_margin:
-        status = SdpStatus.FEASIBLE
-    else:
-        status = SdpStatus.INDETERMINATE
+        steps = 0
 
-    margins = [constraint_margin(problem, c, x) for c in problem.constraints]
-    achieved = min(margins)
-    if status is SdpStatus.FEASIBLE and achieved < cfg.eps_margin:
-        # self-audit failed; do not report an invalid certificate
-        status = SdpStatus.INDETERMINATE
+    achieved = min(constraint_margin(problem, c, x) for c in problem.constraints)
+    # t - gap > -eps_margin excludes t <= -eps_margin; a FEASIBLE point must
+    # also pass its re-audit, or the verdict stays INDETERMINATE
+    if t <= -cfg.eps_margin and achieved >= cfg.eps_margin:
+        status = SdpStatus.FEASIBLE
     return SdpSolution(status, x, achieved, iters, float(t))

@@ -177,6 +177,9 @@ def _regime(alpha):
     return _HermitianRegime(alpha) if alpha < 1.0 else _SymmetricRegime(alpha)
 
 
+# a product that overflows leaves an inf or NaN entry, which add_constraint
+# reports as the one error, without numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def certificate_lmi(regime, a0, b0, n_c, lift=None):
     """Variables and constraints of the LMI of ``regime`` for the plant
     (A0, B0) under an output-feedback controller of order n_c.
@@ -330,9 +333,6 @@ def closed_loop(a, b, c, controller):
             f"Dc is {controller.d_c.shape}, expected ({l},{m})"
         )
     n_c = controller.n_c
-    if controller.a_c.shape != (n_c, n_c) or controller.b_c.shape != (n_c, m) \
-            or controller.c_c.shape != (l, n_c):
-        raise ShapeMismatchError("controller block shapes inconsistent")
     out = np.empty(a.shape[:-2] + (n + n_c, n + n_c))
     out[..., :n, :n] = a + b @ controller.d_c @ c
     out[..., :n, n:] = b @ controller.c_c

@@ -168,13 +168,10 @@ class _Assembly:
     blocks: dict
 
 
-def _check_synthesis_shapes(factors, c, n_c):
-    c = as_matrix(c, "c")
-    if c.shape[1] != factors.n:
-        raise ShapeMismatchError(f"C has {c.shape[1]} columns, expected {factors.n}")
+def check_order(n_c):
+    """ValidationError unless the controller order ``n_c`` is >= 0."""
     if n_c < 0:
-        raise ValueError(f"n_c must be >= 0, got {n_c}")
-    return c
+        raise ValidationError(f"'n_c' must be >= 0, got {n_c}")
 
 
 def _lift(factors):
@@ -219,7 +216,10 @@ def assemble(factors, c, alpha, n_c):
     are emitted.
     """
     regime = _regime(alpha)
-    c = _check_synthesis_shapes(factors, c, n_c)
+    check_order(n_c)
+    c = as_matrix(c, "c")
+    if c.shape[1] != factors.n:
+        raise ShapeMismatchError(f"C has {c.shape[1]} columns, expected {factors.n}")
     lift = None if factors.is_certain else _lift(factors)
     problem, blocks = certificate_lmi(regime, factors.a0, factors.b0, n_c, lift)
     return _Assembly(problem, regime, alpha, n_c, c, blocks)

@@ -280,15 +280,45 @@ class TestMainEntry:
 
     def test_overflowing_controller_is_a_solver_error(self, tmp_path, capsys):
         # Dc = 1e308 overflows the nominal analysis LMI to inf and NaN
-        # entries, which used to end in a LinAlgError traceback
+        # entries, which used to end in a LinAlgError traceback and then
+        # printed numpy's overflow warnings before the error line; any
+        # warning fails the suite
         path = tmp_path / "k.json"
         path.write_text(json.dumps(
             {"n_c": 0, "a_c": [], "b_c": [], "c_c": [], "d_c": [[1e308]]}))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["check", "example1", str(path), "--samples", "5"])
+        code = main(["check", "example1", str(path), "--samples", "5"])
         assert code == EXIT_SOLVER_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
+
+    def test_wrong_shape_controller_is_a_usage_error(self, tmp_path, capsys):
+        # example1 has one input and one output, so Dc must be 1 x 1
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(
+            {"n_c": 0, "a_c": [], "b_c": [], "c_c": [], "d_c": [[-2.0, 1.0]]}))
+        assert main(["check", "example1", str(path), "--samples", "5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Dc is (1, 2), expected (1,1)")
+
+    def test_simulate_pads_x0_with_controller_states(self, tmp_path, capsys):
+        # the README's flow: an order-1 controller from synth, then simulate
+        # with the plant-length x0 of the problem file
+        ctrl, csv_path = tmp_path / "k.json", tmp_path / "t.csv"
+        save_controller(DynamicController(1, [[-5.55]], [[-0.43]], [[-1.25]],
+                                          [[-26.55]]), ctrl)
+        assert main(["simulate", "example1", str(ctrl), "--out", str(csv_path)]) == EXIT_OK
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "t,x1,x2,x3,x4"
+        assert lines[1].split(",")[1:] == ["1", "1", "1", "0"]
+        assert json.loads(capsys.readouterr().out)["status"] == "OK"
+
+    def test_simulate_x0_of_wrong_length_is_a_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, simulate={"x0": [1.0, 1.0], "t_end": 1.0, "h": 0.01})
+        ctrl, csv_path = tmp_path / "k.json", tmp_path / "t.csv"
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        assert main(["simulate", str(path), str(ctrl), "--out", str(csv_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: x0 has length 2")
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("command", ["decompose", "check"])
     def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, command):
@@ -321,6 +351,10 @@ class TestMainEntry:
         ("certify.seed", {"certify": {"seed": 2 ** 32}}, []),
         ("certify.sample_count", {"certify": {"sample_count": -1}}, []),
         ("certify.sample_count", {}, ["--samples", "-3"]),
+        # --nc is applied after the file is validated, and a negative order
+        # from it used to end in a ValueError traceback from the assembly
+        ("n_c", {"n_c": -1}, []),
+        ("n_c", {}, ["--nc", "-1"]),
     ])
     def test_out_of_range_certify_setting_is_a_usage_error(
             self, tmp_path, capsys, monkeypatch, field, overrides, flags):

@@ -39,6 +39,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             UncertainFoltiSystem(2.0, iv, bv, np.eye(2))
 
+    @pytest.mark.parametrize("a,b,c,match", [
+        (np.ones((2, 3)), np.ones((2, 1)), np.eye(2), "A interval must be square"),
+        (np.eye(2), np.ones((3, 1)), np.eye(2), "B interval has 3 rows, expected 2"),
+        (np.eye(2), np.ones((2, 1)), np.ones((1, 3)), "C has 3 columns, expected 2"),
+    ])
+    def test_plant_shapes_must_agree(self, a, b, c, match):
+        with pytest.raises(ValueError, match=match):
+            UncertainFoltiSystem(
+                0.75, IntervalMatrix.certain(a), IntervalMatrix.certain(b), c)
+
     def test_realization_unit_box(self):
         with pytest.raises(OutOfUnitBoxError):
             UncertaintyRealization(np.array([1.5]), np.array([]))

@@ -221,6 +221,20 @@ class TestSolver:
         assert sol.iterations == 13
         assert sol.achieved_margin == 1e-6
 
+    @pytest.mark.parametrize("max_iter,status,iterations", [
+        (50, SdpStatus.INDETERMINATE, 50),
+        (51, SdpStatus.INDETERMINATE, 51),
+        (57, SdpStatus.INDETERMINATE, 57),
+        (200, SdpStatus.INFEASIBLE, 68),
+    ])
+    def test_a_cut_budget_proves_nothing_off_centre(self, max_iter, status, iterations):
+        # an unstable matrix: the full budget proves the analysis LMI
+        # INFEASIBLE after 68 steps; cut at 50 or 51 steps, the duality test
+        # used to run at the uncentred last iterate and read INFEASIBLE
+        a = np.random.RandomState(0).randn(3, 3)
+        sol = analysis_feasible(a, 0.75, SolverConfig(max_iter=max_iter)).solution
+        assert (sol.status, sol.iterations) == (status, iterations)
+
     def test_scalar_analysis_style_lmi(self):
         # scalar analytic check: -4 cos(pi/4) X < 0 admits X = 1
         theta = np.pi / 4

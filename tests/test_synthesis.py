@@ -134,6 +134,11 @@ class TestAssembleLowAlpha:
             with pytest.raises(AlphaOutOfRangeError):
                 assemble(decompose(sys), sys.c, alpha, 0)
 
+    def test_negative_order_is_a_validation_error(self):
+        sys = example1_system()
+        with pytest.raises(ValidationError, match="'n_c' must be >= 0, got -1"):
+            assemble(decompose(sys), sys.c, 0.75, -1)
+
 
 class TestAssembleHighAlpha:
     def test_example2_static_order_feasible(self):
