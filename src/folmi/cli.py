@@ -12,6 +12,7 @@ certification passed; documented nonzero codes cover the failure modes.
 import argparse
 import json
 import logging
+import math
 import os
 import pathlib
 import sys
@@ -21,13 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import (
-    FolmiError,
-    InfeasibleError,
-    ParseError,
-    ShapeMismatchError,
-    ValidationError,
-)
+from .errors import FolmiError, InfeasibleError, ParseError, ValidationError
 from .fosim import check_simulate_settings, simulate, trajectory_to_csv
 from .interval import IntervalMatrix, UncertainFoltiSystem, decompose
 from .lmi import SolverConfig
@@ -68,38 +63,26 @@ class ProblemConfig:
     raw: dict = field(default_factory=dict)
 
     def system(self):
-        try:
-            return UncertainFoltiSystem(
-                self.alpha,
-                IntervalMatrix(self.a_lower, self.a_upper),
-                IntervalMatrix(self.b_lower, self.b_upper),
-                self.c,
-            )
-        except (ValueError, FolmiError) as exc:
-            raise ValidationError(str(exc)) from exc
+        return UncertainFoltiSystem(
+            self.alpha,
+            IntervalMatrix(self.a_lower, self.a_upper),
+            IntervalMatrix(self.b_lower, self.b_upper),
+            self.c,
+        )
 
     def solver_config(self):
-        kinds = {"eps_margin": float, "tol": float, "max_iter": int, "seed": int}
-        unknown = set(self.solver) - set(kinds)
-        if unknown:
-            raise ValidationError(f"unknown solver fields: {sorted(unknown)}")
-        values = {k: _scalar(v, kinds[k], f"solver.{k}")
-                  for k, v in self.solver.items()}
+        values = _block(self.solver, "solver", {"eps_margin": float, "tol": float,
+                                                "max_iter": int, "seed": int})
         # seed and tol are documented but unused: the solver draws no
         # randomness, and its gap exit is set by eps_margin
         return SolverConfig(**{k: v for k, v in values.items()
                                if k not in ("seed", "tol")})
 
     def certify_config(self):
-        allowed = {"sample_count", "seed"}
-        unknown = set(self.certify) - allowed
-        if unknown:
-            raise ValidationError(f"unknown certify fields: {sorted(unknown)}")
-        count = _scalar(self.certify.get("sample_count", 500), int,
-                        "certify.sample_count")
-        seed = _scalar(self.certify.get("seed", 0), int, "certify.seed")
-        check_sweep_settings(count, seed, "certify.")
-        return {"sample_count": count, "seed": seed}
+        values = {"sample_count": 500, "seed": 0, **_block(
+            self.certify, "certify", {"sample_count": int, "seed": int})}
+        check_sweep_settings(values["sample_count"], values["seed"], "certify.")
+        return values
 
     def as_run(self):
         """``raw`` with the n_c, solver and certify settings the run used."""
@@ -121,6 +104,15 @@ def _scalar(value, kind, name):
             return int(value)
     what = "a number" if kind is float else "an integer"
     raise ParseError(f"field '{name}' must be {what}, got {value!r}")
+
+
+def _block(block, name, kinds):
+    """The fields of a settings block, each read by :func:`_scalar` as its
+    entry of ``kinds``; ValidationError for a field not in ``kinds``."""
+    unknown = set(block) - set(kinds)
+    if unknown:
+        raise ValidationError(f"unknown {name} fields: {sorted(unknown)}")
+    return {k: _scalar(v, kinds[k], f"{name}.{k}") for k, v in block.items()}
 
 
 def _object(data, key, default):
@@ -360,7 +352,7 @@ def cmd_simulate(config, controller, csv_path, report_path=None):
     t_start = time.perf_counter()
     traj = _simulate_closed_loop(config, controller)
     trajectory_to_csv(traj, csv_path)
-    ratio = traj.final_norm_ratio
+    ratio = traj.final_norm_ratio  # inf from x0 = 0: null, as JSON has no inf
     report = {
         "command": "simulate",
         "config": config.raw,
@@ -369,7 +361,7 @@ def cmd_simulate(config, controller, csv_path, report_path=None):
         "simulation": {
             "csv": str(csv_path),
             "steps": int(traj.times.size - 1),
-            "final_norm_ratio": ratio,
+            "final_norm_ratio": ratio if math.isfinite(ratio) else None,
         },
         "timings": {"total_s": time.perf_counter() - t_start},
     }
@@ -446,8 +438,10 @@ def main(argv=None):
         level=os.environ.get("FOLMI_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         config = _apply_overrides(parse_config(args.config), args)
         if args.command == "synth":
@@ -460,7 +454,7 @@ def main(argv=None):
             )
         else:
             report, code = cmd_decompose(config, args.out)
-    except (ParseError, ValidationError, ShapeMismatchError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FolmiError as exc:

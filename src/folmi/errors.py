@@ -1,40 +1,53 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.  A :class:`ValidationError`
+means that input from outside broke a documented rule, named by its subclass."""
 
 
 class FolmiError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NonSquareError(FolmiError, ValueError):
+class ValidationError(FolmiError, ValueError):
+    """Input from outside the library breaks a documented rule."""
+
+
+class ParseError(FolmiError, ValueError):
+    """Configuration or controller file could not be parsed."""
+
+
+class NonSquareError(ValidationError):
     """Matrix was expected to be square."""
+
+
+class ShapeMismatchError(ValidationError):
+    """Operands have inconsistent shapes."""
+
+
+class BoundViolationError(ValidationError):
+    """Interval bounds are not a usable [lower, upper] pair."""
+
+
+class OutOfUnitBoxError(ValidationError):
+    """Uncertainty realization has an entry outside [-1, 1]."""
+
+
+class AlphaOutOfRangeError(ValidationError):
+    """Fractional order outside the range the operation supports."""
+
+
+class LengthMismatchError(ValidationError):
+    """Value vector length does not match the declared variable count."""
+
+
+class DomainTooLargeError(ValidationError):
+    """Argument outside the implemented evaluation domain."""
 
 
 class ConvergenceFailureError(FolmiError, RuntimeError):
     """An iterative kernel hit its iteration cap without converging."""
 
 
-class ShapeMismatchError(FolmiError, ValueError):
-    """Operands have inconsistent shapes."""
-
-
-class BoundViolationError(FolmiError, ValueError):
-    """Interval lower bound exceeds upper bound somewhere."""
-
-
-class OutOfUnitBoxError(FolmiError, ValueError):
-    """Uncertainty realization has an entry outside [-1, 1]."""
-
-
-class AlphaOutOfRangeError(FolmiError, ValueError):
-    """Fractional order outside the range the operation supports."""
-
-
 class IllFormedProblemError(FolmiError, ValueError):
     """LMI problem violates the modeling-layer invariants."""
-
-
-class LengthMismatchError(FolmiError, ValueError):
-    """Value vector length does not match the declared variable count."""
 
 
 class InfeasibleError(FolmiError, RuntimeError):
@@ -55,15 +68,3 @@ class SingularStepError(FolmiError, ValueError):
 
 class StepTooLargeError(FolmiError, ValueError):
     """Simulation step size is too large for the system's dynamics scale."""
-
-
-class DomainTooLargeError(FolmiError, ValueError):
-    """Argument outside the implemented evaluation domain."""
-
-
-class ParseError(FolmiError, ValueError):
-    """Configuration or controller file could not be parsed."""
-
-
-class ValidationError(FolmiError, ValueError):
-    """Parsed configuration violates a documented invariant."""

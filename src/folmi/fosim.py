@@ -31,13 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AlphaOutOfRangeError,
     DomainTooLargeError,
     SingularStepError,
     StepTooLargeError,
     ValidationError,
 )
-from .linalg import require_square
+from .linalg import check_alpha, require_square
 
 ML_DOMAIN = 50.0
 
@@ -92,7 +91,7 @@ def gl_weights(alpha, count):
     w_j = w_{j-1} * (1 - (alpha + 1) / j), multiplied in that order.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ValidationError(f"count must be >= 1, got {count}")
     factors = np.empty(count)
     factors[0] = 1.0
     factors[1:] = 1.0 - (alpha + 1.0) / np.arange(1, count)
@@ -173,8 +172,7 @@ def mittag_leffler(alpha, z):
     standard algebraic large-argument expansion for deeply negative z.
     Arguments beyond |z| = 50 are rejected.
     """
-    if not 0.0 < alpha < 2.0:
-        raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
+    check_alpha(alpha)
     if abs(z) > ML_DOMAIN:
         raise DomainTooLargeError(f"|z| = {abs(z)} exceeds domain bound {ML_DOMAIN}")
     if z == 0.0:
@@ -226,7 +224,7 @@ def _subtract_band(y, w, k, size, hi, spectra):
 
 def check_simulate_settings(x0, t_end, h):
     """ValidationError unless the step h is finite and > 0, t_end is finite
-    and covers at least one step, and x0 is finite."""
+    and covers at least one step, t_end / h is finite, and x0 is finite."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValidationError(f"simulate step h must be positive and finite, got {h}")
     if not math.isfinite(t_end):
@@ -234,6 +232,8 @@ def check_simulate_settings(x0, t_end, h):
     if t_end < h:
         raise ValidationError(
             f"simulate t_end must cover at least one step, got {t_end} < {h}")
+    if not math.isfinite(float(t_end) / float(h)):
+        raise ValidationError(f"simulate t_end / h overflows, got {t_end} / {h}")
     if not np.all(np.isfinite(x0)):
         raise ValidationError("simulate x0 must be finite")
 
@@ -253,22 +253,21 @@ def simulate(a_cl, alpha, x0, t_end, h):
     Each dyadic band of lags [L, 2L) is subtracted ahead for L nodes at
     once by one FFT convolution, as soon as the states it needs are known
     (Hairer, Lubich & Schlichte 1985).  Every term is summed exactly once,
-    in O(N log^2 N) work for N steps.  Raises ValueError for an empty
-    a_cl, ValidationError (a ValueError) for settings that
+    in O(N log^2 N) work for N steps.  Raises ValidationError for an empty
+    a_cl, an x0 of the wrong length and settings that
     :func:`check_simulate_settings` rejects, SingularStepError when the
     implicit step matrix is (near) singular and StepTooLargeError when the
     step is far too coarse for the system's eigenvalue scale.
     """
     a = require_square(a_cl, "a_cl")
     if a.size == 0:
-        raise ValueError("a_cl is empty: a closed loop needs at least one state")
-    if not 0.0 < alpha < 2.0:
-        raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
+        raise ValidationError("a_cl is empty: a closed loop needs at least one state")
+    check_alpha(alpha)
     x0 = np.asarray(x0, float).reshape(-1)
     check_simulate_settings(x0, t_end, h)
     n = a.shape[0]
     if x0.size != n:
-        raise ValueError(f"x0 has length {x0.size}, expected {n}")
+        raise ValidationError(f"x0 has length {x0.size}, expected {n}")
 
     h_alpha = h ** alpha
     if h_alpha * float(np.max(np.abs(np.linalg.eigvals(a)))) > _STEP_RADIUS_CAP:

@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError, OutOfUnitBoxError
-from .linalg import as_matrix
+from .errors import BoundViolationError, OutOfUnitBoxError, ShapeMismatchError
+from .linalg import as_matrix, check_alpha
 
 MAX_VERTICES = 2 ** 24
 
 
 @dataclass(frozen=True)
 class IntervalMatrix:
-    """Elementwise interval [lower, upper] over a real matrix."""
+    """Elementwise interval [lower, upper] with finite midpoint and half-width."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -38,6 +38,10 @@ class IntervalMatrix:
             )
         if np.any(lo > hi):
             raise BoundViolationError("interval bound: lower > upper somewhere")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(lo + hi) & np.isfinite(hi - lo)):
+                raise BoundViolationError(
+                    "interval bound: midpoint or half-width overflows")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -63,18 +67,17 @@ class UncertainFoltiSystem:
     c: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        check_alpha(self.alpha)
         c = as_matrix(self.c, "c")
         n = self.a.shape[0]
         if self.a.shape != (n, n):
-            raise ValueError(f"A interval must be square, got {self.a.shape}")
+            raise ShapeMismatchError(f"A interval must be square, got {self.a.shape}")
         if self.b.shape[0] != n:
-            raise ValueError(
+            raise ShapeMismatchError(
                 f"B interval has {self.b.shape[0]} rows, expected {n}"
             )
         if c.shape[1] != n:
-            raise ValueError(f"C has {c.shape[1]} columns, expected {n}")
+            raise ShapeMismatchError(f"C has {c.shape[1]} columns, expected {n}")
         object.__setattr__(self, "c", c)
 
     @property
@@ -132,12 +135,14 @@ class UncertaintyRealization:
     def __post_init__(self):
         fa = np.asarray(self.f_a, dtype=float).reshape(-1)
         fb = np.asarray(self.f_b, dtype=float).reshape(-1)
-        if (fa.size and np.abs(fa).max() > 1.0 + 1e-12) or (
-            fb.size and np.abs(fb).max() > 1.0 + 1e-12
-        ):
-            raise OutOfUnitBoxError("realization entry outside [-1, 1]")
+        _check_unit_box(np.concatenate([fa, fb]))
         object.__setattr__(self, "f_a", fa)
         object.__setattr__(self, "f_b", fb)
+
+
+def _check_unit_box(f):
+    if f.size and np.abs(f).max() > 1.0 + 1e-12:
+        raise OutOfUnitBoxError("realization entry outside [-1, 1]")
 
 
 def _radius_factors(delta, unit_dim):
@@ -193,9 +198,9 @@ def realize(factors, rows):
     na, nb = factors.m_a.shape[1], factors.m_b.shape[1]
     f = np.asarray(rows, dtype=float)
     if f.ndim != 2 or f.shape[1] != na + nb:
-        raise ValueError(f"scalings have shape {f.shape}, expected (N, {na + nb})")
-    if f.size and np.abs(f).max() > 1.0 + 1e-12:
-        raise OutOfUnitBoxError("realization entry outside [-1, 1]")
+        raise ShapeMismatchError(
+            f"scalings have shape {f.shape}, expected (N, {na + nb})")
+    _check_unit_box(f)
     sa, sb = np.sqrt(factors.delta_a), np.sqrt(factors.delta_b)
     fa = f[:, :na].reshape(-1, *sa.shape)
     fb = f[:, na:].reshape(-1, *sb.shape)

@@ -1,5 +1,5 @@
-"""Dense matrix kernel: input coercion, the eigenvalues of a stack of
-matrices and the pseudo-inverse.
+"""Dense matrix kernel: input coercion, the fractional-order range check, the
+eigenvalues of a stack of matrices and the pseudo-inverse.
 
 All routines operate on plain float64 ``numpy`` arrays.  Matrices stay small
 (closed-loop dimensions of a dozen or so), so everything is dense and the
@@ -8,7 +8,12 @@ eigensolver is capped at dimension 64.
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, NonSquareError
+from .errors import (
+    AlphaOutOfRangeError,
+    ConvergenceFailureError,
+    NonSquareError,
+    ValidationError,
+)
 
 EIG_DIM_CAP = 64
 
@@ -22,10 +27,16 @@ def as_matrix(m, name="matrix"):
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
+        raise ValidationError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.size and not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValidationError(f"{name} has non-finite entries")
     return a
+
+
+def check_alpha(alpha):
+    """AlphaOutOfRangeError unless the fractional order lies in (0, 2)."""
+    if not 0.0 < alpha < 2.0:
+        raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
 
 
 def require_square(m, name="matrix"):
@@ -40,7 +51,7 @@ def eigvals_stack(stack):
     (N, d, d) stack, as an (N, d) array.
 
     One LAPACK call covers the whole stack.  Matrices larger than
-    ``EIG_DIM_CAP`` or with non-finite entries are a ``ValueError``, and a
+    ``EIG_DIM_CAP`` or with non-finite entries are a ``ValidationError``, and a
     LAPACK failure is a :class:`ConvergenceFailureError`.
     """
     a = np.asarray(stack, dtype=float)
@@ -48,11 +59,11 @@ def eigvals_stack(stack):
         raise NonSquareError(f"expected an (N, d, d) stack, got shape {a.shape}")
     count, d = a.shape[0], a.shape[1]
     if d > EIG_DIM_CAP:
-        raise ValueError(f"dimension {d} exceeds eigensolver cap {EIG_DIM_CAP}")
+        raise ValidationError(f"dimension {d} exceeds eigensolver cap {EIG_DIM_CAP}")
     if count == 0 or d == 0:
         return np.zeros((count, d), dtype=complex)
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix stack has non-finite entries")
+        raise ValidationError("matrix stack has non-finite entries")
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

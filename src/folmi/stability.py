@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRangeError, ShapeMismatchError
-from .linalg import eigvals_stack, require_square
+from .errors import ShapeMismatchError, ValidationError
+from .linalg import check_alpha, eigvals_stack, require_square
 from .lmi import (
     R_BOX,
     LmiProblem,
@@ -56,11 +56,6 @@ class LmiCertificate:
     solution: object
 
 
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 2.0:
-        raise AlphaOutOfRangeError(f"alpha must lie in (0, 2), got {alpha}")
-
-
 def sector_margins(stack, alpha):
     """Minimal angular margin min_i |arg(lambda_i)| - alpha*pi/2 of every
     matrix of an (N, d, d) stack, as an (N,) array.
@@ -70,7 +65,7 @@ def sector_margins(stack, alpha):
     argument 0, hence unstable.  One matrix ``a`` is the stack
     ``np.asarray(a)[None]``.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     eigs = eigvals_stack(stack)
     boundary = alpha * np.pi / 2.0
     if eigs.shape[1] == 0:
@@ -173,7 +168,7 @@ class _SymmetricRegime:
 def _regime(alpha):
     """The certificate regime of the order alpha.  Its methods take the
     certificate's parts, (X, Y) or (P,): expressions, or matrices in value()."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     return _HermitianRegime(alpha) if alpha < 1.0 else _SymmetricRegime(alpha)
 
 
@@ -315,14 +310,14 @@ def closed_loop(a, b, c, controller):
     A + B Dc C for a static (order zero) controller.  One body serves A
     (n, n), B (n, l) and stacks A (N, n, n), B (N, n, l), which give the
     (N, n + n_c, n + n_c) stack of closed loops.  A non-square A is a
-    ShapeMismatchError and a non-finite A a ValueError in either form.
+    ShapeMismatchError and a non-finite A a ValidationError in either form.
     """
     a, b, c = (np.atleast_2d(np.asarray(m, float)) for m in (a, b, c))
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise ShapeMismatchError(f"A {a.shape} is not square")
     if not np.all(np.isfinite(a)):
-        raise ValueError("A has non-finite entries")
+        raise ValidationError("A has non-finite entries")
     if b.shape[:-1] != a.shape[:-1] or c.shape[1] != n:
         raise ShapeMismatchError(
             f"plant shapes inconsistent: A {a.shape}, B {b.shape}, C {c.shape}"

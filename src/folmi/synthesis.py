@@ -82,18 +82,12 @@ class DynamicController:
     d_c: np.ndarray
 
     def __post_init__(self):
+        check_order(self.n_c)
         d_c = as_matrix(self.d_c, "d_c")
-        l, m = d_c.shape
-        n_c = self.n_c
-        a_c = np.asarray(self.a_c, float).reshape(n_c, n_c)
-        b_c = np.asarray(self.b_c, float).reshape(n_c, m)
-        c_c = np.asarray(self.c_c, float).reshape(l, n_c)
-        for name, arr in (("a_c", a_c), ("b_c", b_c), ("c_c", c_c)):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-        object.__setattr__(self, "a_c", a_c)
-        object.__setattr__(self, "b_c", b_c)
-        object.__setattr__(self, "c_c", c_c)
+        (l, m), n_c = d_c.shape, self.n_c
+        for name, shape in (("a_c", (n_c, n_c)), ("b_c", (n_c, m)), ("c_c", (l, n_c))):
+            object.__setattr__(self, name, as_matrix(
+                np.asarray(getattr(self, name), float).reshape(shape), name))
         object.__setattr__(self, "d_c", d_c)
 
     @classmethod

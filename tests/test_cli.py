@@ -408,6 +408,137 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth"], ["check", "example1"], ["synth", "example1", "--nc", "x"],
+    ])
+    def test_command_line_usage_error_exits_1(self, capsys, argv):
+        # argparse's own exit code 2 is the code of an infeasible synthesis
+        assert main(argv) == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: folmi")
+
+    @pytest.mark.parametrize("command", ["check", "synth", "decompose"])
+    @pytest.mark.parametrize("lower,upper", [(-1e308, 1e308), (1.5e308, 1.5e308)])
+    def test_overflowing_interval_bounds_are_a_usage_error(
+            self, tmp_path, capsys, command, lower, upper):
+        # check used to end in a ValueError traceback, synth in numpy's
+        # overflow warnings and SOLVER_ERROR, decompose in a report with
+        # Infinity in it
+        a_lower = [[2.0, -8.0, 1.0], [9.0, 6.0, 1.0], [1.0, 2.0, -1.0]]
+        a_upper = [[2.5, -7.0, 1.5], [9.5, 6.5, 1.5], [1.5, 2.5, -0.5]]
+        a_lower[0][0], a_upper[0][0] = lower, upper
+        path = write_config(tmp_path, a_lower=a_lower, a_upper=a_upper)
+        ctrl = tmp_path / "k.json"
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        argv = [command, str(path)] + ([str(ctrl)] if command == "check" else [])
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: interval bound: midpoint or half-width overflows\n")
+
+    def test_overflowing_step_count_is_a_usage_error(self, tmp_path, capsys):
+        # used to end in an OverflowError traceback
+        path = write_config(
+            tmp_path, simulate={"x0": [1.0, 1.0, 1.0], "t_end": 1e300, "h": 1e-10})
+        ctrl = tmp_path / "k.json"
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        assert main(["simulate", str(path), str(ctrl), "--out",
+                     str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: simulate t_end / h overflows")
+
+    @pytest.mark.parametrize("flag", ["--report", "--out"])
+    def test_output_in_a_missing_directory_is_a_usage_error(
+            self, tmp_path, capsys, flag):
+        # used to end in a FileNotFoundError traceback after the whole run
+        target = tmp_path / "missing" / "out.json"
+        argv = ["synth", "example1", "--samples", "5", flag, str(target)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
+    def test_simulate_from_rest_writes_valid_json(self, tmp_path, capsys):
+        # x0 = 0 has no finite norm ratio; the summary and the report used
+        # to carry Infinity, which is not JSON
+        def reject(constant):
+            raise AssertionError(f"{constant} in JSON output")
+
+        path = write_config(
+            tmp_path, simulate={"x0": [0.0, 0.0, 0.0], "t_end": 1.0, "h": 0.01})
+        ctrl, report = tmp_path / "k.json", tmp_path / "r.json"
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        assert main(["simulate", str(path), str(ctrl), "--out",
+                     str(tmp_path / "t.csv"), "--report", str(report)]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert summary["final_norm_ratio"] is None
+        r = json.loads(report.read_text(), parse_constant=reject)
+        assert r["simulation"]["final_norm_ratio"] is None
+
+    def test_negative_controller_order_is_named(self, tmp_path, capsys):
+        # used to report numpy's "can only specify one unknown dimension"
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(
+            {"n_c": -1, "a_c": [], "b_c": [], "c_c": [], "d_c": [[-2.0]]}))
+        assert main(["check", "example1", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'n_c' must be >= 0, got -1" in err
+
+    def test_closed_loop_past_the_eigensolver_cap_is_a_usage_error(
+            self, tmp_path, capsys):
+        # a 62-state controller on example1 makes a 65-state closed loop,
+        # which used to end in a ValueError traceback
+        n_c = 62
+        path = tmp_path / "k.json"
+        save_controller(DynamicController(
+            n_c, -np.eye(n_c), np.zeros((n_c, 1)), np.zeros((1, n_c)), [[-24.86]]),
+            path)
+        assert main(["check", "example1", str(path), "--samples", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: dimension 65 exceeds eigensolver cap 64\n")
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"solver": {"eps": 1e-6}}, "unknown solver fields: ['eps']"),
+        ({"certify": {"samples": 5}}, "unknown certify fields: ['samples']"),
+        ({"c": None}, "missing field 'c'"),
+        ({"c": [[1.0, 0.0, 1.0], [1.0]]}, "field 'c' is not a numeric matrix"),
+        ({"alpha": None}, "missing field 'alpha'"),
+        ({"simulate": {"x0": [1.0, 1.0, 1.0], "t_end": 10.0}},
+         "simulate block missing 'h'"),
+    ])
+    def test_malformed_problem_file_is_a_usage_error(
+            self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, **overrides)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+        assert main(["decompose", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["decompose", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: top level must be an object\n"
+
+    def test_simulate_needs_a_simulate_block(self, tmp_path, capsys):
+        path = write_config(tmp_path, simulate=None)
+        data = json.loads(path.read_text())
+        del data["simulate"]
+        path.write_text(json.dumps(data))
+        ctrl = tmp_path / "k.json"
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        assert main(["simulate", str(path), str(ctrl), "--out",
+                     str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: config has no simulate block\n"
+
+    def test_decompose_writes_the_factors(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        assert main(["decompose", "example1", "--out", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"command": "decompose"}
+        factors = json.loads(out.read_text())["factors"]
+        assert np.array(factors["m_a"]).shape == (3, 9)
+
     def test_solver_failure_is_reported_with_exit_4(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise SingularCertificateError("certificate block is singular")

@@ -8,6 +8,7 @@ from folmi.errors import (
     DomainTooLargeError,
     SingularStepError,
     StepTooLargeError,
+    ValidationError,
 )
 from folmi import fosim
 from folmi.fosim import (
@@ -253,6 +254,11 @@ class TestSimulate:
     def test_non_finite_settings_rejected(self, x0, t_end, h):
         with pytest.raises(ValueError, match="finite"):
             simulate(np.array([[-2.0]]), 0.75, x0, t_end, h)
+
+    def test_step_count_overflow_rejected(self):
+        # t_end / h = inf used to end in an OverflowError from int()
+        with pytest.raises(ValidationError, match="t_end / h overflows"):
+            simulate(np.array([[-2.0]]), 0.75, [1.0], 1e300, 1e-10)
 
 
 def seeded_loop(n, seed):

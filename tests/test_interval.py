@@ -49,6 +49,13 @@ class TestTypes:
             UncertainFoltiSystem(
                 0.75, IntervalMatrix.certain(a), IntervalMatrix.certain(b), c)
 
+    @pytest.mark.parametrize("lower,upper", [(-1e308, 1e308), (1.5e308, 1.5e308)])
+    def test_bounds_whose_midpoint_or_radius_overflows(self, lower, upper):
+        # used to overflow to an inf midpoint or radius with numpy's
+        # RuntimeWarning; any warning fails the suite
+        with pytest.raises(BoundViolationError, match="overflows"):
+            IntervalMatrix(np.array([[lower]]), np.array([[upper]]))
+
     def test_realization_unit_box(self):
         with pytest.raises(OutOfUnitBoxError):
             UncertaintyRealization(np.array([1.5]), np.array([]))
