@@ -218,15 +218,16 @@ def parse_config(path):
 
 
 def load_controller(path):
-    """Read a controller file; its entries are read as in a problem file."""
+    """Read a controller file; its fields are read as in a problem file."""
     data = _load_json(pathlib.Path(path), path)
-    try:
-        return DynamicController(
-            _scalar(data["n_c"], int, "n_c"),
-            *(_numbers(data[k], k) for k in ("a_c", "b_c", "c_c", "d_c")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad controller file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: top level must be an object")
+    if "n_c" not in data:
+        raise ParseError(f"{path}: missing field 'n_c'")
+    return DynamicController(
+        _scalar(data["n_c"], int, "n_c"),
+        *(_matrix_field(data, k, path) for k in ("a_c", "b_c", "c_c", "d_c")),
+    )
 
 
 def save_controller(controller, path):

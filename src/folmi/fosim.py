@@ -40,6 +40,10 @@ from .linalg import check_alpha, require_square
 
 ML_DOMAIN = 50.0
 
+# most steps one simulation may take: the state history alone then holds
+# 80 MB per state
+MAX_STEPS = 10 ** 7
+
 # log of the largest tolerable series term; beyond this the alternating
 # series loses more to cancellation than the asymptotic branch loses to
 # truncation, so the branches swap
@@ -224,7 +228,8 @@ def _subtract_band(y, w, k, size, hi, spectra):
 
 def check_simulate_settings(x0, t_end, h):
     """ValidationError unless the step h is finite and > 0, t_end is finite
-    and covers at least one step, t_end / h is finite, and x0 is finite."""
+    and covers at least one step, t_end / h is finite and rounds to at most
+    ``MAX_STEPS`` steps, and x0 is finite."""
     if not (math.isfinite(h) and h > 0.0):
         raise ValidationError(f"simulate step h must be positive and finite, got {h}")
     if not math.isfinite(t_end):
@@ -234,6 +239,11 @@ def check_simulate_settings(x0, t_end, h):
             f"simulate t_end must cover at least one step, got {t_end} < {h}")
     if not math.isfinite(float(t_end) / float(h)):
         raise ValidationError(f"simulate t_end / h overflows, got {t_end} / {h}")
+    steps = round(t_end / h)
+    if steps > MAX_STEPS:
+        raise ValidationError(
+            f"simulate t_end / h = {t_end} / {h} asks for {steps} steps, "
+            f"more than the cap of {MAX_STEPS}")
     if not np.all(np.isfinite(x0)):
         raise ValidationError("simulate x0 must be finite")
 

@@ -5,11 +5,12 @@ and input matrices.  The bounds are split into a midpoint plus a structured
 radius factorization ``A = A0 + M_A F_A R_A`` with ``F_A`` diagonal and
 bounded by the unit box.  The synthesis lift consumes only M M^T and the
 column sums of the radii, as (M M^T, D) (see ``synthesis._lift``).
-The certification sweep draws arrays of unit-box scaling rows: vertices
-from :func:`vertex_scalings`, seeded uniform samples from
-:func:`sample_scalings`, both turned into plant stacks by :func:`realize`,
-the one route from scalings to plants.  :class:`UncertaintyRealization`
-names one such row, as the worst case of a certification report.
+The certification sweep is one stream of unit-box scaling rows from
+:func:`sweep_scalings`, which alone decides which rows are swept and in what
+order (vertices, then seeded uniform samples, else the center); :func:`realize`
+is the one route from scaling rows to plant stacks.
+:class:`UncertaintyRealization` names one such row, as the worst case of a
+certification report.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from .errors import BoundViolationError, OutOfUnitBoxError, ShapeMismatchError
 from .linalg import as_matrix, check_alpha
 
 MAX_VERTICES = 2 ** 24
+# Scaling rows per array of the certification sweep.
+SWEEP_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class IntervalMatrix:
 @dataclass(frozen=True)
 class UncertainFoltiSystem:
     """Fractional-order plant D^alpha x = A x + B u, y = C x with interval
-    A (n x n) and B (n x l) and a certain output matrix C (m x n)."""
+    A (n x n) and B (n x l), l >= 1, and a certain output matrix C (m x n)."""
 
     alpha: float
     a: IntervalMatrix
@@ -76,6 +79,9 @@ class UncertainFoltiSystem:
             raise ShapeMismatchError(
                 f"B interval has {self.b.shape[0]} rows, expected {n}"
             )
+        if self.b.shape[1] == 0:
+            raise ShapeMismatchError(
+                "B interval has no columns: the plant needs at least one input")
         if c.shape[1] != n:
             raise ShapeMismatchError(f"C has {c.shape[1]} columns, expected {n}")
         object.__setattr__(self, "c", c)
@@ -181,11 +187,6 @@ def decompose(sys):
     return UncertaintyFactors(a0, delta_a, m_a, r_a, b0, delta_b, m_b, r_b)
 
 
-def scaling_width(factors):
-    """Length of one scaling row [f_a | f_b]: n^2 + n*l."""
-    return factors.m_a.shape[1] + factors.m_b.shape[1]
-
-
 def realize(factors, rows):
     """Plant stacks A (N, n, n) and B (N, n, l) for an (N, n^2 + n*l) array
     of unit-box scaling rows [f_a | f_b].
@@ -207,37 +208,34 @@ def realize(factors, rows):
     return factors.a0 + sa * (fa * sa), factors.b0 + sb * (fb * sb)
 
 
-def count_vertices(factors):
-    """Number of sign-pattern vertices over the strictly positive radii."""
-    nnz = int(np.count_nonzero(factors.delta_a > 0)) + int(
-        np.count_nonzero(factors.delta_b > 0)
-    )
-    return 2 ** nnz
+def sweep_scalings(factors, sample_count, seed):
+    """The certification sweep: ``(vertex_count, arrays)``.
 
-
-def vertex_scalings(factors, lo, hi):
-    """Scaling rows [f_a | f_b] of the vertices numbered ``lo`` .. ``hi - 1``.
-
-    Bit ``k`` of a vertex number sets the sign (+1 when the bit is set) of
-    the k-th strictly positive radius, A row-major then B; zero-radius
-    coordinates stay 0.
+    ``vertex_count`` is 2**k for the k strictly positive radii when that is
+    at most ``MAX_VERTICES``, else 0.  ``arrays`` yields the scaling rows
+    [f_a | f_b] in arrays of at most ``SWEEP_CHUNK`` rows: first the
+    vertices in number order, where bit b of the number sets the sign (+1
+    when set) of the b-th positive radius, A row-major then B, and zero
+    radii stay 0; then ``sample_count`` uniform rows of one
+    ``RandomState(seed)`` stream, f_a then f_b per row, the same whatever
+    the chunk size.  When neither gives a row, the center row comes alone.
     """
     radii = np.concatenate([factors.delta_a.ravel(), factors.delta_b.ravel()])
     active = np.flatnonzero(radii > 0)
-    bits = (np.arange(lo, hi)[:, None] >> np.arange(active.size)) & 1
-    f = np.zeros((hi - lo, radii.size))
-    f[:, active] = 2.0 * bits - 1.0
-    return f
+    vertex_count = 2 ** active.size if 2 ** active.size <= MAX_VERTICES else 0
 
+    def arrays():
+        for lo in range(0, vertex_count, SWEEP_CHUNK):
+            numbers = np.arange(lo, min(lo + SWEEP_CHUNK, vertex_count))
+            bits = (numbers[:, None] >> np.arange(active.size)) & 1
+            f = np.zeros((numbers.size, radii.size))
+            f[:, active] = 2.0 * bits - 1.0
+            yield f
+        rng = np.random.RandomState(seed)
+        for lo in range(0, sample_count, SWEEP_CHUNK):
+            count = min(SWEEP_CHUNK, sample_count - lo)
+            yield rng.uniform(-1.0, 1.0, size=(count, radii.size))
+        if vertex_count == sample_count == 0:
+            yield np.zeros((1, radii.size))
 
-def sample_scalings(factors, count, seed, chunk):
-    """Yield ``count`` seeded uniform scaling rows [f_a | f_b] in arrays of
-    at most ``chunk`` rows.
-
-    The rows are the same whatever the chunk size: one
-    ``RandomState(seed)`` stream, f_a then f_b per row.
-    """
-    rng = np.random.RandomState(seed)
-    width = scaling_width(factors)
-    for lo in range(0, count, chunk):
-        yield rng.uniform(-1.0, 1.0, size=(min(chunk, count - lo), width))
+    return vertex_count, arrays()

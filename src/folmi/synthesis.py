@@ -37,12 +37,9 @@ from .errors import (
 from .interval import (
     MAX_VERTICES,
     UncertaintyRealization,
-    count_vertices,
     decompose,
     realize,
-    sample_scalings,
-    scaling_width,
-    vertex_scalings,
+    sweep_scalings,
 )
 from .linalg import as_matrix, pinv
 from .lmi import (
@@ -61,8 +58,6 @@ from .stability import (
 )
 
 COND_CAP = 1e12
-# Scaling rows per closed-loop stack in the certification sweep.
-SWEEP_CHUNK = 8192
 
 log = logging.getLogger("folmi.synthesis")
 
@@ -86,8 +81,12 @@ class DynamicController:
         d_c = as_matrix(self.d_c, "d_c")
         (l, m), n_c = d_c.shape, self.n_c
         for name, shape in (("a_c", (n_c, n_c)), ("b_c", (n_c, m)), ("c_c", (l, n_c))):
-            object.__setattr__(self, name, as_matrix(
-                np.asarray(getattr(self, name), float).reshape(shape), name))
+            entries = np.asarray(getattr(self, name), float)
+            if entries.size != shape[0] * shape[1]:
+                raise ShapeMismatchError(
+                    f"'{name}' has {entries.size} entries, expected "
+                    f"{shape[0]}x{shape[1]}")
+            object.__setattr__(self, name, as_matrix(entries.reshape(shape), name))
         object.__setattr__(self, "d_c", d_c)
 
     @classmethod
@@ -285,21 +284,6 @@ def check_sweep_settings(sample_count, seed, prefix=""):
         raise ValidationError(f"'{prefix}seed' must lie in [0, 2**32), got {seed}")
 
 
-def _sweep_scalings(factors, vertex_count, sample_count, seed):
-    """Scaling rows in sweep order, at most ``SWEEP_CHUNK`` per array.
-
-    Vertices ``0 .. vertex_count - 1`` first, then ``sample_count`` seeded
-    samples; when both are empty, the center realization alone, so every
-    verdict rests on at least one eigenvalue check.
-    """
-    for lo in range(0, vertex_count, SWEEP_CHUNK):
-        yield vertex_scalings(factors, lo, min(lo + SWEEP_CHUNK, vertex_count))
-    if sample_count > 0:
-        yield from sample_scalings(factors, sample_count, seed, SWEEP_CHUNK)
-    elif vertex_count == 0:
-        yield np.zeros((1, scaling_width(factors)))
-
-
 def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     """Sweep a controller over the uncertainty family and the nominal LMI.
 
@@ -314,24 +298,21 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     prove stability of the continuous family, which is why interior samples
     are always included.
 
-    Realizations are swept in arrays of ``SWEEP_CHUNK`` scaling rows: one
-    stack of closed loops and one batched eigenvalue call per array.  The
-    worst realization is the first one reaching the minimal margin.
+    The rows and their order come from :func:`folmi.interval.sweep_scalings`:
+    one stack of closed loops and one batched eigenvalue call per array.
+    The worst realization is the first one reaching the minimal margin.
     Raises :class:`ValidationError` for a negative ``sample_count`` or a
     ``seed`` outside [0, 2**32) before sweeping anything.
     """
     check_sweep_settings(sample_count, seed)
     factors = decompose(sys)
-    total = count_vertices(factors)
-    exhaustive = total <= MAX_VERTICES
-    vertex_count = total if exhaustive else 0
-    if not exhaustive:
-        log.info("%d vertices exceed the cap of %d; sweeping samples only",
-                 total, MAX_VERTICES)
+    vertex_count, arrays = sweep_scalings(factors, sample_count, seed)
+    if vertex_count == 0:
+        log.info("vertices exceed the cap of %d; sweeping samples only", MAX_VERTICES)
 
     min_margin = np.inf
     worst = None
-    for f in _sweep_scalings(factors, vertex_count, sample_count, seed):
+    for f in arrays:
         a, b = realize(factors, f)
         margins = sector_margins(closed_loop(a, b, sys.c, controller), sys.alpha)
         i = int(np.argmin(margins))
@@ -353,7 +334,7 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
         worst_realization=UncertaintyRealization(worst[:na], worst[na:]),
         nominal_lmi_ok=status is SdpStatus.FEASIBLE,
         passed=passed,
-        vertices_exhaustive=exhaustive,
+        vertices_exhaustive=vertex_count > 0,
         nominal_route=route,
         nominal_status=status,
     )

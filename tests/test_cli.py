@@ -291,6 +291,52 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("content,message", [
+        # used to read "bad controller file: cannot reshape array of size 1
+        # into shape (0,0)"
+        ({"n_c": 0, "a_c": [[1.0]], "b_c": [], "c_c": [], "d_c": [[-2.0]]},
+         "'a_c' has 1 entries, expected 0x0"),
+        ({"n_c": 1, "a_c": [[-1.0]], "b_c": [[1.0]], "c_c": [[1.0, 2.0]],
+          "d_c": [[-2.0]]}, "'c_c' has 2 entries, expected 1x1"),
+        # used to read "list indices must be integers or slices, not str"
+        ([1, 2], "{path}: top level must be an object"),
+        ({"n_c": 0, "a_c": [], "b_c": [], "c_c": []}, "{path}: missing field 'd_c'"),
+        ({"a_c": [], "b_c": [], "c_c": [], "d_c": [[-2.0]]},
+         "{path}: missing field 'n_c'"),
+        # used to read "bad controller file: 'n_c' must be >= 0"
+        ({"n_c": -1, "a_c": [], "b_c": [], "c_c": [], "d_c": [[-2.0]]},
+         "'n_c' must be >= 0, got -1"),
+    ])
+    def test_bad_controller_file_is_named(self, tmp_path, capsys, content, message):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(content))
+        assert main(["check", "example1", str(path), "--samples", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("command", ["synth", "decompose"])
+    def test_plant_without_inputs_is_a_usage_error(self, tmp_path, capsys, command):
+        # used to end in numpy's "cannot reshape array of size 0 into shape
+        # (2,0)"; a saved controller with Dc = [] could not be reloaded
+        path = write_config(tmp_path, a_lower=[[-1.0, 0.0], [0.0, -2.0]],
+                            a_upper=[[-1.0, 0.0], [0.0, -2.0]], b_lower=[[], []],
+                            b_upper=[[], []], c=[[1.0, 0.0]], simulate=None)
+        assert main([command, str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: B interval has no columns: the plant needs at least one input\n")
+
+    def test_step_count_past_the_cap_is_a_usage_error(self, tmp_path, capsys):
+        # used to end in numpy's "Maximum allowed size exceeded"
+        path = write_config(
+            tmp_path, simulate={"x0": [1.0, 1.0, 1.0], "t_end": 1e10, "h": 1e-10})
+        ctrl = tmp_path / "k.json"
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        assert main(["simulate", str(path), str(ctrl), "--out",
+                     str(tmp_path / "t.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: simulate t_end / h = 10000000000.0 / 1e-10 asks for "
+            "100000000000000000000 steps, more than the cap of 10000000\n")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_wrong_shape_controller_is_a_usage_error(self, tmp_path, capsys):
         # example1 has one input and one output, so Dc must be 1 x 1
         path = tmp_path / "k.json"

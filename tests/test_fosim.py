@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from folmi.errors import (
 )
 from folmi import fosim
 from folmi.fosim import (
+    MAX_STEPS,
     Trajectory,
+    check_simulate_settings,
     gl_weights,
     mittag_leffler,
     simulate,
@@ -259,6 +262,25 @@ class TestSimulate:
         # t_end / h = inf used to end in an OverflowError from int()
         with pytest.raises(ValidationError, match="t_end / h overflows"):
             simulate(np.array([[-2.0]]), 0.75, [1.0], 1e300, 1e-10)
+
+    @pytest.mark.parametrize("t_end,h,steps", [
+        ((MAX_STEPS + 1) * 0.5, 0.5, MAX_STEPS + 1),
+        # used to end in numpy's "Maximum allowed size exceeded"
+        (1e10, 1e-10, 10 ** 20),
+    ])
+    def test_step_count_past_the_cap_rejected(self, t_end, h, steps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                simulate(np.array([[-2.0]]), 0.75, [1.0], t_end, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"simulate t_end / h = {t_end} / {h} asks for {steps} steps, "
+            f"more than the cap of {MAX_STEPS}")
+        assert peak < 2 ** 20  # rejected before any array of that length
+        check_simulate_settings([1.0], MAX_STEPS * 0.5, 0.5)  # the cap itself passes
 
 
 def seeded_loop(n, seed):

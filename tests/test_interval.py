@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from folmi.errors import BoundViolationError, OutOfUnitBoxError
+import folmi.interval
+from folmi.errors import BoundViolationError, OutOfUnitBoxError, ShapeMismatchError
 from folmi.interval import (
     IntervalMatrix,
     UncertainFoltiSystem,
     UncertaintyRealization,
-    count_vertices,
     decompose,
     realize,
-    sample_scalings,
-    vertex_scalings,
+    sweep_scalings,
 )
 
 EX1_A_LOWER = [[2.0, -8.0, 1.0], [9.0, 6.0, 1.0], [1.0, 2.0, -1.0]]
@@ -43,9 +42,10 @@ class TestTypes:
         (np.ones((2, 3)), np.ones((2, 1)), np.eye(2), "A interval must be square"),
         (np.eye(2), np.ones((3, 1)), np.eye(2), "B interval has 3 rows, expected 2"),
         (np.eye(2), np.ones((2, 1)), np.ones((1, 3)), "C has 3 columns, expected 2"),
+        (np.eye(2), np.ones((2, 0)), np.eye(2), "B interval has no columns"),
     ])
     def test_plant_shapes_must_agree(self, a, b, c, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ShapeMismatchError, match=match):
             UncertainFoltiSystem(
                 0.75, IntervalMatrix.certain(a), IntervalMatrix.certain(b), c)
 
@@ -160,11 +160,17 @@ def partly_uncertain_system():
     )
 
 
+def sweep_rows(factors, sample_count, seed):
+    """``(vertex_count, every swept row)`` of :func:`sweep_scalings`."""
+    vertex_count, arrays = sweep_scalings(factors, sample_count, seed)
+    return vertex_count, np.concatenate(list(arrays))
+
+
 class TestStackedRealize:
     def test_matches_factorized_product_bitwise(self):
         f = decompose(partly_uncertain_system())
-        rows = np.concatenate([vertex_scalings(f, 0, 16),
-                               next(sample_scalings(f, 16, 3, 16))])
+        _, swept = sweep_rows(f, 16, 3)
+        rows = np.concatenate([swept[:16], swept[-16:]])  # vertices, samples
         a, b = realize(f, rows)
         assert a.shape == (32, 3, 3) and b.shape == (32, 3, 2)
         na = f.m_a.shape[1]
@@ -196,16 +202,16 @@ class TestVertices:
             IntervalMatrix.certain(np.zeros((1, 1))),
             np.eye(1),
         )
-        f = decompose(sys)
-        rows = vertex_scalings(f, 0, count_vertices(f))
+        count, rows = sweep_rows(decompose(sys), 0, 0)
+        assert count == 2
         assert rows.shape == (2, 2)
         assert sorted(rows[:, 0]) == [-1.0, 1.0]
         assert not rows[:, 1].any()
 
     def test_example1_count(self):
-        f = decompose(example1_system())
-        assert count_vertices(f) == 2048
-        assert vertex_scalings(f, 0, 2048).shape == (2048, 12)
+        count, rows = sweep_rows(decompose(example1_system()), 0, 0)
+        assert count == 2048
+        assert rows.shape == (2048, 12)
 
     def test_zero_radius_single_vertex(self):
         sys = UncertainFoltiSystem(
@@ -214,28 +220,29 @@ class TestVertices:
             IntervalMatrix.certain(np.zeros((2, 1))),
             np.eye(2),
         )
-        f = decompose(sys)
-        assert count_vertices(f) == 1
-        rows = vertex_scalings(f, 0, 1)
+        count, rows = sweep_rows(decompose(sys), 0, 0)
+        assert count == 1
         assert rows.shape == (1, 6) and not rows.any()
 
     def test_vertex_roundtrip(self):
         f = decompose(example1_system())
         lo_a, hi_a = np.array(EX1_A_LOWER), np.array(EX1_A_UPPER)
         tol = 1e-15
-        a, _ = realize(f, vertex_scalings(f, 0, count_vertices(f)))
+        a, _ = realize(f, sweep_rows(f, 0, 0)[1])
         on_bound = np.isclose(a, lo_a, rtol=tol, atol=tol) | np.isclose(
             a, hi_a, rtol=tol, atol=tol
         )
         assert on_bound.all()
 
-    def test_chunked_sign_rows_follow_enumeration_order(self):
+    def test_chunked_sign_rows_follow_enumeration_order(self, monkeypatch):
         f = decompose(partly_uncertain_system())
-        total = count_vertices(f)
+        total, rows = sweep_rows(f, 0, 0)
         assert total == 256
-        chunks = [vertex_scalings(f, lo, min(lo + 7, total)) for lo in range(0, total, 7)]
-        rows = np.concatenate(chunks)
-        np.testing.assert_array_equal(rows, vertex_scalings(f, 0, total))
+        monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", 7)
+        _, arrays = sweep_scalings(f, 0, 0)
+        chunks = list(arrays)
+        assert [len(c) for c in chunks] == [7] * 36 + [4]
+        np.testing.assert_array_equal(np.concatenate(chunks), rows)
         assert rows.shape == (total, f.m_a.shape[1] + f.m_b.shape[1])
         # bit k of the vertex number is the sign (+1 when set) of the k-th
         # positive radius, A row-major then B; zero radii stay pinned at 0
@@ -248,14 +255,27 @@ class TestVertices:
             np.testing.assert_array_equal(rows[pattern], want)
         assert not rows[:, radii == 0].any()
 
+    def test_over_the_cap_sweeps_samples_or_the_center(self, monkeypatch):
+        f = decompose(example1_system())
+        monkeypatch.setattr(folmi.interval, "MAX_VERTICES", 2047)
+        count, rows = sweep_rows(f, 5, 1)
+        assert count == 0
+        np.testing.assert_array_equal(
+            rows, np.random.RandomState(1).uniform(-1.0, 1.0, size=(5, 12)))
+        count, rows = sweep_rows(f, 0, 1)
+        assert count == 0
+        np.testing.assert_array_equal(rows, np.zeros((1, 12)))
+
 
 class TestSampling:
-    def test_chunked_draws_match_per_sample_draws(self):
+    def test_chunked_draws_match_per_sample_draws(self, monkeypatch):
         f = decompose(example1_system())
-        whole = next(sample_scalings(f, 10, 4, 10))
+        _, rows = sweep_rows(f, 10, 4)
+        whole = rows[2048:]
+        assert whole.shape == (10, 12)
         for chunk in (1, 3, 64):
-            rows = np.concatenate(list(sample_scalings(f, 10, 4, chunk)))
-            np.testing.assert_array_equal(rows, whole)
+            monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", chunk)
+            np.testing.assert_array_equal(sweep_rows(f, 10, 4)[1], rows)
         # the seed's stream drawn f_a then f_b per sample
         rng = np.random.RandomState(4)
         for row in whole:
@@ -264,15 +284,15 @@ class TestSampling:
 
     def test_deterministic(self):
         f = decompose(example1_system())
-        s1 = np.concatenate(list(sample_scalings(f, 3, 7, 2)))
-        s2 = np.concatenate(list(sample_scalings(f, 3, 7, 2)))
+        s1 = sweep_rows(f, 3, 7)[1][2048:]
+        s2 = sweep_rows(f, 3, 7)[1][2048:]
         assert s1.shape == (3, 12)
         np.testing.assert_array_equal(s1, s2)
 
     def test_samples_stay_in_bounds(self):
         f = decompose(example1_system())
         lo_a, hi_a = np.array(EX1_A_LOWER), np.array(EX1_A_UPPER)
-        a, b = realize(f, next(sample_scalings(f, 50, 0, 50)))
+        a, b = realize(f, sweep_rows(f, 50, 0)[1][2048:])
         assert a.shape == (50, 3, 3)
         assert (a >= lo_a - 1e-12).all() and (a <= hi_a + 1e-12).all()
         assert (b >= np.array(EX1_B_LOWER) - 1e-12).all()

@@ -235,6 +235,25 @@ class TestSolver:
         sol = analysis_feasible(a, 0.75, SolverConfig(max_iter=max_iter)).solution
         assert (sol.status, sol.iterations) == (status, iterations)
 
+    def test_a_failed_newton_step_is_indeterminate(self, monkeypatch):
+        # no factorization of the (num_vars + 1)-square Newton system
+        # succeeds, so the first step fails and ends the solve at a point
+        # that does not clear eps_margin; the 1x1 slack still factors
+        p = LmiProblem()
+        x = p.declare_scalar("x")
+        p.add_constraint(x.expr() - np.array([[1.0]]), Sense.NEGATIVE_DEFINITE)
+        assert solve_feasibility(p).status is SdpStatus.FEASIBLE
+        cholesky = np.linalg.cholesky
+
+        def newton_fails(m):
+            if m.shape == (p.num_vars + 1, p.num_vars + 1):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", newton_fails)
+        sol = solve_feasibility(p)
+        assert (sol.status, sol.iterations) == (SdpStatus.INDETERMINATE, 1)
+
     def test_scalar_analysis_style_lmi(self):
         # scalar analytic check: -4 cos(pi/4) X < 0 admits X = 1
         theta = np.pi / 4

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+import folmi.interval
 import folmi.synthesis
 from folmi.cli import load_controller, save_controller
 from folmi.errors import (
@@ -482,7 +483,7 @@ class TestBatchedSweep:
     def test_chunk_size_does_not_change_the_report(self, sweep_cases, monkeypatch):
         chosen = [sweep_cases[0], sweep_cases[5], sweep_cases[-1]]
         full = [certify(sys, k, sample_count=30, seed=2) for _, sys, k in chosen]
-        monkeypatch.setattr(folmi.synthesis, "SWEEP_CHUNK", 7)
+        monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", 7)
         for report, (_, sys, k) in zip(full, chosen):
             assert_same_report(report, certify(sys, k, sample_count=30, seed=2))
 
