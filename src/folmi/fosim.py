@@ -53,10 +53,11 @@ _SERIES_PEAK_LOG = 14.0
 _STEP_RADIUS_CAP = 100.0
 
 # GL lags below this are solved in blocks of nodes, the rest summed in
-# dyadic FFT bands [L, 2L) for L = _NEAR, 2 _NEAR, ...; a power of two.  With
-# the blocked solve, 128, 256 and 512 run within 15% of each other on 3- to
-# 8-state loops and 64 about 25% slower.
-_NEAR = 128
+# dyadic FFT bands [L, 2L) for L = _NEAR, 2 _NEAR, ...; a power of two.  The
+# bands below 512 are call-bound FFTs: at 512 a 20 000-step 6-state loop makes
+# 154 FFT calls instead of the 624 at 128 and runs about 8% faster; 256 and
+# 1024 run slower than 512, faster than 128
+_NEAR = 512
 
 # most nodes solved together by one precomputed block inverse; divides _NEAR,
 # so the bands fire only at block starts

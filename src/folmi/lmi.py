@@ -150,7 +150,7 @@ class MatExpr:
         return MatExpr(self.ids, self.coeff * m, np.zeros(m.shape))
 
     def expr(self):
-        """This expression: a declared block is its own expression."""
+        """This expression.  Only perfbench's harness test still calls it."""
         return self
 
     def value(self, values):
@@ -232,17 +232,15 @@ class LmiProblem:
     """A system of strict LMI constraints over flat scalar variables."""
 
     num_vars: int = 0
-    var_names: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
 
-    def _declare(self, rows, cols, entries, mirror, name):
+    def _declare(self, rows, cols, entries, mirror):
         """The expression of a block of new variables: variable k sets entry
         (i[k], j[k]) of ``entries`` = (i, j) to 1 and, unless ``mirror`` is
         None, entry (j[k], i[k]) to ``mirror`` (1 for a symmetric block, -1
         for a skew one)."""
         i, j = entries
         k = np.arange(i.size)
-        self.var_names += [f"{name}[{q}]" if k.size > 1 else name for q in k]
         coeff = np.zeros((k.size, rows, cols))
         coeff[k, i, j] = 1.0
         if mirror is not None:
@@ -250,23 +248,24 @@ class LmiProblem:
         ids, self.num_vars = self.num_vars + k, self.num_vars + k.size
         return MatExpr(ids, coeff, np.zeros((rows, cols)))
 
-    def declare_symmetric_block(self, dim, name="S"):
+    def declare_symmetric_block(self, dim):
         """Symmetric dim x dim block: dim*(dim+1)/2 variables, the upper
         triangle row by row."""
-        return self._declare(dim, dim, np.triu_indices(dim), 1.0, name)
+        return self._declare(dim, dim, np.triu_indices(dim), 1.0)
 
-    def declare_skew_block(self, dim, name="K"):
+    def declare_skew_block(self, dim):
         """Skew-symmetric block: dim*(dim-1)/2 variables (0 when dim <= 1),
         the strict upper triangle row by row."""
-        return self._declare(dim, dim, np.triu_indices(dim, 1), -1.0, name)
+        return self._declare(dim, dim, np.triu_indices(dim, 1), -1.0)
 
-    def declare_full_block(self, rows, cols, name="T"):
+    def declare_full_block(self, rows, cols):
         """Unstructured rows x cols block: rows*cols variables, row by row."""
         entries = np.indices((rows, cols)).reshape(2, -1)
-        return self._declare(rows, cols, entries, None, name)
+        return self._declare(rows, cols, entries, None)
 
-    def declare_scalar(self, name="s"):
-        return self.declare_full_block(1, 1, name)
+    def declare_scalar(self, name=None):
+        """A 1x1 block; ``name`` is unused, perfbench's harness test passes one."""
+        return self.declare_full_block(1, 1)
 
     def add_constraint(self, expr, sense):
         """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr

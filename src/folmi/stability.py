@@ -90,9 +90,8 @@ class _HermitianRegime:
         self.theta = (1.0 - alpha) * np.pi / 2.0
         self._cs, self._sn = 2.0 * np.cos(self.theta), 2.0 * np.sin(self.theta)
 
-    def declare(self, p, dim, name):
-        return (p.declare_symmetric_block(dim, f"X_{name}"),
-                p.declare_skew_block(dim, f"Y_{name}"))
+    def declare(self, p, dim):
+        return p.declare_symmetric_block(dim), p.declare_skew_block(dim)
 
     def q_expr(self, cert):
         x, y = cert
@@ -131,8 +130,8 @@ class _SymmetricRegime:
     def __init__(self, alpha):
         self.theta = np.pi - alpha * np.pi / 2.0
 
-    def declare(self, p, dim, name):
-        return (p.declare_symmetric_block(dim, f"P_{name}"),)
+    def declare(self, p, dim):
+        return (p.declare_symmetric_block(dim),)
 
     def q_expr(self, cert):
         return cert[0]
@@ -198,11 +197,11 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     """
     n, l = b0.shape
     p = LmiProblem()
-    blocks = {"s": regime.declare(p, n, "S"), "c": regime.declare(p, n_c, "C"),
-              "t1": p.declare_full_block(n_c, n_c, "T1"),
-              "t2": p.declare_full_block(n_c, n, "T2"),
-              "t3": p.declare_full_block(l, n_c, "T3"),
-              "t4": p.declare_full_block(l, n, "T4")}
+    blocks = {"s": regime.declare(p, n), "c": regime.declare(p, n_c),
+              "t1": p.declare_full_block(n_c, n_c),
+              "t2": p.declare_full_block(n_c, n),
+              "t3": p.declare_full_block(l, n_c),
+              "t4": p.declare_full_block(l, n)}
     z = block_expr([[regime.q_expr(blocks["s"]), np.zeros((n, n_c))],
                     [blocks["t4"], blocks["t3"]]])
     g = block_expr([[np.hstack([a0, b0]) @ z],
@@ -213,7 +212,7 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     else:
         mmt, d = lift
         k = regime.copies
-        eta = blocks["eta"] = p.declare_scalar("eta")
+        eta = blocks["eta"] = p.declare_scalar()
         pad = np.zeros((n + n_c, n + n_c))
         pad[:n, :n] = mmt
         dz = d @ z

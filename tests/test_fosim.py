@@ -302,11 +302,14 @@ def assert_matches_direct(a, alpha, x0, steps, h):
 
 
 ALPHAS = (0.5, 0.9, 1.3, 1.8)
-HORIZONS = (1, fosim._NEAR - 1, fosim._NEAR, fosim._NEAR + 1, 1000, 5000)
-# numbered after every (alpha, horizon) case above, which keep their seeds
+# 127-129 and 513 sit at the band edges of a 128-lag near field, and
+# NEAR_HORIZONS at those of _NEAR.  Each tuple is numbered after every
+# (alpha, horizon) case above it, so cases keep their seeds
+HORIZONS = (1, 127, 128, 129, 1000, 5000)
 BLOCK_HORIZONS = (fosim._BLOCK - 1, fosim._BLOCK, fosim._BLOCK + 1,
-                  2 * fosim._BLOCK + 1, 4 * fosim._NEAR + 1)
-CASES = [(alpha, steps) for horizons in (HORIZONS, BLOCK_HORIZONS)
+                  2 * fosim._BLOCK + 1, 513)
+NEAR_HORIZONS = (fosim._NEAR - 1, fosim._NEAR, 4 * fosim._NEAR + 1)
+CASES = [(alpha, steps) for horizons in (HORIZONS, BLOCK_HORIZONS, NEAR_HORIZONS)
          for alpha in ALPHAS for steps in horizons]
 
 
@@ -318,7 +321,7 @@ class TestDyadicMemory:
         assert fosim._NEAR % fosim._BLOCK == 0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("steps", HORIZONS + BLOCK_HORIZONS)
+    @pytest.mark.parametrize("steps", HORIZONS + BLOCK_HORIZONS + NEAR_HORIZONS)
     def test_matches_direct_sum(self, alpha, steps):
         case = CASES.index((alpha, steps))
         a, x0 = seeded_loop(1 + case % 8, case)  # every n from 1 to 8
@@ -329,6 +332,14 @@ class TestDyadicMemory:
         # 16, 8, 4 and 2 nodes per block
         a, x0 = seeded_loop(n, n)
         assert_matches_direct(a, 0.9, x0, 2 * fosim._NEAR + 1, 1e-2)
+
+    def test_near_field_width_is_a_speed_choice(self, monkeypatch):
+        a, x0 = seeded_loop(6, 6)
+        wide = simulate(a, 1.5, x0, 50.0, 1e-2).states
+        monkeypatch.setattr(fosim, "_NEAR", 128)
+        narrow = simulate(a, 1.5, x0, 50.0, 1e-2).states
+        assert narrow.shape == (5001, 6)
+        assert np.all(np.abs(narrow - wide) <= 1e-12 * np.maximum(1.0, np.abs(wide)))
 
     def test_exponentially_growing_loop(self):
         a = np.array([[0.4, 0.3], [0.0, 0.2]])

@@ -34,7 +34,7 @@ def constraint_of(dim, constant, coeffs, sense):
 class TestVariableBlocks:
     def test_symmetric_count_and_sharing(self):
         p = LmiProblem()
-        s = p.declare_symmetric_block(2, "S")
+        s = p.declare_symmetric_block(2)
         assert p.num_vars == 3
         values = np.array([1.0, 2.0, 3.0])
         m = s.value(values)
@@ -44,14 +44,14 @@ class TestVariableBlocks:
 
     def test_skew_counts(self):
         p = LmiProblem()
-        k = p.declare_skew_block(2, "K")
+        k = p.declare_skew_block(2)
         assert p.num_vars == 1
         m = k.value(np.array([4.0]))
         np.testing.assert_array_equal(m, [[0.0, 4.0], [-4.0, 0.0]])
 
     def test_skew_dim_one_has_no_variables(self):
         p = LmiProblem()
-        k = p.declare_skew_block(1, "K")
+        k = p.declare_skew_block(1)
         assert p.num_vars == 0
         np.testing.assert_array_equal(k.value(np.zeros(0)), [[0.0]])
 
@@ -65,7 +65,7 @@ class TestVariableBlocks:
     ])
     def test_variable_order(self, declare, order, mirror):
         p = LmiProblem()
-        p.declare_scalar("before")
+        p.declare_scalar()
         block = declare(p)
         assert p.num_vars == 1 + len(order)
         for k, (i, j) in enumerate(order, start=1):
@@ -77,8 +77,8 @@ class TestVariableBlocks:
 
     def test_full_and_scalar(self):
         p = LmiProblem()
-        t = p.declare_full_block(2, 3, "T")
-        s = p.declare_scalar("eta")
+        t = p.declare_full_block(2, 3)
+        s = p.declare_scalar()
         assert p.num_vars == 7
         v = np.arange(7.0)
         np.testing.assert_array_equal(t.value(v), [[0, 1, 2], [3, 4, 5]])
@@ -92,21 +92,21 @@ class TestExpressions:
         rng = np.random.RandomState(0)
         for _ in range(25):
             p = LmiProblem()
-            s = p.declare_symmetric_block(3, "S")
-            t = p.declare_full_block(3, 2, "T")
+            s = p.declare_symmetric_block(3)
+            t = p.declare_full_block(3, 2)
             left = rng.randn(2, 3)
             shift = rng.randn(2, 3)
             v = rng.randn(p.num_vars)
             sm, tm = s.value(v), t.value(v)
-            e = left @ s.expr() - t.expr().T * 2.0 + shift
+            e = left @ s - t.T * 2.0 + shift
             want = left @ sm - 2.0 * tm.T + shift
             np.testing.assert_allclose(e.value(v), want, atol=1e-12)
 
     def test_block_expr_layout(self):
         p = LmiProblem()
-        s = p.declare_symmetric_block(2, "S")
+        s = p.declare_symmetric_block(2)
         v = np.array([1.0, 2.0, 3.0])
-        big = block_expr([[s.expr(), -1.0 * s.expr()], [np.zeros((1, 2)), np.ones((1, 2))]])
+        big = block_expr([[s, -1.0 * s], [np.zeros((1, 2)), np.ones((1, 2))]])
         out = big.value(v)
         assert out.shape == (3, 4)
         np.testing.assert_array_equal(out[:2, :2], s.value(v))
@@ -115,49 +115,49 @@ class TestExpressions:
 
     def test_block_expr_zero_sized_blocks(self):
         p = LmiProblem()
-        s = p.declare_symmetric_block(2, "S")
-        t = p.declare_full_block(0, 2, "T")
-        big = block_expr([[s.expr(), t.expr().T], [t.expr(), np.zeros((0, 0))]])
+        s = p.declare_symmetric_block(2)
+        t = p.declare_full_block(0, 2)
+        big = block_expr([[s, t.T], [t, np.zeros((0, 0))]])
         assert big.shape == (2, 2)
 
     def test_reflected_operators(self):
         # an array on the left of + and - hands the expression to __radd__
         # and __rsub__
         p = LmiProblem()
-        s = p.declare_symmetric_block(2, "S")
+        s = p.declare_symmetric_block(2)
         shift = np.array([[1.0, 2.0], [3.0, 4.0]])
         v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal((shift + s.expr()).value(v), shift + s.value(v))
-        np.testing.assert_array_equal((shift - s.expr()).value(v), shift - s.value(v))
+        np.testing.assert_array_equal((shift + s).value(v), shift + s.value(v))
+        np.testing.assert_array_equal((shift - s).value(v), shift - s.value(v))
 
     def test_sym_expr(self):
         p = LmiProblem()
-        t = p.declare_full_block(2, 2, "T")
+        t = p.declare_full_block(2, 2)
         v = np.arange(4.0)
         np.testing.assert_array_equal(
-            sym_expr(t.expr()).value(v), t.value(v) + t.value(v).T
+            sym_expr(t).value(v), t.value(v) + t.value(v).T
         )
 
 
 class TestConstraints:
     def test_rejects_asymmetric(self):
         p = LmiProblem()
-        t = p.declare_full_block(2, 2, "T")
+        t = p.declare_full_block(2, 2)
         with pytest.raises(IllFormedProblemError):
-            p.add_constraint(t.expr(), Sense.NEGATIVE_DEFINITE)
+            p.add_constraint(t, Sense.NEGATIVE_DEFINITE)
 
     def test_rejects_empty_or_rectangular(self):
         p = LmiProblem()
-        t = p.declare_full_block(2, 3, "T")
+        t = p.declare_full_block(2, 3)
         with pytest.raises(IllFormedProblemError):
-            p.add_constraint(t.expr(), Sense.NEGATIVE_DEFINITE)
+            p.add_constraint(t, Sense.NEGATIVE_DEFINITE)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["constant", "coefficient"])
     def test_rejects_non_finite_entries(self, where, bad):
         # a NaN fails no symmetry comparison, so finiteness is checked alone
         p = LmiProblem()
-        x = p.declare_scalar("x")
+        x = p.declare_scalar()
         m = np.eye(2)
         m[0, 0] = bad
         expr = x.scale(np.eye(2)) - m if where == "constant" else x.scale(m)
@@ -168,22 +168,22 @@ class TestConstraints:
 
     def test_evaluate_constant_at_zero(self):
         p = LmiProblem()
-        x = p.declare_scalar("x")
-        c = p.add_constraint(x.expr() - np.array([[2.0]]), Sense.NEGATIVE_DEFINITE)
+        x = p.declare_scalar()
+        c = p.add_constraint(x - np.array([[2.0]]), Sense.NEGATIVE_DEFINITE)
         m, extreme = evaluate_constraint(p, c, np.zeros(1))
         np.testing.assert_array_equal(m, [[-2.0]])
         assert extreme == -2.0
 
     def test_evaluate_length_mismatch(self):
         p = LmiProblem()
-        x = p.declare_scalar("x")
-        c = p.add_constraint(x.expr(), Sense.POSITIVE_DEFINITE)
+        x = p.declare_scalar()
+        c = p.add_constraint(x, Sense.POSITIVE_DEFINITE)
         with pytest.raises(LengthMismatchError):
             evaluate_constraint(p, c, np.zeros(3))
 
     def test_evaluate_exact_arithmetic(self):
         p = LmiProblem()
-        x = p.declare_scalar("x")
+        x = p.declare_scalar()
         c = p.add_constraint(
             x.scale(np.diag([1.0, 2.0])) - np.diag([5.0, 5.0]),
             Sense.NEGATIVE_DEFINITE,
@@ -196,17 +196,17 @@ class TestConstraints:
 class TestSolver:
     def test_scalar_feasible(self):
         p = LmiProblem()
-        x = p.declare_scalar("x")
-        p.add_constraint(x.expr() - np.array([[1.0]]), Sense.NEGATIVE_DEFINITE)
+        x = p.declare_scalar()
+        p.add_constraint(x - np.array([[1.0]]), Sense.NEGATIVE_DEFINITE)
         sol = solve_feasibility(p)
         assert sol.status is SdpStatus.FEASIBLE
         assert sol.achieved_margin >= 1e-6
 
     def test_contradictory_scalar_infeasible(self):
         p = LmiProblem()
-        x = p.declare_scalar("x")
-        p.add_constraint(-1.0 * x.expr(), Sense.NEGATIVE_DEFINITE)  # x > 0
-        p.add_constraint(x.expr(), Sense.NEGATIVE_DEFINITE)  # x < 0
+        x = p.declare_scalar()
+        p.add_constraint(-1.0 * x, Sense.NEGATIVE_DEFINITE)  # x > 0
+        p.add_constraint(x, Sense.NEGATIVE_DEFINITE)  # x < 0
         sol = solve_feasibility(p)
         assert sol.status is SdpStatus.INFEASIBLE
 
@@ -240,8 +240,8 @@ class TestSolver:
         # succeeds, so the first step fails and ends the solve at a point
         # that does not clear eps_margin; the 1x1 slack still factors
         p = LmiProblem()
-        x = p.declare_scalar("x")
-        p.add_constraint(x.expr() - np.array([[1.0]]), Sense.NEGATIVE_DEFINITE)
+        x = p.declare_scalar()
+        p.add_constraint(x - np.array([[1.0]]), Sense.NEGATIVE_DEFINITE)
         assert solve_feasibility(p).status is SdpStatus.FEASIBLE
         cholesky = np.linalg.cholesky
 
@@ -258,11 +258,11 @@ class TestSolver:
         # scalar analytic check: -4 cos(pi/4) X < 0 admits X = 1
         theta = np.pi / 4
         p = LmiProblem()
-        xs = p.declare_symmetric_block(1, "X")
-        q = 2.0 * np.cos(theta) * xs.expr()
+        xs = p.declare_symmetric_block(1)
+        q = 2.0 * np.cos(theta) * xs
         a = np.array([[-1.0]])
         p.add_constraint(sym_expr(a @ q), Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(xs.expr(), Sense.POSITIVE_DEFINITE)
+        p.add_constraint(xs, Sense.POSITIVE_DEFINITE)
         sol = solve_feasibility(p)
         assert sol.status is SdpStatus.FEASIBLE
         x = xs.value(sol.values)[0, 0]
@@ -276,10 +276,10 @@ class TestSolver:
     def test_feasible_solution_passes_all_margins(self):
         rng = np.random.RandomState(4)
         p = LmiProblem()
-        s = p.declare_symmetric_block(3, "S")
+        s = p.declare_symmetric_block(3)
         g = rng.randn(3, 3)
-        p.add_constraint(sym_expr((g - 3 * np.eye(3)) @ s.expr()), Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(s.expr() - np.eye(3), Sense.POSITIVE_DEFINITE)
+        p.add_constraint(sym_expr((g - 3 * np.eye(3)) @ s), Sense.NEGATIVE_DEFINITE)
+        p.add_constraint(s - np.eye(3), Sense.POSITIVE_DEFINITE)
         cfg = SolverConfig()
         sol = solve_feasibility(p, cfg)
         assert sol.status is SdpStatus.FEASIBLE
@@ -289,10 +289,10 @@ class TestSolver:
     def test_determinism(self):
         def run():
             p = LmiProblem()
-            s = p.declare_symmetric_block(2, "S")
+            s = p.declare_symmetric_block(2)
             a = np.array([[-1.0, 2.0], [0.0, -3.0]])
-            p.add_constraint(sym_expr(a @ s.expr()), Sense.NEGATIVE_DEFINITE)
-            p.add_constraint(s.expr() - np.eye(2), Sense.POSITIVE_DEFINITE)
+            p.add_constraint(sym_expr(a @ s), Sense.NEGATIVE_DEFINITE)
+            p.add_constraint(s - np.eye(2), Sense.POSITIVE_DEFINITE)
             return solve_feasibility(p, SolverConfig())
 
         s1, s2 = run(), run()
@@ -304,9 +304,9 @@ class TestSolver:
         # the window -1e-3 < x < 1e-4 admits margins up to ~5.5e-4
         def status_at(eps):
             p = LmiProblem()
-            x = p.declare_scalar("x")
-            p.add_constraint(x.expr() - np.array([[1e-4]]), Sense.NEGATIVE_DEFINITE)
-            p.add_constraint(-1.0 * x.expr() - np.array([[1e-3]]), Sense.NEGATIVE_DEFINITE)
+            x = p.declare_scalar()
+            p.add_constraint(x - np.array([[1e-4]]), Sense.NEGATIVE_DEFINITE)
+            p.add_constraint(-1.0 * x - np.array([[1e-3]]), Sense.NEGATIVE_DEFINITE)
             return solve_feasibility(p, SolverConfig(eps_margin=eps)).status
 
         order = [status_at(e) for e in (1e-6, 1e-4, 1e-2)]
@@ -538,12 +538,12 @@ class TestBatchedConstraint:
         # the tolerance scales with each term's own largest entry: an
         # asymmetry of 1e-6 passes beside entries of 1e6, not beside ones
         p = LmiProblem()
-        s = p.declare_symmetric_block(4, "S")
-        big = 1e6 * s.expr()
+        s = p.declare_symmetric_block(4)
+        big = 1e6 * s
         assert len(term_table(big)) == 11
         skewed = np.zeros((4, 4))
         skewed[0, 1] = 1e-6
-        xs = [p.declare_scalar(f"x{k}") for k in range(16)]
+        xs = [p.declare_scalar() for _ in range(16)]
         e = big + 1e-4 * np.eye(4)
         for k, x in enumerate(xs):
             e = e + x.scale(skewed if k == position else np.eye(4))
@@ -561,11 +561,11 @@ class TestBatchedConstraint:
 
     def test_all_zero_terms_are_dropped(self):
         p = LmiProblem()
-        t = p.declare_full_block(3, 3, "T")
-        s = p.declare_symmetric_block(3, "S")
-        x = p.declare_scalar("x")
-        zero = sym_expr(t.expr() @ np.zeros((3, 3)))  # nine all-zero terms
-        e = zero + s.expr() - x.scale(np.eye(3)) + np.zeros((3, 3))
+        t = p.declare_full_block(3, 3)
+        s = p.declare_symmetric_block(3)
+        x = p.declare_scalar()
+        zero = sym_expr(t @ np.zeros((3, 3)))  # nine all-zero terms
+        e = zero + s - x.scale(np.eye(3)) + np.zeros((3, 3))
         assert len(term_table(e)) == 1 + 9 + 6 + 1
         c = p.add_constraint(e, Sense.NEGATIVE_DEFINITE)
         assert list(c.coeffs) == list(s.ids) + list(x.ids)
