@@ -55,8 +55,9 @@ _STEP_RADIUS_CAP = 100.0
 # GL lags below this are solved in blocks of nodes, the rest summed in
 # dyadic FFT bands [L, 2L) for L = _NEAR, 2 _NEAR, ...; a power of two.  The
 # bands below 512 are call-bound FFTs: at 512 a 20 000-step 6-state loop makes
-# 154 FFT calls instead of the 624 at 128 and runs about 8% faster; 256 and
-# 1024 run slower than 512, faster than 128
+# 154 FFT calls instead of 624 and runs about 8% faster than at 128, with 256
+# and 1024 in between.  The wider near product costs less than those FFTs on
+# every loop timed, 1 to 128 states, in the smaller blocks too
 _NEAR = 512
 
 # most nodes solved together by one precomputed block inverse; divides _NEAR,

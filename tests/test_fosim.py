@@ -302,9 +302,9 @@ def assert_matches_direct(a, alpha, x0, steps, h):
 
 
 ALPHAS = (0.5, 0.9, 1.3, 1.8)
-# 127-129 and 513 sit at the band edges of a 128-lag near field, and
-# NEAR_HORIZONS at those of _NEAR.  Each tuple is numbered after every
-# (alpha, horizon) case above it, so cases keep their seeds
+# The literal horizons keep the existing case ids and seeds where they were;
+# NEAR_HORIZONS covers the band edges of the current _NEAR.  Each tuple is
+# numbered after every (alpha, horizon) case above it, so cases keep their seeds
 HORIZONS = (1, 127, 128, 129, 1000, 5000)
 BLOCK_HORIZONS = (fosim._BLOCK - 1, fosim._BLOCK, fosim._BLOCK + 1,
                   2 * fosim._BLOCK + 1, 513)
