@@ -147,7 +147,7 @@ class UncertaintyRealization:
 
 
 def _check_unit_box(f):
-    if f.size and np.abs(f).max() > 1.0 + 1e-12:
+    if f.size and not np.abs(f).max() <= 1.0 + 1e-12:  # NaN fails too
         raise OutOfUnitBoxError("realization entry outside [-1, 1]")
 
 
@@ -219,6 +219,9 @@ def sweep_scalings(factors, sample_count, seed):
     radii stay 0; then ``sample_count`` uniform rows of one
     ``RandomState(seed)`` stream, f_a then f_b per row, the same whatever
     the chunk size.  When neither gives a row, the center row comes alone.
+    A family without a positive radius holds one plant, so it is swept as
+    its center alone (vertex 0, all zeros), whatever ``sample_count``: no
+    samples are drawn.
     """
     radii = np.concatenate([factors.delta_a.ravel(), factors.delta_b.ravel()])
     active = np.flatnonzero(radii > 0)
@@ -231,6 +234,8 @@ def sweep_scalings(factors, sample_count, seed):
             f = np.zeros((numbers.size, radii.size))
             f[:, active] = 2.0 * bits - 1.0
             yield f
+        if active.size == 0:
+            return
         rng = np.random.RandomState(seed)
         for lo in range(0, sample_count, SWEEP_CHUNK):
             count = min(SWEEP_CHUNK, sample_count - lo)

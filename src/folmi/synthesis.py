@@ -293,10 +293,13 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     realizations, and decides the analysis LMI of the center closed loop by
     the audited :func:`folmi.stability.closed_form_certificate`, falling back
     to the barrier solve of ``analysis_feasible``.  With neither vertices nor
-    samples the center realization is swept.  ``passed`` requires every
-    margin positive and the nominal LMI feasible.  Vertex checking does not
-    prove stability of the continuous family, which is why interior samples
-    are always included.
+    samples the center realization is swept.  A family without a positive
+    radius holds one plant and is swept as its center alone, whatever
+    ``sample_count``; the report's ``sample_count`` still echoes the
+    request.  ``passed`` requires every margin positive and the nominal LMI
+    feasible.  Vertex checking does not prove stability of the continuous
+    family, which is why interior samples are included whenever an entry
+    is uncertain.
 
     The rows and their order come from :func:`folmi.interval.sweep_scalings`:
     one stack of closed loops and one batched eigenvalue call per array.

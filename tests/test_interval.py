@@ -57,8 +57,12 @@ class TestTypes:
             IntervalMatrix(np.array([[lower]]), np.array([[upper]]))
 
     def test_realization_unit_box(self):
+        # NaN compares False with any bound, so it must fail the check too
+        for entry in (1.5, np.inf, -np.inf, np.nan):
+            with pytest.raises(OutOfUnitBoxError):
+                UncertaintyRealization(np.array([entry]), np.array([]))
         with pytest.raises(OutOfUnitBoxError):
-            UncertaintyRealization(np.array([1.5]), np.array([]))
+            UncertaintyRealization(np.zeros(2), np.array([0.5, np.nan]))
 
 
 class TestDecompose:
@@ -190,8 +194,11 @@ class TestStackedRealize:
             realize(f, np.zeros(12))
         with pytest.raises(TypeError):  # rows only, not a realization object
             realize(f, UncertaintyRealization(np.zeros(9), np.zeros(3)))
-        with pytest.raises(OutOfUnitBoxError):
-            realize(f, np.full((1, 12), 1.5))
+        for entry in (1.5, np.inf, -np.inf, np.nan):
+            with pytest.raises(OutOfUnitBoxError):
+                realize(f, np.full((1, 12), entry))
+        with pytest.raises(OutOfUnitBoxError):  # one NaN among valid entries
+            realize(f, np.concatenate([np.zeros(11), [np.nan]])[None])
 
 
 class TestVertices:
@@ -213,14 +220,16 @@ class TestVertices:
         assert count == 2048
         assert rows.shape == (2048, 12)
 
-    def test_zero_radius_single_vertex(self):
+    @pytest.mark.parametrize("sample_count", [0, 1, 500, folmi.interval.SWEEP_CHUNK + 1])
+    def test_zero_radius_single_vertex(self, sample_count):
+        # a certain family holds one plant: its center alone, no samples
         sys = UncertainFoltiSystem(
             0.5,
             IntervalMatrix.certain(np.eye(2)),
             IntervalMatrix.certain(np.zeros((2, 1))),
             np.eye(2),
         )
-        count, rows = sweep_rows(decompose(sys), 0, 0)
+        count, rows = sweep_rows(decompose(sys), sample_count, 0)
         assert count == 1
         assert rows.shape == (1, 6) and not rows.any()
 

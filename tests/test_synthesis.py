@@ -21,7 +21,13 @@ from folmi.lmi import (
     evaluate_constraint,
     solve_feasibility,
 )
-from folmi.stability import _regime, analysis_feasible, certificate_lmi, closed_loop
+from folmi.stability import (
+    _regime,
+    analysis_feasible,
+    certificate_lmi,
+    closed_loop,
+    sector_margins,
+)
 from folmi.synthesis import (
     DynamicController,
     assemble,
@@ -29,7 +35,7 @@ from folmi.synthesis import (
     recover,
     synthesize,
 )
-from tests.test_interval import example1_system
+from tests.test_interval import example1_system, partly_uncertain_system
 from tests.test_stability import reference_margin
 
 EX2_A_LOWER = [[-1.1, -1.5, 3.0], [0.8, -2.6, 0.7], [-1.4, -4.0, -1.2]]
@@ -380,6 +386,65 @@ class TestCertify:
         assert report.nominal_route == "closed_form"
         assert report.nominal_status is SdpStatus.FEASIBLE
         assert report.nominal_lmi_ok and report.passed
+
+
+def count_swept_rows(monkeypatch):
+    """Row counts of the stacks ``certify`` passes to ``sector_margins``."""
+    counts = []
+
+    def counting(stack, alpha):
+        counts.append(len(stack))
+        return sector_margins(stack, alpha)
+
+    monkeypatch.setattr(folmi.synthesis, "sector_margins", counting)
+    return counts
+
+
+def certain_example1_system():
+    """example1 with both bounds at their midpoints: one plant."""
+    sys = example1_system()
+    a0 = 0.5 * (sys.a.lower + sys.a.upper)
+    b0 = 0.5 * (sys.b.lower + sys.b.upper)
+    return UncertainFoltiSystem(sys.alpha, IntervalMatrix.certain(a0),
+                                IntervalMatrix.certain(b0), sys.c)
+
+
+class TestCertainFamilySweep:
+    def test_certain_plant_sweeps_its_center_once(self, monkeypatch):
+        sys, k = certain_example1_system(), DynamicController.static([[-2.0]])
+        margin, worst = reference_sweep(sys, k, 500, 3)
+        counts = count_swept_rows(monkeypatch)
+        report = certify(sys, k, sample_count=500, seed=3)
+        assert counts == [1]
+        assert (report.vertex_count, report.sample_count) == (1, 500)
+        assert report.vertices_exhaustive
+        np.testing.assert_array_equal(report.worst_realization.f_a, np.zeros(9))
+        np.testing.assert_array_equal(report.worst_realization.f_b, np.zeros(3))
+        factors = decompose(sys)
+        a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, k)
+        assert report.min_sector_margin == sector_margins(a_cl0[None], sys.alpha)[0]
+        # the 501-row sweep of the same plant has the same worst case
+        assert abs(report.min_sector_margin - margin) <= 1e-9
+        assert not worst[0].any() and not worst[1].any()
+
+    def test_partly_uncertain_family_sweeps_every_row(self, monkeypatch):
+        sys = partly_uncertain_system()
+        k = DynamicController.static([[0.1], [-0.2]])
+        swept = []
+
+        def recording(factors, rows):
+            swept.append(rows)
+            return folmi.interval.realize(factors, rows)
+
+        monkeypatch.setattr(folmi.synthesis, "realize", recording)
+        counts = count_swept_rows(monkeypatch)
+        report = certify(sys, k, sample_count=40, seed=8)
+        assert report.vertex_count == 256 and sum(counts) == 256 + 40
+        rows = np.concatenate(swept)
+        np.testing.assert_array_equal(
+            rows[256:], np.random.RandomState(8).uniform(-1.0, 1.0, size=(40, 15)))
+        margin, _ = reference_sweep(sys, k, 40, 8)
+        assert abs(report.min_sector_margin - margin) <= 1e-9
 
 
 def reference_sweep(sys, controller, sample_count, seed):
