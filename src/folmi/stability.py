@@ -109,21 +109,26 @@ class _HermitianRegime:
         """Sym(G) for the closed-loop expression G = A_cl Q."""
         return sym_expr(g)
 
-    def analysis_operand(self, a):
-        return a
-
     def eigen_certificate(self, vals, vecs):
         """(X, Y), exactly symmetric and skew, of P = V D V^H, D = 1 on
-        Im(lambda) >= 0 and the conjugate weight 0.05 on the rest: Sigma =
-        V diag(2 Re(lambda_k (r d_k + conj(r) d_conj(k)))) V^H."""
-        p = (vecs * np.where(vals.imag >= 0.0, 1.0, 0.05)) @ vecs.conj().T
+        Im(lambda) >= 0 and w on the conjugates: Sigma = V diag(2 Re(lambda_k
+        (r d_k + conj(r) d_conj(k)))) V^H, whose entry is negative iff
+        w cos(phi - theta) < -cos(phi + theta), phi = |arg(lambda)|; w is
+        0.05, or half the bound on w where it is positive and below 0.1."""
+        phi = np.abs(np.angle(vals))
+        lo, hi = -np.cos(phi + self.theta), np.cos(phi - self.theta)
+        w = np.full(len(vals), 0.05)
+        near = (lo > 0.0) & (lo < 0.1 * hi)
+        w[near] = 0.5 * lo[near] / hi[near]
+        p = (vecs * np.where(vals.imag >= 0.0, 1.0, w)) @ vecs.conj().T
         return 0.5 * (p.real + p.real.T), 0.5 * (p.imag - p.imag.T)
 
 
 class _SymmetricRegime:
     """1 <= alpha < 2: symmetric certificate P > 0 with theta =
     pi - alpha*pi/2; Q = P, and Sigma is the rotated 2x2 block of the
-    symmetric and skew parts of G = A_cl P (two lift copies)."""
+    symmetric and skew parts of G = A_cl P (two lift copies), which for
+    the analysis LMI of A are A P + P A^T and A P - P A^T."""
 
     copies = 2
 
@@ -148,19 +153,12 @@ class _SymmetricRegime:
         diag, off = np.sin(self.theta) * sym_expr(g), np.cos(self.theta) * (g - g.T)
         return block_expr([[diag, off], [-off, diag]])
 
-    def analysis_operand(self, a):
-        """A^T: Sigma then reads [[S st, -K ct], [K ct, S st]] with
-        S = A^T P + P A and K = P A - A^T P, the usual form of this test.
-        A itself would decide the same question (A^T has A's spectrum) but
-        takes different barrier steps."""
-        return a.T
-
     def eigen_certificate(self, vals, vecs):
-        """(P,), exactly symmetric, for P = W^H W, W = V^-1, real for real A:
-        congruence by I_2 (x) W splits Sigma into one 2x2 block per
-        eigenvalue."""
-        w = np.linalg.inv(vecs)
-        p = (w.conj().T @ w).real
+        """(P,), exactly symmetric, for P = Re(V V^H), which is V V^H for
+        real A: congruence by I_2 (x) V splits Sigma into one 2x2 block per
+        eigenvalue, negative iff Re(lambda) sin(theta) + |Im(lambda)|
+        cos(theta) < 0."""
+        p = (vecs @ vecs.conj().T).real
         return (0.5 * (p + p.T),)
 
 
@@ -232,8 +230,7 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
 def _analysis_lmi(a, alpha):
     """``(regime, problem, blocks)`` of the analysis LMI of ``a``."""
     regime, m = _regime(alpha), require_square(a)
-    p, blocks = certificate_lmi(regime, regime.analysis_operand(m),
-                                np.zeros((m.shape[0], 0)), 0)
+    p, blocks = certificate_lmi(regime, m, np.zeros((m.shape[0], 0)), 0)
     return regime, p, blocks
 
 
@@ -241,12 +238,12 @@ def analysis_feasible(a, alpha, solver_cfg=None):
     """LMI stability test of D^alpha x = A x for 0 < alpha < 2.
 
     The certain-plant LMI of :func:`certificate_lmi` with no input (l = 0)
-    and no controller (n_c = 0): a Hermitian X > 0 with
-    Sym(A (rX + conj(r) conj(X))) < 0, r = exp(i theta),
+    and no controller (n_c = 0), on the operand A itself: a Hermitian X > 0
+    with Sym(A (rX + conj(r) conj(X))) < 0, r = exp(i theta),
     theta = (1-alpha)*pi/2, below alpha = 1, and a symmetric X > 0 with
-    [[(A^T X + X A) sin(theta), (X A - A^T X) cos(theta)],
-     [(A^T X - X A) cos(theta), (A^T X + X A) sin(theta)]] < 0 up to the
-    sign of the skew blocks, theta = pi - alpha*pi/2, from alpha = 1 up.
+    [[(A X + X A^T) sin(theta), (A X - X A^T) cos(theta)],
+     [(X A^T - A X) cos(theta), (A X + X A^T) sin(theta)]] < 0,
+    theta = pi - alpha*pi/2, from alpha = 1 up.
     Returns the certificate (complex Hermitian or real symmetric) when
     strictly feasible, else None with the INFEASIBLE or INDETERMINATE status.
     """
@@ -284,7 +281,7 @@ def closed_form_certificate(a, alpha, eps_margin):
     def margins(scale):
         """Margins of Sigma < 0 and of P - I > 0 at the certificate scale * P."""
         cert = tuple(MatExpr.wrap(scale * part) for part in parts)
-        sigma = regime.sigma(regime.analysis_operand(m) @ regime.q_expr(cert))
+        sigma = regime.sigma(m @ regime.q_expr(cert))
         pos = regime.positivity(cert)
         return -np.linalg.eigvalsh(sigma.const)[-1], np.linalg.eigvalsh(pos.const)[0]
 

@@ -158,8 +158,8 @@ class TestHighAlphaLmi:
         x = scale * x
         theta = np.pi - alpha * np.pi / 2.0
         assert np.linalg.eigvalsh(x).min() > 0
-        s = a.T @ x + x @ a
-        k = x @ a - a.T @ x
+        s = a @ x + x @ a.T
+        k = a @ x - x @ a.T
         big = np.block([
             [s * np.sin(theta), k * np.cos(theta)],
             [-k * np.cos(theta), s * np.sin(theta)],
@@ -185,8 +185,8 @@ class TestHighAlphaLmi:
 
 # (status, Newton iterations) of analysis_feasible on the matrices
 # randn(3, 3) - 1.5 I drawn from RandomState(5), ten per alpha.  The counts
-# pin the barrier path of each regime: the symmetric regime's operand is
-# A^T, and A, though it decides the same question, takes other steps.
+# pin the barrier path of each regime on the operand A itself; A^T, though
+# it decides the same question, takes other steps.
 ANALYSIS_PINS = {
     0.3: [("FEASIBLE", 6), ("FEASIBLE", 9), ("FEASIBLE", 10), ("FEASIBLE", 8),
           ("FEASIBLE", 11), ("FEASIBLE", 9), ("INFEASIBLE", 68), ("INFEASIBLE", 68),
@@ -196,10 +196,10 @@ ANALYSIS_PINS = {
            ("INFEASIBLE", 67), ("INFEASIBLE", 69)],
     1.2: [("FEASIBLE", 8), ("INFEASIBLE", 68), ("FEASIBLE", 11), ("FEASIBLE", 9),
           ("FEASIBLE", 11), ("FEASIBLE", 11), ("INFEASIBLE", 69), ("INFEASIBLE", 70),
-          ("INFEASIBLE", 68), ("INFEASIBLE", 69)],
-    1.8: [("INFEASIBLE", 63), ("INFEASIBLE", 65), ("INFEASIBLE", 66), ("FEASIBLE", 7),
-          ("FEASIBLE", 15), ("INFEASIBLE", 63), ("INFEASIBLE", 66), ("INFEASIBLE", 67),
-          ("INFEASIBLE", 65), ("INFEASIBLE", 66)],
+          ("INFEASIBLE", 67), ("INFEASIBLE", 69)],
+    1.8: [("INFEASIBLE", 63), ("INFEASIBLE", 66), ("INFEASIBLE", 66), ("FEASIBLE", 7),
+          ("FEASIBLE", 15), ("INFEASIBLE", 63), ("INFEASIBLE", 67), ("INFEASIBLE", 66),
+          ("INFEASIBLE", 64), ("INFEASIBLE", 66)],
 }
 
 
@@ -304,7 +304,7 @@ class TestClosedFormCertificate:
             (0, "accepted"): 60, (0, "rejected"): 90,
             (1, "accepted"): 54, (1, "rejected"): 96,
             (2, "cond"): 125, (2, "rejected"): 25,
-            (3, "accepted"): 37, (3, "rejected"): 113,
+            (3, "accepted"): 53, (3, "rejected"): 97,
         }
 
     @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.2, 1.8])
@@ -334,9 +334,7 @@ class TestClosedFormCertificate:
             if cert is None:
                 continue
             assert status is not SdpStatus.INFEASIBLE, (i, alpha)
-            regime = _regime(alpha)
-            p, _ = certificate_lmi(regime, regime.analysis_operand(a),
-                                   np.zeros((n, 0)), 0)
+            p, _ = certificate_lmi(_regime(alpha), a, np.zeros((n, 0)), 0)
             x = cert.solution.values
             assert np.abs(x).max() < R_BOX
             assert min(constraint_margin(p, c, x) for c in p.constraints) >= eps
@@ -344,13 +342,24 @@ class TestClosedFormCertificate:
                 TestLowAlphaLmi._check_low_alpha_certificate(a, alpha, cert.x)
             else:
                 TestHighAlphaLmi._check_high_alpha_certificate(a, alpha, cert.x)
-        # the closed form misses one barrier-FEASIBLE matrix (alpha = 0.3,
-        # sector margin 0.0037) and accepts every other one
+        # the closed form accepts every barrier-FEASIBLE matrix, down to a
+        # sector margin of 0.0037 at alpha = 0.3
         assert outcomes == {
-            (True, SdpStatus.FEASIBLE): 65,
-            (False, SdpStatus.FEASIBLE): 1,
+            (True, SdpStatus.FEASIBLE): 66,
             (False, SdpStatus.INFEASIBLE): 134,
         }
+
+    def test_near_edge_pair_gets_a_derived_weight(self):
+        # example1's midpoints under d_c = -2: the pair 3.29 +- 8.27j sits
+        # 0.0139 rad inside the alpha = 0.75 sector, where the conjugate
+        # weight must stay below -cos(phi + theta) / cos(phi - theta) < 0.1
+        a = closed_loop(EX1_A0, EX1_B0, EX1_C, DynamicController.static([[-2.0]]))
+        assert 0.0 < margin(a, 0.75) < 0.02
+        theta, phi = 0.125 * np.pi, np.abs(np.angle(np.linalg.eigvals(a))).max()
+        assert -np.cos(phi + theta) / np.cos(phi - theta) < 0.1
+        cert = closed_form_certificate(a, 0.75, 1e-6)
+        assert cert.solution.status is SdpStatus.FEASIBLE
+        TestLowAlphaLmi._check_low_alpha_certificate(a, 0.75, cert.x)
 
     @pytest.mark.parametrize("alpha", [0.75, 1.2])
     def test_defective_jordan_block_falls_back(self, alpha, caplog):

@@ -22,6 +22,7 @@ from folmi.lmi import (
     solve_feasibility,
 )
 from folmi.stability import (
+    _analysis_lmi,
     _regime,
     analysis_feasible,
     certificate_lmi,
@@ -145,6 +146,27 @@ class TestAssembleLowAlpha:
         sys = example1_system()
         with pytest.raises(ValidationError, match="'n_c' must be >= 0, got -1"):
             assemble(decompose(sys), sys.c, 0.75, -1)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 1.2, 1.8])
+def test_analysis_lmi_is_the_synthesis_core(alpha):
+    # the certain plant (A, B = 0, C = I) at n_c = 0: at the same P_S
+    # values, Sigma and the P_S positivity block of the synthesis LMI are
+    # those of the analysis LMI of A, in both order regimes
+    rng = np.random.RandomState(23)
+    a = rng.randn(3, 3)
+    sys = UncertainFoltiSystem(alpha, IntervalMatrix.certain(a),
+                               IntervalMatrix.certain(np.zeros((3, 1))), np.eye(3))
+    synth = assemble(decompose(sys), sys.c, alpha, 0).problem
+    analysis = _analysis_lmi(a, alpha)[1]
+    assert len(synth.constraints) == len(analysis.constraints) == 2
+    # P_S is declared first in both problems; the synthesis LMI adds T4
+    shared = rng.randn(analysis.num_vars)
+    x = np.concatenate([shared, rng.randn(synth.num_vars - analysis.num_vars)])
+    for mine, theirs in zip(synth.constraints, analysis.constraints):
+        got = evaluate_constraint(synth, mine, x)[0]
+        want = evaluate_constraint(analysis, theirs, shared)[0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestAssembleHighAlpha:
