@@ -25,7 +25,7 @@ import numpy as np
 from .errors import FolmiError, InfeasibleError, ParseError, ValidationError
 from .fosim import check_simulate_settings, simulate, trajectory_to_csv
 from .interval import IntervalMatrix, UncertainFoltiSystem, decompose
-from .lmi import SolverConfig
+from .lmi import SdpStatus, SolverConfig
 from .stability import closed_loop
 from .synthesis import (
     DynamicController,
@@ -241,7 +241,7 @@ def _certification_dict(report):
         "vertex_count": report.vertex_count,
         "sample_count": report.sample_count,
         "min_sector_margin": report.min_sector_margin,
-        "nominal_lmi_ok": report.nominal_lmi_ok,
+        "nominal_lmi_ok": report.nominal_status is SdpStatus.FEASIBLE,
         "nominal_route": report.nominal_route,
         "nominal_status": report.nominal_status.value,
         "passed": report.passed,
@@ -288,6 +288,8 @@ def cmd_synth(config, out_path=None, report_path=None):
     t_start = time.perf_counter()
     try:
         result, cert = synthesize(sys_, config.n_c, solver_cfg, **certify_kw)
+    except ValidationError:
+        raise  # an input error, which main maps to EXIT_USAGE
     except FolmiError as exc:
         infeasible = isinstance(exc, InfeasibleError)
         report = {
@@ -303,7 +305,7 @@ def cmd_synth(config, out_path=None, report_path=None):
         return report, EXIT_INFEASIBLE if infeasible else EXIT_SOLVER_ERROR
 
     log.debug("synth: solver %s, min margin %g over %d vertices + %d samples",
-              result.solver_status.name, cert.min_sector_margin,
+              result.solution.status.name, cert.min_sector_margin,
               cert.vertex_count, cert.sample_count)
     status = "PASSED" if cert.passed else "CERTIFICATION_FAILED"
     report = {
@@ -313,9 +315,9 @@ def cmd_synth(config, out_path=None, report_path=None):
         "synthesis": {
             "controller": result.controller.to_dict(),
             "eta": result.eta,
-            "solver_status": result.solver_status.name,
-            "solver_iterations": result.solver_iterations,
-            "achieved_margin": result.achieved_margin,
+            "solver_status": result.solution.status.name,
+            "solver_iterations": result.solution.iterations,
+            "achieved_margin": result.solution.achieved_margin,
             "schur_dim": result.schur_dim,
         },
         "certification": _certification_dict(cert),

@@ -75,10 +75,8 @@ _CSV_CHUNK_ROWS = 1024
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled closed-loop state history starting at t = 0."""
+    """Closed-loop ``states``, one row per entry of the uniform ``times`` from 0."""
 
-    alpha: float
-    step_h: float
     times: np.ndarray
     states: np.ndarray
 
@@ -321,7 +319,7 @@ def simulate(a_cl, alpha, x0, t_end, h):
         b = stop - k
         rhs = y[k:stop] - history[:b] @ ys[k : k + _NEAR - 1]
         y[k:stop] = (block_inv[: b * n, : b * n] @ rhs.reshape(-1)).reshape(b, n)
-    return Trajectory(alpha, h, times, y + x0[None, :])
+    return Trajectory(times, y + x0[None, :])
 
 
 def trajectory_to_csv(traj, path):

@@ -99,8 +99,6 @@ class MatExpr:
         other = MatExpr.wrap(other)
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        if np.array_equal(self.ids, other.ids):
-            return MatExpr(self.ids, self.coeff + other.coeff, self.const + other.const)
         ids = _union([self.ids, other.ids])
         # from -0.0, the exact additive identity, a term of one side alone
         # keeps its bits, signed zeros included

@@ -49,11 +49,11 @@ log = logging.getLogger("folmi.stability")
 
 @dataclass(frozen=True)
 class LmiCertificate:
-    """Feasibility verdict plus the matrix witness when one exists."""
+    """The solver's :class:`folmi.lmi.SdpSolution`, whose status is the
+    verdict, plus the certificate ``x``, None unless that status is FEASIBLE."""
 
-    feasible: bool
     x: np.ndarray | None
-    solution: object
+    solution: SdpSolution
 
 
 def sector_margins(stack, alpha):
@@ -250,9 +250,8 @@ def analysis_feasible(a, alpha, solver_cfg=None):
     regime, p, blocks = _analysis_lmi(a, alpha)
     sol = solve_feasibility(p, solver_cfg)
     if sol.status is not SdpStatus.FEASIBLE:
-        return LmiCertificate(False, None, sol)
-    cert = regime.value([b.value(sol.values) for b in blocks["s"]])
-    return LmiCertificate(True, cert, sol)
+        return LmiCertificate(None, sol)
+    return LmiCertificate(regime.value([b.value(sol.values) for b in blocks["s"]]), sol)
 
 
 def closed_form_certificate(a, alpha, eps_margin):
@@ -293,7 +292,7 @@ def closed_form_certificate(a, alpha, eps_margin):
     low, top = min(found), np.abs(x).max()
     if low >= eps_margin and top < R_BOX:
         sol = SdpSolution(SdpStatus.FEASIBLE, x, low, 0, -low)
-        return LmiCertificate(True, regime.value([scale * part for part in parts]), sol)
+        return LmiCertificate(regime.value([scale * part for part in parts]), sol)
     log.info("closed-form certificate failed its audit (margins Sigma %.3g, "
              "P %.3g; max |x| %.3g); using the barrier", *found, top)
     return None

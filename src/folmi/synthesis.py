@@ -44,6 +44,7 @@ from .interval import (
 from .linalg import as_matrix, pinv
 from .lmi import (
     LmiProblem,
+    SdpSolution,
     SdpStatus,
     SolverConfig,
     solve_feasibility,
@@ -107,14 +108,13 @@ class DynamicController:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of sweeping a controller over the uncertainty family; the
-    nominal LMI verdict ``nominal_status`` came from ``nominal_route``."""
+    """Outcome of sweeping a controller over the uncertainty family; ``passed``
+    needs every margin > 0 and ``nominal_status``, from ``nominal_route``, FEASIBLE."""
 
     vertex_count: int
     sample_count: int
     min_sector_margin: float
     worst_realization: UncertaintyRealization
-    nominal_lmi_ok: bool
     passed: bool
     vertices_exhaustive: bool
     nominal_route: str
@@ -125,11 +125,12 @@ class CertificationReport:
 class SynthesisResult:
     """Feasible point of a synthesis LMI plus the recovered controller.
 
-    ``eta`` is None on the certain-system (zero radii) path, where no
-    uncertainty multiplier exists.  ``p_s`` is complex Hermitian on the
-    0 < alpha < 1 path and real symmetric otherwise.  ``schur_dim`` is the
-    dimension of the synthesis inequality (the lifted Schur block, or Sigma
-    on the certain path).
+    ``solution`` is the solver's FEASIBLE :class:`folmi.lmi.SdpSolution`,
+    with its iterations, achieved margin and point.  ``eta`` is None on the
+    certain-system (zero radii) path, where no uncertainty multiplier exists.
+    ``p_s`` is complex Hermitian on the 0 < alpha < 1 path and real symmetric
+    otherwise.  ``schur_dim`` is the dimension of the synthesis inequality
+    (the lifted Schur block, or Sigma on the certain path).
     """
 
     controller: DynamicController
@@ -139,13 +140,9 @@ class SynthesisResult:
     t1: np.ndarray
     t2: np.ndarray
     t3: np.ndarray
-    t4: np.ndarray
-    solver_status: SdpStatus
+    solution: SdpSolution
     alpha: float
-    values: np.ndarray
     problem: LmiProblem
-    solver_iterations: int
-    achieved_margin: float
     schur_dim: int
 
 
@@ -262,13 +259,9 @@ def _result_from(assembly, solution, controller):
         t1=b["t1"].value(v),
         t2=b["t2"].value(v),
         t3=b["t3"].value(v),
-        t4=b["t4"].value(v),
-        solver_status=solution.status,
+        solution=solution,
         alpha=assembly.alpha,
-        values=v,
         problem=assembly.problem,
-        solver_iterations=solution.iterations,
-        achieved_margin=solution.achieved_margin,
         schur_dim=assembly.problem.constraints[0].dim,
     )
 
@@ -328,15 +321,13 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     if cert is None:
         route, cert = "barrier", analysis_feasible(a_cl0, sys.alpha, solver_cfg)
     status = cert.solution.status
-    passed = bool(min_margin > 0.0) and status is SdpStatus.FEASIBLE
     na = factors.m_a.shape[1]
     return CertificationReport(
         vertex_count=vertex_count,
         sample_count=sample_count,
         min_sector_margin=min_margin,
         worst_realization=UncertaintyRealization(worst[:na], worst[na:]),
-        nominal_lmi_ok=status is SdpStatus.FEASIBLE,
-        passed=passed,
+        passed=bool(min_margin > 0.0) and status is SdpStatus.FEASIBLE,
         vertices_exhaustive=vertex_count > 0,
         nominal_route=route,
         nominal_status=status,

@@ -116,11 +116,11 @@ class TestCriterion3:
         ok = True
         for n_c, result, report, elapsed in synthesis_runs["example1"]:
             details.append(f"nc={n_c}: margin={report.min_sector_margin:.3f} {elapsed:.1f}s")
-            ok = ok and result.solver_status is SdpStatus.FEASIBLE and report.passed \
+            ok = ok and result.solution.status is SdpStatus.FEASIBLE and report.passed \
                 and elapsed < 120.0
         record(ok, "3 (example 1, orders 0-3)", "; ".join(details))
         for n_c, result, report, elapsed in synthesis_runs["example1"]:
-            assert result.solver_status is SdpStatus.FEASIBLE
+            assert result.solution.status is SdpStatus.FEASIBLE
             assert elapsed < 120.0
             assert report.passed, f"certification failed for n_c={n_c}"
 
@@ -141,13 +141,13 @@ class TestCriterion3:
         ok = True
         for n_c, result, report, elapsed in synthesis_runs["example2"]:
             details.append(
-                f"nc={n_c}: {result.solver_status.name} margin={report.min_sector_margin:.3f}"
+                f"nc={n_c}: {result.solution.status.name} margin={report.min_sector_margin:.3f}"
             )
-            ok = ok and result.solver_status is SdpStatus.FEASIBLE and report.passed \
+            ok = ok and result.solution.status is SdpStatus.FEASIBLE and report.passed \
                 and elapsed < 120.0
         record(ok, "3 (example 2, orders 0-3)", "; ".join(details))
         for n_c, result, report, elapsed in synthesis_runs["example2"]:
-            assert result.solver_status is SdpStatus.FEASIBLE
+            assert result.solution.status is SdpStatus.FEASIBLE
             assert elapsed < 120.0
             assert report.passed, f"certification failed for n_c={n_c}"
 
@@ -175,7 +175,7 @@ class TestCriterion5:
                 if abs(margin) <= 1e-3:
                     continue
                 total += 1
-                agree += analysis_feasible(a, alpha).feasible == (margin > 0)
+                agree += (analysis_feasible(a, alpha).x is not None) == (margin > 0)
             counts[alpha] = (agree, total)
             assert agree == total, f"alpha={alpha}: {agree}/{total}"
         elapsed = time.perf_counter() - start
@@ -298,7 +298,7 @@ class TestCriterion9:
                     assert rel3 <= 1e-8, f"{name} n_c={n_c}: T3 residual {rel3:.2e}"
                 eps = SolverConfig().eps_margin
                 for c in result.problem.constraints:
-                    assert constraint_margin(result.problem, c, result.values) >= eps
+                    assert constraint_margin(result.problem, c, result.solution.values) >= eps
                 checked += 1
         record(True, 9, f"{checked} solved instances re-verified")
         assert checked == 8

@@ -543,6 +543,17 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             "error: dimension 65 exceeds eigensolver cap 64\n")
 
+    def test_synth_closed_loop_past_the_eigensolver_cap_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        # the cap is met in certify, after the solve, and is still an input error
+        monkeypatch.setattr("folmi.linalg.EIG_DIM_CAP", 3)
+        report = tmp_path / "r.json"
+        assert main(["synth", "example1", "--nc", "1", "--report", str(report)]) \
+            == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: dimension 4 exceeds eigensolver cap 3\n")
+        assert not report.exists()
+
     @pytest.mark.parametrize("overrides,message", [
         ({"solver": {"eps": 1e-6}}, "unknown solver fields: ['eps']"),
         ({"certify": {"samples": 5}}, "unknown certify fields: ['samples']"),

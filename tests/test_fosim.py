@@ -380,7 +380,7 @@ class TestTrajectoryCsv:
                    123456789012.0, 1e-7, math.nan, math.inf, -math.inf]
         flat = states.reshape(-1)
         flat[: len(special)] = special[: flat.size]
-        traj = Trajectory(0.75, 1e-3, np.arange(rows) * 1e-3, states)
+        traj = Trajectory(np.arange(rows) * 1e-3, states)
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traj, path)
         assert path.read_bytes() == csv_reference(traj)

@@ -78,11 +78,11 @@ class TestSectorMargin:
 class TestLowAlphaLmi:
     def test_stable_scalar_feasible(self):
         cert = analysis_feasible(np.array([[-1.0]]), 0.5)
-        assert cert.feasible
+        assert cert.x is not None
         assert cert.x.real[0, 0] > 0
 
     def test_unstable_scalar_infeasible(self):
-        assert not analysis_feasible(np.array([[1.0]]), 0.5).feasible
+        assert analysis_feasible(np.array([[1.0]]), 0.5).x is None
 
     def test_alpha_range(self):
         # just below alpha = 1 the certificate is Hermitian, X + iY
@@ -95,7 +95,7 @@ class TestLowAlphaLmi:
         a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.0, 0.5], [0.3, 0.0, -1.5]])
         alpha = 0.6
         cert = analysis_feasible(a, alpha)
-        assert cert.feasible
+        assert cert.x is not None
         self._check_low_alpha_certificate(a, alpha, cert.x)
 
     @staticmethod
@@ -125,19 +125,19 @@ class TestLowAlphaLmi:
                 m = margin(a, alpha)
                 if abs(m) <= 1e-3:
                     continue
-                assert analysis_feasible(a, alpha).feasible == (m > 0)
+                assert (analysis_feasible(a, alpha).x is not None) == (m > 0)
 
 
 class TestHighAlphaLmi:
     def test_stable_scalar_feasible(self):
-        assert analysis_feasible(np.array([[-1.0]]), 1.5).feasible
+        assert analysis_feasible(np.array([[-1.0]]), 1.5).x is not None
 
     def test_rotation_infeasible_at_alpha_12(self):
         # eigenvalues at |arg| = pi/2 sit inside the 0.6 pi boundary
-        assert not analysis_feasible(ROTATION, 1.2).feasible
+        assert analysis_feasible(ROTATION, 1.2).x is None
 
     def test_alpha_one_uses_high_alpha_regime(self):
-        assert analysis_feasible(np.array([[-1.0]]), 1.0).feasible
+        assert analysis_feasible(np.array([[-1.0]]), 1.0).x is not None
 
     def test_alpha_range(self):
         # from alpha = 1 up the certificate is the real symmetric P
@@ -150,7 +150,7 @@ class TestHighAlphaLmi:
         a = np.array([[-1.0, 0.3], [0.0, -2.0]])
         alpha = 1.5
         cert = analysis_feasible(a, alpha)
-        assert cert.feasible
+        assert cert.x is not None
         self._check_high_alpha_certificate(a, alpha, cert.x)
 
     @staticmethod
@@ -180,7 +180,7 @@ class TestHighAlphaLmi:
                 m = margin(a, alpha)
                 if abs(m) <= 1e-3:
                     continue
-                assert analysis_feasible(a, alpha).feasible == (m > 0)
+                assert (analysis_feasible(a, alpha).x is not None) == (m > 0)
 
 
 # (status, Newton iterations) of analysis_feasible on the matrices

@@ -361,7 +361,7 @@ class TestCertify:
         assert report.sample_count == 100
         assert report.vertices_exhaustive
         assert report.min_sector_margin > 0
-        assert report.nominal_lmi_ok
+        assert report.nominal_status is SdpStatus.FEASIBLE
         assert report.passed
 
     def test_reference_first_order_controller_passes(self):
@@ -390,7 +390,7 @@ class TestCertify:
         barrier = analysis_feasible(np.array(a), alpha)
         assert report.nominal_route == "barrier"
         assert report.nominal_status is barrier.solution.status
-        assert report.nominal_lmi_ok is barrier.feasible
+        assert (report.nominal_status is SdpStatus.FEASIBLE) is (barrier.x is not None)
 
     def test_indeterminate_barrier_flips_to_audited_feasible(self):
         # the one verdict the closed form may change: with one Newton step
@@ -402,12 +402,12 @@ class TestCertify:
         factors = decompose(sys)
         a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, k)
         barrier = analysis_feasible(a_cl0, 0.75, cfg)
-        assert not barrier.feasible and barrier.x is None
+        assert barrier.x is None
         assert barrier.solution.status is SdpStatus.INDETERMINATE
         report = certify(sys, k, sample_count=10, seed=0, solver_cfg=cfg)
         assert report.nominal_route == "closed_form"
         assert report.nominal_status is SdpStatus.FEASIBLE
-        assert report.nominal_lmi_ok and report.passed
+        assert report.nominal_status is SdpStatus.FEASIBLE and report.passed
 
 
 def count_swept_rows(monkeypatch):
@@ -548,10 +548,11 @@ def assert_same_report(r1, r2):
     assert r1.min_sector_margin == r2.min_sector_margin
     np.testing.assert_array_equal(r1.worst_realization.f_a, r2.worst_realization.f_a)
     np.testing.assert_array_equal(r1.worst_realization.f_b, r2.worst_realization.f_b)
-    assert (r1.vertex_count, r1.sample_count, r1.nominal_lmi_ok, r1.passed,
+    assert (r1.vertex_count, r1.sample_count,
+            r1.nominal_status is SdpStatus.FEASIBLE, r1.passed,
             r1.vertices_exhaustive) == (r2.vertex_count, r2.sample_count,
-                                        r2.nominal_lmi_ok, r2.passed,
-                                        r2.vertices_exhaustive)
+                                        r2.nominal_status is SdpStatus.FEASIBLE,
+                                        r2.passed, r2.vertices_exhaustive)
 
 
 class TestBatchedSweep:
@@ -609,7 +610,7 @@ class TestSynthesize:
         sys = example1_system()
         for n_c in (0, 1):
             result, report = synthesize(sys, n_c, sample_count=100, seed=0)
-            assert result.solver_status is SdpStatus.FEASIBLE
+            assert result.solution.status is SdpStatus.FEASIBLE
             assert result.controller.n_c == n_c
             assert report.passed
             assert result.eta is not None and result.eta > 0
@@ -659,7 +660,7 @@ class TestSynthesize:
         result, _ = synthesize(sys, 0, sample_count=20, seed=0)
         cfg = SolverConfig()
         for c in result.problem.constraints:
-            assert constraint_margin(result.problem, c, result.values) >= cfg.eps_margin
+            assert constraint_margin(result.problem, c, result.solution.values) >= cfg.eps_margin
 
     @pytest.mark.parametrize("system,passed", [
         (example1_system, True), (example2_system, False),
@@ -688,7 +689,7 @@ class TestSynthesize:
             result, report = synthesize(sys, 0, sample_count=50, seed=0)
         except InfeasibleError:
             pytest.fail("the synthesis LMI itself is feasible for example 2")
-        assert result.solver_status is SdpStatus.FEASIBLE
+        assert result.solution.status is SdpStatus.FEASIBLE
         assert not report.passed
         assert report.min_sector_margin < 0
 
@@ -912,7 +913,7 @@ class TestGoldenAnswers:
                                           err_msg=name)
             np.testing.assert_array_equal(report.worst_realization.f_b, signs(f_b),
                                           err_msg=name)
-            assert (result.solver_iterations, result.schur_dim) == \
+            assert (result.solution.iterations, result.schur_dim) == \
                 (iterations, schur_dim), name
             assert report.nominal_route == "closed_form", name
             assert report.nominal_status is SdpStatus.FEASIBLE, name
