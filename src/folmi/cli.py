@@ -231,9 +231,7 @@ def load_controller(path):
 
 
 def save_controller(controller, path):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(controller.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(controller.to_dict(), path)
 
 
 def _certification_dict(report):

@@ -123,10 +123,6 @@ class UncertaintyFactors:
         return self.a0.shape[0]
 
     @property
-    def l(self):
-        return self.b0.shape[1]
-
-    @property
     def is_certain(self):
         return not (np.any(self.delta_a > 0) or np.any(self.delta_b > 0))
 
@@ -151,23 +147,21 @@ def _check_unit_box(f):
         raise OutOfUnitBoxError("realization entry outside [-1, 1]")
 
 
-def _radius_factors(delta, unit_dim):
+def _radius_factors(delta):
     """Build the (M, R) pair for one radius matrix.
 
     Columns of M are sqrt(radius) times state-space unit vectors e_i; rows
-    of R are sqrt(radius) times e_j in a ``unit_dim``-dimensional space,
-    both in row-major (i, j) order.  Zero radii keep their (zero) columns so
-    shapes stay exactly n x (rows*cols) and (rows*cols) x unit_dim.
+    of R are sqrt(radius) times e_j in a ``cols``-dimensional space, both
+    in row-major (i, j) order.  Zero radii keep their (zero) columns so
+    shapes stay exactly rows x (rows*cols) and (rows*cols) x cols.
     """
     rows, cols = delta.shape
+    k = np.arange(rows * cols)
+    s = np.sqrt(delta).ravel()
     m = np.zeros((rows, rows * cols))
-    r = np.zeros((rows * cols, unit_dim))
-    for i in range(rows):
-        for j in range(cols):
-            k = i * cols + j
-            s = np.sqrt(delta[i, j])
-            m[i, k] = s
-            r[k, j] = s
+    r = np.zeros((rows * cols, cols))
+    m[k // cols, k] = s
+    r[k, k % cols] = s
     return m, r
 
 
@@ -182,8 +176,8 @@ def decompose(sys):
     delta_a = 0.5 * (sys.a.upper - sys.a.lower)
     b0 = 0.5 * (sys.b.lower + sys.b.upper)
     delta_b = 0.5 * (sys.b.upper - sys.b.lower)
-    m_a, r_a = _radius_factors(delta_a, sys.n)
-    m_b, r_b = _radius_factors(delta_b, sys.l)
+    m_a, r_a = _radius_factors(delta_a)
+    m_b, r_b = _radius_factors(delta_b)
     return UncertaintyFactors(a0, delta_a, m_a, r_a, b0, delta_b, m_b, r_b)
 
 

@@ -46,6 +46,12 @@ def require_square(m, name="matrix"):
     return a
 
 
+def check_eig_dim(d):
+    """ValidationError if a ``d`` x ``d`` matrix exceeds ``EIG_DIM_CAP``."""
+    if d > EIG_DIM_CAP:
+        raise ValidationError(f"dimension {d} exceeds eigensolver cap {EIG_DIM_CAP}")
+
+
 def eigvals_stack(stack):
     """Eigenvalues (with multiplicity, unsorted) of each matrix of a real
     (N, d, d) stack, as an (N, d) array.
@@ -58,8 +64,7 @@ def eigvals_stack(stack):
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NonSquareError(f"expected an (N, d, d) stack, got shape {a.shape}")
     count, d = a.shape[0], a.shape[1]
-    if d > EIG_DIM_CAP:
-        raise ValidationError(f"dimension {d} exceeds eigensolver cap {EIG_DIM_CAP}")
+    check_eig_dim(d)
     if count == 0 or d == 0:
         return np.zeros((count, d), dtype=complex)
     if not np.all(np.isfinite(a)):

@@ -41,7 +41,7 @@ from .interval import (
     realize,
     sweep_scalings,
 )
-from .linalg import as_matrix, pinv
+from .linalg import as_matrix, check_eig_dim, pinv
 from .lmi import (
     LmiProblem,
     SdpSolution,
@@ -342,9 +342,11 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     certification is returned with ``passed = False``, never hidden.
     Raises :class:`InfeasibleError` when the LMI itself is infeasible or
     undecidable, and :class:`ValidationError` for certify settings that
-    :func:`certify` rejects, before assembling anything.
+    :func:`certify` rejects or a closed loop past the eigensolver cap,
+    before assembling anything.
     """
     check_sweep_settings(sample_count, seed)
+    check_eig_dim(sys.n + n_c)
     asm = assemble(decompose(sys), sys.c, sys.alpha, n_c)
     sol = solve_feasibility(asm.problem, solver_cfg)
     if sol.status is not SdpStatus.FEASIBLE:

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import folmi
 from folmi.cli import (
     EXIT_CERTIFICATION_FAILED,
     EXIT_INFEASIBLE,
@@ -105,12 +110,14 @@ class TestCommands:
         assert len(report["config"]["a_lower"]) + k.n_c == 5
 
     def test_synth_report_explains_the_solve(self):
-        # example2's lifted block has 2 * (n + n_c) = 6 rows of Sigma plus
+        # example2's lifted block has 2 * (n + n_c) rows of Sigma plus
         # 2 * (3 + 1) lift rows (three A columns and one B column, all uncertain)
-        for fixture, schur_dim in (("example1", 7), ("example2", 14)):
+        for fixture, n_c, schur_dim in (
+                ("example1", 0, 7), ("example2", 0, 14), ("example2", 1, 16)):
             cfg = parse_config(fixture)
+            cfg.n_c = n_c
             cfg.certify["sample_count"] = 10
-            report, _ = cmd_synth(cfg)
+            report, code = cmd_synth(cfg)
             synthesis = report["synthesis"]
             assert synthesis["schur_dim"] == schur_dim, fixture
             assert synthesis["solver_iterations"] > 0
@@ -118,7 +125,13 @@ class TestCommands:
             nominal = report["certification"]
             assert (nominal["nominal_route"], nominal["nominal_status"]) == \
                 ("closed_form", "feasible"), fixture
-        assert report["status"] == "CERTIFICATION_FAILED"
+            if fixture == "example2":
+                # the lifted alpha >= 1 solve finds a point, and the
+                # recovered controller fails certification
+                assert synthesis["solver_status"] == "FEASIBLE"
+                assert synthesis["eta"] > 0
+                assert code == EXIT_CERTIFICATION_FAILED
+                assert report["status"] == "CERTIFICATION_FAILED"
 
     def test_synth_uncontrollable_is_infeasible(self, tmp_path):
         path = write_config(
@@ -151,14 +164,16 @@ class TestCommands:
         assert code == EXIT_OK
         assert report["certification"]["vertex_count"] == 2048
 
-    def test_check_zero_controller_fails(self):
+    @pytest.mark.parametrize("d_c", [0.0, 5.0])
+    def test_check_zero_controller_fails(self, d_c):
         cfg = parse_config("example1")
         cfg.certify["sample_count"] = 10
-        report, code = cmd_check(cfg, DynamicController.static([[0.0]]))
+        report, code = cmd_check(cfg, DynamicController.static([[d_c]]))
         assert code == EXIT_CERTIFICATION_FAILED
         assert report["certification"]["min_sector_margin"] < 0
-        # the open-loop center is unstable: the closed form fails its audit
-        # and the barrier proves the nominal LMI infeasible
+        # the closed-loop center is unstable under either gain: the closed
+        # form fails its audit and the barrier proves the nominal LMI
+        # infeasible
         assert report["certification"]["nominal_route"] == "barrier"
         assert report["certification"]["nominal_status"] == "infeasible"
 
@@ -228,6 +243,27 @@ class TestMainEntry:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["status"] == "PASSED"
         assert summary["vertex_count"] == 2048
+        r = json.loads((tmp_path / "r.json").read_text())
+        assert r["certification"]["nominal_route"] == "closed_form"
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (["synth", "example1", "--nc", "1", "--samples", "20"], EXIT_OK, ""),
+        (["synth", "example1", "--nc", "-1"], EXIT_USAGE,
+         "error: 'n_c' must be >= 0, got -1\n"),
+    ], ids=["summary", "usage-error"])
+    def test_module_entry_runs_as_a_process(self, tmp_path, argv, code, err):
+        # python -m folmi.cli, in a fresh interpreter where any warning is an
+        # error, exits with main's code and prints nothing else
+        src = pathlib.Path(folmi.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "folmi.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (code, err)
+        if code == EXIT_OK:
+            assert json.loads(run.stdout)["status"] == "PASSED"
+        else:
+            assert run.stdout == ""
 
     def test_usage_error_exit(self, tmp_path, capsys):
         path = write_config(
@@ -484,6 +520,23 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             "error: interval bound: midpoint or half-width overflows\n")
 
+    def test_simulate_runs_20000_steps_through_every_memory_band(
+            self, tmp_path, capsys):
+        # 20 000 steps reach the FFT bands of the history sum that start at
+        # lags 8192 and 16384, which no run of at most 5 000 steps uses
+        data = parse_config("example1").raw
+        data["simulate"].update(t_end=200.0, h=0.01)
+        path, ctrl, csv_path = (tmp_path / n for n in ("p.json", "k.json", "t.csv"))
+        path.write_text(json.dumps(data))
+        save_controller(DynamicController.static([[-2.0]]), ctrl)
+        assert main(["simulate", str(path), str(ctrl), "--out", str(csv_path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["status"] == "OK"
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 20002  # header + 20001 samples
+        assert lines[0] == "t,x1,x2,x3"
+        values = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert values.shape == (20001, 4) and np.all(np.isfinite(values))
+
     def test_overflowing_step_count_is_a_usage_error(self, tmp_path, capsys):
         # used to end in an OverflowError traceback
         path = write_config(
@@ -545,7 +598,8 @@ class TestMainEntry:
 
     def test_synth_closed_loop_past_the_eigensolver_cap_is_a_usage_error(
             self, tmp_path, capsys, monkeypatch):
-        # the cap is met in certify, after the solve, and is still an input error
+        # synthesize checks the closed-loop order against the cap before it
+        # assembles anything; an input error, with no report
         monkeypatch.setattr("folmi.linalg.EIG_DIM_CAP", 3)
         report = tmp_path / "r.json"
         assert main(["synth", "example1", "--nc", "1", "--report", str(report)]) \
@@ -553,6 +607,19 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             "error: dimension 4 exceeds eigensolver cap 3\n")
         assert not report.exists()
+
+    def test_synth_order_past_the_eigensolver_cap_is_refused_before_assembly(
+            self, capsys, monkeypatch):
+        # --nc 1000 used to die in numpy's _ArrayMemoryError while declaring
+        # the coefficient stack of the 1000 x 1000 certificate P_C, before
+        # the cap was ever checked
+        def never(*args, **kwargs):
+            raise AssertionError("assembled a closed loop past the cap")
+
+        monkeypatch.setattr("folmi.synthesis.assemble", never)
+        assert main(["synth", "example1", "--nc", "1000"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: dimension 1003 exceeds eigensolver cap 64\n")
 
     @pytest.mark.parametrize("overrides,message", [
         ({"solver": {"eps": 1e-6}}, "unknown solver fields: ['eps']"),

@@ -440,6 +440,7 @@ class TestCertainFamilySweep:
         assert counts == [1]
         assert (report.vertex_count, report.sample_count) == (1, 500)
         assert report.vertices_exhaustive
+        assert report.nominal_route == "closed_form"
         np.testing.assert_array_equal(report.worst_realization.f_a, np.zeros(9))
         np.testing.assert_array_equal(report.worst_realization.f_b, np.zeros(3))
         factors = decompose(sys)
