@@ -17,7 +17,7 @@ import os
 import pathlib
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -373,16 +373,7 @@ def cmd_simulate(config, controller, csv_path, report_path=None):
 def cmd_decompose(config, out_path=None):
     """Write the midpoint/radius factorization of the configured plant."""
     factors = decompose(config.system())
-    payload = {
-        "a0": factors.a0.tolist(),
-        "delta_a": factors.delta_a.tolist(),
-        "m_a": factors.m_a.tolist(),
-        "r_a": factors.r_a.tolist(),
-        "b0": factors.b0.tolist(),
-        "delta_b": factors.delta_b.tolist(),
-        "m_b": factors.m_b.tolist(),
-        "r_b": factors.r_b.tolist(),
-    }
+    payload = {f.name: getattr(factors, f.name).tolist() for f in fields(factors)}
     report = {"command": "decompose", "config": config.raw, "factors": payload}
     _write_report(report, out_path)
     return report, EXIT_OK

@@ -21,8 +21,11 @@ from .errors import BoundViolationError, OutOfUnitBoxError, ShapeMismatchError
 from .linalg import as_matrix, check_alpha
 
 MAX_VERTICES = 2 ** 24
-# Scaling rows per array of the certification sweep.
-SWEEP_CHUNK = 8192
+# Scaling rows per array of the certification sweep.  ``synthesis.certify``
+# checks its stop at the margin floor once per array, so a failing family
+# stops after 512 rows, while a passing 2^16-vertex n = 4 sweep takes the
+# same time, within noise, as in 8192-row arrays (BENCH_26.json).
+SWEEP_CHUNK = 512
 
 
 @dataclass(frozen=True)

@@ -65,14 +65,20 @@ def sector_margins(stack, alpha):
     argument 0, hence unstable.  One matrix ``a`` is the stack
     ``np.asarray(a)[None]``.
     """
-    check_alpha(alpha)
+    floor = margin_floor(alpha)
     eigs = eigvals_stack(stack)
-    boundary = alpha * np.pi / 2.0
     if eigs.shape[1] == 0:
-        return np.full(eigs.shape[0], np.pi - boundary)
+        return np.full(eigs.shape[0], np.pi + floor)
     args = np.abs(np.angle(eigs))
     args[np.abs(eigs) < ZERO_EIG_TOL] = 0.0
-    return args.min(axis=1) - boundary
+    return args.min(axis=1) + floor
+
+
+def margin_floor(alpha):
+    """-alpha*pi/2, the margin of an eigenvalue of argument 0 and the lowest
+    that :func:`sector_margins` returns, which adds it to every |arg|."""
+    check_alpha(alpha)
+    return -(alpha * np.pi / 2.0)
 
 
 class _HermitianRegime:

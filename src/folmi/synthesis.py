@@ -55,6 +55,7 @@ from .stability import (
     certificate_lmi,
     closed_form_certificate,
     closed_loop,
+    margin_floor,
     sector_margins,
 )
 
@@ -297,24 +298,33 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     The rows and their order come from :func:`folmi.interval.sweep_scalings`:
     one stack of closed loops and one batched eigenvalue call per array.
     The worst realization is the first one reaching the minimal margin.
-    Raises :class:`ValidationError` for a negative ``sample_count`` or a
-    ``seed`` outside [0, 2**32) before sweeping anything.
+    The sweep stops after the array where the minimum reaches
+    :func:`folmi.stability.margin_floor`: no later row can go lower and a
+    tie never replaces the first row at the minimum, so the report is that
+    of the full sweep.  The stop is checked per array, hence the small
+    ``interval.SWEEP_CHUNK``.  Raises :class:`ValidationError` for a
+    negative ``sample_count``, a ``seed`` outside [0, 2**32) or a closed
+    loop past the eigensolver cap before sweeping anything.
     """
     check_sweep_settings(sample_count, seed)
+    check_eig_dim(sys.n + controller.n_c)
     factors = decompose(sys)
     vertex_count, arrays = sweep_scalings(factors, sample_count, seed)
     if vertex_count == 0:
         log.info("vertices exceed the cap of %d; sweeping samples only", MAX_VERTICES)
 
-    min_margin = np.inf
-    worst = None
+    min_margin, worst, swept = np.inf, None, 0
     for f in arrays:
         a, b = realize(factors, f)
         margins = sector_margins(closed_loop(a, b, sys.c, controller), sys.alpha)
         i = int(np.argmin(margins))
         if margins[i] < min_margin:
-            min_margin = float(margins[i])
-            worst = f[i].copy()
+            min_margin, worst = float(margins[i]), f[i].copy()
+        swept += len(f)
+        if min_margin == margin_floor(sys.alpha):
+            log.info("sweep stopped at the margin floor after %d of %d rows", swept,
+                     1 if factors.is_certain else max(1, vertex_count + sample_count))
+            break
     a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, controller)
     eps_margin = (solver_cfg or SolverConfig()).eps_margin
     route, cert = "closed_form", closed_form_certificate(a_cl0, sys.alpha, eps_margin)

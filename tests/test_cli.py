@@ -596,6 +596,23 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             "error: dimension 65 exceeds eigensolver cap 64\n")
 
+    def test_check_order_past_the_eigensolver_cap_is_refused_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        # a 1000-state controller used to die in numpy's _ArrayMemoryError
+        # while stacking the closed loops of the first sweep array
+        def never(*args, **kwargs):
+            raise AssertionError("swept a closed loop past the cap")
+
+        n_c = 62
+        path = tmp_path / "k.json"
+        save_controller(DynamicController(
+            n_c, -np.eye(n_c), np.zeros((n_c, 1)), np.zeros((1, n_c)), [[-24.86]]),
+            path)
+        monkeypatch.setattr("folmi.synthesis.realize", never)
+        assert main(["check", "example1", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: dimension 65 exceeds eigensolver cap 64\n")
+
     def test_synth_closed_loop_past_the_eigensolver_cap_is_a_usage_error(
             self, tmp_path, capsys, monkeypatch):
         # synthesize checks the closed-loop order against the cap before it

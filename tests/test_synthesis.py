@@ -27,6 +27,7 @@ from folmi.stability import (
     analysis_feasible,
     certificate_lmi,
     closed_loop,
+    margin_floor,
     sector_margins,
 )
 from folmi.synthesis import (
@@ -36,7 +37,7 @@ from folmi.synthesis import (
     recover,
     synthesize,
 )
-from tests.test_interval import example1_system, partly_uncertain_system
+from tests.test_interval import example1_system, partly_uncertain_system, sweep_rows
 from tests.test_stability import reference_margin
 
 EX2_A_LOWER = [[-1.1, -1.5, 3.0], [0.8, -2.6, 0.7], [-1.4, -4.0, -1.2]]
@@ -451,8 +452,21 @@ class TestCertainFamilySweep:
         assert not worst[0].any() and not worst[1].any()
 
     def test_partly_uncertain_family_sweeps_every_row(self, monkeypatch):
+        # the vertices already reach the margin floor -0.9*pi/2, so the
+        # sweep stops before the samples, with the full sweep's answer
         sys = partly_uncertain_system()
         k = DynamicController.static([[0.1], [-0.2]])
+        counts = count_swept_rows(monkeypatch)
+        report = certify(sys, k, sample_count=40, seed=8)
+        assert report.vertex_count == 256 and counts == [256]
+        assert report.min_sector_margin == margin_floor(0.9)
+        margin, _ = reference_sweep(sys, k, 40, 8)
+        assert abs(report.min_sector_margin - margin) <= 1e-9
+
+    def test_partly_uncertain_family_above_the_floor_sweeps_every_row(
+            self, monkeypatch):
+        sys = partly_uncertain_system()
+        k = DynamicController(1, [[-1.3]], [[-6.8]], [[-4.0], [-1.3]], [[-1.1], [-0.5]])
         swept = []
 
         def recording(factors, rows):
@@ -468,6 +482,7 @@ class TestCertainFamilySweep:
             rows[256:], np.random.RandomState(8).uniform(-1.0, 1.0, size=(40, 15)))
         margin, _ = reference_sweep(sys, k, 40, 8)
         assert abs(report.min_sector_margin - margin) <= 1e-9
+        assert margin_floor(0.9) < report.min_sector_margin < 0.0
 
 
 def reference_sweep(sys, controller, sample_count, seed):
@@ -572,9 +587,28 @@ class TestBatchedSweep:
     def test_chunk_size_does_not_change_the_report(self, sweep_cases, monkeypatch):
         chosen = [sweep_cases[0], sweep_cases[5], sweep_cases[-1]]
         full = [certify(sys, k, sample_count=30, seed=2) for _, sys, k in chosen]
-        monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", 7)
-        for report, (_, sys, k) in zip(full, chosen):
-            assert_same_report(report, certify(sys, k, sample_count=30, seed=2))
+        for chunk in (7, 1):
+            monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", chunk)
+            for report, (_, sys, k) in zip(full, chosen):
+                assert_same_report(report, certify(sys, k, sample_count=30, seed=2))
+        # one row per array: example2 at n_c = 1 stops at row 4, the first
+        # to reach the floor, which is also the full sweep's worst row
+        counts = count_swept_rows(monkeypatch)
+        _, sys, k = sweep_cases[5]
+        certify(sys, k, sample_count=30, seed=2)
+        assert counts == [1] * 5
+        _, rows = sweep_rows(decompose(sys), 30, 2)
+        np.testing.assert_array_equal(full[1].worst_realization.f_a, rows[4, :9])
+        np.testing.assert_array_equal(full[1].worst_realization.f_b, rows[4, 9:])
+
+    def test_a_tie_keeps_the_first_row(self, monkeypatch):
+        # under d_c = 0 the closed loop is A whatever B, so every row ties
+        sys = UncertainFoltiSystem(0.5, IntervalMatrix.certain([[-1.0]]),
+                                   IntervalMatrix([[1.0]], [[2.0]]), [[1.0]])
+        for chunk in (512, 1):
+            monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", chunk)
+            report = certify(sys, DynamicController.static([[0.0]]), sample_count=5)
+            np.testing.assert_array_equal(report.worst_realization.f_b, [-1.0])
 
     def test_empty_sweep_checks_the_center(self, caplog):
         # 30 uncertain entries: 2^30 vertices exceed the cap, and no samples
@@ -604,6 +638,39 @@ class TestBatchedSweep:
                                         sys.b, sys.c)
         report = certify(unstable, k, sample_count=0)
         assert report.min_sector_margin < 0 and not report.passed
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0, 1.2, 1.9])
+def test_margin_floor_is_the_lowest_sector_margin(alpha):
+    # an eigenvalue on the positive real axis or at the origin
+    floor = margin_floor(alpha).hex()
+    assert floor == sector_margins(np.array([[[1.0]]]), alpha)[0].hex()
+    assert floor == sector_margins(np.zeros((1, 1, 1)), alpha)[0].hex()
+
+
+class TestFloorStop:
+    def test_failing_designs_stop_after_one_array(self, fixture_designs, monkeypatch):
+        for name, sys, result, _ in fixture_designs[4:]:
+            counts = count_swept_rows(monkeypatch)
+            report = certify(sys, result.controller)
+            assert counts == [512], name
+            assert report.vertex_count == 4096 and report.vertices_exhaustive, name
+            assert report.min_sector_margin == margin_floor(1.2), name
+
+    def test_passing_design_sweeps_every_row(self, fixture_designs, monkeypatch):
+        name, sys, result, _ = fixture_designs[0]
+        counts = count_swept_rows(monkeypatch)
+        report = certify(sys, result.controller)
+        assert name == "example1-nc0" and report.passed
+        assert counts == [512] * 4 + [500]
+
+    def test_stop_is_logged(self, fixture_designs, caplog):
+        _, sys, result, _ = fixture_designs[4]
+        with caplog.at_level(logging.INFO, logger="folmi.synthesis"):
+            certify(sys, result.controller)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "folmi.synthesis" and r.levelno == logging.INFO] == [
+            "sweep stopped at the margin floor after 512 of 4596 rows"]
 
 
 class TestSynthesize:
