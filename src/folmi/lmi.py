@@ -169,8 +169,11 @@ def block_expr(grid):
 
     Every entry may be a :class:`MatExpr`, an array, or a scalar (treated
     as 1x1).  Zero-sized blocks are allowed and simply occupy no space,
-    which lets one assembly path cover degenerate controller orders.
+    which lets one assembly path cover degenerate controller orders.  With
+    no :class:`MatExpr` entry, the result is the plain ``np.block`` array.
     """
+    if not any(isinstance(e, MatExpr) for row in grid for e in row):
+        return np.block([[np.asarray(e, float) for e in row] for row in grid])
     grid = [[MatExpr.wrap(e) for e in row] for row in grid]
     n_cols = len(grid[0])
     if any(len(row) != n_cols for row in grid):
@@ -332,9 +335,7 @@ def evaluate_constraint(problem, constraint, values):
         )
     m = MatExpr(constraint.ids, constraint.stack, constraint.constant).value(values)
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if constraint.sense is Sense.NEGATIVE_DEFINITE:
-        return m, float(eigs[-1])
-    return m, float(eigs[0])
+    return m, float(eigs[-1] if constraint.sense is Sense.NEGATIVE_DEFINITE else eigs[0])
 
 
 def constraint_margin(problem, constraint, values):

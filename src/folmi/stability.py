@@ -29,7 +29,6 @@ from .linalg import check_alpha, eigvals_stack, require_square
 from .lmi import (
     R_BOX,
     LmiProblem,
-    MatExpr,
     SdpSolution,
     SdpStatus,
     Sense,
@@ -105,7 +104,7 @@ class _HermitianRegime:
 
     def positivity(self, cert):
         x, y = cert
-        return block_expr([[x, -1.0 * y], [y, x]]) - np.eye(2 * x.rows)
+        return block_expr([[x, -1.0 * y], [y, x]]) - np.eye(2 * x.shape[0])
 
     def value(self, parts):
         x, y = parts
@@ -148,7 +147,7 @@ class _SymmetricRegime:
         return cert[0]
 
     def positivity(self, cert):
-        return cert[0] - np.eye(cert[0].rows)
+        return cert[0] - np.eye(cert[0].shape[0])
 
     def value(self, parts):
         return parts[0]
@@ -170,7 +169,7 @@ class _SymmetricRegime:
 
 def _regime(alpha):
     """The certificate regime of the order alpha.  Its methods take the
-    certificate's parts, (X, Y) or (P,): expressions, or matrices in value()."""
+    certificate's parts, (X, Y) or (P,): expressions or arrays, arrays in value()."""
     check_alpha(alpha)
     return _HermitianRegime(alpha) if alpha < 1.0 else _SymmetricRegime(alpha)
 
@@ -265,10 +264,10 @@ def closed_form_certificate(a, alpha, eps_margin):
 
     The eigenbasis certificate P of the regime (Chilali & Gahinet 1996;
     Sabatier, Moze & Farges 2010), scaled so that Sigma and P - I clear
-    ``eps_margin``, is audited on numbers, with no LMI problem built: the
-    regime's Sigma and positivity of constant expressions of P must have
-    margins >= ``eps_margin``, and the :func:`analysis_feasible` variables at
-    P, which the solution holds in that problem's order, |x| < R_BOX, so the
+    ``eps_margin``, is audited by the regime's own code run on P's arrays,
+    with no LMI problem or MatExpr built: Sigma and P - I must have margins
+    >= ``eps_margin``, and the :func:`analysis_feasible` variables at P,
+    which the solution holds in that problem's order, |x| < R_BOX, so the
     barrier could not prove that problem INFEASIBLE.  None (reason logged at
     INFO) when P fails that audit or cond(V) > EIGENBASIS_COND_CAP.
     """
@@ -285,10 +284,9 @@ def closed_form_certificate(a, alpha, eps_margin):
 
     def margins(scale):
         """Margins of Sigma < 0 and of P - I > 0 at the certificate scale * P."""
-        cert = tuple(MatExpr.wrap(scale * part) for part in parts)
-        sigma = regime.sigma(m @ regime.q_expr(cert))
-        pos = regime.positivity(cert)
-        return -np.linalg.eigvalsh(sigma.const)[-1], np.linalg.eigvalsh(pos.const)[0]
+        cert = [scale * part for part in parts]
+        sigma, pos = regime.sigma(m @ regime.q_expr(cert)), regime.positivity(cert)
+        return -np.linalg.eigvalsh(sigma)[-1], np.linalg.eigvalsh(pos)[0]
 
     sigma, pos = margins(1.0)  # pos = lambda_min(P) - 1
     scale = 1.0

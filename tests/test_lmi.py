@@ -633,3 +633,24 @@ class TestStackedOperators:
             grid = [[random_expr(rng, (h, w)) for w in cols] for h in rows]
             want = table_block([[term_table(e) for e in row] for row in grid])
             assert_same_table(term_table(block_expr(grid)), want)
+
+    def test_constant_grid_gives_the_plain_array(self):
+        # a zero-sized block, a Python scalar and -0.0 entries: the array of
+        # an all-constant grid has the bits of the constant of the same grid
+        # with any one entry wrapped
+        rng = np.random.RandomState(27)
+        for _ in range(50):
+            a, b, c = rng.randn(2, 3), rng.randn(2, 1), rng.randn(1, 3)
+            for m in (a, b, c):
+                m[rng.rand(*m.shape) < 0.4] = -0.0
+            corner = -0.0 if rng.rand() < 0.5 else 2.5
+            grid = [[a, np.zeros((2, 0)), b], [c, np.zeros((1, 0)), corner]]
+            got = block_expr(grid)
+            assert type(got) is np.ndarray and got.shape == (3, 4)
+            for i in range(2):
+                for j in range(3):
+                    wrapped = [row[:] for row in grid]
+                    wrapped[i][j] = folmi.lmi.MatExpr.wrap(grid[i][j])
+                    want = block_expr(wrapped)
+                    assert want.ids.size == 0
+                    assert_same_bits(got, want.const)

@@ -10,6 +10,7 @@ import folmi.stability
 from folmi.lmi import (
     R_BOX,
     LmiProblem,
+    MatExpr,
     SdpStatus,
     constraint_margin,
     evaluate_constraint,
@@ -317,6 +318,38 @@ class TestClosedFormCertificate:
         assert cert.solution.status is SdpStatus.FEASIBLE
         with pytest.raises(AssertionError, match="LmiProblem"):
             analysis_feasible(np.array([[-1.0]]), alpha)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.2, 1.8])
+    def test_a_passing_audit_builds_no_expression(self, monkeypatch, alpha):
+        # the audit runs the regime code on plain arrays
+        def refuse(*args, **kwargs):
+            raise AssertionError("a MatExpr was built")
+
+        monkeypatch.setattr(MatExpr, "__init__", refuse)
+        cert = closed_form_certificate(np.array([[-3.0, 0.5], [-0.5, -3.0]]), alpha, 1e-6)
+        assert cert.solution.status is SdpStatus.FEASIBLE
+        with pytest.raises(AssertionError, match="MatExpr"):
+            MatExpr.wrap(np.eye(2))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.2, 1.8])
+    def test_regime_code_on_arrays_matches_expressions(self, alpha):
+        # q_expr, sigma and positivity give the bits of the constants of
+        # the same calls on wrapped parts, signed zeros included
+        regime, rng = _regime(alpha), np.random.RandomState(27)
+        for n in (1, 2, 3, 5):
+            for _ in range(20):
+                parts = [rng.randn(n, n) for _ in range(2 if alpha < 1.0 else 1)]
+                g = rng.randn(n, n)
+                for m in parts + [g]:
+                    m[rng.rand(n, n) < 0.3] = -0.0
+                exprs = [MatExpr.wrap(part) for part in parts]
+                for call, arg, expr_arg in ((regime.q_expr, parts, exprs),
+                                            (regime.positivity, parts, exprs),
+                                            (regime.sigma, g, MatExpr.wrap(g))):
+                    got, want = call(arg), call(expr_arg)
+                    assert isinstance(got, np.ndarray) and isinstance(want, MatExpr)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.const.tobytes()
 
     def test_sound_on_seeded_matrices(self):
         # 200 matrices randn(n, n) - s I, n = 2..7, s uniform in [0, 2),
