@@ -46,6 +46,10 @@ class ConvergenceFailureError(FolmiError, RuntimeError):
     """An iterative kernel hit its iteration cap without converging."""
 
 
+class DivergenceError(FolmiError, RuntimeError):
+    """A simulated state grew past the float range."""
+
+
 class IllFormedProblemError(FolmiError, ValueError):
     """LMI problem violates the modeling-layer invariants."""
 

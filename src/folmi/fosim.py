@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DivergenceError,
     DomainTooLargeError,
     SingularStepError,
     StepTooLargeError,
@@ -266,8 +267,9 @@ def simulate(a_cl, alpha, x0, t_end, h):
     in O(N log^2 N) work for N steps.  Raises ValidationError for an empty
     a_cl, an x0 of the wrong length and settings that
     :func:`check_simulate_settings` rejects, SingularStepError when the
-    implicit step matrix is (near) singular and StepTooLargeError when the
-    step is far too coarse for the system's eigenvalue scale.
+    implicit step matrix is (near) singular, StepTooLargeError when the
+    step is far too coarse for the system's eigenvalue scale and
+    DivergenceError, naming the time, when a state leaves the float range.
     """
     a = require_square(a_cl, "a_cl")
     if a.size == 0:
@@ -307,19 +309,26 @@ def simulate(a_cl, alpha, x0, t_end, h):
     # before t = 0.
     ys = np.zeros((steps + _NEAR, n))
     y = ys[_NEAR - 1 :]
-    y[1:] = h_alpha * (a @ x0)
-    y[1] = step_inv @ y[1]  # as the one-step recursion does, bit for bit
     spectra = {}
-    for start in range(0, steps + 1, block):
-        k, stop = max(start, 2), min(start + block, steps + 1)
-        size = _NEAR
-        while k % size == 0:
-            _subtract_band(y, w, k, size, min(k + size, steps + 1), spectra)
-            size *= 2
-        b = stop - k
-        rhs = y[k:stop] - history[:b] @ ys[k : k + _NEAR - 1]
-        y[k:stop] = (block_inv[: b * n, : b * n] @ rhs.reshape(-1)).reshape(b, n)
-    return Trajectory(times, y + x0[None, :])
+    # a diverging loop overflows to inf and then NaN; checked once at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        y[1:] = h_alpha * (a @ x0)
+        y[1] = step_inv @ y[1]  # as the one-step recursion does, bit for bit
+        for start in range(0, steps + 1, block):
+            k, stop = max(start, 2), min(start + block, steps + 1)
+            size = _NEAR
+            while k % size == 0:
+                _subtract_band(y, w, k, size, min(k + size, steps + 1), spectra)
+                size *= 2
+            b = stop - k
+            rhs = y[k:stop] - history[:b] @ ys[k : k + _NEAR - 1]
+            y[k:stop] = (block_inv[: b * n, : b * n] @ rhs.reshape(-1)).reshape(b, n)
+        states = y + x0[None, :]
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        raise DivergenceError("simulation diverges: the closed-loop state leaves "
+                              f"the float range at t = {times[bad.argmax()]:.9g}")
+    return Trajectory(times, states)
 
 
 def trajectory_to_csv(traj, path):

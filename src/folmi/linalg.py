@@ -81,7 +81,4 @@ def pinv(m):
     Singular values below ``PINV_RCOND`` times the largest are zeroed, so
     rank-deficient inputs are handled.
     """
-    a = as_matrix(m)
-    if a.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    return np.linalg.pinv(a, rcond=PINV_RCOND)
+    return np.linalg.pinv(as_matrix(m), rcond=PINV_RCOND)

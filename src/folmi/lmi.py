@@ -102,9 +102,7 @@ class MatExpr:
         ids = _union([self.ids, other.ids])
         # from -0.0, the exact additive identity, a term of one side alone
         # keeps its bits, signed zeros included
-        coeff = np.full((ids.size,) + self.shape, -0.0)
-        coeff[np.searchsorted(ids, self.ids)] = self.coeff
-        coeff[np.searchsorted(ids, other.ids)] += other.coeff
+        coeff = _spread(self, ids, -0.0) + _spread(other, ids, -0.0)
         return MatExpr(ids, coeff, self.const + other.const)
 
     __radd__ = __add__
@@ -159,46 +157,32 @@ class MatExpr:
         return out
 
 
-def sym_expr(e):
-    """``e + e.T`` for a square expression."""
-    return e + e.T
+def _spread(e, ids, fill):
+    """The coefficient stack of ``e`` on ``ids``, a sorted superset of
+    ``e.ids``: ``fill`` for a variable without a term in e, ``fill +=`` the
+    coefficient for one with a term.  An empty stack is not scattered, so
+    the ids of a zero-sized expression need not be in ``ids``."""
+    coeff = np.full((ids.size,) + e.shape, fill)
+    if e.coeff.size:
+        coeff[np.searchsorted(ids, e.ids)] += e.coeff
+    return coeff
 
 
 def block_expr(grid):
-    """Assemble a block matrix expression from a nested list.
+    """Assemble a block matrix expression from a nested list by ``np.block``.
 
     Every entry may be a :class:`MatExpr`, an array, or a scalar (treated
-    as 1x1).  Zero-sized blocks are allowed and simply occupy no space,
-    which lets one assembly path cover degenerate controller orders.  With
-    no :class:`MatExpr` entry, the result is the plain ``np.block`` array.
-    """
+    as 1x1); zero-sized blocks occupy no space, which lets one assembly
+    path cover degenerate controller orders.  With no :class:`MatExpr`
+    entry, the result is the plain array.  Otherwise ``np.block`` tiles the
+    constants and the stacks, spread onto the variables of the non-empty
+    entries with 0.0 outside the blocks of each variable."""
     if not any(isinstance(e, MatExpr) for row in grid for e in row):
         return np.block([[np.asarray(e, float) for e in row] for row in grid])
     grid = [[MatExpr.wrap(e) for e in row] for row in grid]
-    n_cols = len(grid[0])
-    if any(len(row) != n_cols for row in grid):
-        raise ValueError("ragged block grid")
-    heights = [row[0].rows for row in grid]
-    widths = [grid[0][j].cols for j in range(n_cols)]
-    r0, c0 = np.cumsum([0] + heights), np.cumsum([0] + widths)
-    placed = []
-    for i, row in enumerate(grid):
-        for j, e in enumerate(row):
-            if e.shape != (heights[i], widths[j]):
-                raise ValueError(f"block ({i},{j}) is {e.shape}, expected "
-                                 f"({heights[i]},{widths[j]})")
-            if e.rows and e.cols:
-                placed.append((slice(r0[i], r0[i + 1]), slice(c0[j], c0[j + 1]), e))
-    ids = _union([e.ids for _, _, e in placed])
-    # the blocks tile the constant, and from -0.0, the exact additive
-    # identity, += copies each one bit for bit, signed zeros included; a
-    # coefficient is 0.0 outside the blocks of its variable
-    const = np.full((r0[-1], c0[-1]), -0.0)
-    coeff = np.zeros((ids.size, r0[-1], c0[-1]))
-    for rows, cols, e in placed:
-        const[rows, cols] += e.const
-        coeff[np.searchsorted(ids, e.ids), rows, cols] += e.coeff
-    return MatExpr(ids, coeff, const)
+    ids = _union([e.ids for row in grid for e in row if e.const.size])
+    return MatExpr(ids, np.block([[_spread(e, ids, 0.0) for e in row] for row in grid]),
+                   np.block([[e.const for e in row] for row in grid]))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .lmi import (
     Sense,
     block_expr,
     solve_feasibility,
-    sym_expr,
 )
 
 # Eigenvalues below this magnitude have no usable argument and are
@@ -112,7 +111,7 @@ class _HermitianRegime:
 
     def sigma(self, g):
         """Sym(G) for the closed-loop expression G = A_cl Q."""
-        return sym_expr(g)
+        return g + g.T
 
     def eigen_certificate(self, vals, vecs):
         """(X, Y), exactly symmetric and skew, of P = V D V^H, D = 1 on
@@ -155,7 +154,7 @@ class _SymmetricRegime:
     def sigma(self, g):
         """[[G_s sin(theta), G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]]
         with G_s = G + G^T and G_k = G - G^T."""
-        diag, off = np.sin(self.theta) * sym_expr(g), np.cos(self.theta) * (g - g.T)
+        diag, off = np.sin(self.theta) * (g + g.T), np.cos(self.theta) * (g - g.T)
         return block_expr([[diag, off], [-off, diag]])
 
     def eigen_certificate(self, vals, vecs):

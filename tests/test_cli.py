@@ -373,6 +373,20 @@ class TestMainEntry:
             "100000000000000000000 steps, more than the cap of 10000000\n")
         assert not (tmp_path / "t.csv").exists()
 
+    def test_diverging_simulation_is_a_solver_error(self, tmp_path, capsys):
+        # closed-loop eigenvalues 6.72 +- 5.06j and 0.55: the states leave the
+        # float range at t = 65.79, which used to print numpy's overflow
+        # warnings, write NaN rows and report "OK" with exit 0
+        path = write_config(
+            tmp_path, simulate={"x0": [1, 1, 1], "t_end": 100.0, "h": 0.01})
+        ctrl, csv_path = tmp_path / "k.json", tmp_path / "t.csv"
+        save_controller(DynamicController.static([[5.0]]), ctrl)
+        code = main(["simulate", str(path), str(ctrl), "--out", str(csv_path)])
+        assert code == EXIT_SOLVER_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "t = 65.79" in err
+        assert not csv_path.exists()
+
     def test_wrong_shape_controller_is_a_usage_error(self, tmp_path, capsys):
         # example1 has one input and one output, so Dc must be 1 x 1
         path = tmp_path / "k.json"

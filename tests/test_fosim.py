@@ -6,6 +6,7 @@ import pytest
 
 from folmi.errors import (
     AlphaOutOfRangeError,
+    DivergenceError,
     DomainTooLargeError,
     SingularStepError,
     StepTooLargeError,
@@ -230,6 +231,21 @@ class TestSimulate:
     def test_step_too_large(self):
         with pytest.raises(StepTooLargeError):
             simulate(np.array([[-1e6]]), 1.0, [1.0], 10.0, 1.0)
+
+    def test_a_diverging_loop_is_an_error_naming_the_time(self):
+        # example1's center plant under d_c = 5, eigenvalues 6.72 +- 5.06j
+        # and 0.55: the states used to overflow to inf at t = 65.79 and NaN
+        # after it, behind numpy's RuntimeWarnings, and were returned as is
+        a_cl = np.array([[8.5, -7.5, 7.5], [5.25, 6.25, -2.75], [1.25, 2.25, -0.75]])
+        with pytest.raises(DivergenceError, match="diverges") as exc:
+            simulate(a_cl, 0.75, [1.0, 1.0, 1.0], 100.0, 0.01)
+        assert not isinstance(exc.value, ValidationError)
+        t = float(str(exc.value).rsplit("t = ", 1)[1])
+        assert abs(t - 65.79) <= 0.01
+        states = simulate(a_cl, 0.75, [1.0, 1.0, 1.0], 50.0, 0.01).states
+        assert np.all(np.isfinite(states)) and np.abs(states).max() > 1e200
+        with pytest.raises(DivergenceError, match="t = 0.01$"):  # A x0 overflows
+            simulate(np.array([[-2.0]]), 0.75, [1e308], 1.0, 0.01)
 
     def test_empty_system_rejected(self):
         # used to end in numpy's LinAlgError from the conditioning check

@@ -92,6 +92,11 @@ class TestPinv:
     def test_zero_matrix(self):
         np.testing.assert_array_equal(pinv(np.zeros((2, 3))), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_matrix_gives_the_transposed_empty_shape(self, shape):
+        p = pinv(np.zeros(shape))
+        assert p.shape == shape[::-1] and p.dtype == float
+
     def test_penrose_identities_random(self):
         rng = np.random.RandomState(7)
         for trial in range(200):

@@ -16,7 +16,6 @@ from folmi.lmi import (
     constraint_margin,
     evaluate_constraint,
     solve_feasibility,
-    sym_expr,
 )
 from folmi.stability import analysis_feasible
 from folmi.synthesis import assemble
@@ -120,6 +119,35 @@ class TestExpressions:
         big = block_expr([[s, t.T], [t, np.zeros((0, 0))]])
         assert big.shape == (2, 2)
 
+    @pytest.mark.parametrize("declared", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_one_tiling_rule_for_arrays_and_expressions(self, declared):
+        # column widths that differ between rows, [[2x1, 2x2], [1x2, 1x1]],
+        # tile alike with one entry a declared block and all constant, and
+        # widening that entry by a column raises ValueError on both paths
+        rng = np.random.RandomState(28)
+        grid = [[rng.randn(2, 1), rng.randn(2, 2)], [rng.randn(1, 2), rng.randn(1, 1)]]
+        grid[0][1][0, 0] = grid[1][0][0, 1] = -0.0
+        i, j = declared
+        rows, cols = grid[i][j].shape
+
+        def grid_with(entry):
+            g = [row[:] for row in grid]
+            g[i][j] = entry
+            return g
+
+        p = LmiProblem()
+        x = p.declare_full_block(rows, cols)
+        want = block_expr(grid_with(np.zeros((rows, cols))))
+        got = block_expr(grid_with(x))
+        assert got.shape == want.shape == (3, 3)
+        assert got.const.tobytes() == want.tobytes()
+        v = np.arange(1.0, p.num_vars + 1)
+        np.testing.assert_array_equal(got.value(v), np.block(grid_with(x.value(v))))
+        wide = p.declare_full_block(rows, cols + 1)
+        for entry in (wide, np.zeros(wide.shape)):
+            with pytest.raises(ValueError):
+                block_expr(grid_with(entry))
+
     def test_reflected_operators(self):
         # an array on the left of + and - hands the expression to __radd__
         # and __rsub__
@@ -129,14 +157,6 @@ class TestExpressions:
         v = np.array([1.0, -2.0, 0.5])
         np.testing.assert_array_equal((shift + s).value(v), shift + s.value(v))
         np.testing.assert_array_equal((shift - s).value(v), shift - s.value(v))
-
-    def test_sym_expr(self):
-        p = LmiProblem()
-        t = p.declare_full_block(2, 2)
-        v = np.arange(4.0)
-        np.testing.assert_array_equal(
-            sym_expr(t).value(v), t.value(v) + t.value(v).T
-        )
 
 
 class TestConstraints:
@@ -261,7 +281,7 @@ class TestSolver:
         xs = p.declare_symmetric_block(1)
         q = 2.0 * np.cos(theta) * xs
         a = np.array([[-1.0]])
-        p.add_constraint(sym_expr(a @ q), Sense.NEGATIVE_DEFINITE)
+        p.add_constraint(a @ q + (a @ q).T, Sense.NEGATIVE_DEFINITE)
         p.add_constraint(xs, Sense.POSITIVE_DEFINITE)
         sol = solve_feasibility(p)
         assert sol.status is SdpStatus.FEASIBLE
@@ -278,7 +298,8 @@ class TestSolver:
         p = LmiProblem()
         s = p.declare_symmetric_block(3)
         g = rng.randn(3, 3)
-        p.add_constraint(sym_expr((g - 3 * np.eye(3)) @ s), Sense.NEGATIVE_DEFINITE)
+        gs = (g - 3 * np.eye(3)) @ s
+        p.add_constraint(gs + gs.T, Sense.NEGATIVE_DEFINITE)
         p.add_constraint(s - np.eye(3), Sense.POSITIVE_DEFINITE)
         cfg = SolverConfig()
         sol = solve_feasibility(p, cfg)
@@ -291,7 +312,7 @@ class TestSolver:
             p = LmiProblem()
             s = p.declare_symmetric_block(2)
             a = np.array([[-1.0, 2.0], [0.0, -3.0]])
-            p.add_constraint(sym_expr(a @ s), Sense.NEGATIVE_DEFINITE)
+            p.add_constraint(a @ s + (a @ s).T, Sense.NEGATIVE_DEFINITE)
             p.add_constraint(s - np.eye(2), Sense.POSITIVE_DEFINITE)
             return solve_feasibility(p, SolverConfig())
 
@@ -564,7 +585,8 @@ class TestBatchedConstraint:
         t = p.declare_full_block(3, 3)
         s = p.declare_symmetric_block(3)
         x = p.declare_scalar()
-        zero = sym_expr(t @ np.zeros((3, 3)))  # nine all-zero terms
+        tz = t @ np.zeros((3, 3))
+        zero = tz + tz.T  # nine all-zero terms
         e = zero + s - x.scale(np.eye(3)) + np.zeros((3, 3))
         assert len(term_table(e)) == 1 + 9 + 6 + 1
         c = p.add_constraint(e, Sense.NEGATIVE_DEFINITE)

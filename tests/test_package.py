@@ -29,6 +29,7 @@ def test_input_rule_errors_are_validation_errors(name):
 @pytest.mark.parametrize("name", [
     "IllFormedProblemError", "StepTooLargeError", "SingularStepError",
     "ConvergenceFailureError", "SingularCertificateError", "InfeasibleError",
+    "DivergenceError",
 ])
 def test_solver_errors_are_not_validation_errors(name):
     # these exit 4, or 2 for InfeasibleError
