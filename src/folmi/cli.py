@@ -43,6 +43,10 @@ EXIT_INFEASIBLE = 2
 EXIT_CERTIFICATION_FAILED = 3
 EXIT_SOLVER_ERROR = 4
 
+_STATUS_EXIT = {"PASSED": EXIT_OK, "OK": EXIT_OK, "INFEASIBLE": EXIT_INFEASIBLE,
+                "CERTIFICATION_FAILED": EXIT_CERTIFICATION_FAILED,
+                "SOLVER_ERROR": EXIT_SOLVER_ERROR}
+
 _FIXTURES = ("example1", "example2")
 
 
@@ -276,6 +280,21 @@ def _simulate_closed_loop(config, controller):
     return simulate(a_cl, sys_.alpha, x0, float(sim["t_end"]), float(sim["h"]))
 
 
+def _finish(command, config, status, t_start, report_path, **fields):
+    """The report of a ``synth``, ``check`` or ``simulate`` run and its exit
+    code: ``command``, ``config``, ``status``, ``fields`` and
+    ``timings.total_s`` since ``t_start``, written to ``report_path`` if
+    given."""
+    report = {"command": command, "config": config, "status": status, **fields,
+              "timings": {"total_s": time.perf_counter() - t_start}}
+    _write_report(report, report_path)
+    return report, _STATUS_EXIT[status]
+
+
+def _verdict(cert):
+    return "PASSED" if cert.passed else "CERTIFICATION_FAILED"
+
+
 def cmd_synth(config, out_path=None, report_path=None):
     """Run synthesis + certification; returns (report dict, exit code)."""
     sys_ = config.system()
@@ -288,43 +307,28 @@ def cmd_synth(config, out_path=None, report_path=None):
         result, cert = synthesize(sys_, config.n_c, solver_cfg, **certify_kw)
     except ValidationError:
         raise  # an input error, which main maps to EXIT_USAGE
+    except InfeasibleError as exc:
+        return _finish("synth", config.as_run(), "INFEASIBLE", t_start, report_path,
+                       detail=str(exc), solver_status=exc.status.name)
     except FolmiError as exc:
-        infeasible = isinstance(exc, InfeasibleError)
-        report = {
-            "command": "synth",
-            "config": config.as_run(),
-            "status": "INFEASIBLE" if infeasible else "SOLVER_ERROR",
-            "detail": str(exc),
-            "timings": {"total_s": time.perf_counter() - t_start},
-        }
-        if infeasible:
-            report["solver_status"] = exc.status.name
-        _write_report(report, report_path)
-        return report, EXIT_INFEASIBLE if infeasible else EXIT_SOLVER_ERROR
+        return _finish("synth", config.as_run(), "SOLVER_ERROR", t_start, report_path,
+                       detail=str(exc))
 
     log.debug("synth: solver %s, min margin %g over %d vertices + %d samples",
               result.solution.status.name, cert.min_sector_margin,
               cert.vertex_count, cert.sample_count)
-    status = "PASSED" if cert.passed else "CERTIFICATION_FAILED"
-    report = {
-        "command": "synth",
-        "config": config.as_run(),
-        "status": status,
-        "synthesis": {
-            "controller": result.controller.to_dict(),
-            "eta": result.eta,
-            "solver_status": result.solution.status.name,
-            "solver_iterations": result.solution.iterations,
-            "achieved_margin": result.solution.achieved_margin,
-            "schur_dim": result.schur_dim,
-        },
-        "certification": _certification_dict(cert),
-        "timings": {"total_s": time.perf_counter() - t_start},
-    }
     if out_path:
         save_controller(result.controller, out_path)
-    _write_report(report, report_path)
-    return report, EXIT_OK if cert.passed else EXIT_CERTIFICATION_FAILED
+    return _finish("synth", config.as_run(), _verdict(cert), t_start, report_path,
+                   synthesis={
+                       "controller": result.controller.to_dict(),
+                       "eta": result.eta,
+                       "solver_status": result.solution.status.name,
+                       "solver_iterations": result.solution.iterations,
+                       "achieved_margin": result.solution.achieved_margin,
+                       "schur_dim": result.schur_dim,
+                   },
+                   certification=_certification_dict(cert))
 
 
 def cmd_check(config, controller, report_path=None):
@@ -336,16 +340,9 @@ def cmd_check(config, controller, report_path=None):
     cert = certify(
         sys_, controller, solver_cfg=config.solver_config(), **config.certify_config()
     )
-    report = {
-        "command": "check",
-        "config": config.as_run(),
-        "status": "PASSED" if cert.passed else "CERTIFICATION_FAILED",
-        "controller": controller.to_dict(),
-        "certification": _certification_dict(cert),
-        "timings": {"total_s": time.perf_counter() - t_start},
-    }
-    _write_report(report, report_path)
-    return report, EXIT_OK if cert.passed else EXIT_CERTIFICATION_FAILED
+    return _finish("check", config.as_run(), _verdict(cert), t_start, report_path,
+                   controller=controller.to_dict(),
+                   certification=_certification_dict(cert))
 
 
 def cmd_simulate(config, controller, csv_path, report_path=None):
@@ -354,20 +351,13 @@ def cmd_simulate(config, controller, csv_path, report_path=None):
     traj = _simulate_closed_loop(config, controller)
     trajectory_to_csv(traj, csv_path)
     ratio = traj.final_norm_ratio  # inf from x0 = 0: null, as JSON has no inf
-    report = {
-        "command": "simulate",
-        "config": config.raw,
-        "status": "OK",
-        "controller": controller.to_dict(),
-        "simulation": {
-            "csv": str(csv_path),
-            "steps": int(traj.times.size - 1),
-            "final_norm_ratio": ratio if math.isfinite(ratio) else None,
-        },
-        "timings": {"total_s": time.perf_counter() - t_start},
-    }
-    _write_report(report, report_path)
-    return report, EXIT_OK
+    return _finish("simulate", config.raw, "OK", t_start, report_path,
+                   controller=controller.to_dict(),
+                   simulation={
+                       "csv": str(csv_path),
+                       "steps": int(traj.times.size - 1),
+                       "final_norm_ratio": ratio if math.isfinite(ratio) else None,
+                   })
 
 
 def cmd_decompose(config, out_path=None):

@@ -146,7 +146,7 @@ class UncertaintyRealization:
 
 
 def _check_unit_box(f):
-    if f.size and not np.abs(f).max() <= 1.0 + 1e-12:  # NaN fails too
+    if not np.abs(f).max(initial=0.0) <= 1.0 + 1e-12:  # NaN fails too
         raise OutOfUnitBoxError("realization entry outside [-1, 1]")
 
 

@@ -28,7 +28,7 @@ def as_matrix(m, name="matrix"):
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} has non-finite entries")
     return a
 
@@ -63,10 +63,7 @@ def eigvals_stack(stack):
     a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NonSquareError(f"expected an (N, d, d) stack, got shape {a.shape}")
-    count, d = a.shape[0], a.shape[1]
-    check_eig_dim(d)
-    if count == 0 or d == 0:
-        return np.zeros((count, d), dtype=complex)
+    check_eig_dim(a.shape[1])
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix stack has non-finite entries")
     try:

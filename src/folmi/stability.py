@@ -65,11 +65,9 @@ def sector_margins(stack, alpha):
     """
     floor = margin_floor(alpha)
     eigs = eigvals_stack(stack)
-    if eigs.shape[1] == 0:
-        return np.full(eigs.shape[0], np.pi + floor)
     args = np.abs(np.angle(eigs))
     args[np.abs(eigs) < ZERO_EIG_TOL] = 0.0
-    return args.min(axis=1) + floor
+    return args.min(axis=1, initial=np.pi) + floor  # pi for a 0x0 matrix
 
 
 def margin_floor(alpha):

@@ -231,6 +231,47 @@ class TestCommands:
         np.testing.assert_array_equal(k.b_c, k2.b_c)
 
 
+def raise_singular(*args, **kwargs):
+    raise SingularCertificateError("certificate block is singular")
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("outcome, status, code", [
+        ("synth", "PASSED", EXIT_OK),
+        ("synth", "CERTIFICATION_FAILED", EXIT_CERTIFICATION_FAILED),
+        ("synth", "INFEASIBLE", EXIT_INFEASIBLE),
+        ("synth", "SOLVER_ERROR", EXIT_SOLVER_ERROR),
+        ("check", "PASSED", EXIT_OK),
+        ("simulate", "OK", EXIT_OK),
+        ("decompose", None, EXIT_OK),
+    ])
+    def test_report_envelope(self, tmp_path, monkeypatch, outcome, status, code):
+        # every synth, check and simulate report carries command, config,
+        # status and timings.total_s, and the file written is the dict
+        # returned; a decompose report has no status and no timings
+        cfg = parse_config("example2" if status == "CERTIFICATION_FAILED" else "example1")
+        cfg.certify["sample_count"] = 20
+        if status == "INFEASIBLE":
+            cfg.solver["max_iter"] = 1
+        if status == "SOLVER_ERROR":
+            monkeypatch.setattr("folmi.cli.synthesize", raise_singular)
+        k, rpath = DynamicController.static([[-24.86]]), tmp_path / "r.json"
+        report, got = {
+            "synth": lambda: cmd_synth(cfg, report_path=rpath),
+            "check": lambda: cmd_check(cfg, k, rpath),
+            "simulate": lambda: cmd_simulate(cfg, k, tmp_path / "t.csv", rpath),
+            "decompose": lambda: cmd_decompose(cfg, rpath),
+        }[outcome]()
+        assert got == code and report["command"] == outcome
+        assert report["config"]["alpha"] == cfg.alpha
+        assert report.get("status") == status
+        if status is None:
+            assert "timings" not in report
+        else:
+            assert report["timings"]["total_s"] >= 0.0
+        assert json.loads(rpath.read_text()) == report
+
+
 class TestMainEntry:
     def test_exit_code_contract_and_summary(self, tmp_path, capsys):
         code = main([
@@ -386,6 +427,13 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "t = 65.79" in err
         assert not csv_path.exists()
+
+    def test_non_finite_bound_is_a_usage_error(self, tmp_path, capsys):
+        # JSON's NaN token parses as a float; the matrix check refuses it
+        a_lower = [[float("nan"), -8.0, 1.0], [9.0, 6.0, 1.0], [1.0, 2.0, -1.0]]
+        path = write_config(tmp_path, a_lower=a_lower)
+        assert main(["synth", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: lower has non-finite entries\n"
 
     def test_wrong_shape_controller_is_a_usage_error(self, tmp_path, capsys):
         # example1 has one input and one output, so Dc must be 1 x 1

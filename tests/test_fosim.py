@@ -134,6 +134,10 @@ class TestMittagLeffler:
 
 
 class TestSimulate:
+    def test_x0_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValidationError, match="x0 has length 1, expected 2"):
+            simulate(-np.eye(2), 0.75, [1.0], 1.0, 0.01)
+
     def test_classical_limit_matches_exp(self):
         traj = simulate(np.array([[-1.0]]), 1.0, [1.0], 5.0, 1e-3)
         errs = np.abs(traj.states[:, 0] - np.exp(-traj.times))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from folmi.errors import NonSquareError
-from folmi.linalg import eigvals_stack, pinv
+from folmi.errors import NonSquareError, ValidationError
+from folmi.linalg import as_matrix, eigvals_stack, pinv
 
 EX1_A0 = np.array([
     [2.25, -7.5, 1.25],
@@ -77,6 +77,21 @@ class TestEigGeneral:
     def test_deterministic(self):
         stack = np.random.RandomState(3).randn(4, 6, 6)
         np.testing.assert_array_equal(eigvals_stack(stack), eigvals_stack(stack))
+
+    @pytest.mark.parametrize("shape, want", [((0, 3, 3), (0, 3)), ((2, 0, 0), (2, 0))])
+    def test_empty_stack_shapes(self, shape, want):
+        assert eigvals_stack(np.zeros(shape)).shape == want
+
+
+class TestAsMatrix:
+    def test_one_dimensional_input_is_one_row(self):
+        a = as_matrix([1.0, 2.0])
+        assert a.dtype == float
+        np.testing.assert_array_equal(a, [[1.0, 2.0]])
+
+    def test_more_than_two_dimensions_is_refused(self):
+        with pytest.raises(ValidationError, match="m must be 2-D, got ndim=3"):
+            as_matrix(np.zeros((1, 2, 2)), "m")
 
 
 class TestPinv:

@@ -148,6 +148,23 @@ class TestExpressions:
             with pytest.raises(ValueError):
                 block_expr(grid_with(entry))
 
+    def test_adding_different_shapes_is_refused(self):
+        p = LmiProblem()
+        s = p.declare_symmetric_block(2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            s + p.declare_full_block(2, 3)
+
+    def test_product_of_two_expressions_is_refused(self):
+        p = LmiProblem()
+        s = p.declare_symmetric_block(2)
+        with pytest.raises(TypeError, match="not affine"):
+            s @ p.declare_symmetric_block(2)
+
+    def test_scale_needs_a_scalar_expression(self):
+        p = LmiProblem()
+        with pytest.raises(ValueError, match="only defined for 1x1"):
+            p.declare_symmetric_block(2).scale(np.eye(2))
+
     def test_reflected_operators(self):
         # an array on the left of + and - hands the expression to __radd__
         # and __rsub__

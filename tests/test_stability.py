@@ -4,6 +4,7 @@ import pytest
 from folmi.errors import (
     AlphaOutOfRangeError,
     ConvergenceFailureError,
+    NonSquareError,
     ShapeMismatchError,
 )
 import folmi.stability
@@ -276,6 +277,15 @@ def audit_corpus(count):
                 j[:2, :2] = rng.uniform(0.5, 2.0) * np.array([[c, sn], [-sn, c]])
             a = s @ j @ np.linalg.inv(s)
         yield a, alpha, kind
+
+
+@pytest.mark.parametrize("audit", [
+    lambda a: analysis_feasible(a, 0.5),
+    lambda a: closed_form_certificate(a, 1.5, 1e-6),
+])
+def test_a_non_square_matrix_is_refused(audit):
+    with pytest.raises(NonSquareError, match="is 1x2, not square"):
+        audit([[1.0, 2.0]])
 
 
 class TestClosedFormCertificate:

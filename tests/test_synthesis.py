@@ -10,6 +10,8 @@ from folmi.cli import load_controller, save_controller
 from folmi.errors import (
     AlphaOutOfRangeError,
     InfeasibleError,
+    ShapeMismatchError,
+    SingularCertificateError,
     ValidationError,
 )
 from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose
@@ -237,6 +239,14 @@ class TestRecoverLowAlpha:
         want = t4 @ np.linalg.inv(q_s) @ np.array([[0.5], [0.0], [0.5]])
         np.testing.assert_allclose(k.d_c, want, atol=1e-12)
 
+    def test_singular_certificate_is_refused(self):
+        # Q_S = 0 at the all-zero point: refused before numpy inverts it
+        sys = example1_system()
+        asm = assemble(decompose(sys), sys.c, 0.75, 0)
+        v = np.zeros(asm.problem.num_vars)
+        with pytest.raises(SingularCertificateError, match="Q_S too ill-conditioned"):
+            recover(asm, FakeSolution(v))
+
 
 class TestRecoverHighAlpha:
     def test_scalar_division(self):
@@ -268,6 +278,12 @@ class TestRecoverHighAlpha:
         set_block(v, asm.blocks["t4"], np.array([[3.0, 0.0, 0.0]]))
         k = recover(asm, FakeSolution(v))
         assert k.d_c[0, 0] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_assemble_refuses_an_output_matrix_of_the_wrong_width():
+    sys = example1_system()
+    with pytest.raises(ShapeMismatchError, match="C has 2 columns, expected 3"):
+        assemble(decompose(sys), np.ones((1, 2)), 0.75, 0)
 
 
 class TestAssemblyStructure:
