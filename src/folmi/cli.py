@@ -69,8 +69,8 @@ class ProblemConfig:
     def system(self):
         return UncertainFoltiSystem(
             self.alpha,
-            IntervalMatrix(self.a_lower, self.a_upper),
-            IntervalMatrix(self.b_lower, self.b_upper),
+            IntervalMatrix(self.a_lower, self.a_upper, "a"),
+            IntervalMatrix(self.b_lower, self.b_upper, "b"),
             self.c,
         )
 

@@ -21,10 +21,14 @@ from .errors import BoundViolationError, OutOfUnitBoxError, ShapeMismatchError
 from .linalg import as_matrix, check_alpha
 
 MAX_VERTICES = 2 ** 24
-# Scaling rows per array of the certification sweep.  ``synthesis.certify``
-# checks its stop at the margin floor once per array, so a failing family
-# stops after 512 rows, while a passing 2^16-vertex n = 4 sweep takes the
-# same time, within noise, as in 8192-row arrays (BENCH_26.json).
+# Rows per array of the certification sweep.  ``synthesis.certify`` checks
+# its stop at the margin floor once per array, so the vertex arrays grow
+# fourfold from FIRST_VERTEX_ROWS to SWEEP_CHUNK (8, 32, 128, 512, 512, ...)
+# and a failing example2 design stops after 8 rows.  The samples keep
+# SWEEP_CHUNK-row arrays: growing them too slowed the passing large-plant
+# certify.  A passing 2^16-vertex sweep takes the same time, within noise,
+# in 512-row arrays as in 8192-row ones (BENCH_26.json).
+FIRST_VERTEX_ROWS = 8
 SWEEP_CHUNK = 512
 
 
@@ -34,20 +38,25 @@ class IntervalMatrix:
 
     lower: np.ndarray
     upper: np.ndarray
+    # "a" names the bounds a_lower and a_upper in error messages
+    name: str = ""
 
     def __post_init__(self):
-        lo = as_matrix(self.lower, "lower")
-        hi = as_matrix(self.upper, "upper")
+        prefix = f"{self.name}_" if self.name else ""
+        lo_name, hi_name = prefix + "lower", prefix + "upper"
+        lo = as_matrix(self.lower, lo_name)
+        hi = as_matrix(self.upper, hi_name)
         if lo.shape != hi.shape:
             raise BoundViolationError(
                 f"interval bound shapes differ: {lo.shape} vs {hi.shape}"
             )
         if np.any(lo > hi):
-            raise BoundViolationError("interval bound: lower > upper somewhere")
+            raise BoundViolationError(f"interval bound: {lo_name} > {hi_name} somewhere")
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(lo + hi) & np.isfinite(hi - lo)):
                 raise BoundViolationError(
-                    "interval bound: midpoint or half-width overflows")
+                    f"interval bound: midpoint or half-width of {lo_name} and "
+                    f"{hi_name} overflows")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -206,38 +215,43 @@ def realize(factors, rows):
 
 
 def sweep_scalings(factors, sample_count, seed):
-    """The certification sweep: ``(vertex_count, arrays)``.
+    """The certification sweep: ``(vertex_count, row_count, arrays)``.
 
     ``vertex_count`` is 2**k for the k strictly positive radii when that is
-    at most ``MAX_VERTICES``, else 0.  ``arrays`` yields the scaling rows
-    [f_a | f_b] in arrays of at most ``SWEEP_CHUNK`` rows: first the
-    vertices in number order, where bit b of the number sets the sign (+1
-    when set) of the b-th positive radius, A row-major then B, and zero
-    radii stay 0; then ``sample_count`` uniform rows of one
-    ``RandomState(seed)`` stream, f_a then f_b per row, the same whatever
-    the chunk size.  When neither gives a row, the center row comes alone.
-    A family without a positive radius holds one plant, so it is swept as
-    its center alone (vertex 0, all zeros), whatever ``sample_count``: no
-    samples are drawn.
+    at most ``MAX_VERTICES``, else 0, and ``row_count`` is the number of rows
+    ``arrays`` yields, the one row total of the sweep.  ``arrays`` yields the
+    scaling rows [f_a | f_b]: first the vertices in number order, where bit
+    b of the number sets the sign (+1 when set) of the b-th positive radius,
+    A row-major then B, and zero radii stay 0, in arrays of
+    ``FIRST_VERTEX_ROWS`` rows growing fourfold up to ``SWEEP_CHUNK``; then
+    ``sample_count`` uniform rows of one ``RandomState(seed)`` stream, f_a
+    then f_b per row, in arrays of ``SWEEP_CHUNK`` rows, the same rows
+    whatever the array sizes.  When neither gives a row, the center row
+    comes alone.  A family without a positive radius holds one plant, so it
+    is swept as its center alone (vertex 0, all zeros), whatever
+    ``sample_count``: no samples are drawn.
     """
     radii = np.concatenate([factors.delta_a.ravel(), factors.delta_b.ravel()])
     active = np.flatnonzero(radii > 0)
     vertex_count = 2 ** active.size if 2 ** active.size <= MAX_VERTICES else 0
+    sample_count = sample_count if active.size else 0
 
     def arrays():
-        for lo in range(0, vertex_count, SWEEP_CHUNK):
-            numbers = np.arange(lo, min(lo + SWEEP_CHUNK, vertex_count))
+        lo, size = 0, FIRST_VERTEX_ROWS
+        while lo < vertex_count:
+            size = min(size, SWEEP_CHUNK)
+            numbers = np.arange(lo, min(lo + size, vertex_count))
             bits = (numbers[:, None] >> np.arange(active.size)) & 1
             f = np.zeros((numbers.size, radii.size))
             f[:, active] = 2.0 * bits - 1.0
             yield f
-        if active.size == 0:
-            return
-        rng = np.random.RandomState(seed)
-        for lo in range(0, sample_count, SWEEP_CHUNK):
-            count = min(SWEEP_CHUNK, sample_count - lo)
-            yield rng.uniform(-1.0, 1.0, size=(count, radii.size))
-        if vertex_count == sample_count == 0:
+            lo, size = lo + size, 4 * size
+        if sample_count:
+            rng = np.random.RandomState(seed)
+            for lo in range(0, sample_count, SWEEP_CHUNK):
+                count = min(SWEEP_CHUNK, sample_count - lo)
+                yield rng.uniform(-1.0, 1.0, size=(count, radii.size))
+        elif vertex_count == 0:
             yield np.zeros((1, radii.size))
 
-    return vertex_count, arrays()
+    return vertex_count, max(1, vertex_count + sample_count), arrays()

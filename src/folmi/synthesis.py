@@ -301,15 +301,18 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     The sweep stops after the array where the minimum reaches
     :func:`folmi.stability.margin_floor`: no later row can go lower and a
     tie never replaces the first row at the minimum, so the report is that
-    of the full sweep.  The stop is checked per array, hence the small
-    ``interval.SWEEP_CHUNK``.  Raises :class:`ValidationError` for a
-    negative ``sample_count``, a ``seed`` outside [0, 2**32) or a closed
-    loop past the eigensolver cap before sweeping anything.
+    of the full sweep.  The stop is checked per array, and the vertex arrays
+    grow 8, 32, 128, 512, 512, ..., so a first floor row at vertex r (from
+    0) stops the sweep after at most min(4r + 8, r + 512) rows.  The stop is
+    logged at INFO with the rows swept and ``sweep_scalings``' row total.
+    Raises :class:`ValidationError` for a negative ``sample_count``, a
+    ``seed`` outside [0, 2**32) or a closed loop past the eigensolver cap
+    before sweeping anything.
     """
     check_sweep_settings(sample_count, seed)
     check_eig_dim(sys.n + controller.n_c)
     factors = decompose(sys)
-    vertex_count, arrays = sweep_scalings(factors, sample_count, seed)
+    vertex_count, row_count, arrays = sweep_scalings(factors, sample_count, seed)
     if vertex_count == 0:
         log.info("vertices exceed the cap of %d; sweeping samples only", MAX_VERTICES)
 
@@ -322,8 +325,8 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
             min_margin, worst = float(margins[i]), f[i].copy()
         swept += len(f)
         if min_margin == margin_floor(sys.alpha):
-            log.info("sweep stopped at the margin floor after %d of %d rows", swept,
-                     1 if factors.is_certain else max(1, vertex_count + sample_count))
+            log.info("sweep stopped at the margin floor after %d of %d rows",
+                     swept, row_count)
             break
     a_cl0 = closed_loop(factors.a0, factors.b0, sys.c, controller)
     eps_margin = (solver_cfg or SolverConfig()).eps_margin

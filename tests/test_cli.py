@@ -433,7 +433,7 @@ class TestMainEntry:
         a_lower = [[float("nan"), -8.0, 1.0], [9.0, 6.0, 1.0], [1.0, 2.0, -1.0]]
         path = write_config(tmp_path, a_lower=a_lower)
         assert main(["synth", str(path)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: lower has non-finite entries\n"
+        assert capsys.readouterr().err == "error: a_lower has non-finite entries\n"
 
     def test_wrong_shape_controller_is_a_usage_error(self, tmp_path, capsys):
         # example1 has one input and one output, so Dc must be 1 x 1
@@ -580,7 +580,8 @@ class TestMainEntry:
         argv = [command, str(path)] + ([str(ctrl)] if command == "check" else [])
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: interval bound: midpoint or half-width overflows\n")
+            "error: interval bound: midpoint or half-width of a_lower and a_upper "
+            "overflows\n")
 
     def test_simulate_runs_20000_steps_through_every_memory_band(
             self, tmp_path, capsys):

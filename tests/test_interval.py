@@ -165,9 +165,12 @@ def partly_uncertain_system():
 
 
 def sweep_rows(factors, sample_count, seed):
-    """``(vertex_count, every swept row)`` of :func:`sweep_scalings`."""
-    vertex_count, arrays = sweep_scalings(factors, sample_count, seed)
-    return vertex_count, np.concatenate(list(arrays))
+    """``(vertex_count, every swept row)`` of :func:`sweep_scalings`, whose
+    row total is checked against the rows."""
+    vertex_count, row_count, arrays = sweep_scalings(factors, sample_count, seed)
+    rows = np.concatenate(list(arrays))
+    assert len(rows) == row_count
+    return vertex_count, rows
 
 
 class TestStackedRealize:
@@ -247,8 +250,11 @@ class TestVertices:
         f = decompose(partly_uncertain_system())
         total, rows = sweep_rows(f, 0, 0)
         assert total == 256
+        # vertex arrays start at 8 rows and grow fourfold up to SWEEP_CHUNK
+        _, _, arrays = sweep_scalings(f, 0, 0)
+        assert [len(c) for c in arrays] == [8, 32, 128, 88]
         monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", 7)
-        _, arrays = sweep_scalings(f, 0, 0)
+        _, _, arrays = sweep_scalings(f, 0, 0)
         chunks = list(arrays)
         assert [len(c) for c in chunks] == [7] * 36 + [4]
         np.testing.assert_array_equal(np.concatenate(chunks), rows)

@@ -14,7 +14,7 @@ from folmi.errors import (
     SingularCertificateError,
     ValidationError,
 )
-from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose
+from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose, realize
 from folmi.lmi import (
     SdpStatus,
     Sense,
@@ -468,13 +468,13 @@ class TestCertainFamilySweep:
         assert not worst[0].any() and not worst[1].any()
 
     def test_partly_uncertain_family_sweeps_every_row(self, monkeypatch):
-        # the vertices already reach the margin floor -0.9*pi/2, so the
-        # sweep stops before the samples, with the full sweep's answer
+        # vertex 0 already reaches the margin floor -0.9*pi/2, so the sweep
+        # stops after the first 8-row array, with the full sweep's answer
         sys = partly_uncertain_system()
         k = DynamicController.static([[0.1], [-0.2]])
         counts = count_swept_rows(monkeypatch)
         report = certify(sys, k, sample_count=40, seed=8)
-        assert report.vertex_count == 256 and counts == [256]
+        assert report.vertex_count == 256 and counts == [8]
         assert report.min_sector_margin == margin_floor(0.9)
         margin, _ = reference_sweep(sys, k, 40, 8)
         assert abs(report.min_sector_margin - margin) <= 1e-9
@@ -608,11 +608,16 @@ class TestBatchedSweep:
             for report, (_, sys, k) in zip(full, chosen):
                 assert_same_report(report, certify(sys, k, sample_count=30, seed=2))
         # one row per array: example2 at n_c = 1 stops at row 4, the first
-        # to reach the floor, which is also the full sweep's worst row
+        # to reach the floor, which is also the full sweep's worst row; at
+        # the default sizes it stops after the first, 8-row array
         counts = count_swept_rows(monkeypatch)
         _, sys, k = sweep_cases[5]
         certify(sys, k, sample_count=30, seed=2)
         assert counts == [1] * 5
+        monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", 512)
+        counts.clear()
+        certify(sys, k, sample_count=30, seed=2)
+        assert counts == [8]
         _, rows = sweep_rows(decompose(sys), 30, 2)
         np.testing.assert_array_equal(full[1].worst_realization.f_a, rows[4, :9])
         np.testing.assert_array_equal(full[1].worst_realization.f_b, rows[4, 9:])
@@ -621,12 +626,12 @@ class TestBatchedSweep:
         # under d_c = 0 the closed loop is A whatever B, so every row ties
         sys = UncertainFoltiSystem(0.5, IntervalMatrix.certain([[-1.0]]),
                                    IntervalMatrix([[1.0]], [[2.0]]), [[1.0]])
-        for chunk in (512, 1):
+        for chunk in (512, 7, 1):
             monkeypatch.setattr(folmi.interval, "SWEEP_CHUNK", chunk)
             report = certify(sys, DynamicController.static([[0.0]]), sample_count=5)
             np.testing.assert_array_equal(report.worst_realization.f_b, [-1.0])
 
-    def test_empty_sweep_checks_the_center(self, caplog):
+    def test_empty_sweep_checks_the_center(self, caplog, monkeypatch):
         # 30 uncertain entries: 2^30 vertices exceed the cap, and no samples
         n = 5
         a0 = -np.eye(n) + 0.1 * np.triu(np.ones((n, n)), 1)
@@ -655,6 +660,10 @@ class TestBatchedSweep:
         report = certify(unstable, k, sample_count=0)
         assert report.min_sector_margin < 0 and not report.passed
 
+        # the default 500 samples come in one array
+        counts = count_swept_rows(monkeypatch)
+        assert certify(sys, k).passed and counts == [500]
+
 
 @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0, 1.2, 1.9])
 def test_margin_floor_is_the_lowest_sector_margin(alpha):
@@ -669,7 +678,7 @@ class TestFloorStop:
         for name, sys, result, _ in fixture_designs[4:]:
             counts = count_swept_rows(monkeypatch)
             report = certify(sys, result.controller)
-            assert counts == [512], name
+            assert counts == [8], name
             assert report.vertex_count == 4096 and report.vertices_exhaustive, name
             assert report.min_sector_margin == margin_floor(1.2), name
 
@@ -678,7 +687,7 @@ class TestFloorStop:
         counts = count_swept_rows(monkeypatch)
         report = certify(sys, result.controller)
         assert name == "example1-nc0" and report.passed
-        assert counts == [512] * 4 + [500]
+        assert counts == [8, 32, 128, 512, 512, 512, 344, 500]
 
     def test_stop_is_logged(self, fixture_designs, caplog):
         _, sys, result, _ = fixture_designs[4]
@@ -686,7 +695,30 @@ class TestFloorStop:
             certify(sys, result.controller)
         assert [r.getMessage() for r in caplog.records
                 if r.name == "folmi.synthesis" and r.levelno == logging.INFO] == [
-            "sweep stopped at the margin floor after 512 of 4596 rows"]
+            "sweep stopped at the margin floor after 8 of 4596 rows"]
+
+    @pytest.mark.parametrize("first", [0, 7, 8, 100, 600])
+    def test_planted_floor_row_stops_within_the_bound(self, first, monkeypatch):
+        # the closed loop of vertex v is the scalar (1023 - 2 first) +
+        # sum_j (2 bit_j(v) - 1) 2^j = 2 (v - first): vertex `first` is the
+        # first with an eigenvalue at the origin, every later one positive
+        sys = UncertainFoltiSystem(1.2, IntervalMatrix.certain([[1023.0 - 2 * first]]),
+                                   IntervalMatrix(-np.ones((1, 10)), np.ones((1, 10))),
+                                   [[1.0]])
+        k = DynamicController.static(2.0 ** np.arange(10)[:, None])
+        counts = count_swept_rows(monkeypatch)
+        report = certify(sys, k)
+        assert report.vertex_count == 1024
+        assert sum(counts) <= min(4 * first + 8, first + 512)
+        # the report of sweeping every row in one array
+        factors = decompose(sys)
+        _, rows = sweep_rows(factors, 500, 0)
+        margins = sector_margins(closed_loop(*realize(factors, rows), sys.c, k), 1.2)
+        i = int(np.argmin(margins))
+        assert i == first and margins[i] == margin_floor(1.2)
+        assert report.min_sector_margin == margins[i]
+        np.testing.assert_array_equal(report.worst_realization.f_a, rows[i, :1])
+        np.testing.assert_array_equal(report.worst_realization.f_b, rows[i, 1:])
 
 
 class TestSynthesize:
