@@ -48,7 +48,7 @@ class IntervalMatrix:
         hi = as_matrix(self.upper, hi_name)
         if lo.shape != hi.shape:
             raise BoundViolationError(
-                f"interval bound shapes differ: {lo.shape} vs {hi.shape}"
+                f"interval bound shapes differ: {lo_name} {lo.shape} vs {hi_name} {hi.shape}"
             )
         if np.any(lo > hi):
             raise BoundViolationError(f"interval bound: {lo_name} > {hi_name} somewhere")

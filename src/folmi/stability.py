@@ -182,18 +182,19 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     controller lifts T1 (n_c x n_c), T2 (n_c x n), T3 (l x n_c) and
     T4 (l x n).  With Q_S the regime's Q map of P_S and the plant-side
     expression Z = [[Q_S, 0], [T4, T3]], the closed-loop expression is
-    G = [[[A0 B0] Z], [[T2 T1]]], and the inequality is Sigma(G) < 0
-    followed by the positivity blocks (normalized to >= I, equivalent by
-    homogeneity, which pins the certificate scale).
+    G = [[[A0 B0] Z], [[T2 T1]]], and the LMI is Sigma(G) < 0 and one
+    positivity block blockdiag(P_S - I, P_C - I) > 0, P_C - I only when
+    n_c > 0 (certificates normalized to >= I, equivalent by homogeneity,
+    which pins the certificate scale).
 
     ``lift = (MM^T, D)`` replaces Sigma < 0 by its robust form for the
     plants [A B] = [A0 B0] + M F R, |F| <= 1, with MM^T (n x n) and a right
     factor R = U D whose U has orthonormal columns, so only D (n + l
     columns) enters: with k = regime.copies and a multiplier eta, the Schur
     block [[Sigma + eta I_k (x) MM^T, (I_k (x) D Z)^T], [I_k (x) D Z,
-    -eta I]] < 0, then eta > 0.  Returns the problem and a dict of the
-    variable handles: "s", "c" (certificates), "t1".."t4", and "eta" when
-    lifted.
+    -eta I]] < 0, and eta > 0 is the positivity block's last diagonal
+    entry.  Returns the problem and a dict of the variable handles: "s",
+    "c" (certificates), "t1".."t4", and "eta" when lifted.
     """
     n, l = b0.shape
     p = LmiProblem()
@@ -207,6 +208,9 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     g = block_expr([[np.hstack([a0, b0]) @ z],
                     [block_expr([[blocks["t2"], blocks["t1"]]])]])
     sigma = regime.sigma(g)
+    pos = [regime.positivity(blocks["s"])]
+    if n_c > 0:
+        pos.append(regime.positivity(blocks["c"]))
     if lift is None:
         p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
     else:
@@ -222,10 +226,11 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
             [sigma + eta.scale(np.kron(np.eye(k), pad)), r.T],
             [r, -1.0 * eta.scale(np.eye(r.rows))],
         ]), Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(eta, Sense.POSITIVE_DEFINITE)
-    p.add_constraint(regime.positivity(blocks["s"]), Sense.POSITIVE_DEFINITE)
-    if n_c > 0:
-        p.add_constraint(regime.positivity(blocks["c"]), Sense.POSITIVE_DEFINITE)
+        pos.append(eta)
+    # one barrier block: a block-diagonal slack's log det is its blocks' sum
+    p.add_constraint(pos[0] if len(pos) == 1 else block_expr(
+        [[a if a is b else np.zeros((a.rows, b.cols)) for b in pos] for a in pos]),
+        Sense.POSITIVE_DEFINITE)
     return p, blocks
 
 

@@ -203,7 +203,7 @@ def assemble(factors, c, alpha, n_c):
     copy of G in Sigma (one below alpha = 1, two from alpha = 1 up), and a
     multiplier eta; :func:`_lift` builds its data and says why the
     compression leaves the feasible set of the full lift unchanged.  On the
-    certain path (all radii zero) only Sigma < 0 and the positivity blocks
+    certain path (all radii zero) only Sigma < 0 and the positivity block
     are emitted.
     """
     regime = _regime(alpha)

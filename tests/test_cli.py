@@ -488,7 +488,8 @@ class TestMainEntry:
         path = write_config(tmp_path, a_lower=[[2.0, -8.0], [9.0, 6.0]])
         assert main(["decompose", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: interval bound shapes differ: (2, 2) vs (3, 3)")
+        assert err.startswith(
+            "error: interval bound shapes differ: a_lower (2, 2) vs a_upper (3, 3)")
 
     @pytest.mark.parametrize("field,overrides,flags", [
         ("certify.seed", {}, ["--seed", "-1"]),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,12 @@ class TestTypes:
     def test_bound_violation(self):
         with pytest.raises(BoundViolationError):
             IntervalMatrix(np.array([[1.0]]), np.array([[0.5]]))
+
+    @pytest.mark.parametrize("name,text", [
+        ("", "lower (1, 1) vs upper (2, 2)"), ("b", "b_lower (1, 1) vs b_upper (2, 2)")])
+    def test_bound_shapes_differ_names_the_bounds(self, name, text):
+        with pytest.raises(BoundViolationError, match=re.escape(f"differ: {text}")):
+            IntervalMatrix(np.zeros((1, 1)), np.zeros((2, 2)), name)
 
     def test_alpha_range(self):
         iv = IntervalMatrix.certain(np.eye(2))

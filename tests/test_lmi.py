@@ -20,7 +20,7 @@ from folmi.lmi import (
 from folmi.stability import analysis_feasible
 from folmi.synthesis import assemble
 from tests.test_interval import example1_system
-from tests.test_synthesis import example2_system
+from tests.test_synthesis import example2_system, separate_positivity
 
 
 def constraint_of(dim, constant, coeffs, sense):
@@ -456,19 +456,23 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-BIT_IDENTITY_BLOCKS = ("schur", "eta", "positivity_s", "positivity_c", "no_variables")
+BIT_IDENTITY_BLOCKS = ("schur", "eta", "positivity_s", "positivity_c", "no_variables",
+                       "positivity")
 
 
 def bit_identity_blocks():
-    """``{name: (problem size, constraint)}``: the example1 n_c = 1 blocks
-    and a constant block with no variables."""
+    """``{name: (problem size, constraint)}``: the two blocks of the example1
+    n_c = 1 problem (the Schur block and "positivity"), its eta > 0, P_S - I
+    and P_C - I built as separate constraints from the same variables, and a
+    constant block with no variables."""
     sys_ = example1_system()
-    problem = assemble(decompose(sys_), sys_.c, sys_.alpha, 1).problem
+    asm = assemble(decompose(sys_), sys_.c, sys_.alpha, 1)
+    schur, positivity = asm.problem.constraints
     empty = constraint_of(
         3, -np.eye(3) - 0.1 * np.ones((3, 3)), {}, Sense.NEGATIVE_DEFINITE)
-    n = problem.num_vars
-    return dict(zip(BIT_IDENTITY_BLOCKS,
-                    [(n, c) for c in problem.constraints] + [(4, empty)]))
+    n = asm.problem.num_vars
+    blocks = [schur, *separate_positivity(asm).constraints[1:], empty, positivity]
+    return {name: (4 if c is empty else n, c) for name, c in zip(BIT_IDENTITY_BLOCKS, blocks)}
 
 
 class TestBlockBitIdentity:
@@ -481,6 +485,9 @@ class TestBlockBitIdentity:
         # 18 of the 19 variables: not contiguous, selected by index arrays
         assert blocks["schur"].var_idx.size == 18
         assert isinstance(blocks["schur"].sel, np.ndarray)
+        # P_S, P_C (10 variables) and eta (the last): index arrays too
+        assert blocks["positivity"].var_idx.tolist() == list(range(10)) + [18]
+        assert isinstance(blocks["positivity"].sel, np.ndarray)
         assert isinstance(blocks["positivity_s"].sel, slice)
         assert cases["positivity_s"].sense is Sense.POSITIVE_DEFINITE
         # one variable, with a zero constant (eta > 0) or a nonzero one
@@ -569,7 +576,7 @@ class TestBatchedConstraint:
         for n_c in range(4):
             assemble(factors, sys_.c, sys_.alpha, n_c)
         folmi.stability._analysis_lmi(factors.a0, sys_.alpha)
-        assert len(checked) == 3 + 3 * 4 + 2  # n_c = 0 has no P_C block
+        assert len(checked) == 2 * 4 + 2  # a Schur and a positivity block each
 
     @pytest.mark.parametrize("position", [0, 7, 15])
     def test_one_asymmetric_term_among_many_is_rejected(self, position):

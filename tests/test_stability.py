@@ -231,7 +231,8 @@ def test_lifted_scalar_analysis_threshold(alpha, factor, status):
                                 (np.array([[rho * rho]]), np.array([[rho]])))
     k = regime.copies
     assert "eta" in blocks
-    assert [c.dim for c in p.constraints[:2]] == [2 * k, 1]
+    # the Schur block, then P_S - I (2 rows below alpha = 1) beside eta
+    assert [c.dim for c in p.constraints[:2]] == [2 * k, 2 // k + 1]
     assert solve_feasibility(p).status is status
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -16,9 +17,11 @@ from folmi.errors import (
 )
 from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose, realize
 from folmi.lmi import (
+    LmiProblem,
     SdpStatus,
     Sense,
     SolverConfig,
+    _Block,
     constraint_margin,
     evaluate_constraint,
     solve_feasibility,
@@ -467,7 +470,7 @@ class TestCertainFamilySweep:
         assert abs(report.min_sector_margin - margin) <= 1e-9
         assert not worst[0].any() and not worst[1].any()
 
-    def test_partly_uncertain_family_sweeps_every_row(self, monkeypatch):
+    def test_partly_uncertain_family_stops_at_the_floor(self, monkeypatch):
         # vertex 0 already reaches the margin floor -0.9*pi/2, so the sweep
         # stops after the first 8-row array, with the full sweep's answer
         sys = partly_uncertain_system()
@@ -862,6 +865,29 @@ def oriented(problem, constraint, v):
     return m if constraint.sense is Sense.NEGATIVE_DEFINITE else -m
 
 
+def separate_positivity(asm):
+    """The synthesis LMI of ``asm`` with its positivity block split, from
+    the same variable handles, into the separate constraints eta > 0,
+    P_S - I > 0 and (n_c > 0) P_C - I > 0 after the Schur block."""
+    old = LmiProblem(asm.problem.num_vars, asm.problem.constraints[:1])
+    b, positive = asm.blocks, Sense.POSITIVE_DEFINITE
+    if "eta" in b:
+        old.add_constraint(b["eta"], positive)
+    old.add_constraint(asm.regime.positivity(b["s"]), positive)
+    if asm.n_c:
+        old.add_constraint(asm.regime.positivity(b["c"]), positive)
+    return old
+
+
+def layout_digest(problem):
+    """sha256 prefix of the ids, constant and stack bytes of every constraint."""
+    h = hashlib.sha256()
+    for c in problem.constraints:
+        for part in (c.ids, c.constant, c.stack):
+            h.update(part.tobytes())
+    return h.hexdigest()[:16]
+
+
 def barrier(mats, t):
     """-sum_j logdet(t I - F_j)."""
     total = 0.0
@@ -941,9 +967,9 @@ class TestCompressedLift:
                    + np.count_nonzero(factors.delta_b.sum(axis=0)))
         q = copies * (sys_.n ** 2 + sys_.n * sys_.l)
         d = copies * (sys_.n + n_c)
-        schur, eta_block = asm.problem.constraints[:2]
+        schur, positivity = asm.problem.constraints[:2]
         assert schur.dim == d + copies * kept
-        assert eta_block.dim == 1
+        assert positivity.dim == 2 * (sys_.n + n_c) // copies + 1  # P_S, P_C, eta
 
         rng = np.random.RandomState(4)
         for _ in range(3):
@@ -982,7 +1008,7 @@ class TestCompressedLift:
                                          (folmi.synthesis._lift(factors)[0], d))
             copies = 1 if alpha < 1.0 else 2
             assert problem.constraints[0].dim == copies * (3 + n_c + 12)
-            assert problem.constraints[1].dim == 1
+            assert problem.constraints[1].dim == 2 * (3 + n_c) // copies + 1
             full = solve_feasibility(problem)
             assert full.status is compressed.status, seed
             statuses.add(compressed.status)
@@ -995,12 +1021,92 @@ class TestCompressedLift:
         for n_c in (0, 2):
             asm = assemble(decompose(sys_), sys_.c, 1.3, n_c)
             assert asm.problem.constraints[0].dim == 2 * (6 + n_c) + 2 * 8
-            assert asm.problem.constraints[1].dim == 1
+            assert asm.problem.constraints[1].dim == 6 + n_c + 1
+
+
+# layout_digest of the problems whose positivity block is P_S - I alone,
+# as they were when P_C - I and eta > 0 were separate constraints
+UNMERGED_DIGESTS = {
+    0.5: {"analysis": "c485a2f20796dc5e", "certain": "8e7357f6ad95c6d7"},
+    1.5: {"analysis": "85237405a498bc64", "certain": "74387e0439956eb7"},
+}
+
+
+class TestPositivityBlock:
+    """P_S - I, P_C - I and eta > 0 are the diagonal blocks of one
+    POSITIVE_DEFINITE constraint: the log det of a block-diagonal slack is
+    the sum of its blocks' log dets (Boyd & Vandenberghe 2004, Convex
+    Optimization, 11.6), so the barrier, the feasible set and the solver's
+    duality bound are those of the separate constraints."""
+
+    @pytest.mark.parametrize("n_c", range(4))
+    @pytest.mark.parametrize("system", [example1_system, example2_system])
+    def test_lifted_problems_have_two_blocks(self, system, n_c):
+        sys_ = system()
+        asm = assemble(decompose(sys_), sys_.c, sys_.alpha, n_c)
+        _, positivity = asm.problem.constraints
+        assert positivity.sense is Sense.POSITIVE_DEFINITE
+        # eta is the last diagonal entry, and no other variable enters its
+        # row; the constant there is 0
+        (eta,) = asm.blocks["eta"].ids
+        last = np.zeros((positivity.dim, positivity.dim))
+        last[-1, -1] = 1.0
+        coeffs = positivity.coeffs
+        np.testing.assert_array_equal(coeffs.pop(eta), last)
+        assert not any(c[-1].any() for c in coeffs.values())
+        assert not positivity.constant[-1].any()
+
+    @pytest.mark.parametrize("alpha", sorted(UNMERGED_DIGESTS))
+    def test_unmerged_problems_are_unchanged(self, alpha):
+        # the analysis LMI and a certain n_c = 0 problem add P_S - I as it is
+        rng = np.random.RandomState(23)
+        a, b, c = rng.randn(3, 3), rng.randn(3, 1), rng.randn(2, 3)
+        sys_ = UncertainFoltiSystem(alpha, IntervalMatrix.certain(a),
+                                    IntervalMatrix.certain(b), c)
+        got = {"analysis": layout_digest(_analysis_lmi(a, alpha)[1]),
+               "certain": layout_digest(assemble(decompose(sys_), c, alpha, 0).problem)}
+        assert got == UNMERGED_DIGESTS[alpha]
+
+    @pytest.mark.parametrize("n_c", range(4))
+    @pytest.mark.parametrize("system", [example1_system, example2_system])
+    def test_barrier_and_margin_are_those_of_the_parts(self, system, n_c):
+        sys_ = system()
+        asm = assemble(decompose(sys_), sys_.c, sys_.alpha, n_c)
+        merged = asm.problem.constraints[1]
+        old = separate_positivity(asm)
+        parts = old.constraints[1:]
+        per = 2 if sys_.alpha < 1.0 else 1  # rows per certificate row
+        assert [c.dim for c in parts] == [1, per * sys_.n] + [per * n_c] * (n_c > 0)
+        rng = np.random.RandomState(n_c)
+        for _ in range(5):
+            x = rng.randn(asm.problem.num_vars)
+            t = np.linalg.eigvalsh(oriented(asm.problem, merged, x))[-1] + 0.1 + rng.rand()
+            lds = [_Block(c).slack(x, t)[1] for c in parts]
+            ld = _Block(merged).slack(x, t)[1]
+            assert abs(ld - sum(lds)) <= 1e-12 * sum(abs(v) for v in lds)
+            margins = [constraint_margin(old, c, x) for c in parts]
+            got = constraint_margin(asm.problem, merged, x)
+            assert abs(got - min(margins)) <= 1e-12 * max(abs(v) for v in margins)
+
+    def test_separate_blocks_take_the_same_steps(self):
+        # the plants of test_full_lift_gives_the_same_verdict
+        statuses = set()
+        for seed in range(500, 532):
+            alpha, n_c = (0.75, 1.3)[seed % 2], (seed // 2) % 2
+            sys_ = verdict_plant(seed, alpha)
+            asm = assemble(decompose(sys_), sys_.c, alpha, n_c)
+            old = separate_positivity(asm)
+            assert len(old.constraints) == 3 + n_c
+            new, was = solve_feasibility(asm.problem), solve_feasibility(old)
+            assert (new.status, new.iterations) == (was.status, was.iterations), seed
+            statuses.add(new.status)
+        assert statuses == {SdpStatus.FEASIBLE, SdpStatus.INFEASIBLE}
 
 
 # (min_sector_margin, passed, worst f_a, worst f_b, solver_iterations,
 # schur_dim) of synthesize(sys, n_c, sample_count=20, seed=0), whose lift
-# keeps one row per nonzero radius column sum and a 1x1 eta > 0 block.
+# keeps one row per nonzero radius column sum, beside one positivity block
+# blockdiag(P_S - I, P_C - I, eta) > 0.
 # Signs of the worst vertex are written "+", "-", and "0" for a zero radius.
 GOLDEN = {
     "example1-nc0": (0.2000995550625635, True, "-++-++-++", "++0", 32, 7),
