@@ -33,10 +33,11 @@ toolkit targets.
 At those sizes a Newton step costs numpy calls, not flops, so the hot
 paths are written for few calls with unchanged arithmetic: each block
 keeps its coefficients as one (p, dim*dim) matrix, forms F(x) with one
-matrix-vector product and adds its derivatives through slices when its
-variables are contiguous.  Every floating-point operation, in the solver
-and in the expression operators, is that of the term-by-term formulas, which
-the tests keep as bit-for-bit references.
+matrix-vector product, and reads x and adds its derivatives by slices
+when its variables are contiguous, as the synthesis LMI declares them.
+Every floating-point operation, in the solver and in the expression
+operators, is that of the term-by-term formulas, which the tests keep as
+bit-for-bit references.
 """
 
 import enum
@@ -334,7 +335,7 @@ class _Block:
     """NEG-oriented constraint with stacked coefficient tensors, and its
     term -log det(t*I - F(x)) of the barrier.
 
-    ``sel`` and ``sel2`` select the block's variables in the gradient and
+    ``sel`` selects the block's variables in x and the gradient, ``sel2`` in
     the Hessian: slices when they are contiguous, index arrays otherwise.
     """
 
@@ -358,7 +359,7 @@ class _Block:
         not positive definite."""
         m = self.const
         if self.var_idx.size:
-            m = m + (x[self.var_idx] @ self.flat).reshape(self.dim, self.dim)
+            m = m + (x[self.sel] @ self.flat).reshape(self.dim, self.dim)
         s = t * self.eye - m
         ld = _logdet(s)
         return None if ld is None else (s, ld)

@@ -29,6 +29,7 @@ from .linalg import check_alpha, eigvals_stack, require_square
 from .lmi import (
     R_BOX,
     LmiProblem,
+    MatExpr,
     SdpSolution,
     SdpStatus,
     Sense,
@@ -178,13 +179,17 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     """Variables and constraints of the LMI of ``regime`` for the plant
     (A0, B0) under an output-feedback controller of order n_c.
 
-    Declares the certificates P_S (n x n) and P_C (n_c x n_c) and the
-    controller lifts T1 (n_c x n_c), T2 (n_c x n), T3 (l x n_c) and
-    T4 (l x n).  With Q_S the regime's Q map of P_S and the plant-side
-    expression Z = [[Q_S, 0], [T4, T3]], the closed-loop expression is
-    G = [[[A0 B0] Z], [[T2 T1]]], and the LMI is Sigma(G) < 0 and one
-    positivity block blockdiag(P_S - I, P_C - I) > 0, P_C - I only when
-    n_c > 0 (certificates normalized to >= I, equivalent by homogeneity,
+    Declares the certificate P_C (n_c x n_c), the controller lift T1
+    (n_c x n_c), the certificate P_S (n x n), eta when lifted, and the lift
+    T4 (l x n), in that order, so that each barrier block's variables are
+    one contiguous run.  T2 (n_c x n) and T3 (l x n_c) are zero constants:
+    the reflection x_c -> -x_c maps (T2, T3) to -(T2, T3) and keeps every
+    constraint's spectrum, so the barrier never leaves T2 = T3 = 0.  There,
+    with Q_S the regime's Q map of P_S and Z = [[Q_S], [T4]], Sigma of the
+    closed loop is blockdiag(Sigma(G), Sigma(T1)), G = [A0 B0] Z, up to a
+    permutation: the LMI is Sigma(G) < 0 and one positivity block
+    blockdiag(P_S - I, P_C - I, -Sigma(T1)) > 0, without its empty parts at
+    n_c = 0 (certificates normalized to >= I, equivalent by homogeneity,
     which pins the certificate scale).
 
     ``lift = (MM^T, D)`` replaces Sigma < 0 by its robust form for the
@@ -198,36 +203,31 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     """
     n, l = b0.shape
     p = LmiProblem()
-    blocks = {"s": regime.declare(p, n), "c": regime.declare(p, n_c),
-              "t1": p.declare_full_block(n_c, n_c),
-              "t2": p.declare_full_block(n_c, n),
-              "t3": p.declare_full_block(l, n_c),
-              "t4": p.declare_full_block(l, n)}
-    z = block_expr([[regime.q_expr(blocks["s"]), np.zeros((n, n_c))],
-                    [blocks["t4"], blocks["t3"]]])
-    g = block_expr([[np.hstack([a0, b0]) @ z],
-                    [block_expr([[blocks["t2"], blocks["t1"]]])]])
-    sigma = regime.sigma(g)
-    pos = [regime.positivity(blocks["s"])]
-    if n_c > 0:
-        pos.append(regime.positivity(blocks["c"]))
+    blocks = {"c": regime.declare(p, n_c), "t1": p.declare_full_block(n_c, n_c),
+              "s": regime.declare(p, n)}
+    if lift is not None:
+        eta = blocks["eta"] = p.declare_scalar()
+    blocks.update(t4=p.declare_full_block(l, n), t2=MatExpr.wrap(np.zeros((n_c, n))),
+                  t3=MatExpr.wrap(np.zeros((l, n_c))))
+    z = block_expr([[regime.q_expr(blocks["s"])], [blocks["t4"]]])
+    sigma = regime.sigma(np.hstack([a0, b0]) @ z)
+    pos = [regime.positivity(blocks["s"]), regime.positivity(blocks["c"]),
+           -1.0 * regime.sigma(blocks["t1"])]
     if lift is None:
         p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
     else:
         mmt, d = lift
         k = regime.copies
-        eta = blocks["eta"] = p.declare_scalar()
-        pad = np.zeros((n + n_c, n + n_c))
-        pad[:n, :n] = mmt
         dz = d @ z
         zeros = np.zeros(dz.shape)
         r = block_expr([[dz if i == j else zeros for j in range(k)] for i in range(k)])
         p.add_constraint(block_expr([
-            [sigma + eta.scale(np.kron(np.eye(k), pad)), r.T],
+            [sigma + eta.scale(np.kron(np.eye(k), mmt)), r.T],
             [r, -1.0 * eta.scale(np.eye(r.rows))],
         ]), Sense.NEGATIVE_DEFINITE)
         pos.append(eta)
     # one barrier block: a block-diagonal slack's log det is its blocks' sum
+    pos = [a for a in pos if a.rows]
     p.add_constraint(pos[0] if len(pos) == 1 else block_expr(
         [[a if a is b else np.zeros((a.rows, b.cols)) for b in pos] for a in pos]),
         Sense.POSITIVE_DEFINITE)

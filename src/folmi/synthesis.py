@@ -15,8 +15,8 @@ Plants with zero radii reduce to that certain-system core inequality.
 
 Controller matrices are recovered from a feasible point by inverting the
 change of variables through the certificate blocks and the pseudo-inverse
-of the output matrix.  The pseudo-inverse step is exact only when the
-T2/T4 blocks happen to lie in the row space of C, so every recovered
+of the output matrix.  The pseudo-inverse step is exact only when T4
+happens to lie in the row space of C, so every recovered
 controller is certified a posteriori against the interval family (vertex
 sweep plus random samples plus the nominal analysis LMI, decided by an
 audited closed-form certificate with the barrier solve as fallback) and is
@@ -130,8 +130,9 @@ class SynthesisResult:
     with its iterations, achieved margin and point.  ``eta`` is None on the
     certain-system (zero radii) path, where no uncertainty multiplier exists.
     ``p_s`` is complex Hermitian on the 0 < alpha < 1 path and real symmetric
-    otherwise.  ``schur_dim`` is the dimension of the synthesis inequality
-    (the lifted Schur block, or Sigma on the certain path).
+    otherwise; ``t2`` and ``t3`` are zero.  ``schur_dim``, the same at every
+    n_c, is the dimension of the plant's synthesis inequality (the lifted
+    Schur block, or Sigma on the certain path).
     """
 
     controller: DynamicController
@@ -172,8 +173,8 @@ def _lift(factors):
     [Delta_A Delta_B])) without its zero rows, so at most n + l rows.  Each
     row of the radius factor R_A (see ``interval._radius_factors``) is a
     scaled unit vector, so R_A = U_A D_A with orthonormal columns in U_A
-    (likewise R_B = U_B D_B), and the full lift [[R_A Q_S, 0], [R_B T4,
-    R_B T3]] of n^2 + n*l rows equals U D Z with Z = [[Q_S, 0], [T4, T3]].
+    (likewise R_B = U_B D_B), and the full lift [[R_A Q_S], [R_B T4]] of
+    n^2 + n*l rows equals U D Z, so only the right factor D Z enters.
     The full Schur block is therefore orthogonally similar to
     blockdiag(compressed block, -eta I) with one -eta row per dropped row,
     and under eta > 0 both lifts decide the same LMI.
@@ -189,17 +190,17 @@ def assemble(factors, c, alpha, n_c):
     Decision variables: the certificates P_S (n x n) and P_C (n_c x n_c)
     of the order regime (Hermitian, through their real and imaginary
     parts, below alpha = 1; symmetric from alpha = 1 up), controller lifts
-    T1..T4, and the multiplier eta.  With Q_S the regime's Q map of P_S
-    (2 cos(theta) X_S - 2 sin(theta) Y_S, resp. P_S), the certain-plant
-    core is Sigma of the closed-loop expression
-    G = [[A0 Q_S + B0 T4, B0 T3], [T2, T1]]: Sym(G) below alpha = 1, and
-    the rotated block [[G_s sin(theta), G_k cos(theta)], [-G_k cos(theta),
-    G_s sin(theta)]] of its symmetric and skew parts from alpha = 1 up
+    T1 and T4 (T2 = T3 = 0), and the multiplier eta.  With Q_S the regime's
+    Q map of P_S (2 cos(theta) X_S - 2 sin(theta) Y_S, resp. P_S), the
+    certain-plant core is Sigma of the plant part G = A0 Q_S + B0 T4:
+    Sym(G) below alpha = 1, and the rotated block [[G_s sin(theta),
+    G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]] of its symmetric and
+    skew parts from alpha = 1 up, with -Sigma(T1) in the positivity block
     (see :func:`folmi.stability.certificate_lmi`).
 
     The uncertainty enters through the robust lift of
-    :func:`folmi.stability.certificate_lmi`, with M = [[M_A, M_B], [0, 0]]
-    and the compressed right factor D [[Q_S, 0], [T4, T3]] per diagonal
+    :func:`folmi.stability.certificate_lmi`, with M = [M_A, M_B] and the
+    compressed right factor D [[Q_S], [T4]] per diagonal
     copy of G in Sigma (one below alpha = 1, two from alpha = 1 up), and a
     multiplier eta; :func:`_lift` builds its data and says why the
     compression leaves the feasible set of the full lift unchanged.  On the
@@ -230,8 +231,8 @@ def recover(assembly, solution):
     Ac = T1 Qc^-1, Bc = T2 Qs^-1 C^+, Cc = T3 Qc^-1, Dc = T4 Qs^-1 C^+
     with Q the regime's Q map of the certificate (2 cos(theta) X -
     2 sin(theta) Y below alpha = 1, P from alpha = 1 up), real by
-    construction.  At n_c = 0 the empty blocks give the empty Ac, Bc and
-    Cc of :meth:`DynamicController.static`.
+    construction.  T2 = T3 = 0 gives Bc = Cc = 0 exactly, empty at n_c = 0
+    as in :meth:`DynamicController.static`.
     """
     v = solution.values
     b = assembly.blocks

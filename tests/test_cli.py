@@ -110,10 +110,11 @@ class TestCommands:
         assert len(report["config"]["a_lower"]) + k.n_c == 5
 
     def test_synth_report_explains_the_solve(self):
-        # example2's lifted block has 2 * (n + n_c) rows of Sigma plus
-        # 2 * (3 + 1) lift rows (three A columns and one B column, all uncertain)
+        # example2's lifted block has 2 * n rows of Sigma plus 2 * (3 + 1)
+        # lift rows (three A columns and one B column, all uncertain) at
+        # every n_c
         for fixture, n_c, schur_dim in (
-                ("example1", 0, 7), ("example2", 0, 14), ("example2", 1, 16)):
+                ("example1", 0, 7), ("example2", 0, 14), ("example2", 1, 14)):
             cfg = parse_config(fixture)
             cfg.n_c = n_c
             cfg.certify["sample_count"] = 10

@@ -457,21 +457,27 @@ def assert_same_bits(a, b):
 
 
 BIT_IDENTITY_BLOCKS = ("schur", "eta", "positivity_s", "positivity_c", "no_variables",
-                       "positivity")
+                       "positivity", "scattered")
 
 
 def bit_identity_blocks():
     """``{name: (problem size, constraint)}``: the two blocks of the example1
     n_c = 1 problem (the Schur block and "positivity"), its eta > 0, P_S - I
-    and P_C - I built as separate constraints from the same variables, and a
-    constant block with no variables."""
+    and P_C - I built as separate constraints from the same variables, a
+    constant block with no variables, and blockdiag(P_C - I, eta) > 0,
+    whose two variables are not adjacent."""
     sys_ = example1_system()
     asm = assemble(decompose(sys_), sys_.c, sys_.alpha, 1)
     schur, positivity = asm.problem.constraints
     empty = constraint_of(
         3, -np.eye(3) - 0.1 * np.ones((3, 3)), {}, Sense.NEGATIVE_DEFINITE)
     n = asm.problem.num_vars
-    blocks = [schur, *separate_positivity(asm).constraints[1:], empty, positivity]
+    eta, pos_s, pos_c = separate_positivity(asm).constraints[1:4]
+    pos_c_expr = asm.regime.positivity(asm.blocks["c"])  # 2 x 2 below alpha = 1
+    scattered = LmiProblem(n).add_constraint(block_expr(
+        [[pos_c_expr, np.zeros((2, 1))], [np.zeros((1, 2)), asm.blocks["eta"]]]),
+        Sense.POSITIVE_DEFINITE)
+    blocks = [schur, eta, pos_s, pos_c, empty, positivity, scattered]
     return {name: (4 if c is empty else n, c) for name, c in zip(BIT_IDENTITY_BLOCKS, blocks)}
 
 
@@ -482,13 +488,17 @@ class TestBlockBitIdentity:
     def test_the_cases_cover_every_layout(self):
         cases = {name: c for name, (_, c) in bit_identity_blocks().items()}
         blocks = {name: _Block(c) for name, c in cases.items()}
-        # 18 of the 19 variables: not contiguous, selected by index arrays
-        assert blocks["schur"].var_idx.size == 18
-        assert isinstance(blocks["schur"].sel, np.ndarray)
-        # P_S, P_C (10 variables) and eta (the last): index arrays too
-        assert blocks["positivity"].var_idx.tolist() == list(range(10)) + [18]
-        assert isinstance(blocks["positivity"].sel, np.ndarray)
+        # of the 15 variables P_C, T1, P_S, eta, T4: P_S, eta and T4 (13)
+        # in the Schur block and P_C, T1, P_S and eta (12) in "positivity",
+        # each selected by a slice
+        assert blocks["schur"].var_idx.tolist() == list(range(2, 15))
+        assert isinstance(blocks["schur"].sel, slice)
+        assert blocks["positivity"].var_idx.tolist() == list(range(12))
+        assert isinstance(blocks["positivity"].sel, slice)
         assert isinstance(blocks["positivity_s"].sel, slice)
+        # P_C and eta alone: not contiguous, selected by index arrays
+        assert blocks["scattered"].var_idx.tolist() == [0, 11]
+        assert isinstance(blocks["scattered"].sel, np.ndarray)
         assert cases["positivity_s"].sense is Sense.POSITIVE_DEFINITE
         # one variable, with a zero constant (eta > 0) or a nonzero one
         assert blocks["eta"].var_idx.size == blocks["eta"].dim == 1

@@ -17,11 +17,13 @@ from folmi.errors import (
 )
 from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose, realize
 from folmi.lmi import (
+    R_BOX,
     LmiProblem,
     SdpStatus,
     Sense,
     SolverConfig,
     _Block,
+    block_expr,
     constraint_margin,
     evaluate_constraint,
     solve_feasibility,
@@ -289,10 +291,32 @@ def test_assemble_refuses_an_output_matrix_of_the_wrong_width():
         assemble(decompose(sys), np.ones((1, 2)), 0.75, 0)
 
 
+def full_sigma(asm, v):
+    """Sigma of the closed-loop expression blockdiag(G, T1) at ``v``: the
+    plant rows of the first constraint and the -Sigma(T1) rows of the
+    positivity block, interleaved per lift copy as the regime orders them."""
+    k, n_c = asm.regime.copies, asm.n_c
+    plant = evaluate_constraint(asm.problem, asm.problem.constraints[0], v)[0]
+    n = plant.shape[0] // k
+    pos = evaluate_constraint(asm.problem, asm.problem.constraints[1], v)[0]
+    start = 2 * (n + n_c) // k  # after P_S - I and P_C - I
+    ctrl = -pos[start:start + k * n_c, start:start + k * n_c]
+    d = n + n_c
+    out = np.zeros((k * d, k * d))
+    for i in range(k):
+        for j in range(k):
+            out[i * d:i * d + n, j * d:j * d + n] = plant[i * n:(i + 1) * n, j * n:(j + 1) * n]
+            out[i * d + n:(i + 1) * d, j * d + n:(j + 1) * d] = \
+                ctrl[i * n_c:(i + 1) * n_c, j * n_c:(j + 1) * n_c]
+    return out
+
+
 class TestAssemblyStructure:
     """The core blocks must coincide with the independently assembled
     closed-loop analysis forms whenever recovery is exact (square
-    invertible C makes the pseudo-inverse a true inverse)."""
+    invertible C makes the pseudo-inverse a true inverse).  The plant rows
+    of Sigma are the first constraint and its controller rows, -Sigma(T1),
+    sit in the positivity block."""
 
     def _certain_square_plant(self, alpha, shift=0.0):
         rng = np.random.RandomState(8)
@@ -323,10 +347,7 @@ class TestAssemblyStructure:
         ])
         a_cl = closed_loop(sys_.a.lower, sys_.b.lower, sys_.c, k)
         analysis_form = a_cl @ q + q.T @ a_cl.T
-        sigma = asm.problem.constraints[0].constant.copy()
-        for idx, coeff in asm.problem.constraints[0].coeffs.items():
-            sigma += v[idx] * coeff
-        np.testing.assert_allclose(analysis_form, sigma, atol=1e-10)
+        np.testing.assert_allclose(analysis_form, full_sigma(asm, v), atol=1e-10)
 
     def test_high_alpha_sigma_is_rotated_analysis_form(self):
         sys_ = self._certain_square_plant(1.4, shift=2.0)
@@ -347,10 +368,7 @@ class TestAssemblyStructure:
         g_s = a_cl @ p + p @ a_cl.T
         g_k = a_cl @ p - p @ a_cl.T
         analysis_form = np.block([[g_s * st, g_k * ct], [-g_k * ct, g_s * st]])
-        sigma = asm.problem.constraints[0].constant.copy()
-        for idx, coeff in asm.problem.constraints[0].coeffs.items():
-            sigma += v[idx] * coeff
-        np.testing.assert_allclose(analysis_form, sigma, atol=1e-10)
+        np.testing.assert_allclose(analysis_form, full_sigma(asm, v), atol=1e-10)
 
     def test_schur_lift_consistent_on_uncertain_path(self):
         # eliminating the multiplier block by hand must reproduce the
@@ -834,7 +852,7 @@ def test_invalid_sweep_settings_raise_before_any_work(monkeypatch, entry, kwargs
 
 
 def full_lift_schur(factors, asm, v, sigma):
-    """The synthesis block with one lift row per uncertain entry, rebuilt
+    """The Schur block with one lift row per uncertain entry, rebuilt
     from ``factors.r_a`` / ``factors.r_b`` at the decision vector ``v``."""
     b = asm.blocks
     if asm.alpha < 1.0:
@@ -845,16 +863,10 @@ def full_lift_schur(factors, asm, v, sigma):
     else:
         cert = b["s"][0].value(v)
         copies = 2
-    n, n_c = factors.n, asm.n_c
     eta = float(b["eta"].value(v)[0, 0])
-    t3, t4 = b["t3"].value(v), b["t4"].value(v)
-    r_one = np.block([
-        [factors.r_a @ cert, np.zeros((n * n, n_c))],
-        [factors.r_b @ t4, factors.r_b @ t3],
-    ])
-    r = np.kron(np.eye(copies), r_one)
-    mmt = np.zeros((n + n_c, n + n_c))
-    mmt[:n, :n] = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
+    r = np.kron(np.eye(copies), np.vstack([factors.r_a @ cert,
+                                           factors.r_b @ b["t4"].value(v)]))
+    mmt = factors.m_a @ factors.m_a.T + factors.m_b @ factors.m_b.T
     top = sigma + eta * np.kron(np.eye(copies), mmt)
     return np.block([[top, r.T], [r, -eta * np.eye(r.shape[0])]]), eta
 
@@ -868,7 +880,8 @@ def oriented(problem, constraint, v):
 def separate_positivity(asm):
     """The synthesis LMI of ``asm`` with its positivity block split, from
     the same variable handles, into the separate constraints eta > 0,
-    P_S - I > 0 and (n_c > 0) P_C - I > 0 after the Schur block."""
+    P_S - I > 0 and (n_c > 0) P_C - I > 0 and -Sigma(T1) > 0 after the
+    Schur block."""
     old = LmiProblem(asm.problem.num_vars, asm.problem.constraints[:1])
     b, positive = asm.blocks, Sense.POSITIVE_DEFINITE
     if "eta" in b:
@@ -876,6 +889,7 @@ def separate_positivity(asm):
     old.add_constraint(asm.regime.positivity(b["s"]), positive)
     if asm.n_c:
         old.add_constraint(asm.regime.positivity(b["c"]), positive)
+        old.add_constraint(-1.0 * asm.regime.sigma(b["t1"]), positive)
     return old
 
 
@@ -954,28 +968,29 @@ class TestCompressedLift:
         factors = decompose(sys_)
         asm = assemble(factors, sys_.c, alpha, n_c)
         # the core inequality of the same midpoint plant, no uncertainty:
-        # same variables except eta, which every assembly declares last
+        # same variables except eta, dropped by its index
         certain = decompose(UncertainFoltiSystem(
             alpha, IntervalMatrix.certain(factors.a0),
             IntervalMatrix.certain(factors.b0), sys_.c))
         core = assemble(certain, sys_.c, alpha, n_c).problem
         eta_idx = asm.blocks["eta"].ids[0]
-        assert eta_idx == asm.problem.num_vars - 1 == core.num_vars
+        assert core.num_vars == asm.problem.num_vars - 1
 
         copies = 1 if alpha < 1.0 else 2
         kept = int(np.count_nonzero(factors.delta_a.sum(axis=0))
                    + np.count_nonzero(factors.delta_b.sum(axis=0)))
         q = copies * (sys_.n ** 2 + sys_.n * sys_.l)
-        d = copies * (sys_.n + n_c)
+        d = copies * sys_.n
         schur, positivity = asm.problem.constraints[:2]
         assert schur.dim == d + copies * kept
-        assert positivity.dim == 2 * (sys_.n + n_c) // copies + 1  # P_S, P_C, eta
+        # P_S, P_C, Sigma(T1), eta
+        assert positivity.dim == 2 * (sys_.n + n_c) // copies + copies * n_c + 1
 
         rng = np.random.RandomState(4)
         for _ in range(3):
             v = rng.randn(asm.problem.num_vars)
             v[eta_idx] = 0.1 + abs(v[eta_idx])
-            sigma, _ = evaluate_constraint(core, core.constraints[0], v[:eta_idx])
+            sigma, _ = evaluate_constraint(core, core.constraints[0], np.delete(v, eta_idx))
             full, eta = full_lift_schur(factors, asm, v, sigma)
             assert full.shape == (d + q, d + q)
             comp = oriented(asm.problem, schur, v)
@@ -1007,21 +1022,22 @@ class TestCompressedLift:
             problem, _ = certificate_lmi(_regime(alpha), factors.a0, factors.b0, n_c,
                                          (folmi.synthesis._lift(factors)[0], d))
             copies = 1 if alpha < 1.0 else 2
-            assert problem.constraints[0].dim == copies * (3 + n_c + 12)
-            assert problem.constraints[1].dim == 2 * (3 + n_c) // copies + 1
+            assert problem.constraints[0].dim == copies * (3 + 12)
+            assert problem.constraints[1].dim == 2 * (3 + n_c) // copies + copies * n_c + 1
             full = solve_feasibility(problem)
             assert full.status is compressed.status, seed
             statuses.add(compressed.status)
         assert statuses == {SdpStatus.FEASIBLE, SdpStatus.INFEASIBLE}
 
     def test_schur_dimension_of_the_large_plant(self):
-        # n = 6, l = 2 at alpha >= 1: two copies of n + n_c rows of Sigma
-        # and of the 8 kept lift rows, in place of 2 * 48 lift rows
+        # n = 6, l = 2 at alpha >= 1: two copies of the n rows of Sigma
+        # and of the 8 kept lift rows, in place of 2 * 48 lift rows, at
+        # every n_c; the 2 n_c rows of Sigma(T1) join the positivity block
         sys_ = lift_plant(1.3, "n6")
         for n_c in (0, 2):
             asm = assemble(decompose(sys_), sys_.c, 1.3, n_c)
-            assert asm.problem.constraints[0].dim == 2 * (6 + n_c) + 2 * 8
-            assert asm.problem.constraints[1].dim == 6 + n_c + 1
+            assert asm.problem.constraints[0].dim == 2 * 6 + 2 * 8
+            assert asm.problem.constraints[1].dim == 6 + n_c + 2 * n_c + 1
 
 
 # layout_digest of the problems whose positivity block is P_S - I alone,
@@ -1033,8 +1049,8 @@ UNMERGED_DIGESTS = {
 
 
 class TestPositivityBlock:
-    """P_S - I, P_C - I and eta > 0 are the diagonal blocks of one
-    POSITIVE_DEFINITE constraint: the log det of a block-diagonal slack is
+    """P_S - I, P_C - I, -Sigma(T1) and eta > 0 are the diagonal blocks of
+    one POSITIVE_DEFINITE constraint: the log det of a block-diagonal slack is
     the sum of its blocks' log dets (Boyd & Vandenberghe 2004, Convex
     Optimization, 11.6), so the barrier, the feasible set and the solver's
     duality bound are those of the separate constraints."""
@@ -1076,7 +1092,9 @@ class TestPositivityBlock:
         old = separate_positivity(asm)
         parts = old.constraints[1:]
         per = 2 if sys_.alpha < 1.0 else 1  # rows per certificate row
-        assert [c.dim for c in parts] == [1, per * sys_.n] + [per * n_c] * (n_c > 0)
+        copies = asm.regime.copies  # rows of Sigma(T1) per row of T1
+        assert [c.dim for c in parts] == \
+            [1, per * sys_.n] + [per * n_c, copies * n_c] * (n_c > 0)
         rng = np.random.RandomState(n_c)
         for _ in range(5):
             x = rng.randn(asm.problem.num_vars)
@@ -1096,27 +1114,138 @@ class TestPositivityBlock:
             sys_ = verdict_plant(seed, alpha)
             asm = assemble(decompose(sys_), sys_.c, alpha, n_c)
             old = separate_positivity(asm)
-            assert len(old.constraints) == 3 + n_c
+            assert len(old.constraints) == 3 + 2 * n_c
             new, was = solve_feasibility(asm.problem), solve_feasibility(old)
             assert (new.status, new.iterations) == (was.status, was.iterations), seed
             statuses.add(new.status)
         assert statuses == {SdpStatus.FEASIBLE, SdpStatus.INFEASIBLE}
 
 
+def full_controller_lmi(regime, a0, b0, n_c, lift):
+    """The synthesis LMI over the full controller model, as it was assembled
+    before T2 and T3 were dropped: P_S, P_C and T1..T4 declared in that
+    order, then eta; G = [[[A0 B0] Z], [T2 T1]] with Z = [[Q_S, 0], [T4,
+    T3]], so the controller rows of Sigma sit inside the Schur block beside
+    MM^T padded with n_c zero rows, and blockdiag(P_S - I, P_C - I, eta)
+    > 0.  The reference for the assembly of :func:`certificate_lmi`."""
+    n, l = b0.shape
+    p = LmiProblem()
+    blocks = {"s": regime.declare(p, n), "c": regime.declare(p, n_c),
+              "t1": p.declare_full_block(n_c, n_c),
+              "t2": p.declare_full_block(n_c, n),
+              "t3": p.declare_full_block(l, n_c),
+              "t4": p.declare_full_block(l, n)}
+    z = block_expr([[regime.q_expr(blocks["s"]), np.zeros((n, n_c))],
+                    [blocks["t4"], blocks["t3"]]])
+    g = block_expr([[np.hstack([a0, b0]) @ z],
+                    [block_expr([[blocks["t2"], blocks["t1"]]])]])
+    mmt, d = lift
+    k = regime.copies
+    eta = blocks["eta"] = p.declare_scalar()
+    pad = np.zeros((n + n_c, n + n_c))
+    pad[:n, :n] = mmt
+    dz = d @ z
+    zeros = np.zeros(dz.shape)
+    r = block_expr([[dz if i == j else zeros for j in range(k)] for i in range(k)])
+    p.add_constraint(block_expr([
+        [regime.sigma(g) + eta.scale(np.kron(np.eye(k), pad)), r.T],
+        [r, -1.0 * eta.scale(np.eye(r.rows))],
+    ]), Sense.NEGATIVE_DEFINITE)
+    pos = [regime.positivity(blocks["s"]), regime.positivity(blocks["c"]), eta]
+    p.add_constraint(block_expr(
+        [[a if a is b else np.zeros((a.rows, b.cols)) for b in pos] for a in pos]),
+        Sense.POSITIVE_DEFINITE)
+    return p, blocks
+
+
+def barrier_value(problem, x, t):
+    """The solver's barrier at (x, t): -log det(t I - F_j(x)) of every
+    NEG-oriented constraint, and the box terms."""
+    lds = [_Block(c).slack(x, t) for c in problem.constraints]
+    assert all(ld is not None for ld in lds)
+    box = np.sum(np.log(R_BOX - x) + np.log(R_BOX + x))
+    return -sum(ld[1] for ld in lds) - box
+
+
+class TestDroppedLifts:
+    """The reflection x_c -> -x_c maps (T2, T3) to -(T2, T3) and keeps the
+    spectrum of every constraint of the full controller LMI, so its barrier
+    never leaves T2 = T3 = 0 (Gatermann & Parrilo 2004).  On that subspace
+    the full LMI is the plant's Schur block beside Sigma(T1) < 0, which
+    ``certificate_lmi`` moves into the positivity block."""
+
+    def test_full_controller_lmi_takes_the_same_steps(self):
+        # the plants of test_full_lift_gives_the_same_verdict, at n_c 1-3
+        statuses = set()
+        for seed in range(500, 532):
+            alpha, n_c = (0.75, 1.3)[seed % 2], 1 + (seed // 2) % 3
+            sys_ = verdict_plant(seed, alpha)
+            factors = decompose(sys_)
+            asm = assemble(factors, sys_.c, alpha, n_c)
+            full, handles = full_controller_lmi(asm.regime, factors.a0, factors.b0, n_c,
+                                                folmi.synthesis._lift(factors))
+            new, was = solve_feasibility(asm.problem), solve_feasibility(full)
+            assert new.status is was.status, seed
+            if new.status is SdpStatus.FEASIBLE:
+                assert new.iterations == was.iterations, seed
+            for name in ("t2", "t3"):
+                assert not np.any(handles[name].value(was.values)), (seed, name)
+            statuses.add(new.status)
+        assert statuses == {SdpStatus.FEASIBLE, SdpStatus.INFEASIBLE}
+
+    @pytest.mark.parametrize("n_c", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.75, 1.3])
+    def test_barrier_is_that_of_the_full_lmi_at_zero_t2_t3(self, alpha, n_c):
+        sys_ = verdict_plant(500 + n_c, alpha)
+        factors = decompose(sys_)
+        asm = assemble(factors, sys_.c, alpha, n_c)
+        full, handles = full_controller_lmi(asm.regime, factors.a0, factors.b0, n_c,
+                                            folmi.synthesis._lift(factors))
+        pairs = [(a.ids, b.ids) for name in ("s", "c")
+                 for a, b in zip(asm.blocks[name], handles[name])]
+        pairs += [(asm.blocks[name].ids, handles[name].ids) for name in ("t1", "t4", "eta")]
+        # the box terms of the dropped T2 and T3 at zero
+        dropped = 2 * (n_c * sys_.n + sys_.l * n_c) * np.log(R_BOX)
+        rng = np.random.RandomState(n_c)
+        for _ in range(5):
+            x = rng.randn(asm.problem.num_vars)
+            y = np.zeros(full.num_vars)
+            for mine, theirs in pairs:
+                y[theirs] = x[mine]
+            t = max(np.linalg.eigvalsh(oriented(asm.problem, c, x))[-1]
+                    for c in asm.problem.constraints) + 0.1 + rng.rand()
+            got, want = barrier_value(asm.problem, x, t), barrier_value(full, y, t)
+            assert abs(got - dropped - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("lifted", [False, True])
+    @pytest.mark.parametrize("n_c", range(4))
+    @pytest.mark.parametrize("alpha", [0.75, 1.3])
+    def test_every_block_selects_its_variables_by_slice(self, alpha, n_c, lifted):
+        sys_ = verdict_plant(510, alpha)
+        factors = decompose(sys_)
+        lift = folmi.synthesis._lift(factors) if lifted else None
+        problem, _ = certificate_lmi(_regime(alpha), factors.a0, factors.b0, n_c, lift)
+        problems = [problem, _analysis_lmi(factors.a0, alpha)[1]]
+        for p in problems:
+            assert len(p.constraints) == 2
+            assert all(isinstance(_Block(c).sel, slice) for c in p.constraints)
+
+
 # (min_sector_margin, passed, worst f_a, worst f_b, solver_iterations,
-# schur_dim) of synthesize(sys, n_c, sample_count=20, seed=0), whose lift
-# keeps one row per nonzero radius column sum, beside one positivity block
-# blockdiag(P_S - I, P_C - I, eta) > 0.
+# schur_dim) of synthesize(sys, n_c, sample_count=20, seed=0), whose Schur
+# block holds the plant rows of Sigma and one lift row per nonzero radius
+# column sum, so schur_dim is the same at every n_c, beside one positivity
+# block blockdiag(P_S - I, P_C - I, -Sigma(T1), eta) > 0.
 # Signs of the worst vertex are written "+", "-", and "0" for a zero radius.
 GOLDEN = {
     "example1-nc0": (0.2000995550625635, True, "-++-++-++", "++0", 32, 7),
-    "example1-nc1": (0.19980552126455664, True, "-++-++-++", "++0", 35, 8),
-    "example1-nc2": (0.1994011102431381, True, "-++-++-++", "++0", 37, 9),
-    "example1-nc3": (0.19934565759397005, True, "-++-++-++", "++0", 40, 10),
+    "example1-nc1": (0.19980552126455664, True, "-++-++-++", "++0", 35, 7),
+    "example1-nc2": (0.1994011102431381, True, "-++-++-++", "++0", 37, 7),
+    "example1-nc3": (0.19934565759397005, True, "-++-++-++", "++0", 40, 7),
     "example2-nc0": (-1.8849555921538759, False, "--+------", "---", 23, 14),
-    "example2-nc1": (-1.8849555921538759, False, "--+------", "---", 24, 16),
-    "example2-nc2": (-1.8849555921538759, False, "+-+------", "---", 26, 18),
-    "example2-nc3": (-1.8849555921538759, False, "--+------", "---", 27, 20),
+    "example2-nc1": (-1.8849555921538759, False, "--+------", "---", 24, 14),
+    "example2-nc2": (-1.8849555921538759, False, "+-+------", "---", 26, 14),
+    "example2-nc3": (-1.8849555921538759, False, "--+------", "---", 27, 14),
 }
 
 
