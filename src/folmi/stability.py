@@ -29,7 +29,6 @@ from .linalg import check_alpha, eigvals_stack, require_square
 from .lmi import (
     R_BOX,
     LmiProblem,
-    MatExpr,
     SdpSolution,
     SdpStatus,
     Sense,
@@ -182,7 +181,7 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     Declares the certificate P_C (n_c x n_c), the controller lift T1
     (n_c x n_c), the certificate P_S (n x n), eta when lifted, and the lift
     T4 (l x n), in that order, so that each barrier block's variables are
-    one contiguous run.  T2 (n_c x n) and T3 (l x n_c) are zero constants:
+    one contiguous run.  T2 (n_c x n) and T3 (l x n_c) are not declared:
     the reflection x_c -> -x_c maps (T2, T3) to -(T2, T3) and keeps every
     constraint's spectrum, so the barrier never leaves T2 = T3 = 0.  There,
     with Q_S the regime's Q map of P_S and Z = [[Q_S], [T4]], Sigma of the
@@ -199,7 +198,7 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     block [[Sigma + eta I_k (x) MM^T, (I_k (x) D Z)^T], [I_k (x) D Z,
     -eta I]] < 0, and eta > 0 is the positivity block's last diagonal
     entry.  Returns the problem and a dict of the variable handles: "s",
-    "c" (certificates), "t1".."t4", and "eta" when lifted.
+    "c" (certificates), "t1", "t4", and "eta" when lifted.
     """
     n, l = b0.shape
     p = LmiProblem()
@@ -207,8 +206,7 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
               "s": regime.declare(p, n)}
     if lift is not None:
         eta = blocks["eta"] = p.declare_scalar()
-    blocks.update(t4=p.declare_full_block(l, n), t2=MatExpr.wrap(np.zeros((n_c, n))),
-                  t3=MatExpr.wrap(np.zeros((l, n_c))))
+    blocks["t4"] = p.declare_full_block(l, n)
     z = block_expr([[regime.q_expr(blocks["s"])], [blocks["t4"]]])
     sigma = regime.sigma(np.hstack([a0, b0]) @ z)
     pos = [regime.positivity(blocks["s"]), regime.positivity(blocks["c"]),

@@ -1,7 +1,7 @@
 """Fixed-order robust output-feedback synthesis for interval FO-LTI plants.
 
 The synthesis conditions are sufficient LMIs obtained from the analysis
-certificates by a change of variables T1..T4 absorbing the controller
+certificates by a change of variables T1 and T4 absorbing the controller
 matrices, with the interval uncertainty handled through its structured
 factorization, a scalar multiplier eta, and a Schur-complement lift.  The
 lift is compressed to one row per nonzero column sum of the radii (at most
@@ -15,12 +15,12 @@ Plants with zero radii reduce to that certain-system core inequality.
 
 Controller matrices are recovered from a feasible point by inverting the
 change of variables through the certificate blocks and the pseudo-inverse
-of the output matrix.  The pseudo-inverse step is exact only when T4
-happens to lie in the row space of C, so every recovered
-controller is certified a posteriori against the interval family (vertex
-sweep plus random samples plus the nominal analysis LMI, decided by an
-audited closed-form certificate with the barrier solve as fallback) and is
-never accepted on LMI feasibility alone.
+of the output matrix, with B_c = C_c = 0 (see :func:`recover`).  The
+pseudo-inverse step is exact only when T4 happens to lie in the row space
+of C, so every recovered controller is certified a posteriori against the
+interval family (vertex sweep plus random samples plus the nominal
+analysis LMI, decided by an audited closed-form certificate with the
+barrier solve as fallback) and is never accepted on LMI feasibility alone.
 """
 
 import logging
@@ -130,9 +130,9 @@ class SynthesisResult:
     with its iterations, achieved margin and point.  ``eta`` is None on the
     certain-system (zero radii) path, where no uncertainty multiplier exists.
     ``p_s`` is complex Hermitian on the 0 < alpha < 1 path and real symmetric
-    otherwise; ``t2`` and ``t3`` are zero.  ``schur_dim``, the same at every
-    n_c, is the dimension of the plant's synthesis inequality (the lifted
-    Schur block, or Sigma on the certain path).
+    otherwise.  ``schur_dim``, the same at every n_c, is the dimension of
+    the plant's synthesis inequality (the lifted Schur block, or Sigma on
+    the certain path).
     """
 
     controller: DynamicController
@@ -140,8 +140,6 @@ class SynthesisResult:
     p_s: np.ndarray
     p_c: np.ndarray
     t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
     solution: SdpSolution
     alpha: float
     problem: LmiProblem
@@ -190,10 +188,10 @@ def assemble(factors, c, alpha, n_c):
     Decision variables: the certificates P_S (n x n) and P_C (n_c x n_c)
     of the order regime (Hermitian, through their real and imaginary
     parts, below alpha = 1; symmetric from alpha = 1 up), controller lifts
-    T1 and T4 (T2 = T3 = 0), and the multiplier eta.  With Q_S the regime's
-    Q map of P_S (2 cos(theta) X_S - 2 sin(theta) Y_S, resp. P_S), the
-    certain-plant core is Sigma of the plant part G = A0 Q_S + B0 T4:
-    Sym(G) below alpha = 1, and the rotated block [[G_s sin(theta),
+    T1 and T4 (no T2, T3: B_c = C_c = 0), and the multiplier eta.  With Q_S
+    the regime's Q map of P_S (2 cos(theta) X_S - 2 sin(theta) Y_S, resp.
+    P_S), the certain-plant core is Sigma of the plant part G = A0 Q_S +
+    B0 T4: Sym(G) below alpha = 1, and the rotated block [[G_s sin(theta),
     G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]] of its symmetric and
     skew parts from alpha = 1 up, with -Sigma(T1) in the positivity block
     (see :func:`folmi.stability.certificate_lmi`).
@@ -228,25 +226,23 @@ def _invert_certificate(q, what):
 def recover(assembly, solution):
     """Invert the change of variables.
 
-    Ac = T1 Qc^-1, Bc = T2 Qs^-1 C^+, Cc = T3 Qc^-1, Dc = T4 Qs^-1 C^+
+    Ac = T1 Qc^-1, Dc = T4 Qs^-1 C^+, Bc = Cc = 0
     with Q the regime's Q map of the certificate (2 cos(theta) X -
     2 sin(theta) Y below alpha = 1, P from alpha = 1 up), real by
-    construction.  T2 = T3 = 0 gives Bc = Cc = 0 exactly, empty at n_c = 0
-    as in :meth:`DynamicController.static`.
+    construction.  Bc and Cc are the zeros of the lifts T2 = T3 = 0 that
+    the LMI's reflection symmetry fixes (see
+    :func:`folmi.stability.certificate_lmi`), empty at n_c = 0 as in
+    :meth:`DynamicController.static`.
     """
     v = solution.values
     b = assembly.blocks
     q_expr = assembly.regime.q_expr
     qs_inv = _invert_certificate(q_expr(b["s"]).value(v), "Q_S")
     qc_inv = _invert_certificate(q_expr(b["c"]).value(v), "Q_C")
-    c_pinv = pinv(assembly.c)
-    return DynamicController(
-        assembly.n_c,
-        b["t1"].value(v) @ qc_inv,
-        b["t2"].value(v) @ qs_inv @ c_pinv,
-        b["t3"].value(v) @ qc_inv,
-        b["t4"].value(v) @ qs_inv @ c_pinv,
-    )
+    d_c = b["t4"].value(v) @ qs_inv @ pinv(assembly.c)
+    (l, m), n_c = d_c.shape, assembly.n_c
+    return DynamicController(n_c, b["t1"].value(v) @ qc_inv, np.zeros((n_c, m)),
+                             np.zeros((l, n_c)), d_c)
 
 
 def _result_from(assembly, solution, controller):
@@ -259,8 +255,6 @@ def _result_from(assembly, solution, controller):
         p_s=assembly.regime.value([x.value(v) for x in b["s"]]),
         p_c=assembly.regime.value([x.value(v) for x in b["c"]]),
         t1=b["t1"].value(v),
-        t2=b["t2"].value(v),
-        t3=b["t3"].value(v),
         solution=solution,
         alpha=assembly.alpha,
         problem=assembly.problem,

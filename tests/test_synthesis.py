@@ -16,6 +16,7 @@ from folmi.errors import (
     ValidationError,
 )
 from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose, realize
+from folmi.linalg import pinv
 from folmi.lmi import (
     R_BOX,
     LmiProblem,
@@ -380,7 +381,7 @@ class TestAssemblyStructure:
         big = asm.problem.constraints[0].constant.copy()
         for idx, coeff in asm.problem.constraints[0].coeffs.items():
             big += sol.values[idx] * coeff
-        d = 3 + 1  # n + n_c
+        d = 3  # the n plant rows of Sigma; the 4 lift rows follow at every n_c
         top_left = big[:d, :d]
         r = big[d:, :d]
         eta = float(asm.blocks["eta"].value(sol.values)[0, 0])
@@ -762,16 +763,6 @@ class TestSynthesize:
         sys = certain_scalar_system(5.0, 0.0, 1.0, 0.5)
         with pytest.raises(InfeasibleError):
             synthesize(sys, 0, sample_count=10, seed=0)
-
-    def test_change_of_variables_round_trip_low_alpha(self):
-        sys = example1_system()
-        result, report = synthesize(sys, 1, sample_count=50, seed=0)
-        theta = (1.0 - 0.75) * np.pi / 2.0
-        q_c = 2.0 * np.cos(theta) * result.p_c.real - 2.0 * np.sin(theta) * result.p_c.imag
-        t1_back = result.controller.a_c @ q_c
-        assert np.abs(t1_back - result.t1).max() <= 1e-8 * (1 + np.abs(result.t1).max())
-        t3_back = result.controller.c_c @ q_c
-        assert np.abs(t3_back - result.t3).max() <= 1e-8 * (1 + np.abs(result.t3).max())
 
     def test_realness_of_recovered_controller(self):
         sys = example1_system()
@@ -1230,6 +1221,31 @@ class TestDroppedLifts:
             assert len(p.constraints) == 2
             assert all(isinstance(_Block(c).sel, slice) for c in p.constraints)
 
+    @pytest.mark.parametrize("certain", [False, True])
+    @pytest.mark.parametrize("n_c", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.75, 1.3])
+    def test_recover_writes_zero_b_c_and_c_c_when_l_differs_from_m(
+            self, alpha, n_c, certain):
+        # verdict_plant has l = 1 input and m = 2 outputs
+        for seed in (0, 1):
+            sys_ = verdict_plant(seed, alpha)
+            factors = decompose(sys_)
+            if certain:
+                factors = decompose(UncertainFoltiSystem(
+                    alpha, IntervalMatrix.certain(factors.a0),
+                    IntervalMatrix.certain(factors.b0), sys_.c))
+            asm = assemble(factors, sys_.c, alpha, n_c)
+            sol = solve_feasibility(asm.problem)
+            assert sol.status is SdpStatus.FEASIBLE, seed
+            k = recover(asm, sol)
+            assert (k.b_c.shape, k.c_c.shape) == ((n_c, 2), (1, n_c)), seed
+            for m in (k.b_c, k.c_c):
+                assert not m.any() and not np.signbit(m).any(), seed
+            v, b = sol.values, asm.blocks
+            qs_inv = np.linalg.inv(asm.regime.q_expr(b["s"]).value(v))
+            np.testing.assert_array_equal(
+                k.d_c, b["t4"].value(v) @ qs_inv @ pinv(sys_.c), err_msg=str(seed))
+
 
 # (min_sector_margin, passed, worst f_a, worst f_b, solver_iterations,
 # schur_dim) of synthesize(sys, n_c, sample_count=20, seed=0), whose Schur
@@ -1279,5 +1295,5 @@ class TestGoldenAnswers:
         assert len(dynamic) == 6
         for name, result in dynamic:
             k = result.controller
-            for m in (result.t2, result.t3, k.b_c, k.c_c):
+            for m in (k.b_c, k.c_c):
                 assert m.size and not np.any(m), name
