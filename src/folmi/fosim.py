@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DivergenceError,
@@ -200,11 +201,21 @@ def _block_toeplitz_inverse(step_inv, w):
     """
     b, n = w.size, step_inv.shape[0]
     r = np.empty((b, n, n))
+    r2 = r.reshape(b, n * n)
     inv = np.zeros((b, n, b, n))
     for i in range(b):
-        r[i] = -step_inv @ np.tensordot(w[i:0:-1], r[:i], axes=1) if i else step_inv
+        # np.tensordot's own (1, i) @ (i, n^2) dot, bit for bit, minus its reshaping
+        r[i] = -step_inv @ np.dot(w[i:0:-1][None], r2[:i]).reshape(n, n) if i else step_inv
         inv[i, :, : i + 1] = r[i::-1].transpose(1, 0, 2)
     return inv.reshape(b * n, b * n)
+
+
+def _near_history(w, block):
+    """history[i, m] weighs y_{k-_NEAR+1+m}, row m of ys[k : k + _NEAR - 1], for
+    node k + i: w_{_NEAR-1+i-m}, zero from lag _NEAR on.  Row i is a window of
+    the reversed weights behind block - 1 zeros, copied C-contiguous."""
+    padded = np.concatenate([np.zeros(block - 1), w[_NEAR - 1 : 0 : -1]])
+    return sliding_window_view(padded, _NEAR - 1)[block - 1 :: -1].copy()
 
 
 def _subtract_band(y, w, k, size, hi, spectra):
@@ -250,7 +261,7 @@ def check_simulate_settings(x0, t_end, h):
 
 
 def simulate(a_cl, alpha, x0, t_end, h):
-    """Integrate D^alpha x = a_cl x from x(0) = x0 up to t_end with step h.
+    """Integrate D^alpha x = a_cl x from x(0) = x0 over round(t_end / h) steps h.
 
     Implicit GL recursion on y = x - x0:
 
@@ -298,10 +309,7 @@ def simulate(a_cl, alpha, x0, t_end, h):
     block = _BLOCK
     while block > 2 and block * n > _BLOCK_ROWS:
         block //= 2
-    # history[i, m] weighs row m of ys[k : k + _NEAR - 1], that is
-    # y_{k-_NEAR+1+m}, for node k + i: the near lags that reach before k
-    lag = _NEAR - 1 + np.arange(block)[:, None] - np.arange(_NEAR - 1)
-    history = np.where(lag < _NEAR, w[np.minimum(lag, _NEAR - 1)], 0.0)
+    history = _near_history(w, block)
     block_inv = _block_toeplitz_inverse(step_inv, w[:block])
     # Row t of y holds the forcing minus the far lags j >= _NEAR of node t,
     # subtracted ahead by the bands, until its block replaces it with y_t.

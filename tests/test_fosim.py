@@ -278,6 +278,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match="finite"):
             simulate(np.array([[-2.0]]), 0.75, x0, t_end, h)
 
+    @pytest.mark.parametrize("t_end,last", [
+        (0.015, 0.02),  # 1.5 steps round up: the last row falls after t_end
+        (0.025, 0.02),  # 2.5 steps round to even: it falls before t_end
+    ])
+    def test_horizon_is_rounded_to_whole_steps(self, t_end, last):
+        traj = simulate(np.array([[-2.0]]), 0.75, [1.0], t_end, 0.01)
+        assert traj.times.size == 3
+        assert traj.times[-1] == last
+
     def test_step_count_overflow_rejected(self):
         # t_end / h = inf used to end in an OverflowError from int()
         with pytest.raises(ValidationError, match="t_end / h overflows"):
@@ -373,6 +382,54 @@ class TestDyadicMemory:
         re, im = 2.0 * math.cos(theta), 2.0 * math.sin(theta)
         a = np.array([[re, im], [-im, re]])
         assert_matches_direct(a, alpha, np.array([1.0, 0.0]), 5000, 1e-2)
+
+
+def tensordot_block_inverse(step_inv, w):
+    """The block inverse's recursion with one np.tensordot per block row."""
+    b, n = w.size, step_inv.shape[0]
+    r = np.empty((b, n, n))
+    inv = np.zeros((b, n, b, n))
+    for i in range(b):
+        r[i] = -step_inv @ np.tensordot(w[i:0:-1], r[:i], axes=1) if i else step_inv
+        inv[i, :, : i + 1] = r[i::-1].transpose(1, 0, 2)
+    return inv.reshape(b * n, b * n)
+
+
+def lag_history(w, block, near):
+    """The near-history table from its integer lag grid: w at lags below near."""
+    lag = near - 1 + np.arange(block)[:, None] - np.arange(near - 1)
+    return np.where(lag < near, w[np.minimum(lag, near - 1)], 0.0)
+
+
+# the nodes per block simulate picks for n states at _BLOCK = 32 and
+# _BLOCK_ROWS = 256: all 32 up to 8 states, then halved
+BLOCKS = [(n, 32) for n in range(1, 9)] + [(16, 16), (24, 8), (40, 4), (129, 2)]
+
+
+class TestSetupHelpers:
+    """The block-step inverse and the near-history table, bit for bit against
+    their written-out references."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    @pytest.mark.parametrize("n,block", BLOCKS)
+    def test_block_inverse_matches_the_tensordot_recursion(self, n, block, alpha):
+        a, _ = seeded_loop(n, n)
+        step_inv = np.linalg.inv(np.eye(n) - 1e-2 ** alpha * a)
+        w = gl_weights(alpha, block)
+        got = fosim._block_toeplitz_inverse(step_inv, w)
+        assert got.shape == (block * n, block * n)
+        np.testing.assert_array_equal(got, tensordot_block_inverse(step_inv, w))
+
+    @pytest.mark.parametrize("near", [512, 128])
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    @pytest.mark.parametrize("block", sorted({b for _, b in BLOCKS}))
+    def test_near_history_matches_the_lag_table(self, monkeypatch, block, alpha, near):
+        monkeypatch.setattr(fosim, "_NEAR", near)
+        w = gl_weights(alpha, near)
+        got = fosim._near_history(w, block)
+        assert got.shape == (block, near - 1)
+        assert got.flags.c_contiguous  # the GEMM of each block reads it in place
+        np.testing.assert_array_equal(got, lag_history(w, block, near))
 
 
 class TestTrajectoryCsv:
