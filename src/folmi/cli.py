@@ -65,14 +65,16 @@ class ProblemConfig:
     certify: dict = field(default_factory=dict)
     simulate: dict | None = None
     raw: dict = field(default_factory=dict)
+    _plant: UncertainFoltiSystem | None = field(default=None, init=False, repr=False)
 
     def system(self):
-        return UncertainFoltiSystem(
-            self.alpha,
-            IntervalMatrix(self.a_lower, self.a_upper, "a"),
-            IntervalMatrix(self.b_lower, self.b_upper, "b"),
-            self.c,
-        )
+        """The plant, built and validated by the first call (parse_config's) and
+        kept: later changes to alpha, the bounds or c do not reach it."""
+        if self._plant is None:
+            self._plant = UncertainFoltiSystem(
+                self.alpha, IntervalMatrix(self.a_lower, self.a_upper, "a"),
+                IntervalMatrix(self.b_lower, self.b_upper, "b"), self.c)
+        return self._plant
 
     def solver_config(self):
         values = _block(self.solver, "solver", {"eps_margin": float, "tol": float,
@@ -128,8 +130,11 @@ def _object(data, key, default):
 
 
 def _numbers(value, name):
-    """Nested JSON lists with every entry read by :func:`_scalar` as a float."""
+    """Nested JSON lists with every entry read by :func:`_scalar` as a float;
+    a list of floats alone, which that reading leaves equal, is returned as is."""
     if isinstance(value, list):
+        if all(type(v) is float for v in value):
+            return value
         return [_numbers(v, name) for v in value]
     return _scalar(value, float, name)
 
@@ -239,20 +244,13 @@ def save_controller(controller, path):
 
 
 def _certification_dict(report):
-    return {
-        "vertex_count": report.vertex_count,
-        "sample_count": report.sample_count,
-        "min_sector_margin": report.min_sector_margin,
-        "nominal_lmi_ok": report.nominal_status is SdpStatus.FEASIBLE,
-        "nominal_route": report.nominal_route,
-        "nominal_status": report.nominal_status.value,
-        "passed": report.passed,
-        "vertices_exhaustive": report.vertices_exhaustive,
-        "worst_realization": {
-            "f_a": report.worst_realization.f_a.tolist(),
-            "f_b": report.worst_realization.f_b.tolist(),
-        },
-    }
+    worst = report.worst_realization
+    return {**{k: getattr(report, k) for k in (
+                "vertex_count", "sample_count", "min_sector_margin", "nominal_route",
+                "passed", "vertices_exhaustive")},
+            "nominal_lmi_ok": report.nominal_status is SdpStatus.FEASIBLE,
+            "nominal_status": report.nominal_status.value,
+            "worst_realization": {"f_a": worst.f_a.tolist(), "f_b": worst.f_b.tolist()}}
 
 
 def _write_report(report, path):
@@ -260,24 +258,6 @@ def _write_report(report, path):
         with open(path, "w", newline="\n") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _simulate_closed_loop(config, controller):
-    sim = config.simulate
-    if sim is None:
-        raise ValidationError("config has no simulate block")
-    sys_ = config.system()
-    factors = decompose(sys_)
-    a_cl = closed_loop(factors.a0, factors.b0, sys_.c, controller)
-    dim = a_cl.shape[0]
-    x0 = np.asarray(sim["x0"], float).reshape(-1)
-    if x0.size == sys_.n and controller.n_c > 0:
-        x0 = np.concatenate([x0, np.zeros(controller.n_c)])
-    if x0.size != dim:
-        raise ValidationError(
-            f"x0 has length {x0.size}, closed loop needs {dim} (or {sys_.n})"
-        )
-    return simulate(a_cl, sys_.alpha, x0, float(sim["t_end"]), float(sim["h"]))
 
 
 def _finish(command, config, status, t_start, report_path, **fields):
@@ -337,9 +317,8 @@ def cmd_check(config, controller, report_path=None):
     log.info("check: controller order %d against alpha=%g family",
              controller.n_c, sys_.alpha)
     t_start = time.perf_counter()
-    cert = certify(
-        sys_, controller, solver_cfg=config.solver_config(), **config.certify_config()
-    )
+    cert = certify(sys_, controller, solver_cfg=config.solver_config(),
+                   **config.certify_config())
     return _finish("check", config.as_run(), _verdict(cert), t_start, report_path,
                    controller=controller.to_dict(),
                    certification=_certification_dict(cert))
@@ -348,7 +327,20 @@ def cmd_check(config, controller, report_path=None):
 def cmd_simulate(config, controller, csv_path, report_path=None):
     """Simulate the center closed loop and write the trajectory CSV."""
     t_start = time.perf_counter()
-    traj = _simulate_closed_loop(config, controller)
+    sim = config.simulate
+    if sim is None:
+        raise ValidationError("config has no simulate block")
+    sys_ = config.system()
+    factors = decompose(sys_)
+    a_cl = closed_loop(factors.a0, factors.b0, sys_.c, controller)
+    dim = a_cl.shape[0]
+    x0 = np.asarray(sim["x0"], float).reshape(-1)
+    if x0.size == sys_.n and controller.n_c > 0:
+        x0 = np.concatenate([x0, np.zeros(controller.n_c)])
+    if x0.size != dim:
+        raise ValidationError(f"x0 has length {x0.size}, closed loop needs {dim} "
+                              f"(or {sys_.n})")
+    traj = simulate(a_cl, sys_.alpha, x0, float(sim["t_end"]), float(sim["h"]))
     trajectory_to_csv(traj, csv_path)
     ratio = traj.final_norm_ratio  # inf from x0 = 0: null, as JSON has no inf
     return _finish("simulate", config.raw, "OK", t_start, report_path,
@@ -416,10 +408,12 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=os.environ.get("FOLMI_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("FOLMI_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print("error: FOLMI_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, "
+              f"got {level!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
@@ -445,9 +439,8 @@ def main(argv=None):
 
     summary = {k: v for k, v in report.items() if k in ("command", "status")}
     if "certification" in report:
-        summary["min_sector_margin"] = report["certification"]["min_sector_margin"]
-        summary["vertex_count"] = report["certification"]["vertex_count"]
-        summary["sample_count"] = report["certification"]["sample_count"]
+        summary.update({k: report["certification"][k] for k in (
+            "min_sector_margin", "vertex_count", "sample_count")})
     if "simulation" in report:
         summary["final_norm_ratio"] = report["simulation"]["final_norm_ratio"]
     print(json.dumps(summary, sort_keys=True))

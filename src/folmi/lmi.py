@@ -41,6 +41,7 @@ bit-for-bit references.
 """
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,21 +170,29 @@ def _spread(e, ids, fill):
     return coeff
 
 
-def block_expr(grid):
-    """Assemble a block matrix expression from a nested list by ``np.block``.
+def _tile(grid):
+    """``np.block`` of a two-level grid of arrays of one ndim >= 2: each row
+    joined along the last axis, then the rows along the second-last, as its
+    copies, so its bits and its ValueError when heights or widths differ."""
+    return np.concatenate([np.concatenate(row, axis=-1) for row in grid], axis=-2)
 
-    Every entry may be a :class:`MatExpr`, an array, or a scalar (treated
-    as 1x1); zero-sized blocks occupy no space, which lets one assembly
-    path cover degenerate controller orders.  With no :class:`MatExpr`
-    entry, the result is the plain array.  Otherwise ``np.block`` tiles the
-    constants and the stacks, spread onto the variables of the non-empty
-    entries with 0.0 outside the blocks of each variable."""
+
+def block_expr(grid):
+    """Assemble a block matrix expression from a nested list, as ``np.block``.
+
+    Every entry may be a :class:`MatExpr`, an array of at most two
+    dimensions, or a scalar (treated as 1x1, a 1-D array as one row);
+    zero-sized blocks occupy no space, which lets one assembly path cover
+    degenerate controller orders.  With no :class:`MatExpr` entry, the
+    result is the plain array.  Otherwise the constants and the stacks are
+    tiled, spread onto the variables of the non-empty entries with 0.0
+    outside the blocks of each variable."""
     if not any(isinstance(e, MatExpr) for row in grid for e in row):
-        return np.block([[np.asarray(e, float) for e in row] for row in grid])
+        return _tile([[np.atleast_2d(np.asarray(e, float)) for e in row] for row in grid])
     grid = [[MatExpr.wrap(e) for e in row] for row in grid]
     ids = _union([e.ids for row in grid for e in row if e.const.size])
-    return MatExpr(ids, np.block([[_spread(e, ids, 0.0) for e in row] for row in grid]),
-                   np.block([[e.const for e in row] for row in grid]))
+    return MatExpr(ids, _tile([[_spread(e, ids, 0.0) for e in row] for row in grid]),
+                   _tile([[e.const for e in row] for row in grid]))
 
 
 @dataclass(frozen=True)
@@ -213,6 +222,16 @@ def _symmetrized(m):
     return 0.5 * (m + mt)
 
 
+@functools.lru_cache(maxsize=128)
+def triu_pairs(dim, k=0):
+    """``np.triu_indices(dim, k)`` as read-only arrays, kept for the last 128
+    (dim, k): the variable order of a symmetric (k = 0) or skew (k = 1) block."""
+    pairs = np.triu_indices(dim, k)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 @dataclass
 class LmiProblem:
     """A system of strict LMI constraints over flat scalar variables."""
@@ -237,12 +256,12 @@ class LmiProblem:
     def declare_symmetric_block(self, dim):
         """Symmetric dim x dim block: dim*(dim+1)/2 variables, the upper
         triangle row by row."""
-        return self._declare(dim, dim, np.triu_indices(dim), 1.0)
+        return self._declare(dim, dim, triu_pairs(dim), 1.0)
 
     def declare_skew_block(self, dim):
         """Skew-symmetric block: dim*(dim-1)/2 variables (0 when dim <= 1),
         the strict upper triangle row by row."""
-        return self._declare(dim, dim, np.triu_indices(dim, 1), -1.0)
+        return self._declare(dim, dim, triu_pairs(dim, 1), -1.0)
 
     def declare_full_block(self, rows, cols):
         """Unstructured rows x cols block: rows*cols variables, row by row."""
@@ -326,9 +345,7 @@ def evaluate_constraint(problem, constraint, values):
 def constraint_margin(problem, constraint, values):
     """Definiteness margin (positive = satisfied) of one constraint."""
     _, extreme = evaluate_constraint(problem, constraint, values)
-    if constraint.sense is Sense.NEGATIVE_DEFINITE:
-        return -extreme
-    return extreme
+    return -extreme if constraint.sense is Sense.NEGATIVE_DEFINITE else extreme
 
 
 class _Block:

@@ -34,6 +34,7 @@ from .lmi import (
     Sense,
     block_expr,
     solve_feasibility,
+    triu_pairs,
 )
 
 # Eigenvalues below this magnitude have no usable argument and are
@@ -280,7 +281,7 @@ def closed_form_certificate(a, alpha, eps_margin):
     parts = regime.eigen_certificate(vals, vecs)
     # the variables in declare()'s order: the upper triangle of X (or P),
     # then the strict upper triangle of Y
-    x = np.concatenate([part[np.triu_indices(len(m), k)] for k, part in enumerate(parts)])
+    x = np.concatenate([part[triu_pairs(len(m), k)] for k, part in enumerate(parts)])
 
     def margins(scale):
         """Margins of Sigma < 0 and of P - I > 0 at the certificate scale * P."""

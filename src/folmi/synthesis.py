@@ -98,13 +98,8 @@ class DynamicController:
                    np.zeros((d.shape[0], 0)), d)
 
     def to_dict(self):
-        return {
-            "n_c": self.n_c,
-            "a_c": self.a_c.tolist(),
-            "b_c": self.b_c.tolist(),
-            "c_c": self.c_c.tolist(),
-            "d_c": self.d_c.tolist(),
-        }
+        return {"n_c": self.n_c, **{k: getattr(self, k).tolist()
+                                    for k in ("a_c", "b_c", "c_c", "d_c")}}
 
 
 @dataclass(frozen=True)
@@ -183,25 +178,13 @@ def _lift(factors):
 
 
 def assemble(factors, c, alpha, n_c):
-    """Synthesis LMI for 0 < alpha < 2.
+    """Synthesis LMI for 0 < alpha < 2: :func:`folmi.stability.certificate_lmi`
+    of the regime of alpha for the center plant (A0, B0) and order n_c.
 
-    Decision variables: the certificates P_S (n x n) and P_C (n_c x n_c)
-    of the order regime (Hermitian, through their real and imaginary
-    parts, below alpha = 1; symmetric from alpha = 1 up), controller lifts
-    T1 and T4 (no T2, T3: B_c = C_c = 0), and the multiplier eta.  With Q_S
-    the regime's Q map of P_S (2 cos(theta) X_S - 2 sin(theta) Y_S, resp.
-    P_S), the certain-plant core is Sigma of the plant part G = A0 Q_S +
-    B0 T4: Sym(G) below alpha = 1, and the rotated block [[G_s sin(theta),
-    G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]] of its symmetric and
-    skew parts from alpha = 1 up, with -Sigma(T1) in the positivity block
-    (see :func:`folmi.stability.certificate_lmi`).
-
-    The uncertainty enters through the robust lift of
-    :func:`folmi.stability.certificate_lmi`, with M = [M_A, M_B] and the
-    compressed right factor D [[Q_S], [T4]] per diagonal
-    copy of G in Sigma (one below alpha = 1, two from alpha = 1 up), and a
-    multiplier eta; :func:`_lift` builds its data and says why the
-    compression leaves the feasible set of the full lift unchanged.  On the
+    Its variables are the certificates P_S and P_C, the lifts T1 and T4 (no
+    T2, T3: B_c = C_c = 0) and, when a radius is positive, the multiplier eta
+    of the robust lift, whose data :func:`_lift` builds and whose
+    compression it shows to keep the feasible set of the full lift.  On the
     certain path (all radii zero) only Sigma < 0 and the positivity block
     are emitted.
     """
@@ -306,7 +289,12 @@ def certify(sys, controller, sample_count=500, seed=0, solver_cfg=None):
     """
     check_sweep_settings(sample_count, seed)
     check_eig_dim(sys.n + controller.n_c)
-    factors = decompose(sys)
+    return _certify(sys, decompose(sys), controller, sample_count, seed, solver_cfg)
+
+
+def _certify(sys, factors, controller, sample_count, seed, solver_cfg):
+    """:func:`certify` on the checked settings and ``decompose(sys)``'s
+    ``factors``, which :func:`synthesize` has already made."""
     vertex_count, row_count, arrays = sweep_scalings(factors, sample_count, seed)
     if vertex_count == 0:
         log.info("vertices exceed the cap of %d; sweeping samples only", MAX_VERTICES)
@@ -355,7 +343,8 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
     """
     check_sweep_settings(sample_count, seed)
     check_eig_dim(sys.n + n_c)
-    asm = assemble(decompose(sys), sys.c, sys.alpha, n_c)
+    factors = decompose(sys)
+    asm = assemble(factors, sys.c, sys.alpha, n_c)
     sol = solve_feasibility(asm.problem, solver_cfg)
     if sol.status is not SdpStatus.FEASIBLE:
         raise InfeasibleError(
@@ -363,5 +352,5 @@ def synthesize(sys, n_c, solver_cfg=None, sample_count=500, seed=0):
             sol.status,
         )
     controller = recover(asm, sol)
-    report = certify(sys, controller, sample_count, seed, solver_cfg)
+    report = _certify(sys, factors, controller, sample_count, seed, solver_cfg)
     return _result_from(asm, sol, controller), report

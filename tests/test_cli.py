@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ from folmi.cli import (
     EXIT_OK,
     EXIT_SOLVER_ERROR,
     EXIT_USAGE,
+    _apply_overrides,
     cmd_check,
     cmd_decompose,
     cmd_simulate,
@@ -232,6 +234,85 @@ class TestCommands:
         np.testing.assert_array_equal(k.b_c, k2.b_c)
 
 
+def write_sampled_family(tmp_path):
+    """A stable n = 5, l = m = 1 family with all 30 entries uncertain, so
+    2^30 vertices exceed the cap and the sweep is samples only.  Its center
+    has the Jordan block [[-1, 1], [0, -1]]: under the zero controller the
+    closed form refuses the nominal loop and the barrier decides it."""
+    a0 = np.array([[-1.0, 1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, -2.0, 0.5, 0.0], [0.0, 0.0, -0.5, -2.0, 0.0],
+                   [0.0, 0.0, 0.0, 0.0, -3.0]])
+    b0 = np.array([[0.0], [1.0], [0.0], [1.0], [1.0]])
+    return write_config(
+        tmp_path, a_lower=(a0 - 0.01).tolist(), a_upper=(a0 + 0.01).tolist(),
+        b_lower=(b0 - 0.01).tolist(), b_upper=(b0 + 0.01).tolist(),
+        c=[[1.0, 0.0, 1.0, 0.0, 1.0]], simulate=None)
+
+
+def configured(path, nc=None, seed=None, samples=None):
+    """``parse_config`` plus the ``--nc``, ``--seed`` and ``--samples``
+    values, applied after parsing as the command line applies them."""
+    args = argparse.Namespace(nc=nc, seed=seed, samples=samples)
+    return _apply_overrides(parse_config(path), args)
+
+
+class TestKeptPlant:
+    def test_commands_use_the_plant_validated_at_parse_time(self, tmp_path, monkeypatch):
+        cfg = parse_config("example1")
+        plant = cfg.system()
+        assert cfg.system() is plant
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second plant was built")
+
+        monkeypatch.setattr(folmi.cli, "UncertainFoltiSystem", refuse)
+        cfg.n_c, cfg.certify["sample_count"] = 1, 10
+        k = tmp_path / "k.json"
+        assert cmd_synth(cfg, out_path=k)[1] == EXIT_OK
+        assert cmd_check(cfg, load_controller(k))[1] == EXIT_OK
+        assert cmd_simulate(cfg, load_controller(k), tmp_path / "t.csv")[1] == EXIT_OK
+        assert cmd_decompose(cfg)[1] == EXIT_OK
+        assert cfg.system() is plant
+
+    def test_overrides_after_parsing_reach_synth_and_check(self, tmp_path):
+        path = write_sampled_family(tmp_path)
+        worst = {}
+        for seed in (1, 2):
+            k = tmp_path / f"k{seed}.json"
+            cfg = configured(path, nc=1, seed=seed, samples=20)
+            synth, code = cmd_synth(cfg, out_path=k)
+            assert code == EXIT_OK
+            assert synth["config"]["n_c"] == 1
+            assert synth["config"]["certify"] == {"sample_count": 20, "seed": seed}
+            assert synth["synthesis"]["controller"]["n_c"] == 1
+            cert = synth["certification"]
+            assert (cert["vertex_count"], cert["sample_count"]) == (0, 20)
+            check, code = cmd_check(configured(path, seed=seed, samples=20),
+                                    load_controller(k))
+            assert code == EXIT_OK
+            assert check["certification"] == cert
+            worst[seed] = cert["worst_realization"]
+        # the worst of 20 interior samples: another seed, another row
+        assert worst[1] != worst[2]
+
+    def test_max_iter_set_after_parsing_reaches_synth_and_check(self, tmp_path):
+        path = write_sampled_family(tmp_path)
+        cfg = configured(path, samples=5)
+        cfg.solver["max_iter"] = 1
+        report, code = cmd_synth(cfg)
+        assert (code, report["solver_status"]) == (EXIT_INFEASIBLE, "INDETERMINATE")
+        zero = DynamicController.static([[0.0]])
+        for max_iter, code, status in ((None, EXIT_OK, "feasible"),
+                                       (1, EXIT_CERTIFICATION_FAILED, "indeterminate")):
+            cfg = configured(path, samples=5)
+            if max_iter is not None:
+                cfg.solver["max_iter"] = max_iter
+            report, got = cmd_check(cfg, zero)
+            cert = report["certification"]
+            assert got == code
+            assert (cert["nominal_route"], cert["nominal_status"]) == ("barrier", status)
+
+
 def raise_singular(*args, **kwargs):
     raise SingularCertificateError("certificate block is singular")
 
@@ -287,6 +368,22 @@ class TestMainEntry:
         assert summary["vertex_count"] == 2048
         r = json.loads((tmp_path / "r.json").read_text())
         assert r["certification"]["nominal_route"] == "closed_form"
+
+    @pytest.mark.parametrize("level", ["verbose", "", "10"])
+    def test_unknown_log_level_is_a_usage_error(self, monkeypatch, capsys, level):
+        # FOLMI_LOG=verbose used to end in logging's "Unknown level" traceback
+        monkeypatch.setenv("FOLMI_LOG", level)
+        assert main(["synth", "example1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: FOLMI_LOG must be one of DEBUG, INFO, WARNING, "
+                       f"ERROR, CRITICAL, got {level!r}\n")
+
+    @pytest.mark.parametrize("level", ["debug", "Info", "WARNING"])
+    def test_log_level_names_any_case(self, monkeypatch, capsys, level):
+        monkeypatch.setenv("FOLMI_LOG", level)
+        assert main(["decompose", "example1"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv,code,err", [
         (["synth", "example1", "--nc", "1", "--samples", "20"], EXIT_OK, ""),

@@ -710,3 +710,75 @@ class TestStackedOperators:
                     want = block_expr(wrapped)
                     assert want.ids.size == 0
                     assert_same_bits(got, want.const)
+
+
+def np_block_reference(grid):
+    """The constant-grid path before concatenation: ``np.block`` of the
+    entries as float arrays."""
+    return np.block([[np.asarray(e, float) for e in row] for row in grid])
+
+
+class TestConcatenatedTiling:
+    """All-array grids are tiled by concatenation with np.block's bits and
+    its one shape rule; the upper-triangle index pairs are made once."""
+
+    @staticmethod
+    def entry(rng, rows, cols):
+        """A random rows x cols entry, written as np.block reads it: a scalar
+        of some kind for 1x1, a 1-D array for some one-row entries."""
+        m = rng.randn(rows, cols)
+        m[rng.rand(rows, cols) < 0.3] = -0.0
+        kind = rng.randint(4)
+        if (rows, cols) == (1, 1) and kind < 3:
+            return (float(m[0, 0]), np.float64(m[0, 0]), int(rng.randint(-3, 4)))[kind]
+        if rows == 1 and kind == 3:
+            return m[0]
+        return m
+
+    def test_all_array_grids_match_np_block(self):
+        rng = np.random.RandomState(35)
+        for _ in range(400):
+            heights = rng.randint(0, 3, rng.randint(1, 4))
+            width = rng.randint(0, 5)
+            grid = []
+            for h in heights:
+                # each row splits the width its own way, empty parts included
+                cuts = np.sort(rng.randint(0, width + 1, rng.randint(0, 3)))
+                widths = np.diff(np.concatenate([[0], cuts, [width]]))
+                grid.append([self.entry(rng, h, w) for w in widths])
+            got, want = block_expr(grid), np_block_reference(grid)
+            assert type(got) is np.ndarray and got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("grid", [
+        [[np.ones((2, 2)), np.ones((1, 2))]],              # heights differ in a row
+        [[np.ones((2, 2))], [np.ones((1, 3))]],            # rows' widths differ
+        [[np.ones((1, 2)), 1.0], [np.ones((1, 2))]],       # a scalar widens one row
+        [[np.ones(3)], [np.ones((2, 2))]],                 # a 1-D row too wide
+        [[np.ones(0)], [np.ones((2, 2))]],                 # an empty 1-D row
+        [[np.zeros((0, 2)), np.zeros((1, 0))]],            # empty heights differ
+        [[]],                                              # an empty row
+        [],                                                # no rows
+    ], ids=["heights", "widths", "scalar", "1-D", "empty-1-D", "empty-heights",
+            "empty-row", "no-rows"])
+    def test_grids_that_do_not_tile_raise_value_error(self, grid):
+        with pytest.raises(ValueError):
+            np_block_reference(grid)
+        with pytest.raises(ValueError):
+            block_expr(grid)
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 5])
+    def test_index_pairs_are_cached_read_only(self, dim):
+        for k, declare in ((0, "declare_symmetric_block"), (1, "declare_skew_block")):
+            pairs = folmi.lmi.triu_pairs(dim, k)
+            assert pairs is folmi.lmi.triu_pairs(dim, k)
+            for got, want in zip(pairs, np.triu_indices(dim, k)):
+                assert_same_bits(got, want)
+                assert not got.flags.writeable
+            # the declared variables follow the cached pairs, row by row
+            block = getattr(LmiProblem(), declare)(dim)
+            rows, cols = pairs
+            assert block.ids.size == rows.size
+            for v, (i, j) in enumerate(zip(rows, cols)):
+                assert block.coeff[v, i, j] == 1.0

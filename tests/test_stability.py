@@ -430,6 +430,40 @@ class TestClosedFormCertificate:
         assert cert.solution.iterations == 0
 
 
+class TestClosedFormTiling:
+    """The audit's grids are tiled by concatenation and its index pairs come
+    from the cache: the certificate keeps the bits it had with np.block and
+    np.triu_indices."""
+
+    @staticmethod
+    def reference(monkeypatch, a, alpha):
+        with monkeypatch.context() as m:
+            m.setattr(folmi.stability, "block_expr", lambda grid: np.block(
+                [[np.asarray(e, float) for e in row] for row in grid]))
+            m.setattr(folmi.stability, "triu_pairs", np.triu_indices)
+            return closed_form_certificate(a, alpha, 1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.2])
+    def test_certificate_bits_match_the_np_block_reference(self, monkeypatch, alpha):
+        rng = np.random.RandomState(35)
+        accepted = 0
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            a = rng.randn(n, n) - rng.uniform(0.0, 3.0) * np.eye(n)
+            a[rng.rand(n, n) < 0.2] = -0.0
+            got, want = closed_form_certificate(a, alpha, 1e-6), self.reference(
+                monkeypatch, a, alpha)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            accepted += 1
+            assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+            assert got.solution.values.tobytes() == want.solution.values.tobytes()
+            assert (got.solution.achieved_margin, got.solution.objective) == \
+                (want.solution.achieved_margin, want.solution.objective)
+        assert accepted >= 20
+
+
 class TestSectorMargins:
     def test_matches_single_matrix_margins(self):
         rng = np.random.RandomState(8)

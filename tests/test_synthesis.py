@@ -803,11 +803,13 @@ class TestSynthesize:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(folmi.synthesis, name, wrapped)
 
+        spy("decompose", folmi.synthesis.decompose)
         spy("solve_feasibility", folmi.synthesis.solve_feasibility)
-        spy("certify", folmi.synthesis.certify)
+        spy("_certify", folmi.synthesis._certify)
         _, report = synthesize(system(), 0, sample_count=10, seed=0)
         assert report.passed is passed
-        assert calls == ["solve_feasibility", "certify"]
+        # one decomposition, shared by the assembly and the certify sweep
+        assert calls == ["decompose", "solve_feasibility", "_certify"]
 
     def test_failed_certification_is_reported_not_hidden(self):
         # the second example's plant family admits no robust static gain,
