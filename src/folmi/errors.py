@@ -35,7 +35,7 @@ class AlphaOutOfRangeError(ValidationError):
 
 
 class LengthMismatchError(ValidationError):
-    """Value vector length does not match the declared variable count."""
+    """Value vector length does not match the problem's variable count."""
 
 
 class DomainTooLargeError(ValidationError):

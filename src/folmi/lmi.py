@@ -1,13 +1,12 @@
-"""Affine linear-matrix-inequality modeling and a dense feasibility solver.
+"""Affine linear-matrix-inequality problems and a dense feasibility solver.
 
-The modeling layer represents matrix expressions that are affine in a flat
-vector of scalar decision variables.  A :class:`MatExpr` is one coefficient
-stack: its sorted variable indices, their (k, rows, cols) coefficients and a
-constant.  Each operator (+, -, @ with constants, transpose, scalar
-multiply, block stacking) is a few numpy calls on whole stacks, and a
-declared block (symmetric, skew-symmetric, rectangular, scalar) is the
-one-hot expression of its new variables.  A constraint keeps the
-symmetrized stack of its expression, which the solver uses as it is.
+A problem's decision variables are one flat vector, laid out in matrix
+blocks (symmetric, skew-symmetric, full) by :class:`Layout`; a
+:class:`VarBlock` reads its block from any batch of variable vectors.  A
+constraint is its constant and one coefficient matrix per variable, which
+the solver uses as they are: an affine map F written once on arrays gives
+them as F(0) and F(e_k) - F(0) from one batch of the zero vector and the
+unit vectors (see :func:`folmi.stability.certificate_lmi`).
 
 Feasibility of a system of strict definiteness constraints is decided by a
 log-det barrier method on the epigraph form
@@ -34,10 +33,9 @@ At those sizes a Newton step costs numpy calls, not flops, so the hot
 paths are written for few calls with unchanged arithmetic: each block
 keeps its coefficients as one (p, dim*dim) matrix, forms F(x) with one
 matrix-vector product, and reads x and adds its derivatives by slices
-when its variables are contiguous, as the synthesis LMI declares them.
-Every floating-point operation, in the solver and in the expression
-operators, is that of the term-by-term formulas, which the tests keep as
-bit-for-bit references.
+when its variables are contiguous, as the synthesis LMI lays them out.
+Every floating-point operation of the solver is that of the term-by-term
+formulas, which the tests keep as bit-for-bit references.
 """
 
 import enum
@@ -71,128 +69,11 @@ class SdpStatus(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-def _union(id_arrays):
-    """Sorted union of integer index arrays, by bincount: np.union1d would
-    first import numpy.ma."""
-    return np.flatnonzero(np.bincount(np.concatenate([np.zeros(0, int)] + id_arrays)))
-
-
-class MatExpr:
-    """Matrix expression ``const + sum_k x[ids[k]] * coeff[k]``: sorted
-    variable indices ``ids``, their (len(ids), rows, cols) coefficient stack
-    ``coeff`` and the constant ``const``.  Operators build new arrays and
-    never write into an operand's, so expressions may share them."""
-
-    __array_ufunc__ = None  # keep numpy from consuming us in mixed ops
-
-    def __init__(self, ids, coeff, const):
-        self.ids, self.coeff, self.const = ids, coeff, const
-        self.shape = const.shape
-        self.rows, self.cols = self.shape
-
-    @staticmethod
-    def wrap(other):
-        if isinstance(other, MatExpr):
-            return other
-        const = np.atleast_2d(np.asarray(other, float))
-        return MatExpr(np.zeros(0, int), np.zeros((0,) + const.shape), const)
-
-    def __add__(self, other):
-        other = MatExpr.wrap(other)
-        if other.shape != self.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        ids = _union([self.ids, other.ids])
-        # from -0.0, the exact additive identity, a term of one side alone
-        # keeps its bits, signed zeros included
-        coeff = _spread(self, ids, -0.0) + _spread(other, ids, -0.0)
-        return MatExpr(ids, coeff, self.const + other.const)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.__add__(MatExpr.wrap(other).__neg__())
-
-    def __rsub__(self, other):
-        return MatExpr.wrap(other).__add__(self.__neg__())
-
-    def __neg__(self):
-        return MatExpr(self.ids, -self.coeff, -self.const)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return MatExpr(self.ids, s * self.coeff, s * self.const)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        """Right-multiplication by a constant matrix."""
-        if isinstance(other, MatExpr):
-            raise TypeError("product of two variable expressions is not affine")
-        r = np.atleast_2d(np.asarray(other, float))
-        return MatExpr(self.ids, self.coeff @ r, self.const @ r)
-
-    def __rmatmul__(self, other):
-        """Left-multiplication by a constant matrix."""
-        l = np.atleast_2d(np.asarray(other, float))
-        return MatExpr(self.ids, l @ self.coeff, l @ self.const)
-
-    @property
-    def T(self):
-        return MatExpr(self.ids, self.coeff.transpose(0, 2, 1).copy(), self.const.T.copy())
-
-    def scale(self, matrix):
-        """``x * matrix`` for a 1x1 expression x with zero constant (a scalar)."""
-        if self.shape != (1, 1) or np.any(self.const):
-            raise ValueError("scale() is only defined for 1x1 linear expressions")
-        m = np.atleast_2d(np.asarray(matrix, float))
-        return MatExpr(self.ids, self.coeff * m, np.zeros(m.shape))
-
-    def expr(self):
-        """This expression.  Only perfbench's harness test still calls it."""
-        return self
-
-    def value(self, values):
-        """Substitute a flat variable vector, adding the terms in ``ids`` order."""
-        out = self.const.copy()
-        for v, coeff in zip(values[self.ids], self.coeff):
-            out += v * coeff
-        return out
-
-
-def _spread(e, ids, fill):
-    """The coefficient stack of ``e`` on ``ids``, a sorted superset of
-    ``e.ids``: ``fill`` for a variable without a term in e, ``fill +=`` the
-    coefficient for one with a term.  An empty stack is not scattered, so
-    the ids of a zero-sized expression need not be in ``ids``."""
-    coeff = np.full((ids.size,) + e.shape, fill)
-    if e.coeff.size:
-        coeff[np.searchsorted(ids, e.ids)] += e.coeff
-    return coeff
-
-
 def _tile(grid):
     """``np.block`` of a two-level grid of arrays of one ndim >= 2: each row
     joined along the last axis, then the rows along the second-last, as its
     copies, so its bits and its ValueError when heights or widths differ."""
     return np.concatenate([np.concatenate(row, axis=-1) for row in grid], axis=-2)
-
-
-def block_expr(grid):
-    """Assemble a block matrix expression from a nested list, as ``np.block``.
-
-    Every entry may be a :class:`MatExpr`, an array of at most two
-    dimensions, or a scalar (treated as 1x1, a 1-D array as one row);
-    zero-sized blocks occupy no space, which lets one assembly path cover
-    degenerate controller orders.  With no :class:`MatExpr` entry, the
-    result is the plain array.  Otherwise the constants and the stacks are
-    tiled, spread onto the variables of the non-empty entries with 0.0
-    outside the blocks of each variable."""
-    if not any(isinstance(e, MatExpr) for row in grid for e in row):
-        return _tile([[np.atleast_2d(np.asarray(e, float)) for e in row] for row in grid])
-    grid = [[MatExpr.wrap(e) for e in row] for row in grid]
-    ids = _union([e.ids for row in grid for e in row if e.const.size])
-    return MatExpr(ids, _tile([[_spread(e, ids, 0.0) for e in row] for row in grid]),
-                   _tile([[e.const for e in row] for row in grid]))
 
 
 @dataclass(frozen=True)
@@ -232,6 +113,47 @@ def triu_pairs(dim, k=0):
     return pairs
 
 
+@dataclass(frozen=True)
+class VarBlock:
+    """A rows x cols matrix of the variables ``ids``: ids[k] is entry (i[k],
+    j[k]) of ``entries`` = (i, j) and, times ``mirror`` (1.0 symmetric, -1.0
+    skew, None full), entry (j[k], i[k]); every other entry is 0."""
+
+    ids: np.ndarray
+    shape: tuple
+    entries: tuple
+    mirror: float | None
+
+    def value(self, x):
+        """The block at each variable vector of x, shape (..., num_vars), as
+        (..., rows, cols).  An entry is ``mirror * x_k + 0.0``: a variable
+        at -0.0 gives 0.0, so no zero's sign reaches a constraint's constant."""
+        v = x[..., self.ids]
+        out = np.zeros(x.shape[:-1] + self.shape)
+        i, j = self.entries
+        if self.mirror is not None:
+            out[..., j, i] = self.mirror * v + 0.0
+        out[..., i, j] = v + 0.0
+        return out
+
+
+class Layout:
+    """Variable blocks laid out one after another in a flat vector."""
+
+    def __init__(self):
+        self.num_vars = 0
+
+    def block(self, rows, cols, k=None):
+        """The next :class:`VarBlock`, its entries row by row: all of a rows
+        x cols block for ``k`` None, else the upper triangle from diagonal k
+        of a square one, symmetric for k = 0 and skew for k = 1."""
+        entries = triu_pairs(rows, k) if k is not None else tuple(
+            np.indices((rows, cols)).reshape(2, -1))
+        ids = np.arange(self.num_vars, self.num_vars + entries[0].size)
+        self.num_vars += ids.size
+        return VarBlock(ids, (rows, cols), entries, None if k is None else (1.0, -1.0)[k])
+
+
 @dataclass
 class LmiProblem:
     """A system of strict LMI constraints over flat scalar variables."""
@@ -239,55 +161,23 @@ class LmiProblem:
     num_vars: int = 0
     constraints: list = field(default_factory=list)
 
-    def _declare(self, rows, cols, entries, mirror):
-        """The expression of a block of new variables: variable k sets entry
-        (i[k], j[k]) of ``entries`` = (i, j) to 1 and, unless ``mirror`` is
-        None, entry (j[k], i[k]) to ``mirror`` (1 for a symmetric block, -1
-        for a skew one)."""
-        i, j = entries
-        k = np.arange(i.size)
-        coeff = np.zeros((k.size, rows, cols))
-        coeff[k, i, j] = 1.0
-        if mirror is not None:
-            coeff[k, j, i] = mirror
-        ids, self.num_vars = self.num_vars + k, self.num_vars + k.size
-        return MatExpr(ids, coeff, np.zeros((rows, cols)))
-
-    def declare_symmetric_block(self, dim):
-        """Symmetric dim x dim block: dim*(dim+1)/2 variables, the upper
-        triangle row by row."""
-        return self._declare(dim, dim, triu_pairs(dim), 1.0)
-
-    def declare_skew_block(self, dim):
-        """Skew-symmetric block: dim*(dim-1)/2 variables (0 when dim <= 1),
-        the strict upper triangle row by row."""
-        return self._declare(dim, dim, triu_pairs(dim, 1), -1.0)
-
-    def declare_full_block(self, rows, cols):
-        """Unstructured rows x cols block: rows*cols variables, row by row."""
-        entries = np.indices((rows, cols)).reshape(2, -1)
-        return self._declare(rows, cols, entries, None)
-
-    def declare_scalar(self, name=None):
-        """A 1x1 block; ``name`` is unused, perfbench's harness test passes one."""
-        return self.declare_full_block(1, 1)
-
-    def add_constraint(self, expr, sense):
-        """Add ``expr (sense) 0`` where expr is a square symmetric MatExpr
-        with finite entries; terms that are all zero are dropped."""
-        expr = MatExpr.wrap(expr)
-        if expr.rows != expr.cols or expr.rows == 0:
+    def add_constraint(self, constant, stack, sense):
+        """Add ``constant + sum_k x_k stack[k] (sense) 0`` over the num_vars
+        variables, each matrix square, symmetric and finite; terms that are
+        all zero are dropped."""
+        constant, stack = np.asarray(constant, float), np.asarray(stack, float)
+        dim = constant.shape[0] if constant.ndim == 2 else 0
+        if not dim or constant.shape != (dim, dim) or stack.shape != (self.num_vars, dim, dim):
             raise IllFormedProblemError(
-                f"constraint must be square and nonempty, got {expr.shape}"
-            )
-        if not (np.all(np.isfinite(expr.const)) and np.all(np.isfinite(expr.coeff))):
+                f"constraint must be square and nonempty with {self.num_vars} "
+                f"terms, got {constant.shape} and {stack.shape}")
+        if not (np.all(np.isfinite(constant)) and np.all(np.isfinite(stack))):
             raise IllFormedProblemError("constraint entries must be finite")
-        const, coeff = _symmetrized(expr.const[None])[0], _symmetrized(expr.coeff)
+        const, coeff = _symmetrized(constant[None])[0], _symmetrized(stack)
         nonzero = coeff.any(axis=(1, 2))
         self.constraints.append(AffineMatrixConstraint(
-            expr.rows, const, expr.ids[nonzero], coeff[nonzero], Sense(sense)))
+            dim, const, np.flatnonzero(nonzero), coeff[nonzero], Sense(sense)))
         return self.constraints[-1]
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -337,7 +227,9 @@ def evaluate_constraint(problem, constraint, values):
         raise LengthMismatchError(
             f"expected {problem.num_vars} values, got {values.shape}"
         )
-    m = MatExpr(constraint.ids, constraint.stack, constraint.constant).value(values)
+    m = constraint.constant.copy()
+    for v, coeff in zip(values[constraint.ids], constraint.stack):
+        m += v * coeff
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     return m, float(eigs[-1] if constraint.sense is Sense.NEGATIVE_DEFINITE else eigs[0])
 

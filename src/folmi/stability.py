@@ -28,11 +28,12 @@ from .errors import ShapeMismatchError, ValidationError
 from .linalg import check_alpha, eigvals_stack, require_square
 from .lmi import (
     R_BOX,
+    Layout,
     LmiProblem,
     SdpSolution,
     SdpStatus,
     Sense,
-    block_expr,
+    _tile,
     solve_feasibility,
     triu_pairs,
 )
@@ -93,8 +94,8 @@ class _HermitianRegime:
         self.theta = (1.0 - alpha) * np.pi / 2.0
         self._cs, self._sn = 2.0 * np.cos(self.theta), 2.0 * np.sin(self.theta)
 
-    def declare(self, p, dim):
-        return p.declare_symmetric_block(dim), p.declare_skew_block(dim)
+    def parts(self, layout, dim):
+        return layout.block(dim, dim, 0), layout.block(dim, dim, 1)
 
     def q_expr(self, cert):
         x, y = cert
@@ -102,15 +103,15 @@ class _HermitianRegime:
 
     def positivity(self, cert):
         x, y = cert
-        return block_expr([[x, -1.0 * y], [y, x]]) - np.eye(2 * x.shape[0])
+        return _tile([[x, -1.0 * y], [y, x]]) - np.eye(2 * x.shape[-1])
 
     def value(self, parts):
         x, y = parts
         return x + 1j * y
 
     def sigma(self, g):
-        """Sym(G) for the closed-loop expression G = A_cl Q."""
-        return g + g.T
+        """Sym(G) for the closed-loop matrix G = A_cl Q."""
+        return g + g.swapaxes(-1, -2)
 
     def eigen_certificate(self, vals, vecs):
         """(X, Y), exactly symmetric and skew, of P = V D V^H, D = 1 on
@@ -138,14 +139,14 @@ class _SymmetricRegime:
     def __init__(self, alpha):
         self.theta = np.pi - alpha * np.pi / 2.0
 
-    def declare(self, p, dim):
-        return (p.declare_symmetric_block(dim),)
+    def parts(self, layout, dim):
+        return (layout.block(dim, dim, 0),)
 
     def q_expr(self, cert):
         return cert[0]
 
     def positivity(self, cert):
-        return cert[0] - np.eye(cert[0].shape[0])
+        return cert[0] - np.eye(cert[0].shape[-1])
 
     def value(self, parts):
         return parts[0]
@@ -153,8 +154,9 @@ class _SymmetricRegime:
     def sigma(self, g):
         """[[G_s sin(theta), G_k cos(theta)], [-G_k cos(theta), G_s sin(theta)]]
         with G_s = G + G^T and G_k = G - G^T."""
-        diag, off = np.sin(self.theta) * (g + g.T), np.cos(self.theta) * (g - g.T)
-        return block_expr([[diag, off], [-off, diag]])
+        gt = g.swapaxes(-1, -2)
+        diag, off = np.sin(self.theta) * (g + gt), np.cos(self.theta) * (g - gt)
+        return _tile([[diag, off], [-off, diag]])
 
     def eigen_certificate(self, vals, vecs):
         """(P,), exactly symmetric, for P = Re(V V^H), which is V V^H for
@@ -167,7 +169,7 @@ class _SymmetricRegime:
 
 def _regime(alpha):
     """The certificate regime of the order alpha.  Its methods take the
-    certificate's parts, (X, Y) or (P,): expressions or arrays, arrays in value()."""
+    certificate's parts, (X, Y) or (P,), as arrays with any leading batch axes."""
     check_alpha(alpha)
     return _HermitianRegime(alpha) if alpha < 1.0 else _SymmetricRegime(alpha)
 
@@ -179,10 +181,10 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     """Variables and constraints of the LMI of ``regime`` for the plant
     (A0, B0) under an output-feedback controller of order n_c.
 
-    Declares the certificate P_C (n_c x n_c), the controller lift T1
+    Lays out the certificate P_C (n_c x n_c), the controller lift T1
     (n_c x n_c), the certificate P_S (n x n), eta when lifted, and the lift
     T4 (l x n), in that order, so that each barrier block's variables are
-    one contiguous run.  T2 (n_c x n) and T3 (l x n_c) are not declared:
+    one contiguous run.  T2 (n_c x n) and T3 (l x n_c) have no variables:
     the reflection x_c -> -x_c maps (T2, T3) to -(T2, T3) and keeps every
     constraint's spectrum, so the barrier never leaves T2 = T3 = 0.  There,
     with Q_S the regime's Q map of P_S and Z = [[Q_S], [T4]], Sigma of the
@@ -198,39 +200,45 @@ def certificate_lmi(regime, a0, b0, n_c, lift=None):
     columns) enters: with k = regime.copies and a multiplier eta, the Schur
     block [[Sigma + eta I_k (x) MM^T, (I_k (x) D Z)^T], [I_k (x) D Z,
     -eta I]] < 0, and eta > 0 is the positivity block's last diagonal
-    entry.  Returns the problem and a dict of the variable handles: "s",
-    "c" (certificates), "t1", "t4", and "eta" when lifted.
+    entry.  A block's constant is :func:`lmi_matrices` at the zero vector,
+    its coefficients those at each unit vector less the constant.  Returns
+    the problem and the :class:`folmi.lmi.VarBlock` of each variable: "s",
+    "c" (certificate parts), "t1", "t4", and "eta" when lifted.
     """
     n, l = b0.shape
-    p = LmiProblem()
-    blocks = {"c": regime.declare(p, n_c), "t1": p.declare_full_block(n_c, n_c),
-              "s": regime.declare(p, n)}
+    layout = Layout()
+    blocks = {"c": regime.parts(layout, n_c), "t1": layout.block(n_c, n_c),
+              "s": regime.parts(layout, n)}
     if lift is not None:
-        eta = blocks["eta"] = p.declare_scalar()
-    blocks["t4"] = p.declare_full_block(l, n)
-    z = block_expr([[regime.q_expr(blocks["s"])], [blocks["t4"]]])
-    sigma = regime.sigma(np.hstack([a0, b0]) @ z)
-    pos = [regime.positivity(blocks["s"]), regime.positivity(blocks["c"]),
-           -1.0 * regime.sigma(blocks["t1"])]
-    if lift is None:
-        p.add_constraint(sigma, Sense.NEGATIVE_DEFINITE)
-    else:
-        mmt, d = lift
-        k = regime.copies
+        blocks["eta"] = layout.block(1, 1)
+    blocks["t4"] = layout.block(l, n)
+    p = LmiProblem(layout.num_vars)
+    f = lmi_matrices(regime, a0, b0, blocks, lift, np.eye(p.num_vars + 1, p.num_vars, -1))
+    for m, sense in zip(f, (Sense.NEGATIVE_DEFINITE, Sense.POSITIVE_DEFINITE)):
+        p.add_constraint(m[0], m[1:] - m[0], sense)
+    return p, blocks
+
+
+def lmi_matrices(regime, a0, b0, blocks, lift, x):
+    """The Schur block (Sigma when not lifted) and the positivity block of
+    :func:`certificate_lmi`, with its ``blocks``, at each variable vector of
+    x, shape (..., num_vars)."""
+    s, c = ([part.value(x) for part in blocks[name]] for name in ("s", "c"))
+    t1, t4 = blocks["t1"].value(x), blocks["t4"].value(x)
+    z = np.concatenate([regime.q_expr(s), t4], axis=-2)
+    schur = regime.sigma(np.hstack([a0, b0]) @ z)
+    pos = [regime.positivity(s), regime.positivity(c), -1.0 * regime.sigma(t1)]
+    if lift is not None:
+        (mmt, d), k, eta = lift, regime.copies, blocks["eta"].value(x)
         dz = d @ z
-        zeros = np.zeros(dz.shape)
-        r = block_expr([[dz if i == j else zeros for j in range(k)] for i in range(k)])
-        p.add_constraint(block_expr([
-            [sigma + eta.scale(np.kron(np.eye(k), mmt)), r.T],
-            [r, -1.0 * eta.scale(np.eye(r.rows))],
-        ]), Sense.NEGATIVE_DEFINITE)
+        r = _tile([[dz if i == j else np.zeros(dz.shape) for j in range(k)] for i in range(k)])
+        schur = _tile([[schur + eta * np.kron(np.eye(k), mmt), r.swapaxes(-1, -2)],
+                       [r, -1.0 * (eta * np.eye(r.shape[-2]))]])
         pos.append(eta)
     # one barrier block: a block-diagonal slack's log det is its blocks' sum
-    pos = [a for a in pos if a.rows]
-    p.add_constraint(pos[0] if len(pos) == 1 else block_expr(
-        [[a if a is b else np.zeros((a.rows, b.cols)) for b in pos] for a in pos]),
-        Sense.POSITIVE_DEFINITE)
-    return p, blocks
+    pos = [a for a in pos if a.shape[-1]]
+    return schur, pos[0] if len(pos) == 1 else _tile(
+        [[a if a is b else np.zeros(a.shape[:-1] + b.shape[-1:]) for b in pos] for a in pos])
 
 
 def _analysis_lmi(a, alpha):
@@ -266,7 +274,7 @@ def closed_form_certificate(a, alpha, eps_margin):
     The eigenbasis certificate P of the regime (Chilali & Gahinet 1996;
     Sabatier, Moze & Farges 2010), scaled so that Sigma and P - I clear
     ``eps_margin``, is audited by the regime's own code run on P's arrays,
-    with no LMI problem or MatExpr built: Sigma and P - I must have margins
+    with no LMI problem built: Sigma and P - I must have margins
     >= ``eps_margin``, and the :func:`analysis_feasible` variables at P,
     which the solution holds in that problem's order, |x| < R_BOX, so the
     barrier could not prove that problem INFEASIBLE.  None (reason logged at
@@ -279,8 +287,8 @@ def closed_form_certificate(a, alpha, eps_margin):
         log.info("closed-form certificate: cond(V) = %.3g; using the barrier", cond)
         return None
     parts = regime.eigen_certificate(vals, vecs)
-    # the variables in declare()'s order: the upper triangle of X (or P),
-    # then the strict upper triangle of Y
+    # the variables in the order of regime.parts(): the upper triangle of X
+    # (or P), then the strict upper triangle of Y
     x = np.concatenate([part[triu_pairs(len(m), k)] for k, part in enumerate(parts)])
 
     def margins(scale):

@@ -220,8 +220,8 @@ def recover(assembly, solution):
     v = solution.values
     b = assembly.blocks
     q_expr = assembly.regime.q_expr
-    qs_inv = _invert_certificate(q_expr(b["s"]).value(v), "Q_S")
-    qc_inv = _invert_certificate(q_expr(b["c"]).value(v), "Q_C")
+    qs_inv = _invert_certificate(q_expr([x.value(v) for x in b["s"]]), "Q_S")
+    qc_inv = _invert_certificate(q_expr([x.value(v) for x in b["c"]]), "Q_C")
     d_c = b["t4"].value(v) @ qs_inv @ pinv(assembly.c)
     (l, m), n_c = d_c.shape, assembly.n_c
     return DynamicController(n_c, b["t1"].value(v) @ qc_inv, np.zeros((n_c, m)),

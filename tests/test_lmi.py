@@ -7,12 +7,13 @@ from folmi.errors import IllFormedProblemError, LengthMismatchError, ValidationE
 from folmi.interval import decompose
 from folmi.lmi import (
     AffineMatrixConstraint,
+    Layout,
     LmiProblem,
     SdpStatus,
     Sense,
     SolverConfig,
     _Block,
-    block_expr,
+    _tile,
     constraint_margin,
     evaluate_constraint,
     solve_feasibility,
@@ -20,231 +21,168 @@ from folmi.lmi import (
 from folmi.stability import analysis_feasible
 from folmi.synthesis import assemble
 from tests.test_interval import example1_system
-from tests.test_synthesis import example2_system, separate_positivity
+from tests.test_synthesis import add_affine, example2_system, separate_positivity
+
+NEG, POS = Sense.NEGATIVE_DEFINITE, Sense.POSITIVE_DEFINITE
 
 
 def constraint_of(dim, constant, coeffs, sense):
     """The AffineMatrixConstraint of ``constant + sum_k x_k coeffs[k]``."""
     ids = sorted(coeffs)
     stack = np.array([coeffs[k] for k in ids], float).reshape(len(ids), dim, dim)
-    return AffineMatrixConstraint(dim, constant, np.array(ids, dtype=int), stack, sense)
+    return AffineMatrixConstraint(dim, np.asarray(constant, float), np.array(ids, dtype=int),
+                                  stack, sense)
 
 
 class TestVariableBlocks:
     def test_symmetric_count_and_sharing(self):
-        p = LmiProblem()
-        s = p.declare_symmetric_block(2)
-        assert p.num_vars == 3
-        values = np.array([1.0, 2.0, 3.0])
-        m = s.value(values)
+        layout = Layout()
+        s = layout.block(2, 2, 0)
+        assert layout.num_vars == 3
+        m = s.value(np.array([1.0, 2.0, 3.0]))
         # entry (0,1) and (1,0) come from the same variable
         assert m[0, 1] == m[1, 0] == 2.0
         np.testing.assert_array_equal(m, [[1.0, 2.0], [2.0, 3.0]])
 
     def test_skew_counts(self):
-        p = LmiProblem()
-        k = p.declare_skew_block(2)
-        assert p.num_vars == 1
-        m = k.value(np.array([4.0]))
-        np.testing.assert_array_equal(m, [[0.0, 4.0], [-4.0, 0.0]])
+        layout = Layout()
+        k = layout.block(2, 2, 1)
+        assert layout.num_vars == 1
+        np.testing.assert_array_equal(k.value(np.array([4.0])), [[0.0, 4.0], [-4.0, 0.0]])
 
-    def test_skew_dim_one_has_no_variables(self):
-        p = LmiProblem()
-        k = p.declare_skew_block(1)
-        assert p.num_vars == 0
-        np.testing.assert_array_equal(k.value(np.zeros(0)), [[0.0]])
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_skew_dim_at_most_one_has_no_variables(self, dim):
+        layout = Layout()
+        k = layout.block(dim, dim, 1)
+        assert layout.num_vars == k.ids.size == 0
+        np.testing.assert_array_equal(k.value(np.zeros(0)), np.zeros((dim, dim)))
 
-    @pytest.mark.parametrize("declare,order,mirror", [
+    @pytest.mark.parametrize("args,order,mirror", [
         # variable k sets entry order[k] to 1 and its transpose to mirror
-        (lambda p: p.declare_symmetric_block(3),
-         [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], 1.0),
-        (lambda p: p.declare_skew_block(3), [(0, 1), (0, 2), (1, 2)], -1.0),
-        (lambda p: p.declare_full_block(2, 3),
-         [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)], None),
+        ((3, 3, 0), [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], 1.0),
+        ((3, 3, 1), [(0, 1), (0, 2), (1, 2)], -1.0),
+        ((2, 3), [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)], None),
     ])
-    def test_variable_order(self, declare, order, mirror):
-        p = LmiProblem()
-        p.declare_scalar()
-        block = declare(p)
-        assert p.num_vars == 1 + len(order)
+    def test_variable_order(self, args, order, mirror):
+        layout = Layout()
+        layout.block(1, 1)
+        block = layout.block(*args)
+        assert layout.num_vars == 1 + len(order)
+        assert block.ids.tolist() == list(range(1, 1 + len(order)))
         for k, (i, j) in enumerate(order, start=1):
-            want = np.zeros((block.rows, block.cols))
+            want = np.zeros(block.shape)
             if mirror is not None:
                 want[j, i] = mirror
             want[i, j] = 1.0
-            np.testing.assert_array_equal(block.value(np.eye(p.num_vars)[k]), want)
+            np.testing.assert_array_equal(block.value(np.eye(layout.num_vars)[k]), want)
 
     def test_full_and_scalar(self):
-        p = LmiProblem()
-        t = p.declare_full_block(2, 3)
-        s = p.declare_scalar()
-        assert p.num_vars == 7
+        layout = Layout()
+        t = layout.block(2, 3)
+        s = layout.block(1, 1)
+        assert layout.num_vars == 7
         v = np.arange(7.0)
         np.testing.assert_array_equal(t.value(v), [[0, 1, 2], [3, 4, 5]])
         assert s.value(v)[0, 0] == 6.0
 
-
-class TestExpressions:
-    def test_algebra_matches_numpy(self):
-        # composite expressions evaluated at random points agree with plain
-        # numpy on the reconstructed blocks
-        rng = np.random.RandomState(0)
-        for _ in range(25):
-            p = LmiProblem()
-            s = p.declare_symmetric_block(3)
-            t = p.declare_full_block(3, 2)
-            left = rng.randn(2, 3)
-            shift = rng.randn(2, 3)
-            v = rng.randn(p.num_vars)
-            sm, tm = s.value(v), t.value(v)
-            e = left @ s - t.T * 2.0 + shift
-            want = left @ sm - 2.0 * tm.T + shift
-            np.testing.assert_allclose(e.value(v), want, atol=1e-12)
-
-    def test_block_expr_layout(self):
-        p = LmiProblem()
-        s = p.declare_symmetric_block(2)
-        v = np.array([1.0, 2.0, 3.0])
-        big = block_expr([[s, -1.0 * s], [np.zeros((1, 2)), np.ones((1, 2))]])
-        out = big.value(v)
-        assert out.shape == (3, 4)
-        np.testing.assert_array_equal(out[:2, :2], s.value(v))
-        np.testing.assert_array_equal(out[:2, 2:], -s.value(v))
-        np.testing.assert_array_equal(out[2], [0.0, 0.0, 1.0, 1.0])
-
-    def test_block_expr_zero_sized_blocks(self):
-        p = LmiProblem()
-        s = p.declare_symmetric_block(2)
-        t = p.declare_full_block(0, 2)
-        big = block_expr([[s, t.T], [t, np.zeros((0, 0))]])
-        assert big.shape == (2, 2)
-
-    @pytest.mark.parametrize("declared", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    def test_one_tiling_rule_for_arrays_and_expressions(self, declared):
-        # column widths that differ between rows, [[2x1, 2x2], [1x2, 1x1]],
-        # tile alike with one entry a declared block and all constant, and
-        # widening that entry by a column raises ValueError on both paths
-        rng = np.random.RandomState(28)
-        grid = [[rng.randn(2, 1), rng.randn(2, 2)], [rng.randn(1, 2), rng.randn(1, 1)]]
-        grid[0][1][0, 0] = grid[1][0][0, 1] = -0.0
-        i, j = declared
-        rows, cols = grid[i][j].shape
-
-        def grid_with(entry):
-            g = [row[:] for row in grid]
-            g[i][j] = entry
-            return g
-
-        p = LmiProblem()
-        x = p.declare_full_block(rows, cols)
-        want = block_expr(grid_with(np.zeros((rows, cols))))
-        got = block_expr(grid_with(x))
-        assert got.shape == want.shape == (3, 3)
-        assert got.const.tobytes() == want.tobytes()
-        v = np.arange(1.0, p.num_vars + 1)
-        np.testing.assert_array_equal(got.value(v), np.block(grid_with(x.value(v))))
-        wide = p.declare_full_block(rows, cols + 1)
-        for entry in (wide, np.zeros(wide.shape)):
-            with pytest.raises(ValueError):
-                block_expr(grid_with(entry))
-
-    def test_adding_different_shapes_is_refused(self):
-        p = LmiProblem()
-        s = p.declare_symmetric_block(2)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            s + p.declare_full_block(2, 3)
-
-    def test_product_of_two_expressions_is_refused(self):
-        p = LmiProblem()
-        s = p.declare_symmetric_block(2)
-        with pytest.raises(TypeError, match="not affine"):
-            s @ p.declare_symmetric_block(2)
-
-    def test_scale_needs_a_scalar_expression(self):
-        p = LmiProblem()
-        with pytest.raises(ValueError, match="only defined for 1x1"):
-            p.declare_symmetric_block(2).scale(np.eye(2))
-
-    def test_reflected_operators(self):
-        # an array on the left of + and - hands the expression to __radd__
-        # and __rsub__
-        p = LmiProblem()
-        s = p.declare_symmetric_block(2)
-        shift = np.array([[1.0, 2.0], [3.0, 4.0]])
-        v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal((shift + s).value(v), shift + s.value(v))
-        np.testing.assert_array_equal((shift - s).value(v), shift - s.value(v))
+    @pytest.mark.parametrize("args", [(3, 3, 0), (3, 3, 1), (2, 3)])
+    def test_a_batch_reads_each_vector(self, args):
+        # leading axes of x are kept, and an entry is mirror * x + 0.0: a
+        # -0.0 variable reads 0.0, as the sum of one-hot terms from 0.0 did
+        layout = Layout()
+        layout.block(2, 2)
+        block = layout.block(*args)
+        rng = np.random.RandomState(3)
+        x = rng.randn(2, 5, layout.num_vars)
+        x[rng.rand(*x.shape) < 0.3] = -0.0
+        got = block.value(x)
+        assert got.shape == (2, 5) + block.shape
+        for b in np.ndindex(2, 5):
+            assert got[b].tobytes() == block.value(x[b]).tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
 
 
 class TestConstraints:
     def test_rejects_asymmetric(self):
-        p = LmiProblem()
-        t = p.declare_full_block(2, 2)
-        with pytest.raises(IllFormedProblemError):
-            p.add_constraint(t, Sense.NEGATIVE_DEFINITE)
+        full = Layout().block(2, 2)
+        with pytest.raises(IllFormedProblemError, match="symmetric"):
+            LmiProblem(4).add_constraint(np.zeros((2, 2)), full.value(np.eye(4)), NEG)
 
-    def test_rejects_empty_or_rectangular(self):
-        p = LmiProblem()
-        t = p.declare_full_block(2, 3)
-        with pytest.raises(IllFormedProblemError):
-            p.add_constraint(t, Sense.NEGATIVE_DEFINITE)
+    @pytest.mark.parametrize("constant,stack", [
+        (np.zeros((2, 3)), np.zeros((1, 2, 3))),   # rectangular
+        (np.zeros((0, 0)), np.zeros((1, 0, 0))),   # empty
+        (np.zeros(2), np.zeros((1, 2))),           # not a matrix
+        (np.eye(2), np.zeros((2, 2, 2))),          # a term per variable of 2
+        (np.eye(2), np.zeros((1, 3, 3))),          # terms of another size
+    ])
+    def test_rejects_ill_shaped(self, constant, stack):
+        p = LmiProblem(1)
+        with pytest.raises(IllFormedProblemError, match="square and nonempty with 1 terms"):
+            p.add_constraint(constant, stack, NEG)
+        assert p.constraints == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["constant", "coefficient"])
     def test_rejects_non_finite_entries(self, where, bad):
         # a NaN fails no symmetry comparison, so finiteness is checked alone
-        p = LmiProblem()
-        x = p.declare_scalar()
+        p = LmiProblem(1)
         m = np.eye(2)
         m[0, 0] = bad
-        expr = x.scale(np.eye(2)) - m if where == "constant" else x.scale(m)
-        assert np.all(np.isfinite(expr.coeff if where == "constant" else expr.const))
+        constant, stack = -np.eye(2), np.eye(2)[None]
+        if where == "constant":
+            constant = -m
+        else:
+            stack = m[None]
         with pytest.raises(IllFormedProblemError, match="finite"):
-            p.add_constraint(expr, Sense.NEGATIVE_DEFINITE)
+            p.add_constraint(constant, stack, NEG)
         assert p.constraints == []
 
     def test_evaluate_constant_at_zero(self):
-        p = LmiProblem()
-        x = p.declare_scalar()
-        c = p.add_constraint(x - np.array([[2.0]]), Sense.NEGATIVE_DEFINITE)
+        p = LmiProblem(1)
+        c = p.add_constraint([[-2.0]], [[[1.0]]], NEG)
         m, extreme = evaluate_constraint(p, c, np.zeros(1))
         np.testing.assert_array_equal(m, [[-2.0]])
         assert extreme == -2.0
 
     def test_evaluate_length_mismatch(self):
-        p = LmiProblem()
-        x = p.declare_scalar()
-        c = p.add_constraint(x, Sense.POSITIVE_DEFINITE)
+        p = LmiProblem(1)
+        c = p.add_constraint([[0.0]], [[[1.0]]], POS)
         with pytest.raises(LengthMismatchError):
             evaluate_constraint(p, c, np.zeros(3))
 
     def test_evaluate_exact_arithmetic(self):
-        p = LmiProblem()
-        x = p.declare_scalar()
-        c = p.add_constraint(
-            x.scale(np.diag([1.0, 2.0])) - np.diag([5.0, 5.0]),
-            Sense.NEGATIVE_DEFINITE,
-        )
+        p = LmiProblem(1)
+        c = p.add_constraint(-np.diag([5.0, 5.0]), np.diag([1.0, 2.0])[None], NEG)
         m, extreme = evaluate_constraint(p, c, np.array([1.0]))
         np.testing.assert_array_equal(m, np.diag([-4.0, -3.0]))
         assert extreme == -3.0
 
 
+def scalar_problem(*constraints):
+    """A one-variable problem of ``x * coefficient + constant (NEG) 0`` per
+    (coefficient, constant) pair."""
+    return LmiProblem(1, [constraint_of(1, [[const]], {0: [[coeff]]}, NEG)
+                          for coeff, const in constraints])
+
+
+def lyapunov_problem(a):
+    """A S + S A^T < 0 and S - I > 0 over a symmetric S."""
+    layout = Layout()
+    s = layout.block(len(a), len(a), 0)
+    p = LmiProblem(layout.num_vars)
+    add_affine(p, lambda x: a @ s.value(x) + (a @ s.value(x)).T, NEG)
+    add_affine(p, lambda x: s.value(x) - np.eye(len(a)), POS)
+    return p
+
+
 class TestSolver:
     def test_scalar_feasible(self):
-        p = LmiProblem()
-        x = p.declare_scalar()
-        p.add_constraint(x - np.array([[1.0]]), Sense.NEGATIVE_DEFINITE)
-        sol = solve_feasibility(p)
+        sol = solve_feasibility(scalar_problem((1.0, -1.0)))  # x - 1 < 0
         assert sol.status is SdpStatus.FEASIBLE
         assert sol.achieved_margin >= 1e-6
 
     def test_contradictory_scalar_infeasible(self):
-        p = LmiProblem()
-        x = p.declare_scalar()
-        p.add_constraint(-1.0 * x, Sense.NEGATIVE_DEFINITE)  # x > 0
-        p.add_constraint(x, Sense.NEGATIVE_DEFINITE)  # x < 0
-        sol = solve_feasibility(p)
+        sol = solve_feasibility(scalar_problem((-1.0, 0.0), (1.0, 0.0)))  # x > 0, x < 0
         assert sol.status is SdpStatus.INFEASIBLE
 
     def test_gap_exit_without_a_proof_is_indeterminate(self):
@@ -252,7 +190,7 @@ class TestSolver:
         # but never reaches; when the duality gap closed after 13 steps this
         # used to read INFEASIBLE, which only the duality bound may prove
         p = LmiProblem()
-        p.add_constraint(np.array([[-1e-6]]), Sense.NEGATIVE_DEFINITE)
+        p.add_constraint([[-1e-6]], np.zeros((0, 1, 1)), NEG)
         sol = solve_feasibility(p)
         assert sol.status is SdpStatus.INDETERMINATE
         assert sol.iterations == 13
@@ -276,9 +214,7 @@ class TestSolver:
         # no factorization of the (num_vars + 1)-square Newton system
         # succeeds, so the first step fails and ends the solve at a point
         # that does not clear eps_margin; the 1x1 slack still factors
-        p = LmiProblem()
-        x = p.declare_scalar()
-        p.add_constraint(x - np.array([[1.0]]), Sense.NEGATIVE_DEFINITE)
+        p = scalar_problem((1.0, -1.0))
         assert solve_feasibility(p).status is SdpStatus.FEASIBLE
         cholesky = np.linalg.cholesky
 
@@ -294,12 +230,17 @@ class TestSolver:
     def test_scalar_analysis_style_lmi(self):
         # scalar analytic check: -4 cos(pi/4) X < 0 admits X = 1
         theta = np.pi / 4
-        p = LmiProblem()
-        xs = p.declare_symmetric_block(1)
-        q = 2.0 * np.cos(theta) * xs
+        layout = Layout()
+        xs = layout.block(1, 1, 0)
         a = np.array([[-1.0]])
-        p.add_constraint(a @ q + (a @ q).T, Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(xs, Sense.POSITIVE_DEFINITE)
+
+        def sigma(x):
+            aq = a @ (2.0 * np.cos(theta) * xs.value(x))
+            return aq + aq.T
+
+        p = LmiProblem(layout.num_vars)
+        add_affine(p, sigma, NEG)
+        add_affine(p, xs.value, POS)
         sol = solve_feasibility(p)
         assert sol.status is SdpStatus.FEASIBLE
         x = xs.value(sol.values)[0, 0]
@@ -312,12 +253,8 @@ class TestSolver:
 
     def test_feasible_solution_passes_all_margins(self):
         rng = np.random.RandomState(4)
-        p = LmiProblem()
-        s = p.declare_symmetric_block(3)
-        g = rng.randn(3, 3)
-        gs = (g - 3 * np.eye(3)) @ s
-        p.add_constraint(gs + gs.T, Sense.NEGATIVE_DEFINITE)
-        p.add_constraint(s - np.eye(3), Sense.POSITIVE_DEFINITE)
+        g = rng.randn(3, 3) - 3 * np.eye(3)
+        p = lyapunov_problem(g)
         cfg = SolverConfig()
         sol = solve_feasibility(p, cfg)
         assert sol.status is SdpStatus.FEASIBLE
@@ -326,11 +263,7 @@ class TestSolver:
 
     def test_determinism(self):
         def run():
-            p = LmiProblem()
-            s = p.declare_symmetric_block(2)
-            a = np.array([[-1.0, 2.0], [0.0, -3.0]])
-            p.add_constraint(a @ s + (a @ s).T, Sense.NEGATIVE_DEFINITE)
-            p.add_constraint(s - np.eye(2), Sense.POSITIVE_DEFINITE)
+            p = lyapunov_problem(np.array([[-1.0, 2.0], [0.0, -3.0]]))
             return solve_feasibility(p, SolverConfig())
 
         s1, s2 = run(), run()
@@ -341,10 +274,7 @@ class TestSolver:
         # growing eps_margin can only lose feasibility, never gain it;
         # the window -1e-3 < x < 1e-4 admits margins up to ~5.5e-4
         def status_at(eps):
-            p = LmiProblem()
-            x = p.declare_scalar()
-            p.add_constraint(x - np.array([[1e-4]]), Sense.NEGATIVE_DEFINITE)
-            p.add_constraint(-1.0 * x - np.array([[1e-3]]), Sense.NEGATIVE_DEFINITE)
+            p = scalar_problem((1.0, -1e-4), (-1.0, -1e-3))
             return solve_feasibility(p, SolverConfig(eps_margin=eps)).status
 
         order = [status_at(e) for e in (1e-6, 1e-4, 1e-2)]
@@ -473,10 +403,13 @@ def bit_identity_blocks():
         3, -np.eye(3) - 0.1 * np.ones((3, 3)), {}, Sense.NEGATIVE_DEFINITE)
     n = asm.problem.num_vars
     eta, pos_s, pos_c = separate_positivity(asm).constraints[1:4]
-    pos_c_expr = asm.regime.positivity(asm.blocks["c"])  # 2 x 2 below alpha = 1
-    scattered = LmiProblem(n).add_constraint(block_expr(
-        [[pos_c_expr, np.zeros((2, 1))], [np.zeros((1, 2)), asm.blocks["eta"]]]),
-        Sense.POSITIVE_DEFINITE)
+
+    def pos_c_eta(x):
+        pos_c = asm.regime.positivity([b.value(x) for b in asm.blocks["c"]])  # 2 x 2
+        return np.block([[pos_c, np.zeros((2, 1))],
+                         [np.zeros((1, 2)), asm.blocks["eta"].value(x)]])
+
+    scattered = add_affine(LmiProblem(n), pos_c_eta, POS)
     blocks = [schur, eta, pos_s, pos_c, empty, positivity, scattered]
     return {name: (4 if c is empty else n, c) for name, c in zip(BIT_IDENTITY_BLOCKS, blocks)}
 
@@ -540,22 +473,17 @@ class TestBlockBitIdentity:
         assert_same_bits(hess, hess_ref)
 
 
-def term_table(expr):
-    """An expression's terms as {None: constant, k: coefficient of x_k}."""
-    return {None: expr.const, **dict(zip(expr.ids.tolist(), expr.coeff))}
-
-
-def reference_constraint(expr, sense):
+def reference_constraint(constant, stack, sense):
     """``add_constraint`` term by term: each matrix's symmetry check,
     symmetrization and zero test on its own."""
-    for m in term_table(expr).values():
+    terms = {None: np.asarray(constant, float), **dict(enumerate(np.asarray(stack, float)))}
+    for m in terms.values():
         scale = 1.0 + np.abs(m).max()
         if np.abs(m - m.T).max() > folmi.lmi._SYM_TOL * scale:
             raise IllFormedProblemError("constraint matrices must be symmetric")
-    coeffs = {k: 0.5 * (v + v.T) for k, v in term_table(expr).items()
-              if k is None or np.any(v)}
+    coeffs = {k: 0.5 * (v + v.T) for k, v in terms.items() if k is None or np.any(v)}
     const = coeffs.pop(None)
-    return constraint_of(expr.rows, const, coeffs, Sense(sense))
+    return constraint_of(len(const), const, coeffs, Sense(sense))
 
 
 def assert_same_constraint(c, ref):
@@ -574,9 +502,9 @@ class TestBatchedConstraint:
     def test_assembled_constraints_match_the_per_term_reference(self, monkeypatch, kind):
         add, checked = LmiProblem.add_constraint, []
 
-        def spy(problem, expr, sense):
-            c = add(problem, expr, sense)
-            assert_same_constraint(c, reference_constraint(expr, sense))
+        def spy(problem, constant, stack, sense):
+            c = add(problem, constant, stack, sense)
+            assert_same_constraint(c, reference_constraint(constant, stack, sense))
             checked.append(c.dim)
             return c
 
@@ -591,153 +519,49 @@ class TestBatchedConstraint:
     @pytest.mark.parametrize("position", [0, 7, 15])
     def test_one_asymmetric_term_among_many_is_rejected(self, position):
         # the tolerance scales with each term's own largest entry: an
-        # asymmetry of 1e-6 passes beside entries of 1e6, not beside ones
-        p = LmiProblem()
-        s = p.declare_symmetric_block(4)
-        big = 1e6 * s
-        assert len(term_table(big)) == 11
+        # asymmetry of 1e-6 passes beside entries of 1e6, not beside ones;
+        # a symmetric 4 x 4 block of 10 variables, then 16 scalars
+        p = LmiProblem(26)
+        big = 1e6 * Layout().block(4, 4, 0).value(np.eye(26))
         skewed = np.zeros((4, 4))
         skewed[0, 1] = 1e-6
-        xs = [p.declare_scalar() for _ in range(16)]
-        e = big + 1e-4 * np.eye(4)
-        for k, x in enumerate(xs):
-            e = e + x.scale(skewed if k == position else np.eye(4))
+        stack = big.copy()
+        stack[10:] = np.eye(4)
+        stack[10 + position] = skewed
         with pytest.raises(IllFormedProblemError, match="symmetric"):
-            p.add_constraint(e, Sense.NEGATIVE_DEFINITE)
+            p.add_constraint(1e-4 * np.eye(4), stack, NEG)
         with pytest.raises(IllFormedProblemError, match="symmetric"):
-            reference_constraint(e, Sense.NEGATIVE_DEFINITE)
+            reference_constraint(1e-4 * np.eye(4), stack, NEG)
         # the same asymmetry on a term of scale 1e6 is within tolerance
         skewed[0, 0] = 1e6
-        tolerated = big
-        for x in xs:
-            tolerated = tolerated + x.scale(skewed)
-        c = p.add_constraint(tolerated, Sense.NEGATIVE_DEFINITE)
-        assert_same_constraint(c, reference_constraint(tolerated, Sense.NEGATIVE_DEFINITE))
+        stack[10:] = skewed
+        c = p.add_constraint(np.zeros((4, 4)), stack, NEG)
+        assert_same_constraint(c, reference_constraint(np.zeros((4, 4)), stack, NEG))
 
     def test_all_zero_terms_are_dropped(self):
-        p = LmiProblem()
-        t = p.declare_full_block(3, 3)
-        s = p.declare_symmetric_block(3)
-        x = p.declare_scalar()
-        tz = t @ np.zeros((3, 3))
-        zero = tz + tz.T  # nine all-zero terms
-        e = zero + s - x.scale(np.eye(3)) + np.zeros((3, 3))
-        assert len(term_table(e)) == 1 + 9 + 6 + 1
-        c = p.add_constraint(e, Sense.NEGATIVE_DEFINITE)
+        # a full 3 x 3 block times zero (nine all-zero terms), a symmetric
+        # block and a scalar times -I
+        layout = Layout()
+        t, s, x = layout.block(3, 3), layout.block(3, 3, 0), layout.block(1, 1)
+        eye = np.eye(layout.num_vars)
+        stack = -0.0 * t.value(eye) + s.value(eye) - x.value(eye) * np.eye(3)
+        assert stack.shape == (16, 3, 3) and not stack[:9].any()
+        p = LmiProblem(layout.num_vars)
+        c = p.add_constraint(np.zeros((3, 3)), stack, NEG)
         assert list(c.coeffs) == list(s.ids) + list(x.ids)
         assert not np.any(c.constant)  # the constant is kept, zero or not
-        assert_same_constraint(c, reference_constraint(e, Sense.NEGATIVE_DEFINITE))
-
-
-def table_sum(a, b):
-    """Two term tables added term by term: shared terms summed, every other
-    term kept as it is."""
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out[k] + v if k in out else v
-    return out
-
-
-def table_block(grid):
-    """block_expr term by term: the constant filled from -0.0 and each
-    variable's matrix from 0.0, and every nonempty block added into them."""
-    heights = [row[0][None].shape[0] for row in grid]
-    widths = [t[None].shape[1] for t in grid[0]]
-    r0, c0 = np.cumsum([0] + heights), np.cumsum([0] + widths)
-    out = {None: np.full((r0[-1], c0[-1]), -0.0)}
-    for i, row in enumerate(grid):
-        for j, table in enumerate(row):
-            if heights[i] and widths[j]:
-                for k, v in table.items():
-                    if k not in out:
-                        out[k] = np.zeros(out[None].shape)
-                    out[k][r0[i]:r0[i + 1], c0[j]:c0[j + 1]] += v
-    return out
-
-
-def random_expr(rng, shape):
-    """An expression over a random subset of 6 variables whose constant and
-    coefficients mix values with +0.0 and -0.0 entries."""
-    ids = np.flatnonzero(rng.rand(6) < 0.5)
-    m = rng.randn(ids.size + 1, *shape) * (rng.rand(ids.size + 1, *shape) < 0.5)
-    m[rng.rand(*m.shape) < 0.3] = -0.0
-    return folmi.lmi.MatExpr(ids, m[1:], m[0])
-
-
-def assert_same_table(got, want):
-    assert sorted(got, key=str) == sorted(want, key=str)
-    for k in want:
-        assert_same_bits(got[k], want[k])
-
-
-class TestStackedOperators:
-    """Sums and block stacking on coefficient stacks give the bits of the
-    term-by-term formulas, signed zeros included."""
-
-    def test_sum(self):
-        rng = np.random.RandomState(4)
-        for _ in range(200):
-            a, b = random_expr(rng, (3, 2)), random_expr(rng, (3, 2))
-            assert_same_table(term_table(a + b), table_sum(term_table(a), term_table(b)))
-            assert_same_table(term_table(a - b),
-                              table_sum(term_table(a), term_table(-1.0 * b)))
-
-    def test_block_stacking(self):
-        rng = np.random.RandomState(5)
-        for _ in range(100):
-            rows, cols = rng.randint(0, 3, 2), rng.randint(0, 3, 3)
-            grid = [[random_expr(rng, (h, w)) for w in cols] for h in rows]
-            want = table_block([[term_table(e) for e in row] for row in grid])
-            assert_same_table(term_table(block_expr(grid)), want)
-
-    def test_constant_grid_gives_the_plain_array(self):
-        # a zero-sized block, a Python scalar and -0.0 entries: the array of
-        # an all-constant grid has the bits of the constant of the same grid
-        # with any one entry wrapped
-        rng = np.random.RandomState(27)
-        for _ in range(50):
-            a, b, c = rng.randn(2, 3), rng.randn(2, 1), rng.randn(1, 3)
-            for m in (a, b, c):
-                m[rng.rand(*m.shape) < 0.4] = -0.0
-            corner = -0.0 if rng.rand() < 0.5 else 2.5
-            grid = [[a, np.zeros((2, 0)), b], [c, np.zeros((1, 0)), corner]]
-            got = block_expr(grid)
-            assert type(got) is np.ndarray and got.shape == (3, 4)
-            for i in range(2):
-                for j in range(3):
-                    wrapped = [row[:] for row in grid]
-                    wrapped[i][j] = folmi.lmi.MatExpr.wrap(grid[i][j])
-                    want = block_expr(wrapped)
-                    assert want.ids.size == 0
-                    assert_same_bits(got, want.const)
-
-
-def np_block_reference(grid):
-    """The constant-grid path before concatenation: ``np.block`` of the
-    entries as float arrays."""
-    return np.block([[np.asarray(e, float) for e in row] for row in grid])
+        assert_same_constraint(c, reference_constraint(np.zeros((3, 3)), stack, NEG))
 
 
 class TestConcatenatedTiling:
-    """All-array grids are tiled by concatenation with np.block's bits and
-    its one shape rule; the upper-triangle index pairs are made once."""
+    """Grids are tiled by concatenation with np.block's bits and its one
+    shape rule, on matrices and on batches of them; the upper-triangle index
+    pairs are made once."""
 
-    @staticmethod
-    def entry(rng, rows, cols):
-        """A random rows x cols entry, written as np.block reads it: a scalar
-        of some kind for 1x1, a 1-D array for some one-row entries."""
-        m = rng.randn(rows, cols)
-        m[rng.rand(rows, cols) < 0.3] = -0.0
-        kind = rng.randint(4)
-        if (rows, cols) == (1, 1) and kind < 3:
-            return (float(m[0, 0]), np.float64(m[0, 0]), int(rng.randint(-3, 4)))[kind]
-        if rows == 1 and kind == 3:
-            return m[0]
-        return m
-
-    def test_all_array_grids_match_np_block(self):
+    def test_grids_match_np_block(self):
         rng = np.random.RandomState(35)
         for _ in range(400):
+            batch = ((), (3,))[rng.randint(2)]
             heights = rng.randint(0, 3, rng.randint(1, 4))
             width = rng.randint(0, 5)
             grid = []
@@ -745,40 +569,42 @@ class TestConcatenatedTiling:
                 # each row splits the width its own way, empty parts included
                 cuts = np.sort(rng.randint(0, width + 1, rng.randint(0, 3)))
                 widths = np.diff(np.concatenate([[0], cuts, [width]]))
-                grid.append([self.entry(rng, h, w) for w in widths])
-            got, want = block_expr(grid), np_block_reference(grid)
-            assert type(got) is np.ndarray and got.dtype == want.dtype
+                row = [rng.randn(*batch, h, w) for w in widths]
+                for m in row:
+                    m[rng.rand(*m.shape) < 0.3] = -0.0
+                grid.append(row)
+            got, want = _tile(grid), np.block(grid)
             assert got.flags.c_contiguous
             assert_same_bits(got, want)
 
     @pytest.mark.parametrize("grid", [
         [[np.ones((2, 2)), np.ones((1, 2))]],              # heights differ in a row
         [[np.ones((2, 2))], [np.ones((1, 3))]],            # rows' widths differ
-        [[np.ones((1, 2)), 1.0], [np.ones((1, 2))]],       # a scalar widens one row
-        [[np.ones(3)], [np.ones((2, 2))]],                 # a 1-D row too wide
-        [[np.ones(0)], [np.ones((2, 2))]],                 # an empty 1-D row
+        [[np.ones((1, 2)), np.ones((1, 1))], [np.ones((1, 2))]],  # one row widened
         [[np.zeros((0, 2)), np.zeros((1, 0))]],            # empty heights differ
+        [[np.ones((2, 2, 2))], [np.ones((3, 2, 2))]],      # batches differ
         [[]],                                              # an empty row
         [],                                                # no rows
-    ], ids=["heights", "widths", "scalar", "1-D", "empty-1-D", "empty-heights",
+    ], ids=["heights", "widths", "widened", "empty-heights", "batches",
             "empty-row", "no-rows"])
     def test_grids_that_do_not_tile_raise_value_error(self, grid):
         with pytest.raises(ValueError):
-            np_block_reference(grid)
+            np.block(grid)
         with pytest.raises(ValueError):
-            block_expr(grid)
+            _tile(grid)
 
     @pytest.mark.parametrize("dim", [0, 1, 2, 5])
     def test_index_pairs_are_cached_read_only(self, dim):
-        for k, declare in ((0, "declare_symmetric_block"), (1, "declare_skew_block")):
+        for k in (0, 1):
             pairs = folmi.lmi.triu_pairs(dim, k)
             assert pairs is folmi.lmi.triu_pairs(dim, k)
             for got, want in zip(pairs, np.triu_indices(dim, k)):
                 assert_same_bits(got, want)
                 assert not got.flags.writeable
-            # the declared variables follow the cached pairs, row by row
-            block = getattr(LmiProblem(), declare)(dim)
+            # the laid-out variables follow the cached pairs, row by row
+            block = Layout().block(dim, dim, k)
+            assert block.entries is pairs
             rows, cols = pairs
-            assert block.ids.size == rows.size
+            assert block.ids.tolist() == list(range(rows.size))
             for v, (i, j) in enumerate(zip(rows, cols)):
-                assert block.coeff[v, i, j] == 1.0
+                assert block.value(np.eye(rows.size)[v])[i, j] == 1.0

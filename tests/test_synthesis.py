@@ -19,12 +19,12 @@ from folmi.interval import IntervalMatrix, UncertainFoltiSystem, decompose, real
 from folmi.linalg import pinv
 from folmi.lmi import (
     R_BOX,
+    Layout,
     LmiProblem,
     SdpStatus,
     Sense,
     SolverConfig,
     _Block,
-    block_expr,
     constraint_margin,
     evaluate_constraint,
     solve_feasibility,
@@ -35,6 +35,7 @@ from folmi.stability import (
     analysis_feasible,
     certificate_lmi,
     closed_loop,
+    lmi_matrices,
     margin_floor,
     sector_margins,
 )
@@ -74,11 +75,17 @@ def certain_scalar_system(a, b, c, alpha):
 
 def set_block(values, block, matrix):
     """Write a desired block matrix into a flat variable vector."""
-    m = np.atleast_2d(np.asarray(matrix, float))
-    for k, basis in zip(block.ids, block.coeff):
-        weight = float((basis * basis).sum())
-        values[k] = float((m * basis).sum()) / weight
+    values[block.ids] = np.atleast_2d(np.asarray(matrix, float))[block.entries]
     return values
+
+
+def add_affine(problem, f, sense):
+    """Add ``f(x) (sense) 0`` for an affine map f of the variable vectors
+    on arrays: the constant f(0) and the coefficients f(e_k) - f(0), from
+    the zero vector and each unit vector evaluated one at a time."""
+    n = problem.num_vars
+    m = np.array([f(x) for x in np.eye(n + 1, n, -1)])
+    return problem.add_constraint(m[0], m[1:] - m[0], sense)
 
 
 class FakeSolution:
@@ -169,7 +176,7 @@ def test_analysis_lmi_is_the_synthesis_core(alpha):
     synth = assemble(decompose(sys), sys.c, alpha, 0).problem
     analysis = _analysis_lmi(a, alpha)[1]
     assert len(synth.constraints) == len(analysis.constraints) == 2
-    # P_S is declared first in both problems; the synthesis LMI adds T4
+    # P_S is laid out first in both problems; the synthesis LMI adds T4
     shared = rng.randn(analysis.num_vars)
     x = np.concatenate([shared, rng.randn(synth.num_vars - analysis.num_vars)])
     for mine, theirs in zip(synth.constraints, analysis.constraints):
@@ -876,13 +883,13 @@ def separate_positivity(asm):
     P_S - I > 0 and (n_c > 0) P_C - I > 0 and -Sigma(T1) > 0 after the
     Schur block."""
     old = LmiProblem(asm.problem.num_vars, asm.problem.constraints[:1])
-    b, positive = asm.blocks, Sense.POSITIVE_DEFINITE
+    b, r, positive = asm.blocks, asm.regime, Sense.POSITIVE_DEFINITE
     if "eta" in b:
-        old.add_constraint(b["eta"], positive)
-    old.add_constraint(asm.regime.positivity(b["s"]), positive)
+        add_affine(old, b["eta"].value, positive)
+    add_affine(old, lambda x: r.positivity([part.value(x) for part in b["s"]]), positive)
     if asm.n_c:
-        old.add_constraint(asm.regime.positivity(b["c"]), positive)
-        old.add_constraint(-1.0 * asm.regime.sigma(b["t1"]), positive)
+        add_affine(old, lambda x: r.positivity([part.value(x) for part in b["c"]]), positive)
+        add_affine(old, lambda x: -1.0 * r.sigma(b["t1"].value(x)), positive)
     return old
 
 
@@ -1116,38 +1123,41 @@ class TestPositivityBlock:
 
 def full_controller_lmi(regime, a0, b0, n_c, lift):
     """The synthesis LMI over the full controller model, as it was assembled
-    before T2 and T3 were dropped: P_S, P_C and T1..T4 declared in that
+    before T2 and T3 were dropped: P_S, P_C and T1..T4 laid out in that
     order, then eta; G = [[[A0 B0] Z], [T2 T1]] with Z = [[Q_S, 0], [T4,
     T3]], so the controller rows of Sigma sit inside the Schur block beside
     MM^T padded with n_c zero rows, and blockdiag(P_S - I, P_C - I, eta)
-    > 0.  The reference for the assembly of :func:`certificate_lmi`."""
+    > 0.  The reference for the assembly of :func:`certificate_lmi`, tiled
+    by np.block one variable vector at a time."""
     n, l = b0.shape
-    p = LmiProblem()
-    blocks = {"s": regime.declare(p, n), "c": regime.declare(p, n_c),
-              "t1": p.declare_full_block(n_c, n_c),
-              "t2": p.declare_full_block(n_c, n),
-              "t3": p.declare_full_block(l, n_c),
-              "t4": p.declare_full_block(l, n)}
-    z = block_expr([[regime.q_expr(blocks["s"]), np.zeros((n, n_c))],
-                    [blocks["t4"], blocks["t3"]]])
-    g = block_expr([[np.hstack([a0, b0]) @ z],
-                    [block_expr([[blocks["t2"], blocks["t1"]]])]])
+    layout = Layout()
+    blocks = {"s": regime.parts(layout, n), "c": regime.parts(layout, n_c),
+              "t1": layout.block(n_c, n_c), "t2": layout.block(n_c, n),
+              "t3": layout.block(l, n_c), "t4": layout.block(l, n),
+              "eta": layout.block(1, 1)}
     mmt, d = lift
     k = regime.copies
-    eta = blocks["eta"] = p.declare_scalar()
     pad = np.zeros((n + n_c, n + n_c))
     pad[:n, :n] = mmt
-    dz = d @ z
-    zeros = np.zeros(dz.shape)
-    r = block_expr([[dz if i == j else zeros for j in range(k)] for i in range(k)])
-    p.add_constraint(block_expr([
-        [regime.sigma(g) + eta.scale(np.kron(np.eye(k), pad)), r.T],
-        [r, -1.0 * eta.scale(np.eye(r.rows))],
-    ]), Sense.NEGATIVE_DEFINITE)
-    pos = [regime.positivity(blocks["s"]), regime.positivity(blocks["c"]), eta]
-    p.add_constraint(block_expr(
-        [[a if a is b else np.zeros((a.rows, b.cols)) for b in pos] for a in pos]),
-        Sense.POSITIVE_DEFINITE)
+
+    def schur(x):
+        t1, t2, t3, t4, eta = (blocks[name].value(x) for name in ("t1", "t2", "t3", "t4", "eta"))
+        z = np.block([[regime.q_expr([part.value(x) for part in blocks["s"]]),
+                       np.zeros((n, n_c))], [t4, t3]])
+        g = np.block([[np.hstack([a0, b0]) @ z], [t2, t1]])
+        r = np.kron(np.eye(k), d @ z)
+        return np.block([[regime.sigma(g) + eta * np.kron(np.eye(k), pad), r.T],
+                         [r, -eta * np.eye(r.shape[0])]])
+
+    def positivity(x):
+        pos = [regime.positivity([part.value(x) for part in blocks[name]]) for name in "sc"]
+        pos.append(blocks["eta"].value(x))
+        return np.block([[a if a is b else np.zeros((len(a), len(b))) for b in pos]
+                         for a in pos])
+
+    p = LmiProblem(layout.num_vars)
+    add_affine(p, schur, Sense.NEGATIVE_DEFINITE)
+    add_affine(p, positivity, Sense.POSITIVE_DEFINITE)
     return p, blocks
 
 
@@ -1244,9 +1254,49 @@ class TestDroppedLifts:
             for m in (k.b_c, k.c_c):
                 assert not m.any() and not np.signbit(m).any(), seed
             v, b = sol.values, asm.blocks
-            qs_inv = np.linalg.inv(asm.regime.q_expr(b["s"]).value(v))
+            qs_inv = np.linalg.inv(asm.regime.q_expr([part.value(v) for part in b["s"]]))
             np.testing.assert_array_equal(
                 k.d_c, b["t4"].value(v) @ qs_inv @ pinv(sys_.c), err_msg=str(seed))
+
+
+def affinity_error(regime, a0, b0, n_c, lift, seed):
+    """Largest relative gap between the stored constraints of
+    :func:`certificate_lmi`, summed by ``evaluate_constraint``, and
+    :func:`lmi_matrices` at seeded random variable vectors."""
+    problem, blocks = certificate_lmi(regime, a0, b0, n_c, lift)
+    x = np.random.RandomState(seed).randn(4, problem.num_vars)
+    worst = 0.0
+    for c, want in zip(problem.constraints, lmi_matrices(regime, a0, b0, blocks, lift, x)):
+        for xi, w in zip(x, want):
+            got = evaluate_constraint(problem, c, xi)[0]
+            worst = max(worst, np.abs(got - w).max() / np.abs(w).max())
+    return worst
+
+
+class TestAffinity:
+    """The builder runs on arrays, so no type refuses a product of two
+    variables: the stored constant and stack have to reproduce it at every
+    point, which holds only for an affine map."""
+
+    @pytest.mark.parametrize("lifted", [False, True])
+    @pytest.mark.parametrize("n_c", range(4))
+    @pytest.mark.parametrize("alpha", [0.75, 1.3])
+    def test_stored_constraints_are_the_builder_at_random_points(self, alpha, n_c, lifted):
+        factors = decompose(verdict_plant(520 + n_c, alpha))
+        lift = folmi.synthesis._lift(factors) if lifted else None
+        regime = _regime(alpha)
+        assert affinity_error(regime, factors.a0, factors.b0, n_c, lift, n_c) <= 1e-12
+        # the analysis LMI: no input, no controller
+        assert affinity_error(regime, factors.a0, np.zeros((3, 0)), 0, None, n_c) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.3])
+    def test_a_product_of_two_variables_is_caught(self, monkeypatch, alpha):
+        factors = decompose(verdict_plant(520, alpha))
+        regime = _regime(alpha)
+        q_expr = regime.q_expr
+        monkeypatch.setattr(regime, "q_expr", lambda cert: q_expr(cert) @ q_expr(cert))
+        assert affinity_error(regime, factors.a0, factors.b0, 1,
+                              folmi.synthesis._lift(factors), 0) > 1e-3
 
 
 # (min_sector_margin, passed, worst f_a, worst f_b, solver_iterations,
