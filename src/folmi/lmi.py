@@ -30,16 +30,25 @@ deterministic; the blocks stay well under 100x100 at the scales this
 toolkit targets.
 
 At those sizes a Newton step costs numpy calls, not flops, so the hot
-paths are written for few calls with unchanged arithmetic: each block
+paths are written for few calls with unchanged arithmetic.  Each block
 keeps its coefficients as one (p, dim*dim) matrix, forms F(x) with one
 matrix-vector product, and reads x and adds its derivatives by slices
 when its variables are contiguous, as the synthesis LMI lays them out.
-Every floating-point operation of the solver is that of the term-by-term
-formulas, which the tests keep as bit-for-bit references.
+Each point (the start and every line-search trial) forms its slacks and
+its box gaps R_BOX -+ x once, the gaps as one (2, n) array that the box
+test, the barrier value and the next step's box terms all read; a Newton
+step reuses the slacks of the point it starts from.  The final audit sums
+each constraint's terms as one running sum over a stack.  Every
+floating-point operation is that of the term-by-term formulas:
+``TestBlockBitIdentity`` (tests/test_lmi.py) pins a block's slack and
+derivatives and the box terms to them, and ``TestWholeSolveBitIdentity``
+pins whole solves (points, iteration counts, statuses, margins) to a
+term-by-term reference loop.
 """
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,9 +236,12 @@ def evaluate_constraint(problem, constraint, values):
         raise LengthMismatchError(
             f"expected {problem.num_vars} values, got {values.shape}"
         )
-    m = constraint.constant.copy()
-    for v, coeff in zip(values[constraint.ids], constraint.stack):
-        m += v * coeff
+    # a running sum over [constant, v_k A_k, ...] adds in the order of
+    # m = constant; m += v_k A_k; sum(axis=0) does not: it turns -0.0 into
+    # 0.0 and adds 1 x 1 terms pairwise
+    terms = np.concatenate([constraint.constant[None],
+                            values[constraint.ids, None, None] * constraint.stack])
+    m = np.add.accumulate(terms, out=terms)[-1]
     eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
     return m, float(eigs[-1] if constraint.sense is Sense.NEGATIVE_DEFINITE else eigs[0])
 
@@ -279,11 +291,11 @@ class _Block:
         n = grad.size - 1
         w = np.linalg.inv(s)
         w = 0.5 * (w + w.T)
-        grad[n] -= np.trace(w)
-        hess[n, n] += float(np.sum(w * w))
+        grad[n] -= w.trace()
+        hess[n, n] += float((w * w).sum())
         v = w @ self.coeff  # stack of V_i = S^-1 A_i
         vflat = v.reshape(self.flat.shape)
-        vtflat = np.transpose(v, (0, 2, 1)).reshape(self.flat.shape)
+        vtflat = v.transpose(0, 2, 1).reshape(self.flat.shape)
         grad[self.sel] += np.einsum("pii->p", v)
         hess[self.sel2] += vflat @ vtflat.T
         cross = -(vflat @ w.reshape(-1))  # -tr(V_i W), the x-t coupling
@@ -297,17 +309,27 @@ def _logdet(s):
         l = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.sum(np.log(l.diagonal())))
+    return 2.0 * float(np.log(l.diagonal()).sum())
 
 
-def _add_box_derivatives(xv, grad, hess):
+_BOX_SIGNS = np.array([[-1.0], [1.0]])
+
+
+def _box_gaps(xv):
+    """R_BOX - x and R_BOX + x, the rows of one (2, len(x)) array; R_BOX +
+    (-1.0 * x) is R_BOX - x bit for bit."""
+    return R_BOX + _BOX_SIGNS * xv
+
+
+def _add_box_derivatives(xv, grad, hess, gaps=None):
     """Add the gradient and Hessian of -sum log(R_BOX -+ x_i) over x, the
-    Hessian through a strided view of the first len(x) diagonal entries."""
+    Hessian through a strided view of the first len(x) diagonal entries;
+    ``gaps`` is ``_box_gaps(xv)`` when the caller has it."""
     n = xv.size
-    grad[:n] += 1.0 / (R_BOX - xv) - 1.0 / (R_BOX + xv)
-    hess.reshape(-1)[: n * (n + 2) : n + 2] += (
-        1.0 / (R_BOX - xv) ** 2 + 1.0 / (R_BOX + xv) ** 2
-    )
+    gaps = _box_gaps(xv) if gaps is None else gaps
+    inv, inv2 = 1.0 / gaps, 1.0 / gaps ** 2
+    grad[:n] += inv[0] - inv[1]
+    hess.reshape(-1)[: n * (n + 2) : n + 2] += inv2[0] + inv2[1]
 
 
 def solve_feasibility(problem, cfg=None):
@@ -329,9 +351,11 @@ def solve_feasibility(problem, cfg=None):
     depth = max(cfg.eps_margin, FEASIBILITY_DEPTH)
 
     def point(xv, tv):
-        """``(x, t, phi, slacks S_j = t*I - F_j(x))``, or None when the
-        point is not strictly feasible; the only place slacks are formed."""
-        if np.any(np.abs(xv) >= R_BOX):
+        """``(x, t, phi, slacks S_j = t*I - F_j(x), box gaps)``, or None
+        when the point is not strictly feasible; the only place slacks and
+        gaps are formed."""
+        gaps = _box_gaps(xv)
+        if (gaps <= 0.0).any():  # |x_i| >= R_BOX
             return None
         slacks = []
         phi = 0.0
@@ -341,20 +365,21 @@ def solve_feasibility(problem, cfg=None):
                 return None
             slacks.append(slack[0])
             phi -= slack[1]
-        phi -= float(np.sum(np.log(R_BOX - xv) + np.log(R_BOX + xv)))
-        return xv, tv, phi, slacks
+        logs = np.log(gaps)
+        phi -= float((logs[0] + logs[1]).sum())
+        return xv, tv, phi, slacks, gaps
 
     def newton_step(pt, mu):
         """One damped Newton step on mu*t + phi from the point ``pt``:
         the accepted point and the squared decrement, or None when the
         Newton system cannot be factored or no trial passes the line
         search."""
-        xv, tv, phi, slacks = pt
+        xv, tv, phi, slacks, gaps = pt
         grad = np.zeros(n + 1)
         hess = np.zeros((n + 1, n + 1))
         for b, s in zip(blocks, slacks):
             b.add_derivatives(s, grad, hess)
-        _add_box_derivatives(xv, grad, hess)
+        _add_box_derivatives(xv, grad, hess, gaps)
         grad[n] += mu
 
         jitter = 0.0
@@ -370,13 +395,14 @@ def solve_feasibility(problem, cfg=None):
             return None
         step = -np.linalg.solve(l.T, np.linalg.solve(l, grad))
         lam2 = float(-grad @ step)
-        if not np.isfinite(lam2) or lam2 < 0:
+        if not math.isfinite(lam2) or lam2 < 0:
             return None
 
         f0 = mu * tv + phi
-        alpha = 1.0 if lam2 <= 0.9 else 1.0 / (1.0 + np.sqrt(lam2))
+        dx, dt = step[:n], float(step[n])
+        alpha = 1.0 if lam2 <= 0.9 else 1.0 / (1.0 + math.sqrt(lam2))
         for _ in range(60):
-            trial = point(xv + alpha * step[:n], tv + alpha * step[n])
+            trial = point(xv + alpha * dx, tv + alpha * dt)
             if trial is not None and mu * trial[1] + trial[2] <= f0 - 0.25 * alpha * lam2:
                 return trial, lam2
             alpha *= 0.5
@@ -399,7 +425,7 @@ def solve_feasibility(problem, cfg=None):
         centred = lam2 <= 1e-2  # loose, but enough for the duality bound
         if t <= -depth or (not centred and steps < 50):
             continue
-        gap = (nu + np.sqrt(nu)) / mu
+        gap = (nu + math.sqrt(nu)) / mu
         if centred and t - gap > -cfg.eps_margin:  # proves min t > -eps_margin
             status = SdpStatus.INFEASIBLE
             break

@@ -21,6 +21,7 @@ from folmi.lmi import (
 from folmi.stability import analysis_feasible
 from folmi.synthesis import assemble
 from tests.test_interval import example1_system
+from tests.test_stability import ANALYSIS_PINS
 from tests.test_synthesis import add_affine, example2_system, separate_positivity
 
 NEG, POS = Sense.NEGATIVE_DEFINITE, Sense.POSITIVE_DEFINITE
@@ -471,6 +472,207 @@ class TestBlockBitIdentity:
         reference_box(xv, grad_ref, hess_ref)
         assert_same_bits(grad, grad_ref)
         assert_same_bits(hess, hess_ref)
+
+
+def reference_evaluate(constraint, values):
+    """``(matrix, extreme eigenvalue)`` of a constraint at ``values``, its
+    terms added one at a time: m = constant; m += v_k A_k."""
+    m = constraint.constant.copy()
+    for v, coeff in zip(values[constraint.ids], constraint.stack):
+        m += v * coeff
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    return m, float(eigs[-1] if constraint.sense is NEG else eigs[0])
+
+
+def reference_solve(problem, cfg=None):
+    """``solve_feasibility`` written term by term: the slacks, derivatives
+    and box terms of the references above, each box quantity formed where
+    it is used, np.* calls throughout and the audit of reference_evaluate."""
+    cfg = cfg or SolverConfig()
+    r_box = folmi.lmi.R_BOX
+    blocks = [_Block(c) for c in problem.constraints]
+    n = problem.num_vars
+    nu = sum(b.dim for b in blocks) + 2 * n
+    depth = max(cfg.eps_margin, folmi.lmi.FEASIBILITY_DEPTH)
+
+    def point(xv, tv):
+        if np.any(np.abs(xv) >= r_box):
+            return None
+        slacks, phi = [], 0.0
+        for b in blocks:
+            s = reference_slack(b, xv, tv)
+            try:
+                l = np.linalg.cholesky(s)
+            except np.linalg.LinAlgError:
+                return None
+            slacks.append(s)
+            phi -= 2.0 * float(np.sum(np.log(np.diag(l))))
+        phi -= float(np.sum(np.log(r_box - xv) + np.log(r_box + xv)))
+        return xv, tv, phi, slacks
+
+    def newton_step(pt, mu):
+        xv, tv, phi, slacks = pt
+        grad, hess = np.zeros(n + 1), np.zeros((n + 1, n + 1))
+        for b, s in zip(blocks, slacks):
+            reference_derivatives(b, s, grad, hess)
+        reference_box(xv, grad, hess)
+        grad[n] += mu
+        jitter = 0.0
+        for _ in range(4):
+            try:
+                l = np.linalg.cholesky(hess + jitter * np.eye(n + 1) if jitter else hess)
+                break
+            except np.linalg.LinAlgError:
+                jitter = max(jitter * 100.0, 1e-12 * (1 + np.abs(hess).max()))
+        else:
+            return None
+        step = -np.linalg.solve(l.T, np.linalg.solve(l, grad))
+        lam2 = float(-grad @ step)
+        if not np.isfinite(lam2) or lam2 < 0:
+            return None
+        f0 = mu * tv + phi
+        alpha = 1.0 if lam2 <= 0.9 else 1.0 / (1.0 + np.sqrt(lam2))
+        for _ in range(60):
+            trial = point(xv + alpha * step[:n], tv + alpha * step[n])
+            if trial is not None and mu * trial[1] + trial[2] <= f0 - 0.25 * alpha * lam2:
+                return trial, lam2
+            alpha *= 0.5
+        return None
+
+    t = max(float(np.linalg.eigvalsh(b.const)[-1]) for b in blocks)
+    pt = point(np.zeros(n), t + 1.0 + 0.1 * abs(t))
+    x, t = pt[:2]
+    mu = 1.0 / (1.0 + abs(t))
+    iters = steps = 0
+    status = SdpStatus.INDETERMINATE
+    while t > -depth and iters < cfg.max_iter:
+        iters += 1
+        steps += 1
+        step = newton_step(pt, mu)
+        if step is None:
+            break
+        pt, lam2 = step
+        x, t = pt[:2]
+        centred = lam2 <= 1e-2
+        if t <= -depth or (not centred and steps < 50):
+            continue
+        gap = (nu + np.sqrt(nu)) / mu
+        if centred and t - gap > -cfg.eps_margin:
+            status = SdpStatus.INFEASIBLE
+            break
+        if gap <= 0.5 * cfg.eps_margin:
+            break
+        mu *= folmi.lmi.MU_FACTOR
+        steps = 0
+    margins = []
+    for c in problem.constraints:
+        extreme = reference_evaluate(c, x)[1]
+        margins.append(-extreme if c.sense is NEG else extreme)
+    achieved = min(margins)
+    if t <= -cfg.eps_margin and achieved >= cfg.eps_margin:
+        status = SdpStatus.FEASIBLE
+    return folmi.lmi.SdpSolution(status, x, achieved, iters, float(t))
+
+
+WHOLE_SOLVE_GROUPS = ("example1", "example2", "analysis-0.3", "analysis-0.75",
+                      "analysis-1.2", "analysis-1.8", "scattered", "backtracking")
+# (seed, scale exponent, alpha) of analysis problems whose line search
+# halves the step once; the problems above all take their first trial
+BACKTRACKING = ((3, 1, 0.3), (7, 0, 0.75), (13, 0, 1.8))
+
+
+def whole_solve_cases(group):
+    """``[(problem, cfg)]`` of a group: a fixture's synthesis LMIs at n_c =
+    0-3 (example1's n_c = 1 once more under a budget cut to 5 steps), the
+    analysis problems of ANALYSIS_PINS at one alpha or of BACKTRACKING, or
+    example1's n_c = 1 Schur block beside eta > 0, P_S - I > 0 and
+    blockdiag(P_C - I, eta) > 0, the last on the variables 0 and 11 only."""
+    if group in ("example1", "example2"):
+        sys_ = {"example1": example1_system, "example2": example2_system}[group]()
+        factors = decompose(sys_)
+        cases = [(assemble(factors, sys_.c, sys_.alpha, n_c).problem, None)
+                 for n_c in range(4)]
+        if group == "example1":
+            cases.append((cases[1][0], SolverConfig(max_iter=5)))
+        return cases
+    if group == "scattered":
+        blocks = bit_identity_blocks()
+        n = blocks["schur"][0]
+        names = ("schur", "eta", "positivity_s", "scattered")
+        return [(LmiProblem(n, [blocks[name][1] for name in names]), None)]
+    if group == "backtracking":
+        return [(folmi.stability._analysis_lmi(
+            np.random.RandomState(seed).randn(3, 3) * 10.0 ** e, alpha)[1], None)
+            for seed, e, alpha in BACKTRACKING]
+    alpha = float(group.split("-")[1])
+    rng = np.random.RandomState(5)  # the matrices test_analysis_solves_are_pinned draws
+    return [(folmi.stability._analysis_lmi(rng.randn(3, 3) - 1.5 * np.eye(3), alpha)[1], None)
+            for _ in ANALYSIS_PINS[alpha]]
+
+
+def assert_same_solution(sol, ref):
+    assert sol.values.tobytes() == ref.values.tobytes()
+    assert (sol.iterations, sol.status) == (ref.iterations, ref.status)
+    assert sol.achieved_margin.hex() == ref.achieved_margin.hex()
+    assert sol.objective.hex() == ref.objective.hex()
+
+
+class TestWholeSolveBitIdentity:
+    """A whole solve, from the first point to the audit, is the term-by-term
+    reference loop bit for bit: the same points, iteration counts, statuses,
+    margins and objectives."""
+
+    @pytest.mark.parametrize("group", WHOLE_SOLVE_GROUPS)
+    def test_solution_matches_the_reference_loop(self, group):
+        statuses = set()
+        for problem, cfg in whole_solve_cases(group):
+            sol = solve_feasibility(problem, cfg)
+            assert_same_solution(sol, reference_solve(problem, cfg))
+            statuses.add(sol.status)
+        if group.startswith("analysis"):
+            # a centred INFEASIBLE exit, after the barrier weight has grown
+            assert SdpStatus.INFEASIBLE in statuses
+        if group == "example1":
+            assert SdpStatus.INDETERMINATE in statuses  # the cut budget
+
+    def test_the_cases_cover_both_selections_and_a_halved_step(self, monkeypatch):
+        (problem, _), = whole_solve_cases("scattered")
+        sels = [_Block(c).sel for c in problem.constraints]
+        assert isinstance(sels[0], slice) and isinstance(sels[-1], np.ndarray)
+        # each point forms its box gaps once: the start, then one per trial
+        points = []
+        gaps = folmi.lmi._box_gaps
+        monkeypatch.setattr(folmi.lmi, "_box_gaps", lambda xv: points.append(1) or gaps(xv))
+        for problem, cfg in whole_solve_cases("backtracking"):
+            points.clear()
+            iterations = solve_feasibility(problem, cfg).iterations
+            assert len(points) > iterations + 1
+
+
+class TestEvaluateConstraint:
+    """``evaluate_constraint`` adds a constraint's terms in the order of
+    m = constant; m += v_k A_k, whatever the size, layout or sense."""
+
+    @pytest.mark.parametrize("sense", [NEG, POS])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_matches_the_term_by_term_sum(self, dim, sense):
+        rng = np.random.RandomState(dim)
+        for p in (0, 1, 2, 3, 9, 20) * 10:
+            n = 2 * p + 3
+            ids = np.sort(rng.choice(n, p, replace=False))
+            scales = 10.0 ** rng.randint(-8, 9, (p + 1, 1, 1))
+            terms = rng.randn(p + 1, dim, dim) * scales
+            terms = terms + terms.transpose(0, 2, 1)
+            zeros = rng.rand(p + 1, dim, dim) < 0.3
+            terms[zeros | zeros.transpose(0, 2, 1)] = -0.0
+            values = rng.randn(n) * 10.0 ** rng.randint(-8, 9, n)
+            values[rng.rand(n) < 0.2] = -0.0
+            c = AffineMatrixConstraint(dim, terms[0], ids, terms[1:], sense)
+            m, extreme = evaluate_constraint(LmiProblem(n), c, values)
+            m_ref, extreme_ref = reference_evaluate(c, values)
+            assert_same_bits(m, m_ref)
+            assert extreme.hex() == extreme_ref.hex()
+            assert not np.shares_memory(m, c.constant)
 
 
 def reference_constraint(constant, stack, sense):

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import folmi
@@ -36,3 +42,27 @@ def test_solver_errors_are_not_validation_errors(name):
     cls = getattr(errors, name)
     assert issubclass(cls, errors.FolmiError)
     assert not issubclass(cls, errors.ValidationError)
+
+
+def test_only_numpy_and_the_standard_library_load_at_runtime():
+    # in a fresh interpreter, the top-level packages that importing every
+    # folmi module adds to those loaded at startup (site may load some, such
+    # as certifi); scipy may be installed but is not a dependency
+    code = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import importlib, pkgutil, folmi
+        names = [m.name for m in pkgutil.iter_modules(folmi.__path__)]
+        for name in names:
+            importlib.import_module("folmi." + name)
+        print(" ".join(names))
+        print(" ".join(sorted({m.partition(".")[0] for m in set(sys.modules) - before})))
+    """)
+    src = pathlib.Path(folmi.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    modules, loaded = (line.split() for line in run.stdout.splitlines())
+    assert {"cli", "lmi", "stability", "synthesis"} <= set(modules)
+    assert {"folmi", "numpy"} <= set(loaded)
+    allowed = {"folmi", "numpy", *sys.stdlib_module_names}
+    assert [name for name in loaded if name not in allowed] == []
